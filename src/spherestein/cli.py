@@ -21,9 +21,10 @@ import sys
 
 import numpy as np
 
-from . import est_fb, est_vmf, est_watson, harness, sampler, vmf_moments
+from . import est_vmf, est_watson, harness, sampler, vmf_moments
+from .families import ESTIMATORS, FAMILIES, SAMPLERS
 from .linalg import SingularSystem
-from .models import VmfParams, WatsonParams, params_from_dict
+from .models import params_from_dict
 
 _FLOAT_FMT = "%.17g"  # bit-faithful round trip of 64-bit floats
 
@@ -51,16 +52,14 @@ def cmd_sample(args) -> int:
         params = params_from_dict(_load_json(args.params))
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(f"invalid parameter file: {exc}", 2)
+    if args.family and args.family != params.family:
+        return _fail(f"--family {args.family} does not match parameter file "
+                     f"({params.family})", 2)
     if args.n < 1:
         return _fail("--n must be >= 1", 2)
     rng = sampler.RngState(args.seed)
     try:
-        if isinstance(params, VmfParams):
-            x = sampler.sample_vmf(params, args.n, rng)
-        elif isinstance(params, WatsonParams):
-            x = sampler.sample_watson(params, args.n, rng)
-        else:
-            x = sampler.sample_fb(params, args.n, rng)
+        x = SAMPLERS[params.family](params, args.n, rng)
     except RuntimeError as exc:
         return _fail(f"sampler failed: {exc}", 3)
     _write_csv(args.out, x, args.header)
@@ -73,6 +72,9 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
     x = np.loadtxt(path, delimiter=",", ndmin=2)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("expected an n x d CSV with d >= 2")
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))} has a non-finite entry")
     norms = np.linalg.norm(x, axis=1)
     dev = np.abs(norms - 1.0)
     warnings = []
@@ -89,22 +91,10 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
     return x / norms[:, None], warnings
 
 
-_FIT_DISPATCH = {
-    ("vmf", "st"): est_vmf.kappa_stein,
-    ("vmf", "st2"): est_vmf.kappa_stein2,
-    ("vmf", "ml"): est_vmf.kappa_mle,
-    ("vmf", "sm"): est_vmf.kappa_score_matching,
-    ("watson", "st"): est_watson.watson_stein_fit,
-    ("watson", "mla"): est_watson.watson_mla_fit,
-    ("watson", "ml"): est_watson.watson_mle_fit,
-    ("fb", "st"): est_fb.fb_stein_fit,
-}
-
-
 def cmd_fit(args) -> int:
     family = args.family
     estimator = args.estimator or "st"
-    if (family, estimator) not in _FIT_DISPATCH:
+    if (family, estimator) not in ESTIMATORS:
         return _fail(f"no estimator {estimator!r} for family {family!r}", 2)
     try:
         x, warnings = _read_sample(args.infile)
@@ -115,7 +105,7 @@ def cmd_fit(args) -> int:
               "n": int(x.shape[0]), "d": int(x.shape[1]), "status": "ok",
               "warnings": warnings}
     try:
-        fit = _FIT_DISPATCH[(family, estimator)](x)
+        fit = ESTIMATORS[family, estimator](x)
     except est_watson.NotEligible as exc:
         report["status"] = "NE"
         report["detail"] = str(exc)
@@ -126,30 +116,8 @@ def cmd_fit(args) -> int:
     except (est_vmf.DegenerateMean, ValueError) as exc:
         return _fail(f"estimation failed: {exc}", 2)
 
-    if family == "vmf":
-        report.update({
-            "mu": fit.mu_hat.tolist(),
-            "kappa": fit.kappa_hat,
-            "diagnostics": fit.diagnostics,
-        })
-    elif family == "watson":
-        report.update({
-            "mu": fit.mu_hat.tolist(),
-            "kappa": fit.kappa_hat,
-            "branch": fit.branch,
-            "eligible_branches": list(fit.eligible_branches),
-            "residual_norms": fit.residual_norms,
-        })
-        report["warnings"] = warnings + fit.warnings
-    else:
-        report.update({
-            "mu": fit.mu_hat.tolist(),
-            "A": fit.A_hat.tolist(),
-            "residual_norm": fit.residual_norm,
-            "cond_Mprime": fit.cond_m_prime,
-            "cond_schur": fit.cond_schur,
-        })
-        report["warnings"] = warnings + fit.warnings
+    report.update(FAMILIES[family].report(fit))
+    report["warnings"] = warnings + getattr(fit, "warnings", [])
     _emit_report(report, args.out)
     return 0
 
@@ -225,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="draw a sample into a CSV file")
-    p_sample.add_argument("--family", choices=("fb", "vmf", "watson"),
+    p_sample.add_argument("--family", choices=tuple(FAMILIES),
                           help="checked against the parameter file if given")
     p_sample.add_argument("--params", required=True, help="parameter JSON file")
     p_sample.add_argument("--n", type=int, required=True)
@@ -235,9 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.set_defaults(func=cmd_sample)
 
     p_fit = sub.add_parser("fit", help="fit an estimator to a CSV sample")
-    p_fit.add_argument("--family", choices=("fb", "vmf", "watson"), required=True)
-    p_fit.add_argument("--estimator", default=None,
-                       help="vmf: st|st2|ml|sm; watson: st|mla|ml; fb: st")
+    p_fit.add_argument("--family", choices=tuple(FAMILIES), required=True)
+    p_fit.add_argument("--estimator", default=None, help="; ".join(
+        f"{fam}: " + "|".join(code for f, code in ESTIMATORS if f == fam)
+        for fam in FAMILIES))
     p_fit.add_argument("--in", dest="infile", required=True)
     p_fit.add_argument("--out", default=None)
     p_fit.set_defaults(func=cmd_fit)
@@ -262,17 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "sample" and args.family:
-        # cross-check the declared family against the parameter file
-        try:
-            declared = _load_json(args.params).get("family")
-        except (OSError, json.JSONDecodeError):
-            declared = None
-        if declared is not None and declared != args.family:
-            return _fail(
-                f"--family {args.family} does not match parameter file "
-                f"({declared})", 2,
-            )
     return args.func(args)
 
 

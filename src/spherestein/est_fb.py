@@ -28,7 +28,13 @@ from .linalg import (
     unvech_prime,
     vech_prime,
 )
-from .models import FisherBinghamParams, SmoothTestFunction, canonical_f1, canonical_f2
+from .models import (
+    FisherBinghamParams,
+    SmoothTestFunction,
+    canonical_f1,
+    canonical_f2,
+    sample_matrix,
+)
 
 # estimates with larger norms are reported with a warning: far out on the
 # likelihood plateau, very different (mu, A) give near-identical densities
@@ -64,13 +70,6 @@ class FbEstimate:
     estimator: str = "ST"
 
 
-def _sample_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 2:
-        raise ValueError("sample must be an n x d array with d >= 2")
-    return x
-
-
 def fb_statistics(x) -> FbSteinStatistics:
     """The six coefficient blocks for the canonical test-function pair.
 
@@ -78,7 +77,7 @@ def fb_statistics(x) -> FbSteinStatistics:
     L = I - S, D = 2d vech'(S) - 2 vech'(I), and moment-tensor assemblies
     for M, E, G; equal to the generic path to machine precision.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     pairs = lower_pairs(d)
     q = len(pairs)
@@ -143,7 +142,7 @@ def fb_statistics_generic(
 
     A per-point loop; the reference path for cross-checks and research use.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     q = d * (d + 1) // 2
     if f1 is None:
@@ -191,7 +190,7 @@ def fb_stein_fit(x, statistics: FbSteinStatistics | None = None) -> FbEstimate:
     Raises SingularSystem (tagged with the failing block) when M' or the
     Schur complement L - G'(M')^{-1}E is numerically singular.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     d = x.shape[1]
     st = statistics if statistics is not None else fb_statistics(x)
 
@@ -235,7 +234,7 @@ def fb_stein_residual(
 
     Zero (to solver accuracy) at the fitted parameters.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     st = statistics if statistics is not None else fb_statistics(x)
     va = vech_prime(params.A)
     res_f1 = st.g_prime @ va + st.l_mat @ params.mu - st.h_vec

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import special
 from .linalg import solve_linear
-from .models import SmoothTestFunction
+from .models import SmoothTestFunction, sample_matrix
 
 
 class DegenerateMean(Exception):
@@ -30,16 +30,9 @@ class VmfEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _sample_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 2:
-        raise ValueError("sample must be an n x d array with d >= 2")
-    return x
-
-
 def mean_direction(x) -> np.ndarray:
     """The directional sample mean Xbar / |Xbar|."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     xbar = x.mean(axis=0)
     norm = float(np.linalg.norm(xbar))
     if norm <= 1e-12:
@@ -54,7 +47,7 @@ def kappa_stein(x) -> VmfEstimate:
 
     Strictly positive on any non-degenerate sample.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     mu_hat = mean_direction(x)
     xbar = x.mean(axis=0)
@@ -77,7 +70,7 @@ def kappa_stein(x) -> VmfEstimate:
 
 def kappa_stein2(x) -> VmfEstimate:
     """The mu' = kappa mu variant: kappa = (d-1) |(I - S)^{-1} Xbar|."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     mu_hat = mean_direction(x)
     xbar = x.mean(axis=0)
@@ -122,7 +115,7 @@ def _mle_from_resultant(d: int, r: float) -> tuple[float, int]:
 
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     d = x.shape[1]
     xbar = x.mean(axis=0)
     r = float(np.linalg.norm(xbar))
@@ -146,7 +139,7 @@ def kappa_score_matching(x) -> VmfEstimate:
     R mu_hat = e1, which equals mu_hat'X_i exactly, so the rotation
     (the Householder reflector in linalg) never needs to be formed.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     d = x.shape[1]
     mu_hat = mean_direction(x)
     y = x @ mu_hat
@@ -170,7 +163,7 @@ def kappa_stein_general(x, f: SmoothTestFunction) -> float:
     returns (K'K)^{-1} K'Q.  For f(x) = x this reduces algebraically to
     kappa_stein; other test functions are exposed for experimentation.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     mu_hat = mean_direction(x)
     q_acc = np.zeros(f.m)

@@ -20,7 +20,7 @@ from scipy.optimize import brentq
 
 from . import special
 from .linalg import lower_pairs, sym_eigen, vech_prime
-from .models import watson_log_normalizer
+from .models import sample_matrix, watson_log_normalizer
 
 
 class NotEligible(Exception):
@@ -47,13 +47,6 @@ class WatsonEstimate:
     warnings: list[str] = field(default_factory=list)
 
 
-def _sample_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 2:
-        raise ValueError("sample must be an n x d array with d >= 2")
-    return x
-
-
 def _check_branch(branch: str) -> str:
     if branch not in ("+", "-"):
         raise ValueError("branch must be '+' or '-'")
@@ -66,7 +59,7 @@ def watson_axis(x, branch: str) -> np.ndarray:
     Near-isotropic samples have no meaningful axis; the output is still
     deterministic, just unstable under resampling.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     _check_branch(branch)
     n = x.shape[0]
     decomp = sym_eigen(x.T @ x / n)
@@ -76,7 +69,7 @@ def watson_axis(x, branch: str) -> np.ndarray:
 
 def watson_statistics(x) -> WatsonSteinStatistics:
     """V and both branch J vectors, sharing one eigendecomposition."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     return WatsonSteinStatistics(
         v_vec=_v_statistic(x),
         j_plus=_j_statistic(x, watson_axis(x, "+")),
@@ -105,7 +98,7 @@ def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def watson_stein_kappa(x, branch: str) -> float:
     """Least-squares solution kappa = (J'J)^{-1} J'V for one branch."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     mu = watson_axis(x, branch)
     v_vec = _v_statistic(x)
     j_vec = _j_statistic(x, mu)
@@ -143,7 +136,7 @@ def _select_branch(
 
 def watson_stein_fit(x) -> WatsonEstimate:
     """Both branches of the moment-type estimator plus the selection rule."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n = x.shape[0]
     scatter_eig = sym_eigen(x.T @ x / n)
     axes = {"+": scatter_eig.eigenvectors[:, 0], "-": scatter_eig.eigenvectors[:, -1]}
@@ -200,7 +193,7 @@ def _watson_log_likelihood(d: int, kappa: float, sum_t2: float, n: int) -> float
 def watson_mla_fit(x) -> WatsonEstimate:
     """Midpoint of the ML bounds at r = mu'S mu, per branch, with the same
     eligibility rule as the moment-type fit and likelihood tie-breaking."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     scatter = x.T @ x / n
     scatter_eig = sym_eigen(scatter)
@@ -253,7 +246,7 @@ def watson_mle_kappa(x, branch: str) -> float:
     r = mu'S mu.  The root lies inside the (L, U) bounds, which seed the
     bracket; solved to |ratio - r| <= 1e-10.
     """
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     mu = watson_axis(x, branch)
     scatter = x.T @ x / n
@@ -283,7 +276,7 @@ def watson_mle_fit(x) -> WatsonEstimate:
     """Joint single-component MLE: both branch MLEs, pick the higher
     likelihood.  Never raises NotEligible (the likelihood always orders
     the branches)."""
-    x = _sample_matrix(x)
+    x = sample_matrix(x)
     n, d = x.shape
     scatter = x.T @ x / n
     scatter_eig = sym_eigen(scatter)

@@ -18,40 +18,15 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from . import est_fb, est_vmf, est_watson, sampler
-from .linalg import SingularSystem, spectral_norm
-from .models import (
-    FisherBinghamParams,
-    Params,
-    VmfParams,
-    WatsonParams,
-    params_to_dict,
-)
+from . import est_watson, sampler
+from .families import ESTIMATORS, FAMILIES, SAMPLERS
+from .linalg import SingularSystem
+from .models import Params, params_to_dict
 
-_VMF_ESTIMATORS: dict[str, Callable] = {
-    "st": est_vmf.kappa_stein,
-    "st2": est_vmf.kappa_stein2,
-    "ml": est_vmf.kappa_mle,
-    "sm": est_vmf.kappa_score_matching,
-}
-_WATSON_ESTIMATORS: dict[str, Callable] = {
-    "st": est_watson.watson_stein_fit,
-    "mla": est_watson.watson_mla_fit,
-    "ml": est_watson.watson_mle_fit,
-}
-_FB_ESTIMATORS: dict[str, Callable] = {
-    "st": est_fb.fb_stein_fit,
-}
-
-DEFAULT_ESTIMATORS = {
-    "vmf": ("st", "ml", "sm"),
-    "watson": ("st", "mla"),
-    "fb": ("st",),
-}
+DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
 
 @dataclass
@@ -65,25 +40,15 @@ class SimConfig:
     label: str = ""
 
     def __post_init__(self):
+        family = self.params.family
         self.estimators = tuple(e.lower() for e in self.estimators)
         if not self.estimators:
-            self.estimators = DEFAULT_ESTIMATORS[self.family]
+            self.estimators = DEFAULT_ESTIMATORS[family]
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
-        registry = _estimator_registry(self.family)
         for est in self.estimators:
-            if est not in registry:
-                raise ValueError(f"unknown estimator {est!r} for {self.family}")
-
-    @property
-    def family(self) -> str:
-        if isinstance(self.params, VmfParams):
-            return "vmf"
-        if isinstance(self.params, WatsonParams):
-            return "watson"
-        if isinstance(self.params, FisherBinghamParams):
-            return "fb"
-        raise TypeError(f"unsupported parameter type {type(self.params)!r}")
+            if (family, est) not in ESTIMATORS:
+                raise ValueError(f"unknown estimator {est!r} for {family}")
 
 
 @dataclass
@@ -97,7 +62,7 @@ class Cell:
     mse_se: float
     ne: float
     # alternative error reading (mean distance instead of mean squared
-    # distance); populated for the Fisher-Bingham blocks only
+    # distance); populated for blocks scored by a distance, which have no bias
     mse_alt: float | None = None
     mse_alt_se: float | None = None
 
@@ -160,32 +125,21 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def _estimator_registry(family: str) -> dict[str, Callable]:
-    return {"vmf": _VMF_ESTIMATORS, "watson": _WATSON_ESTIMATORS,
-            "fb": _FB_ESTIMATORS}[family]
-
-
-def _sample(params: Params, n: int, rng: sampler.RngState) -> np.ndarray:
-    if isinstance(params, VmfParams):
-        return sampler.sample_vmf(params, n, rng)
-    if isinstance(params, WatsonParams):
-        return sampler.sample_watson(params, n, rng)
-    return sampler.sample_fb(params, n, rng)
-
-
 def _replicate(config: SimConfig, rep: int) -> dict:
     """One replication: fresh stream, one dataset, every estimator fit.
 
-    Returns per-estimator either None (NE event) or the error summary the
-    aggregation needs.
+    Returns per-estimator either None (NE event) or the tuple of block
+    errors the family scores the fit by.
     """
+    params = config.params
+    family = params.family
     rng = sampler.RngState(config.seed, stream=rep)
-    x = _sample(config.params, config.n, rng)
-    registry = _estimator_registry(config.family)
+    x = SAMPLERS[family](params, config.n, rng)
+    errors = FAMILIES[family].errors
     out = {}
     for est in config.estimators:
         try:
-            fit = registry[est](x)
+            fit = ESTIMATORS[family, est](x)
         except (est_watson.NotEligible, SingularSystem):
             out[est] = None
             continue
@@ -194,13 +148,7 @@ def _replicate(config: SimConfig, rep: int) -> dict:
                 f"estimator {est!r} failed hard on replication {rep} "
                 f"(seed {config.seed}): {exc}"
             ) from exc
-        if config.family == "fb":
-            out[est] = (
-                float(np.linalg.norm(fit.mu_hat - config.params.mu)),
-                spectral_norm(fit.A_hat - config.params.A),
-            )
-        else:
-            out[est] = fit.kappa_hat - config.params.kappa
+        out[est] = errors(fit, params)
     return out
 
 
@@ -230,6 +178,7 @@ def run_simulation(config: SimConfig) -> SimResult:
         warnings.append(f"low replication count ({config.reps}); "
                         "standard errors are unreliable")
 
+    fam = FAMILIES[config.params.family]
     cells: dict[str, dict[str, Cell]] = {}
     for est in config.estimators:
         values = [o[est] for o in outcomes]
@@ -237,32 +186,22 @@ def run_simulation(config: SimConfig) -> SimResult:
         kept = [v for v in values if v is not None]
         if not kept:
             raise RuntimeError(f"estimator {est!r} never existed in {config.reps} reps")
-        if config.family == "fb":
-            mu_err = np.array([v[0] for v in kept])
-            a_err = np.array([v[1] for v in kept])
-            blocks = {}
-            for name, err in (("mu", mu_err), ("A", a_err)):
-                mse, mse_se = _mean_se(err**2)
-                alt, alt_se = _mean_se(err)
-                blocks[name] = Cell(
-                    block=name, bias=None, bias_se=None,
-                    mse=mse, mse_se=mse_se, ne=ne_rate,
-                    mse_alt=alt, mse_alt_se=alt_se,
-                )
-            cells[est] = blocks
-        else:
-            err = np.array(kept)
-            bias, bias_se = _mean_se(err)
+        cells[est] = {}
+        for i, block in enumerate(fam.blocks):
+            err = np.array([v[i] for v in kept])
             mse, mse_se = _mean_se(err**2)
-            cells[est] = {
-                "kappa": Cell(
-                    block="kappa", bias=bias, bias_se=bias_se,
-                    mse=mse, mse_se=mse_se, ne=ne_rate,
-                )
-            }
+            mean, mean_se = _mean_se(err)
+            if fam.signed:
+                cell = Cell(block=block, bias=mean, bias_se=mean_se,
+                            mse=mse, mse_se=mse_se, ne=ne_rate)
+            else:
+                cell = Cell(block=block, bias=None, bias_se=None,
+                            mse=mse, mse_se=mse_se, ne=ne_rate,
+                            mse_alt=mean, mse_alt_se=mean_se)
+            cells[est][block] = cell
 
     return SimResult(
-        family=config.family,
+        family=config.params.family,
         n=config.n,
         reps=config.reps,
         seed=config.seed,

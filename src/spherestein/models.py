@@ -21,8 +21,8 @@ and E[A f(X)] = 0 whenever X follows the corresponding density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, get_args
 
 import numpy as np
 
@@ -50,6 +50,14 @@ def _as_unit_vector(mu, name: str = "mu") -> np.ndarray:
     return mu / norm
 
 
+def sample_matrix(x) -> np.ndarray:
+    """A sample as a float n x d array; raises ValueError on any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 2:
+        raise ValueError("sample must be an n x d array with d >= 2")
+    return x
+
+
 def _check_unit_point(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
@@ -61,6 +69,7 @@ def _check_unit_point(x) -> np.ndarray:
 class FisherBinghamParams:
     """Location vector mu and symmetric matrix A with A[d, d] pinned to 0."""
 
+    family: ClassVar[str] = "fb"
     mu: np.ndarray
     A: np.ndarray
 
@@ -82,11 +91,18 @@ class FisherBinghamParams:
     def d(self) -> int:
         return self.mu.size
 
+    def score(self, x: np.ndarray) -> np.ndarray:
+        return self.mu + 2.0 * (self.A @ x)
+
+    def exponent(self, x: np.ndarray) -> float:
+        return float(self.mu @ x + x @ self.A @ x)
+
 
 @dataclass
 class VmfParams:
     """Unit mean direction mu and concentration kappa > 0."""
 
+    family: ClassVar[str] = "vmf"
     mu: np.ndarray
     kappa: float
 
@@ -100,6 +116,12 @@ class VmfParams:
     def d(self) -> int:
         return self.mu.size
 
+    def score(self, x: np.ndarray) -> np.ndarray:
+        return self.kappa * self.mu
+
+    def exponent(self, x: np.ndarray) -> float:
+        return float(self.kappa * (self.mu @ x))
+
 
 @dataclass
 class WatsonParams:
@@ -109,6 +131,7 @@ class WatsonParams:
     whose largest-magnitude component is nonnegative.
     """
 
+    family: ClassVar[str] = "watson"
     mu: np.ndarray
     kappa: float
 
@@ -120,31 +143,24 @@ class WatsonParams:
     def d(self) -> int:
         return self.mu.size
 
+    def score(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self.kappa * float(self.mu @ x) * self.mu
+
+    def exponent(self, x: np.ndarray) -> float:
+        return float(self.kappa * (self.mu @ x) ** 2)
+
 
 Params = FisherBinghamParams | VmfParams | WatsonParams
 
 
 def score(params: Params, x: np.ndarray) -> np.ndarray:
     """Gradient of the log (unnormalized) density at x, as a vector."""
-    if isinstance(params, FisherBinghamParams):
-        return params.mu + 2.0 * (params.A @ x)
-    if isinstance(params, VmfParams):
-        return params.kappa * params.mu
-    if isinstance(params, WatsonParams):
-        return 2.0 * params.kappa * float(params.mu @ x) * params.mu
-    raise TypeError(f"unsupported parameter type {type(params)!r}")
+    return params.score(x)
 
 
 def log_unnormalized_density(params: Params, x) -> float:
     """The exponent of the density: mu'x + x'Ax, kappa mu'x, or kappa (mu'x)^2."""
-    x = _check_unit_point(x)
-    if isinstance(params, FisherBinghamParams):
-        return float(params.mu @ x + x @ params.A @ x)
-    if isinstance(params, VmfParams):
-        return float(params.kappa * (params.mu @ x))
-    if isinstance(params, WatsonParams):
-        return float(params.kappa * (params.mu @ x) ** 2)
-    raise TypeError(f"unsupported parameter type {type(params)!r}")
+    return params.exponent(_check_unit_point(x))
 
 
 def vmf_log_normalizer(d: int, kappa: float) -> float:
@@ -303,7 +319,7 @@ def stein_operator_apply(params: Params, f: SmoothTestFunction, x) -> np.ndarray
     x = _check_unit_point(x)
     d = x.size
     jac = f.jacobian(x)
-    s = score(params, x)
+    s = params.score(x)
     s_proj = s - x * float(x @ s)
     return (
         (1.0 - d) * (jac @ x)
@@ -316,13 +332,11 @@ def stein_operator_apply(params: Params, f: SmoothTestFunction, x) -> np.ndarray
 # JSON parameter schema shared with the CLI -------------------------------
 
 def params_to_dict(params: Params) -> dict:
-    if isinstance(params, FisherBinghamParams):
-        return {"family": "fb", "mu": params.mu.tolist(), "A": params.A.tolist()}
-    if isinstance(params, VmfParams):
-        return {"family": "vmf", "mu": params.mu.tolist(), "kappa": params.kappa}
-    if isinstance(params, WatsonParams):
-        return {"family": "watson", "mu": params.mu.tolist(), "kappa": params.kappa}
-    raise TypeError(f"unsupported parameter type {type(params)!r}")
+    out = {"family": params.family}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def params_from_dict(obj: dict) -> Params:
@@ -330,17 +344,13 @@ def params_from_dict(obj: dict) -> Params:
     if not isinstance(obj, dict):
         raise ValueError("parameters must be a JSON object")
     family = obj.get("family")
-    if family == "fb":
-        if "A" not in obj or "mu" not in obj:
-            raise ValueError("fb parameters need 'mu' and 'A'")
-        return FisherBinghamParams(mu=np.asarray(obj["mu"], dtype=float),
-                                   A=np.asarray(obj["A"], dtype=float))
-    if family == "vmf":
-        if "kappa" not in obj or "mu" not in obj:
-            raise ValueError("vmf parameters need 'mu' and 'kappa'")
-        return VmfParams(mu=np.asarray(obj["mu"], dtype=float), kappa=obj["kappa"])
-    if family == "watson":
-        if "kappa" not in obj or "mu" not in obj:
-            raise ValueError("watson parameters need 'mu' and 'kappa'")
-        return WatsonParams(mu=np.asarray(obj["mu"], dtype=float), kappa=obj["kappa"])
-    raise ValueError(f"unknown family {family!r}")
+    for cls in get_args(Params):
+        if cls.family == family:
+            break
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    names = [f.name for f in fields(cls)]
+    if any(name not in obj for name in names):
+        raise ValueError(f"{family} parameters need "
+                         + " and ".join(repr(name) for name in names))
+    return cls(**{name: obj[name] for name in names})

@@ -189,41 +189,6 @@ def _fb_acg_rejection(
     return out
 
 
-def _fb_uniform_rejection(
-    mu: np.ndarray,
-    a_mat: np.ndarray,
-    n: int,
-    g: np.random.Generator,
-    accept_floor: float,
-) -> np.ndarray:
-    d = mu.size
-    sup_log = float(np.linalg.norm(mu)) + float(np.linalg.eigvalsh(a_mat)[-1])
-    out = np.empty((n, d))
-    have = 0
-    proposed = 0
-    accepted = 0
-    while have < n:
-        rate = accepted / proposed if proposed else 1.0
-        m = int((n - have) / max(rate, 0.02) * 1.3) + 32
-        m = min(max(m, _MIN_BATCH), _MAX_BATCH)
-        y = _unit_rows(g.standard_normal((m, d)), g)
-        u = g.random(m)
-        log_acc = y @ mu + np.einsum("ni,ij,nj->n", y, a_mat, y) - sup_log
-        keep = np.log(u) <= log_acc
-        taken = y[keep]
-        proposed += m
-        accepted += int(keep.sum())
-        take = min(taken.shape[0], n - have)
-        out[have : have + take] = taken[:take]
-        have += take
-        if proposed >= _FLOOR_WINDOW and accepted / proposed < accept_floor:
-            raise RuntimeError(
-                f"uniform-envelope acceptance {accepted / proposed:.2e} below "
-                f"{accept_floor:.0e} after {proposed} proposals"
-            )
-    return out
-
-
 def sample_watson(params: WatsonParams, n: int, rng: RngState) -> np.ndarray:
     """n i.i.d. Watson(mu, kappa) points; kappa = 0 falls back to uniform.
 
@@ -240,20 +205,10 @@ def sample_watson(params: WatsonParams, n: int, rng: RngState) -> np.ndarray:
     return _fb_acg_rejection(np.zeros(d), a_mat, n, g, accept_floor=1e-4)
 
 
-def sample_fb(
-    params: FisherBinghamParams, n: int, rng: RngState, envelope: str = "acg"
-) -> np.ndarray:
-    """n i.i.d. Fisher-Bingham(mu, A) points by exact rejection.
-
-    envelope="acg" (default) uses the tilted angular-central-Gaussian
-    envelope; envelope="uniform" uses the plain uniform envelope with
-    bound exp(|mu| + lambda_max(A)), practical only for weak concentration.
-    """
+def sample_fb(params: FisherBinghamParams, n: int, rng: RngState) -> np.ndarray:
+    """n i.i.d. Fisher-Bingham(mu, A) points by exact rejection from the
+    tilted angular-central-Gaussian envelope."""
     if n < 1:
         raise ValueError("n must be >= 1")
     g = rng.generator()
-    if envelope == "acg":
-        return _fb_acg_rejection(params.mu, params.A, n, g, accept_floor=1e-6)
-    if envelope == "uniform":
-        return _fb_uniform_rejection(params.mu, params.A, n, g, accept_floor=1e-6)
-    raise ValueError(f"unknown envelope {envelope!r}")
+    return _fb_acg_rejection(params.mu, params.A, n, g, accept_floor=1e-6)

@@ -77,6 +77,23 @@ def random_unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def fb_uniform_rejection(mu, a_mat, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Fisher-Bingham(mu, A) draws by rejection from the uniform law on
+    the sphere, bounding the exponent by |mu| + lambda_max(A).  Exact but
+    slow; practical only for weak concentration."""
+    d = mu.size
+    sup_log = np.linalg.norm(mu) + np.linalg.eigvalsh(a_mat)[-1]
+    kept = []
+    have = 0
+    while have < n:
+        y = random_unit_rows(rng, n, d)
+        log_acc = y @ mu + np.einsum("ni,ij,nj->n", y, a_mat, y) - sup_log
+        taken = y[np.log(rng.random(n)) <= log_acc]
+        kept.append(taken)
+        have += taken.shape[0]
+    return np.vstack(kept)[:n]
+
+
 def grad_f2_by_hand_d3(x) -> np.ndarray:
     """The 5 x 3 Jacobian of vech'(xx') at d = 3, transcribed entry by entry."""
     x1, x2, x3 = x

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherestein import cli
+from spherestein import cli, families
 from spherestein.est_watson import NotEligible
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
@@ -57,6 +57,14 @@ def test_sample_family_mismatch(tmp_path):
     assert cli.main(["sample", "--family", "watson", "--params",
                      _vmf_params(tmp_path), "--n", "5", "--seed", "1",
                      "--out", out]) == 2
+
+
+def test_sample_family_check_on_non_object_file(tmp_path, capsys):
+    params = _write_params(tmp_path, [{"family": "vmf"}])
+    out = str(tmp_path / "draws.csv")
+    assert cli.main(["sample", "--family", "vmf", "--params", params,
+                     "--n", "5", "--out", out]) == 2
+    assert "JSON object" in capsys.readouterr().err
 
 
 def test_sample_reproducible_bytes(tmp_path):
@@ -146,6 +154,48 @@ def test_fit_renormalizes_slightly_off_rows(tmp_path, capsys):
     assert any("renormalized" in w for w in report["warnings"])
 
 
+@pytest.mark.parametrize("family,estimator,d",
+                         [("vmf", "ml", 3), ("watson", "mla", 4), ("fb", "st", 3)])
+def test_fit_rejects_non_finite_rows(tmp_path, capsys, family, estimator, d):
+    rows = np.eye(d)[[0, 1, 2, 0, 1, 2]]
+    rows[2, 0] = np.nan
+    bad = tmp_path / "nan.csv"
+    np.savetxt(bad, rows, delimiter=",")
+    assert cli.main(["fit", "--family", family, "--estimator", estimator,
+                     "--in", str(bad)]) == 2
+    assert "row 2 has a non-finite entry" in capsys.readouterr().err
+
+
+REPORT_KEYS = {
+    "vmf": {"mu", "kappa", "diagnostics"},
+    "watson": {"mu", "kappa", "branch", "eligible_branches", "residual_norms"},
+    "fb": {"mu", "A", "residual_norm", "cond_Mprime", "cond_schur"},
+}
+TABLE_PARAMS = {
+    "vmf": {"family": "vmf", "mu": [0.0, 0.6, 0.8], "kappa": 5.0},
+    "watson": {"family": "watson", "mu": [0.6, 0.8, 0.0], "kappa": 5.0},
+    "fb": {"family": "fb", "mu": [0.0, 3.0, 3.0],
+           "A": [[0.0, 0, 0], [0, 0, -3.0], [0, -3.0, 0]]},
+}
+
+
+@pytest.mark.parametrize("family,estimator", sorted(families.ESTIMATORS))
+def test_sample_then_fit_every_table_entry(tmp_path, capsys, family, estimator):
+    out = str(tmp_path / "draws.csv")
+    params = _write_params(tmp_path, TABLE_PARAMS[family])
+    assert cli.main(["sample", "--family", family, "--params", params,
+                     "--n", "200", "--seed", "2", "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--family", family, "--estimator", estimator,
+                     "--in", out]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["family"], report["estimator"]) == (family, estimator)
+    if report["status"] != "NE":
+        assert report["status"] == "ok"
+        assert REPORT_KEYS[family] <= set(report)
+        assert np.all(np.isfinite(report["mu"]))
+
+
 def test_fit_missing_file():
     assert cli.main(["fit", "--family", "vmf", "--in", "/nonexistent.csv"]) == 2
 
@@ -161,7 +211,7 @@ def test_fit_ne_reports_status(tmp_path, capsys, monkeypatch):
     def raiser(x):
         raise NotEligible("both branches rejected")
 
-    monkeypatch.setitem(cli._FIT_DISPATCH, ("watson", "st"), raiser)
+    monkeypatch.setitem(families.ESTIMATORS, ("watson", "st"), raiser)
     path = tmp_path / "x.csv"
     path.write_text("1,0,0\n0,1,0\n0,0,1\n")
     assert cli.main(["fit", "--family", "watson", "--estimator", "st",

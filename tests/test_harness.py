@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from spherestein import harness
+from spherestein import families
 from spherestein.est_watson import NotEligible
 from spherestein.harness import (
     SimConfig,
@@ -81,7 +81,7 @@ def test_ne_bookkeeping(monkeypatch):
             raise NotEligible("forced for the test")
         return original(x)
 
-    monkeypatch.setitem(harness._WATSON_ESTIMATORS, "st", flaky)
+    monkeypatch.setitem(families.ESTIMATORS, ("watson", "st"), flaky)
     config = SimConfig(params=WatsonParams(np.ones(3) / math.sqrt(3), 5.0),
                        n=50, reps=100, estimators=("st", "mla"), seed=9)
     result = run_simulation(config)
@@ -96,7 +96,7 @@ def test_other_errors_abort(monkeypatch):
     def broken(x):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(harness._VMF_ESTIMATORS, "st", broken)
+    monkeypatch.setitem(families.ESTIMATORS, ("vmf", "st"), broken)
     with pytest.raises(RuntimeError):
         run_simulation(_vmf_config(reps=5))
 
