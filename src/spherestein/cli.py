@@ -8,8 +8,8 @@ Subcommands
     asympvar  asymptotic variance of the moment-type vMF estimator vs MLE
 
 Exit codes: 0 success (including a Watson NE outcome, reported as
-{"status": "NE"}), 2 invalid input or schema violation, 3 sampler failure,
-4 singular estimating equations.
+{"status": "NE"}), 2 invalid input or schema violation, 3 sampler failure
+or (simulate) an estimator failing hard, 4 singular estimating equations.
 """
 
 from __future__ import annotations
@@ -154,7 +154,10 @@ def cmd_simulate(args) -> int:
         )
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", 2)
-    result = harness.run_simulation(config)
+    try:
+        result = harness.run_simulation(config)
+    except RuntimeError as exc:
+        return _fail(f"simulation failed: {exc}", 3)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(result.to_csv())

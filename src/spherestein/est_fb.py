@@ -7,11 +7,10 @@ vech'(A),
     M' vech'(A) + E mu = D,
     G' vech'(A) + L mu = H,
 
-whose coefficient blocks are sample moments up to fourth order.  The fast
-paths below assemble them from moment tensors; the generic path evaluates
-the same quantities from the explicit derivative matrices of arbitrary
-test functions and serves as an internal cross-check (the two agree to
-machine precision).
+whose coefficient blocks are sample moments up to fourth order, assembled
+here from moment tensors by index arrays.  The tests cross-check them
+against a per-point path built from the explicit derivative matrices of
+the test functions (the two agree to machine precision).
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    duplication_matrix,
-    lower_pairs,
+    lower_index,
     solve_linear,
     spectral_norm,
     unvech_prime,
@@ -30,9 +28,6 @@ from .linalg import (
 )
 from .models import (
     FisherBinghamParams,
-    SmoothTestFunction,
-    canonical_f1,
-    canonical_f2,
     sample_matrix,
 )
 
@@ -79,8 +74,8 @@ def fb_statistics(x) -> FbSteinStatistics:
     """
     x = sample_matrix(x)
     n, d = x.shape
-    pairs = lower_pairs(d)
-    q = len(pairs)
+    k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
+    i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
 
     xbar = x.mean(axis=0)
     scatter = x.T @ x / n
@@ -94,35 +89,25 @@ def fb_statistics(x) -> FbSteinStatistics:
 
     # row blocks of B(x) = grad_f2(x) (I - xx'); row (i,j) is
     # x_j e_i' + x_i e_j' - 2 x_i x_j x', so means reduce to moment tensors
-    e_mat = np.empty((q - 1, d))
-    for k, (i, j) in enumerate(pairs[:-1]):
-        e_mat[k] = -2.0 * third[i, j]
-        e_mat[k, i] += xbar[j]
-        e_mat[k, j] += xbar[i]
+    e_mat = -2.0 * third[i, j]
+    rows = np.arange(i.size)
+    e_mat[rows, i] += xbar[j]
+    e_mat[rows, j] += xbar[i]
 
-    m_full = np.empty((q - 1, q))
-    for krow, (i, j) in enumerate(pairs[:-1]):
-        for kcol, (k, l) in enumerate(pairs):
-            # T4[(i,j), k, l] = mean[B_{(ij),k} x_l]
-            t_kl = (scatter[j, l] if i == k else 0.0) \
-                + (scatter[i, l] if j == k else 0.0) - 2.0 * fourth[i, j, k, l]
-            if k == l:
-                m_full[krow, kcol] = 2.0 * t_kl
-            else:
-                t_lk = (scatter[j, k] if i == l else 0.0) \
-                    + (scatter[i, k] if j == l else 0.0) - 2.0 * fourth[i, j, l, k]
-                m_full[krow, kcol] = 2.0 * (t_kl + t_lk)
+    # T4[(i,j), k, l] = mean[B_{(ij),k} x_l], symmetrised over (k, l); the
+    # np.where operands and their order are those of the entrywise formula
+    i, j = i[:, None], j[:, None]
+    t_kl = np.where(i == k, scatter[j, l], 0.0) \
+        + np.where(j == k, scatter[i, l], 0.0) - 2.0 * fourth[i, j, k, l]
+    t_lk = np.where(i == l, scatter[j, k], 0.0) \
+        + np.where(j == l, scatter[i, k], 0.0) - 2.0 * fourth[i, j, l, k]
+    m_full = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
 
-    g_full = np.empty((d, q))
-    for kcol, (k, l) in enumerate(pairs):
-        for row in range(d):
-            # mean[(I - xx')_{row,k} x_l]
-            t_kl = (xbar[l] if row == k else 0.0) - third[row, k, l]
-            if k == l:
-                g_full[row, kcol] = 2.0 * t_kl
-            else:
-                t_lk = (xbar[k] if row == l else 0.0) - third[row, l, k]
-                g_full[row, kcol] = 2.0 * (t_kl + t_lk)
+    # mean[(I - xx')_{row,k} x_l], symmetrised over (k, l)
+    row = np.arange(d)[:, None]
+    t_kl = np.where(row == k, xbar[l], 0.0) - third[row, k, l]
+    t_lk = np.where(row == l, xbar[k], 0.0) - third[row, l, k]
+    g_full = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
 
     return FbSteinStatistics(
         m_prime=m_full[:, :-1],
@@ -131,55 +116,6 @@ def fb_statistics(x) -> FbSteinStatistics:
         g_prime=g_full[:, :-1],
         h_vec=h_vec,
         l_mat=l_mat,
-    )
-
-
-def fb_statistics_generic(
-    x, f1: SmoothTestFunction | None = None, f2: SmoothTestFunction | None = None
-) -> FbSteinStatistics:
-    """The same blocks from explicit derivative matrices, for arbitrary
-    test-function pairs of output dimensions d and q - 1.
-
-    A per-point loop; the reference path for cross-checks and research use.
-    """
-    x = sample_matrix(x)
-    n, d = x.shape
-    q = d * (d + 1) // 2
-    if f1 is None:
-        f1 = canonical_f1(d)
-    if f2 is None:
-        f2 = canonical_f2(d)
-    if f1.m != d or f2.m != q - 1:
-        raise ValueError("test functions must have output dimensions d and q-1")
-
-    dup = duplication_matrix(d)
-    eye = np.eye(d)
-    m_full = np.zeros((q - 1, q))
-    d_vec = np.zeros(q - 1)
-    e_mat = np.zeros((q - 1, d))
-    g_full = np.zeros((d, q))
-    h_vec = np.zeros(d)
-    l_mat = np.zeros((d, d))
-    for row in x:
-        proj = eye - np.outer(row, row)
-        xx = np.kron(row, row)
-        j2 = f2.jacobian(row)
-        b2 = j2 @ proj
-        j1 = f1.jacobian(row)
-        b1 = j1 @ proj
-        m_full += 2.0 * np.kron(b2, row[None, :]) @ dup
-        d_vec += (d - 1.0) * (j2 @ row) + f2.hessian_rows(row) @ xx - f2.laplacian(row)
-        e_mat += b2
-        g_full += 2.0 * np.kron(b1, row[None, :]) @ dup
-        h_vec += (d - 1.0) * (j1 @ row) + f1.hessian_rows(row) @ xx - f1.laplacian(row)
-        l_mat += b1
-    return FbSteinStatistics(
-        m_prime=m_full[:, :-1] / n,
-        d_vec=d_vec / n,
-        e_mat=e_mat / n,
-        g_prime=g_full[:, :-1] / n,
-        h_vec=h_vec / n,
-        l_mat=l_mat / n,
     )
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import special
-from .linalg import lower_pairs, sym_eigen, vech_prime
+from .linalg import lower_index, sym_eigen, vech_prime
 from .models import sample_matrix, watson_log_normalizer
 
 
@@ -90,10 +90,8 @@ def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     t = x @ mu
     p = (x * t[:, None]).mean(axis=0)
     q2 = (x.T * (t * t)) @ x / n
-    pairs = lower_pairs(d)[:-1]
-    return np.array(
-        [2.0 * (mu[i] * p[j] + mu[j] * p[i] - 2.0 * q2[i, j]) for i, j in pairs]
-    )
+    i, j = (idx[:-1] for idx in lower_index(d))
+    return 2.0 * (mu[i] * p[j] + mu[j] * p[i] - 2.0 * q2[i, j])
 
 
 def watson_stein_kappa(x, branch: str) -> float:

@@ -9,6 +9,7 @@ matrices; dimensions beyond a few hundred are out of scope.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,14 @@ def lower_pairs(d: int) -> list[tuple[int, int]]:
     return [(i, j) for j in range(d) for i in range(j, d)]
 
 
+@functools.lru_cache(maxsize=64)
+def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """lower_pairs(d) as read-only (rows, cols) index arrays."""
+    index = np.array(lower_pairs(d), dtype=np.intp).reshape(-1, 2).T
+    index.flags.writeable = False
+    return index[0], index[1]
+
+
 def _check_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -65,9 +74,8 @@ def unvec(v, rows: int, cols: int) -> np.ndarray:
 def vech(s) -> np.ndarray:
     """Half-vectorization of a symmetric matrix, column-stacked lower triangle."""
     s = _check_symmetric(s)
-    d = s.shape[0]
-    rows, cols = zip(*lower_pairs(d))
-    return s[list(rows), list(cols)].copy()
+    rows, cols = lower_index(s.shape[0])
+    return s[rows, cols]
 
 
 def vech_prime(s) -> np.ndarray:
@@ -78,13 +86,12 @@ def vech_prime(s) -> np.ndarray:
 def unvech_prime(v, d: int) -> np.ndarray:
     """Embed a length d(d+1)/2 - 1 vector as a symmetric matrix with S[d,d] = 0."""
     v = np.asarray(v, dtype=float)
-    pairs = lower_pairs(d)
-    if v.size != len(pairs) - 1:
-        raise ValueError(f"expected length {len(pairs) - 1}, got {v.size}")
+    rows, cols = (idx[:-1] for idx in lower_index(d))
+    if v.size != rows.size:
+        raise ValueError(f"expected length {rows.size}, got {v.size}")
     s = np.zeros((d, d))
-    for value, (i, j) in zip(v, pairs[:-1]):
-        s[i, j] = value
-        s[j, i] = value
+    s[rows, cols] = v
+    s[cols, rows] = v
     return s
 
 
@@ -139,8 +146,9 @@ def sym_eigen(s) -> EigenDecomposition:
     w, q = np.linalg.eigh(s)
     w = w[::-1].copy()
     q = q[:, ::-1].copy()
-    for k in range(q.shape[1]):
-        q[:, k] = fix_sign(q[:, k])
+    cols = np.arange(q.shape[1])
+    flip = q[np.argmax(np.abs(q), axis=0), cols] < 0  # fix_sign, per column
+    q[:, flip] = -q[:, flip]
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
 
 

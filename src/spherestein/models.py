@@ -353,4 +353,7 @@ def params_from_dict(obj: dict) -> Params:
     if any(name not in obj for name in names):
         raise ValueError(f"{family} parameters need "
                          + " and ".join(repr(name) for name in names))
-    return cls(**{name: obj[name] for name in names})
+    try:
+        return cls(**{name: obj[name] for name in names})
+    except TypeError as exc:  # e.g. float() of a list
+        raise ValueError(f"{family} parameters: {exc}") from None

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from spherestein.est_fb import fb_statistics, fb_statistics_generic
+from spherestein.est_fb import fb_statistics
 from spherestein.est_vmf import (
     kappa_mle,
     kappa_score_matching,
@@ -47,6 +47,7 @@ from spherestein.vmf_moments import (
 from oracles import (
     bessel_i_half,
     bessel_i_three_halves,
+    fb_statistics_generic,
     grad_f2_by_hand_d3,
     random_unit_rows,
     ratio_d3,

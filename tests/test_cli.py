@@ -67,6 +67,17 @@ def test_sample_family_check_on_non_object_file(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", [
+    {"family": "vmf", "mu": [0, 0, 1], "kappa": [1]},
+    {"family": "fb", "mu": [1, 0, 0], "A": {"not": "a matrix"}},
+])
+def test_sample_rejects_non_numeric_field(tmp_path, capsys, obj):
+    out = str(tmp_path / "draws.csv")
+    assert cli.main(["sample", "--params", _write_params(tmp_path, obj),
+                     "--n", "5", "--out", out]) == 2
+    assert "invalid parameter file" in capsys.readouterr().err
+
+
 def test_sample_reproducible_bytes(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     for out in (out1, out2):
@@ -252,6 +263,22 @@ def test_simulate_invalid_family(tmp_path):
         "params": {"family": "beta", "mu": [1, 0]}, "n": 10,
     }))
     assert cli.main(["simulate", "--config", str(config)]) == 2
+
+
+def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(x):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(families.ESTIMATORS, ("vmf", "st"), broken)
+    out = tmp_path / "result.csv"
+    code = cli.main(["simulate", "--config",
+                     str(CONFIG_DIR / "table2_d3_k1.json"), "--reps", "5",
+                     "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation failed:") and "boom" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
 
 
 def test_simulate_threads_env(tmp_path, capsys, monkeypatch):

@@ -5,7 +5,6 @@ import pytest
 
 from spherestein.est_fb import (
     fb_statistics,
-    fb_statistics_generic,
     fb_stein_fit,
     fb_stein_residual,
 )
@@ -19,7 +18,12 @@ from spherestein.models import (
 )
 from spherestein.sampler import RngState, sample_fb, sample_vmf
 
-from oracles import random_unit_rows, stein_mean_reference
+from oracles import (
+    fb_blocks_loop,
+    fb_statistics_generic,
+    random_unit_rows,
+    stein_mean_reference,
+)
 
 E3 = np.eye(3)
 FIG6 = FisherBinghamParams(
@@ -201,3 +205,13 @@ def test_identification_warning_for_extreme_concentration():
     x = sample_vmf(VmfParams(E3[0], 40.0), 1000, RngState(49))
     fit = fb_stein_fit(x)
     assert fit.warnings and "identification" in fit.warnings[0]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_blocks_equal_loop_oracle_bitwise(d):
+    rng = np.random.default_rng(200 + d)
+    for n in (3, 60):
+        x = random_unit_rows(rng, n, d)
+        st, loop = fb_statistics(x), fb_blocks_loop(x)
+        for name, block in loop.items():
+            np.testing.assert_array_equal(getattr(st, name), block)

@@ -6,6 +6,7 @@ from scipy import stats
 
 from spherestein.est_watson import (
     NotEligible,
+    _j_statistic,
     _select_branch,
     watson_axis,
     watson_mla_bounds,
@@ -16,12 +17,16 @@ from spherestein.est_watson import (
     watson_stein_fit,
     watson_stein_kappa,
 )
-from spherestein.est_fb import fb_statistics_generic
 from spherestein.models import WatsonParams
 from spherestein.sampler import RngState, sample_uniform, sample_watson
 from spherestein.special import kummer_ratio
 
-from oracles import grad_f2_by_hand_d3, random_unit_rows
+from oracles import (
+    fb_statistics_generic,
+    grad_f2_by_hand_d3,
+    j_statistic_loop,
+    random_unit_rows,
+)
 
 E3 = np.eye(3)
 FIXTURE = np.array([E3[0], E3[0], E3[1]])
@@ -250,3 +255,12 @@ def test_zero_gram_raises():
     x = np.array([E3[0], E3[0], -E3[0]])
     with pytest.raises(ValueError):
         watson_stein_kappa(x, "+")
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 10])
+def test_j_statistic_equals_loop_oracle_bitwise(d):
+    rng = np.random.default_rng(100 + d)
+    for n in (3, 40):
+        x = random_unit_rows(rng, n, d)
+        for mu in (random_unit_rows(rng, 1, d)[0], watson_axis(x, "-")):
+            np.testing.assert_array_equal(_j_statistic(x, mu), j_statistic_loop(x, mu))

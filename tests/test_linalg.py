@@ -5,6 +5,7 @@ from spherestein.linalg import (
     SingularSystem,
     commutation_matrix,
     duplication_matrix,
+    fix_sign,
     kron,
     lower_pairs,
     rotation_to_e1,
@@ -118,6 +119,17 @@ def test_sym_eigen_diagonal():
 def test_sym_eigen_isotropic():
     decomp = sym_eigen(np.eye(4) / 4.0)
     np.testing.assert_allclose(decomp.eigenvalues, 0.25 * np.ones(4), atol=1e-14)
+
+
+def test_sym_eigen_sign_convention_matches_fix_sign_bitwise():
+    rng = np.random.default_rng(12)
+    for d in (2, 3, 5, 10, 20):
+        s = rng.standard_normal((d, d))
+        s = s + s.T
+        w, q = np.linalg.eigh(s)
+        expected = np.column_stack([fix_sign(q[:, k]) for k in range(d - 1, -1, -1)])
+        np.testing.assert_array_equal(sym_eigen(s).eigenvectors, expected)
+        np.testing.assert_array_equal(sym_eigen(s).eigenvalues, w[::-1])
 
 
 def test_sym_eigen_reconstruction_random():

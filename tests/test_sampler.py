@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spherestein import models
+from spherestein import models, sampler
 from spherestein.models import (
     FisherBinghamParams,
     VmfParams,
@@ -211,3 +211,50 @@ def test_sampler_input_validation():
         sample_uniform(1, 5, RngState(0))
     with pytest.raises(ValueError):
         sample_uniform(3, 0, RngState(0))
+
+
+_U4 = np.array([0.5, -0.5, 0.5, 0.5])
+_ACG_CASES = {
+    "watson_bipolar": (np.zeros(4), 6.0 * np.outer(_U4, _U4), 1e-4),
+    "watson_girdle": (np.zeros(4), -6.0 * np.outer(_U4, _U4), 1e-4),
+    "fb": (np.array([1.0, 0.0, 2.0]),
+           np.array([[1.5, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]]), 1e-6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ACG_CASES))
+def test_acg_rejection_with_cached_envelope_matches_fresh_build(case):
+    mu, a_mat, floor = _ACG_CASES[case]
+    sampler._envelope.cache_clear()
+    fresh = sampler._fb_acg_rejection(mu, a_mat, 500, np.random.default_rng(3), floor)
+    cached = sampler._fb_acg_rejection(mu, a_mat, 500, np.random.default_rng(3), floor)
+    assert sampler._envelope.cache_info().hits == 1
+    np.testing.assert_array_equal(cached, fresh)
+    key = (mu.tobytes(), a_mat.tobytes(), mu.size)
+    stored, rebuilt = sampler._envelope(*key), sampler._envelope.__wrapped__(*key)
+    for got, want in zip(stored, rebuilt):
+        np.testing.assert_array_equal(got, want)
+    assert not any(arr.flags.writeable for arr in stored[:3])
+
+
+def test_envelope_cache_keeps_parameter_sets_apart():
+    sampler._envelope.cache_clear()
+    kappas = (5.0, np.nextafter(5.0, 6.0), -5.0)
+    envelopes = []
+    for kappa in kappas:
+        sample_watson(WatsonParams(E3[0], kappa), 10, RngState(0))
+        a_mat = kappa * np.outer(E3[0], E3[0])
+        envelopes.append(sampler._envelope(np.zeros(3).tobytes(), a_mat.tobytes(), 3))
+    info = sampler._envelope.cache_info()
+    assert (info.misses, info.currsize) == (3, 3)
+    assert len({env[3] for env in envelopes}) == 3  # distinct log bounds
+
+
+def test_envelope_cache_is_bounded():
+    sampler._envelope.cache_clear()
+    size = sampler._ENVELOPE_CACHE_SIZE
+    for k in range(size + 5):
+        sample_watson(WatsonParams(E3[0], 1.0 + k), 1, RngState(k))
+    info = sampler._envelope.cache_info()
+    assert info.maxsize == size
+    assert info.currsize == size
