@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -172,10 +173,15 @@ def cmd_simulate(args) -> int:
 def cmd_asympvar(args) -> int:
     if args.d < 2:
         return _fail("--d must be >= 2", 2)
-    if not args.kappa > 0:
-        return _fail("--kappa must be > 0", 2)
-    p_var = vmf_moments.stein_asymptotic_variance_vmf(args.d, args.kappa)
-    info = vmf_moments.fisher_information_vmf(args.d, args.kappa)
+    if not 0 < args.kappa < math.inf:
+        return _fail("--kappa must be finite and > 0", 2)
+    try:
+        p_var = vmf_moments.stein_asymptotic_variance_vmf(args.d, args.kappa)
+        info = vmf_moments.fisher_information_vmf(args.d, args.kappa)
+    except (ValueError, ZeroDivisionError) as exc:  # Bessel ratios underflow
+        return _fail(f"kappa = {args.kappa!r} out of numerical range: {exc}", 2)
+    if not (math.isfinite(p_var) and math.isfinite(info)):
+        return _fail(f"kappa = {args.kappa!r} out of numerical range", 2)
     inverse = 1.0 / info
     if p_var < inverse - 1e-10 * abs(inverse):
         return _fail("efficiency bound violated: P < 1/I (numerical issue)", 4)

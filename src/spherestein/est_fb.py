@@ -50,8 +50,6 @@ class FbSteinStatistics:
     g_prime: np.ndarray
     h_vec: np.ndarray
     l_mat: np.ndarray
-    cond_m_prime: float | None = None
-    cond_schur: float | None = None
 
 
 @dataclass
@@ -119,7 +117,7 @@ def fb_statistics(x) -> FbSteinStatistics:
     )
 
 
-def fb_stein_fit(x, statistics: FbSteinStatistics | None = None) -> FbEstimate:
+def fb_stein_fit(x) -> FbEstimate:
     """Solve the coupled equations for (mu, A); A comes back symmetric with
     A[d, d] = 0.
 
@@ -128,7 +126,7 @@ def fb_stein_fit(x, statistics: FbSteinStatistics | None = None) -> FbEstimate:
     """
     x = sample_matrix(x)
     d = x.shape[1]
-    st = statistics if statistics is not None else fb_statistics(x)
+    st = fb_statistics(x)
 
     rhs = np.column_stack([st.e_mat, st.d_vec])
     solved, cond_m = solve_linear(st.m_prime, rhs, name="M'")
@@ -138,8 +136,6 @@ def fb_stein_fit(x, statistics: FbSteinStatistics | None = None) -> FbEstimate:
         schur, st.h_vec - st.g_prime @ w_d, name="Schur complement"
     )
     a_hat = unvech_prime(w_d - w_e @ mu_hat, d)
-    st.cond_m_prime = cond_m
-    st.cond_schur = cond_schur
 
     params = FisherBinghamParams(mu=mu_hat, A=a_hat)
     residual = fb_stein_residual(params, x, statistics=st)

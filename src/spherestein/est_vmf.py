@@ -15,7 +15,7 @@ import numpy as np
 
 from . import special
 from .linalg import solve_linear
-from .models import SmoothTestFunction, sample_matrix
+from .models import sample_matrix
 
 
 class DegenerateMean(Exception):
@@ -30,13 +30,19 @@ class VmfEstimate:
     diagnostics: dict = field(default_factory=dict)
 
 
-def mean_direction(x) -> np.ndarray:
-    """The directional sample mean Xbar / |Xbar|."""
+def _resultant(x) -> tuple[np.ndarray, np.ndarray, float]:
+    # the sample, its mean Xbar and the resultant length |Xbar|
     x = sample_matrix(x)
     xbar = x.mean(axis=0)
     norm = float(np.linalg.norm(xbar))
     if norm <= 1e-12:
         raise DegenerateMean("resultant length is zero")
+    return x, xbar, norm
+
+
+def mean_direction(x) -> np.ndarray:
+    """The directional sample mean Xbar / |Xbar|."""
+    _, xbar, norm = _resultant(x)
     return xbar / norm
 
 
@@ -47,10 +53,9 @@ def kappa_stein(x) -> VmfEstimate:
 
     Strictly positive on any non-degenerate sample.
     """
-    x = sample_matrix(x)
+    x, xbar, r = _resultant(x)
     n, d = x.shape
-    mu_hat = mean_direction(x)
-    xbar = x.mean(axis=0)
+    mu_hat = xbar / r
     resid_mat = np.eye(d) - x.T @ x / n
     denom = float(mu_hat @ resid_mat @ resid_mat @ mu_hat)
     if denom <= 1e-14:
@@ -64,27 +69,22 @@ def kappa_stein(x) -> VmfEstimate:
         mu_hat=mu_hat,
         kappa_hat=kappa,
         estimator="ST",
-        diagnostics={"resultant_length": float(np.linalg.norm(xbar))},
+        diagnostics={"resultant_length": r},
     )
 
 
 def kappa_stein2(x) -> VmfEstimate:
     """The mu' = kappa mu variant: kappa = (d-1) |(I - S)^{-1} Xbar|."""
-    x = sample_matrix(x)
+    x, xbar, r = _resultant(x)
     n, d = x.shape
-    mu_hat = mean_direction(x)
-    xbar = x.mean(axis=0)
     resid_mat = np.eye(d) - x.T @ x / n
     mu_prime, cond = solve_linear(resid_mat, xbar, name="I - mean(xx')")
     kappa = (d - 1.0) * float(np.linalg.norm(mu_prime))
     return VmfEstimate(
-        mu_hat=mu_hat,
+        mu_hat=xbar / r,
         kappa_hat=kappa,
         estimator="ST2",
-        diagnostics={
-            "resultant_length": float(np.linalg.norm(xbar)),
-            "cond": cond,
-        },
+        diagnostics={"resultant_length": r, "cond": cond},
     )
 
 
@@ -115,15 +115,10 @@ def _mle_from_resultant(d: int, r: float) -> tuple[float, int]:
 
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
-    x = sample_matrix(x)
-    d = x.shape[1]
-    xbar = x.mean(axis=0)
-    r = float(np.linalg.norm(xbar))
-    if r <= 1e-12:
-        raise DegenerateMean("resultant length is zero")
+    x, xbar, r = _resultant(x)
     if r >= 1.0:
         raise ValueError("resultant length >= 1: all points identical")
-    kappa, iterations = _mle_from_resultant(d, r)
+    kappa, iterations = _mle_from_resultant(x.shape[1], r)
     return VmfEstimate(
         mu_hat=xbar / r,
         kappa_hat=kappa,
@@ -139,9 +134,9 @@ def kappa_score_matching(x) -> VmfEstimate:
     R mu_hat = e1, which equals mu_hat'X_i exactly, so the rotation
     (the Householder reflector in linalg) never needs to be formed.
     """
-    x = sample_matrix(x)
+    x, xbar, r = _resultant(x)
     d = x.shape[1]
-    mu_hat = mean_direction(x)
+    mu_hat = xbar / r
     y = x @ mu_hat
     ybar = float(y.mean())
     y2bar = float((y * y).mean())
@@ -152,33 +147,5 @@ def kappa_score_matching(x) -> VmfEstimate:
         mu_hat=mu_hat,
         kappa_hat=kappa,
         estimator="SM",
-        diagnostics={"resultant_length": float(np.linalg.norm(x.mean(axis=0)))},
+        diagnostics={"resultant_length": r},
     )
-
-
-def kappa_stein_general(x, f: SmoothTestFunction) -> float:
-    """Least-squares Stein estimate of kappa for an arbitrary test function.
-
-    With Q = mean[(d-1) J x + H (x (x) x) - L] and K = mean[J (I - xx')] mu,
-    returns (K'K)^{-1} K'Q.  For f(x) = x this reduces algebraically to
-    kappa_stein; other test functions are exposed for experimentation.
-    """
-    x = sample_matrix(x)
-    n, d = x.shape
-    mu_hat = mean_direction(x)
-    q_acc = np.zeros(f.m)
-    k_acc = np.zeros((f.m, d))
-    for row in x:
-        jac = f.jacobian(row)
-        q_acc += (
-            (d - 1.0) * (jac @ row)
-            + f.hessian_rows(row) @ np.kron(row, row)
-            - f.laplacian(row)
-        )
-        k_acc += jac @ (np.eye(d) - np.outer(row, row))
-    q_vec = q_acc / n
-    k_vec = (k_acc / n) @ mu_hat
-    gram = float(k_vec @ k_vec)
-    if gram <= 1e-14:
-        raise ValueError("zero Gram: test function uninformative for kappa")
-    return float(k_vec @ q_vec) / gram

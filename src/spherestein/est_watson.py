@@ -53,34 +53,37 @@ def _check_branch(branch: str) -> str:
     return branch
 
 
+def _scatter_axes(x) -> tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The sample, its scatter S = x'x/n and the (+) top and (-) bottom
+    eigenvectors of S (column views), from one eigendecomposition."""
+    x = sample_matrix(x)
+    scatter = x.T @ x / x.shape[0]
+    vectors = sym_eigen(scatter).eigenvectors
+    return x, scatter, {"+": vectors[:, 0], "-": vectors[:, -1]}
+
+
 def watson_axis(x, branch: str) -> np.ndarray:
     """Top (+) or bottom (-) scatter-matrix eigenvector, sign-fixed.
 
     Near-isotropic samples have no meaningful axis; the output is still
     deterministic, just unstable under resampling.
     """
-    x = sample_matrix(x)
-    _check_branch(branch)
-    n = x.shape[0]
-    decomp = sym_eigen(x.T @ x / n)
-    column = 0 if branch == "+" else -1
-    return decomp.eigenvectors[:, column].copy()
+    return _scatter_axes(x)[2][_check_branch(branch)].copy()
 
 
 def watson_statistics(x) -> WatsonSteinStatistics:
     """V and both branch J vectors, sharing one eigendecomposition."""
-    x = sample_matrix(x)
+    x, scatter, axes = _scatter_axes(x)
     return WatsonSteinStatistics(
-        v_vec=_v_statistic(x),
-        j_plus=_j_statistic(x, watson_axis(x, "+")),
-        j_minus=_j_statistic(x, watson_axis(x, "-")),
+        v_vec=_v_statistic(scatter),
+        j_plus=_j_statistic(x, axes["+"]),
+        j_minus=_j_statistic(x, axes["-"]),
     )
 
 
-def _v_statistic(x: np.ndarray) -> np.ndarray:
+def _v_statistic(scatter: np.ndarray) -> np.ndarray:
     # closed form of mean[(d-1) grad_f2 x + hess_f2 (x (x) x) - lap_f2]
-    n, d = x.shape
-    scatter = x.T @ x / n
+    d = scatter.shape[0]
     return 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
 
 
@@ -94,16 +97,21 @@ def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return 2.0 * (mu[i] * p[j] + mu[j] * p[i] - 2.0 * q2[i, j])
 
 
-def watson_stein_kappa(x, branch: str) -> float:
-    """Least-squares solution kappa = (J'J)^{-1} J'V for one branch."""
-    x = sample_matrix(x)
-    mu = watson_axis(x, branch)
-    v_vec = _v_statistic(x)
+def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
+                  mu: np.ndarray) -> tuple[float, float]:
+    # least-squares kappa = (J'J)^{-1} J'V on one axis, and its residual norm
     j_vec = _j_statistic(x, mu)
     gram = float(j_vec @ j_vec)
     if gram <= 1e-14:
         raise ValueError("zero Gram: J vanishes, kappa not estimable")
-    return float(j_vec @ v_vec) / gram
+    kappa = float(j_vec @ v_vec) / gram
+    return kappa, float(np.linalg.norm(j_vec * kappa - v_vec))
+
+
+def watson_stein_kappa(x, branch: str) -> float:
+    """Least-squares solution kappa = (J'J)^{-1} J'V for one branch."""
+    x, scatter, axes = _scatter_axes(x)
+    return _stein_branch(x, _v_statistic(scatter), axes[_check_branch(branch)])[0]
 
 
 def _select_branch(
@@ -132,41 +140,41 @@ def _select_branch(
     return "-" if score_minus < score_plus else "+"
 
 
-def watson_stein_fit(x) -> WatsonEstimate:
-    """Both branches of the moment-type estimator plus the selection rule."""
-    x = sample_matrix(x)
-    n = x.shape[0]
-    scatter_eig = sym_eigen(x.T @ x / n)
-    axes = {"+": scatter_eig.eigenvectors[:, 0], "-": scatter_eig.eigenvectors[:, -1]}
-    v_vec = _v_statistic(x)
+def _pick_branch(estimator: str, axes: dict[str, np.ndarray], fits: dict[str, tuple],
+                 by_sign: bool = True) -> WatsonEstimate:
+    """Select a branch from its (kappa, score) pairs and wrap the estimate.
 
-    kappas, residuals = {}, {}
-    for branch, mu in axes.items():
-        j_vec = _j_statistic(x, mu)
-        gram = float(j_vec @ j_vec)
-        if gram <= 1e-14:
-            raise ValueError("zero Gram: J vanishes, kappa not estimable")
-        kappas[branch] = float(j_vec @ v_vec) / gram
-        residuals[branch] = float(np.linalg.norm(j_vec * kappas[branch] - v_vec))
-
-    branch = _select_branch(
-        kappas["-"], kappas["+"], residuals["-"], residuals["+"]
-    )
+    by_sign (ST, MLa) applies _select_branch's eligibility and flags a
+    near-uniform pick; without it (ML) both branches are eligible and the
+    smaller score alone decides, an exact tie going to (+).
+    """
+    kappas = {b: kappa for b, (kappa, _) in fits.items()}
+    scores = {b: score for b, (_, score) in fits.items()}
+    signs = kappas if by_sign else {"+": 0.0, "-": 0.0}  # ML: both sign-consistent
+    branch = _select_branch(signs["-"], signs["+"], scores["-"], scores["+"])
     eligible = tuple(
-        b for b in ("+", "-") if (kappas[b] >= 0 if b == "+" else kappas[b] <= 0)
+        b for b in ("+", "-") if (signs[b] >= 0 if b == "+" else signs[b] <= 0)
     )
     warnings = []
-    if len(eligible) == 2 and abs(kappas[branch]) < 1e-6:
+    if by_sign and len(eligible) == 2 and abs(kappas[branch]) < 1e-6:
         warnings.append("near-uniform: |kappa| < 1e-6, axis weakly identified")
     return WatsonEstimate(
         mu_hat=axes[branch].copy(),
         kappa_hat=kappas[branch],
         branch=branch,
-        estimator="ST",
+        estimator=estimator,
         eligible_branches=eligible,
-        residual_norms=residuals,
+        residual_norms=scores,
         warnings=warnings,
     )
+
+
+def watson_stein_fit(x) -> WatsonEstimate:
+    """Both branches of the moment-type estimator plus the selection rule."""
+    x, scatter, axes = _scatter_axes(x)
+    v_vec = _v_statistic(scatter)
+    fits = {b: _stein_branch(x, v_vec, mu) for b, mu in axes.items()}
+    return _pick_branch("ST", axes, fits)
 
 
 def watson_mla_bounds(r: float, a: float = 0.5, c: float = 1.5) -> tuple[float, float]:
@@ -184,70 +192,37 @@ def watson_mla_bounds(r: float, a: float = 0.5, c: float = 1.5) -> tuple[float, 
     return (lower, upper) if lower <= upper else (upper, lower)
 
 
-def _watson_log_likelihood(d: int, kappa: float, sum_t2: float, n: int) -> float:
-    return n * watson_log_normalizer(d, kappa) + kappa * sum_t2
+def _neg_log_likelihood(x: np.ndarray, mu: np.ndarray, kappa: float) -> float:
+    n, d = x.shape
+    t = x @ mu
+    return -(n * watson_log_normalizer(d, kappa) + kappa * float((t * t).sum()))
+
+
+def _mla_branch(x: np.ndarray, scatter: np.ndarray, mu: np.ndarray,
+                branch: str) -> tuple[float, float]:
+    # midpoint of the ML bounds at r = mu'S mu (mu a column view), and its NLL
+    r = float(mu @ scatter @ mu)
+    if not 1e-14 < r < 1.0 - 1e-14:
+        # axis carries none (or all) of the mass; a wrong-signed infinite
+        # kappa makes the branch ineligible
+        return (math.inf if branch == "-" else -math.inf), math.inf
+    lower, upper = watson_mla_bounds(r, 0.5, 0.5 * x.shape[1])
+    kappa = 0.5 * (lower + upper)
+    return kappa, _neg_log_likelihood(x, mu, kappa)
 
 
 def watson_mla_fit(x) -> WatsonEstimate:
     """Midpoint of the ML bounds at r = mu'S mu, per branch, with the same
     eligibility rule as the moment-type fit and likelihood tie-breaking."""
-    x = sample_matrix(x)
-    n, d = x.shape
-    scatter = x.T @ x / n
-    scatter_eig = sym_eigen(scatter)
-    axes = {"+": scatter_eig.eigenvectors[:, 0], "-": scatter_eig.eigenvectors[:, -1]}
-
-    kappas, neg_loglik = {}, {}
-    degenerate = set()
-    for branch, mu in axes.items():
-        r = float(mu @ scatter @ mu)
-        if not 1e-14 < r < 1.0 - 1e-14:
-            # axis carries none (or all) of the mass; treat as ineligible
-            degenerate.add(branch)
-            kappas[branch] = math.inf if branch == "-" else -math.inf
-            neg_loglik[branch] = math.inf
-            continue
-        lower, upper = watson_mla_bounds(r, 0.5, 0.5 * d)
-        kappas[branch] = 0.5 * (lower + upper)
-        t = x @ mu
-        neg_loglik[branch] = -_watson_log_likelihood(
-            d, kappas[branch], float((t * t).sum()), n
-        )
-
-    branch = _select_branch(
-        kappas["-"], kappas["+"], neg_loglik["-"], neg_loglik["+"]
-    )
-    eligible = tuple(
-        b
-        for b in ("+", "-")
-        if b not in degenerate and (kappas[b] >= 0 if b == "+" else kappas[b] <= 0)
-    )
-    warnings = []
-    if len(eligible) == 2 and abs(kappas[branch]) < 1e-6:
-        warnings.append("near-uniform: |kappa| < 1e-6, axis weakly identified")
-    return WatsonEstimate(
-        mu_hat=axes[branch].copy(),
-        kappa_hat=kappas[branch],
-        branch=branch,
-        estimator="MLa",
-        eligible_branches=eligible,
-        residual_norms={b: neg_loglik[b] for b in neg_loglik},
-        warnings=warnings,
-    )
+    x, scatter, axes = _scatter_axes(x)
+    fits = {b: _mla_branch(x, scatter, mu, b) for b, mu in axes.items()}
+    return _pick_branch("MLa", axes, fits)
 
 
-def watson_mle_kappa(x, branch: str) -> float:
-    """Single-component ML concentration for one branch: the root of
-
-        (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) = r,
-
-    r = mu'S mu.  The root lies inside the (L, U) bounds, which seed the
-    bracket; solved to |ratio - r| <= 1e-10.
-    """
-    x = sample_matrix(x)
-    n, d = x.shape
-    mu = watson_axis(x, branch)
-    scatter = x.T @ x / n
+def _mle_branch(scatter: np.ndarray, mu: np.ndarray) -> float:
+    # the ML root at r = mu'S mu, bracketed by the MLa bounds
+    mu = mu.copy()  # contiguous: the last bits of r depend on mu's layout
+    d = scatter.shape[0]
     r = float(mu @ scatter @ mu)
     if not 0.0 < r < 1.0:
         raise ValueError("r = mu'S mu must lie strictly between 0 and 1")
@@ -270,29 +245,25 @@ def watson_mle_kappa(x, branch: str) -> float:
     return kappa
 
 
+def watson_mle_kappa(x, branch: str) -> float:
+    """Single-component ML concentration for one branch: the root of
+
+        (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) = r,
+
+    r = mu'S mu.  The root lies inside the (L, U) bounds, which seed the
+    bracket; solved to |ratio - r| <= 1e-10.
+    """
+    _, scatter, axes = _scatter_axes(x)
+    return _mle_branch(scatter, axes[_check_branch(branch)])
+
+
 def watson_mle_fit(x) -> WatsonEstimate:
     """Joint single-component MLE: both branch MLEs, pick the higher
     likelihood.  Never raises NotEligible (the likelihood always orders
     the branches)."""
-    x = sample_matrix(x)
-    n, d = x.shape
-    scatter = x.T @ x / n
-    scatter_eig = sym_eigen(scatter)
-    axes = {"+": scatter_eig.eigenvectors[:, 0], "-": scatter_eig.eigenvectors[:, -1]}
-    best = None
-    loglik = {}
+    x, scatter, axes = _scatter_axes(x)
+    fits = {}
     for branch, mu in axes.items():
-        kappa = watson_mle_kappa(x, branch)
-        t = x @ mu
-        loglik[branch] = _watson_log_likelihood(d, kappa, float((t * t).sum()), n)
-        if best is None or loglik[branch] > loglik[best[0]]:
-            best = (branch, kappa)
-    branch, kappa = best
-    return WatsonEstimate(
-        mu_hat=axes[branch].copy(),
-        kappa_hat=kappa,
-        branch=branch,
-        estimator="ML",
-        eligible_branches=("+", "-"),
-        residual_norms={b: -loglik[b] for b in loglik},
-    )
+        kappa = _mle_branch(scatter, mu)
+        fits[branch] = kappa, _neg_log_likelihood(x, mu, kappa)
+    return _pick_branch("ML", axes, fits, by_sign=False)

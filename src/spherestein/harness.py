@@ -44,6 +44,8 @@ class SimConfig:
         self.estimators = tuple(e.lower() for e in self.estimators)
         if not self.estimators:
             self.estimators = DEFAULT_ESTIMATORS[family]
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         for est in self.estimators:

@@ -203,27 +203,6 @@ def log_sphere_area(d: int) -> float:
     return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
 
 
-def fb_log_normalizer_mc(
-    params: FisherBinghamParams, n_mc: int, seed: int
-) -> tuple[float, float]:
-    """Monte Carlo estimate of log C(mu, A) by uniform importance sampling.
-
-    Returns (estimate, standard error of the estimate).  Validation-only:
-    none of the estimators touch the normalising constant.
-    """
-    if n_mc < 1000:
-        raise ValueError("n_mc must be >= 1000")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    d = params.d
-    z = rng.standard_normal((n_mc, d))
-    x = z / np.linalg.norm(z, axis=1, keepdims=True)
-    h = x @ params.mu + np.einsum("ni,ij,nj->n", x, params.A, x)
-    w = np.exp(h)
-    mean = float(w.mean())
-    se = float(w.std(ddof=1) / math.sqrt(n_mc))
-    return log_sphere_area(d) + math.log(mean), se / mean
-
-
 @dataclass
 class SmoothTestFunction:
     """A smooth map f: S^{d-1} -> R^m with analytic derivatives.
@@ -287,30 +266,6 @@ def canonical_f2(d: int) -> SmoothTestFunction:
         jacobian=jacobian,
         hessian_rows=lambda x: hess,
         laplacian=lambda x: lap,
-    )
-
-
-def sin_projection(w) -> SmoothTestFunction:
-    """A generic scalar test function f(x) = sin(w'x)."""
-    w = np.asarray(w, dtype=float)
-    d = w.size
-    wnorm2 = float(w @ w)
-
-    def value(x):
-        return np.array([math.sin(float(w @ x))])
-
-    def jacobian(x):
-        return math.cos(float(w @ x)) * w[None, :]
-
-    def hessian_rows(x):
-        return (-math.sin(float(w @ x)) * np.outer(w, w)).flatten(order="F")[None, :]
-
-    def laplacian(x):
-        return np.array([-math.sin(float(w @ x)) * wnorm2])
-
-    return SmoothTestFunction(
-        m=1, value=value, jacobian=jacobian, hessian_rows=hessian_rows,
-        laplacian=laplacian,
     )
 
 

@@ -3,9 +3,10 @@
 Everything here is deliberately primitive: plain power series, explicit
 loops over matrix entries, textbook closed forms.  These paths never call
 the package's own evaluation routines, so agreement is evidence, not
-tautology.  The one exception is fb_statistics_generic, whose inputs are
-the package's test-function objects (their derivatives are checked by
-hand elsewhere) and which builds vec/vech maps with duplication_matrix.
+tautology.  The exceptions are kappa_stein_general and
+fb_statistics_generic, whose inputs are the package's test-function
+objects (their derivatives are checked by hand elsewhere); the latter
+also builds vec/vech maps with duplication_matrix.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 
 from spherestein.est_fb import FbSteinStatistics
 from spherestein.linalg import duplication_matrix
-from spherestein.models import canonical_f1, canonical_f2
+from spherestein.models import SmoothTestFunction, canonical_f1, canonical_f2
 
 
 def series_bessel_i(nu: float, x: float, tol: float = 1e-17) -> float:
@@ -235,3 +236,75 @@ def fb_statistics_generic(x, f1=None, f2=None) -> FbSteinStatistics:
         h_vec=h_vec / n,
         l_mat=l_mat / n,
     )
+
+
+def kappa_stein_general(x, f: SmoothTestFunction) -> float:
+    """Least-squares Stein estimate of kappa for an arbitrary test function.
+
+    With Q = mean[(d-1) J x + H (x (x) x) - L] and K = mean[J (I - xx')] mu,
+    returns (K'K)^{-1} K'Q.  For f(x) = x this reduces algebraically to
+    kappa_stein.  A per-point loop.
+    """
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    xbar = x.mean(axis=0)
+    mu_hat = xbar / np.linalg.norm(xbar)
+    q_acc = np.zeros(f.m)
+    k_acc = np.zeros((f.m, d))
+    for row in x:
+        jac = f.jacobian(row)
+        q_acc += (
+            (d - 1.0) * (jac @ row)
+            + f.hessian_rows(row) @ np.kron(row, row)
+            - f.laplacian(row)
+        )
+        k_acc += jac @ (np.eye(d) - np.outer(row, row))
+    q_vec = q_acc / n
+    k_vec = (k_acc / n) @ mu_hat
+    gram = float(k_vec @ k_vec)
+    if gram <= 1e-14:
+        raise ValueError("zero Gram: test function uninformative for kappa")
+    return float(k_vec @ q_vec) / gram
+
+
+def sin_projection(w) -> SmoothTestFunction:
+    """A generic scalar test function f(x) = sin(w'x)."""
+    w = np.asarray(w, dtype=float)
+    wnorm2 = float(w @ w)
+
+    def value(x):
+        return np.array([math.sin(float(w @ x))])
+
+    def jacobian(x):
+        return math.cos(float(w @ x)) * w[None, :]
+
+    def hessian_rows(x):
+        return (-math.sin(float(w @ x)) * np.outer(w, w)).flatten(order="F")[None, :]
+
+    def laplacian(x):
+        return np.array([-math.sin(float(w @ x)) * wnorm2])
+
+    return SmoothTestFunction(
+        m=1, value=value, jacobian=jacobian, hessian_rows=hessian_rows,
+        laplacian=laplacian,
+    )
+
+
+def fb_log_normalizer_mc(params, n_mc: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of log C(mu, A) by uniform importance sampling.
+
+    Returns (estimate, standard error of the estimate); the log surface
+    area of S^{d-1} is written out, not taken from the package.
+    """
+    if n_mc < 1000:
+        raise ValueError("n_mc must be >= 1000")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    d = params.d
+    z = rng.standard_normal((n_mc, d))
+    x = z / np.linalg.norm(z, axis=1, keepdims=True)
+    h = x @ params.mu + np.einsum("ni,ij,nj->n", x, params.A, x)
+    w = np.exp(h)
+    mean = float(w.mean())
+    se = float(w.std(ddof=1) / math.sqrt(n_mc))
+    log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
+    return log_area + math.log(mean), se / mean

@@ -33,7 +33,6 @@ from spherestein.models import (
     WatsonParams,
     canonical_f1,
     canonical_f2,
-    sin_projection,
     stein_operator_apply,
 )
 from spherestein.sampler import RngState, sample_fb, sample_vmf, sample_watson
@@ -52,6 +51,7 @@ from oracles import (
     random_unit_rows,
     ratio_d3,
     series_1f1,
+    sin_projection,
 )
 
 

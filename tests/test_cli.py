@@ -265,6 +265,17 @@ def test_simulate_invalid_family(tmp_path):
     assert cli.main(["simulate", "--config", str(config)]) == 2
 
 
+def test_simulate_rejects_empty_sample(tmp_path, capsys):
+    config = tmp_path / "n0.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 0, "reps": 5,
+    }))
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid config: n must be >= 1\n"
+
+
 def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
     def broken(x):
         raise RuntimeError("boom")
@@ -305,3 +316,23 @@ def test_asympvar_d2_note(capsys):
 def test_asympvar_domain(capsys):
     assert cli.main(["asympvar", "--d", "3", "--kappa", "0.0"]) == 2
     assert cli.main(["asympvar", "--d", "1", "--kappa", "1.0"]) == 2
+
+
+@pytest.mark.parametrize("kappa", ["inf", "nan"])
+def test_asympvar_rejects_non_finite_kappa(capsys, kappa):
+    assert cli.main(["asympvar", "--d", "3", "--kappa", kappa]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --kappa must be finite")
+
+
+@pytest.mark.parametrize("kappa", ["1e-320", "1e-300", "1e300"])
+def test_asympvar_out_of_numerical_range(capsys, kappa):
+    # 1e-320: the Bessel ratios underflow; 1e-300: they divide by zero;
+    # 1e300: the variances overflow to inf/nan
+    assert cli.main(["asympvar", "--d", "3", "--kappa", kappa]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    expected = f"error: kappa = {float(kappa)!r} out of numerical range"
+    assert captured.err.startswith(expected)
+    assert len(captured.err.strip().splitlines()) == 1

@@ -11,7 +11,6 @@ from spherestein.est_vmf import (
     kappa_score_matching,
     kappa_stein,
     kappa_stein2,
-    kappa_stein_general,
     mean_direction,
 )
 from spherestein.models import VmfParams, canonical_f1
@@ -19,7 +18,7 @@ from spherestein.sampler import RngState, sample_vmf
 from spherestein.special import bessel_ratio
 from spherestein.vmf_moments import stein_asymptotic_variance_vmf
 
-from oracles import random_unit_rows, ratio_d3
+from oracles import kappa_stein_general, random_unit_rows, ratio_d3
 
 E3 = np.eye(3)
 FIXTURE = np.array([E3[0], E3[0], E3[1]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from spherestein import est_watson
 from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
@@ -17,6 +18,7 @@ from spherestein.est_watson import (
     watson_stein_fit,
     watson_stein_kappa,
 )
+from spherestein.linalg import sym_eigen
 from spherestein.models import WatsonParams
 from spherestein.sampler import RngState, sample_uniform, sample_watson
 from spherestein.special import kummer_ratio
@@ -264,3 +266,18 @@ def test_j_statistic_equals_loop_oracle_bitwise(d):
         x = random_unit_rows(rng, n, d)
         for mu in (random_unit_rows(rng, 1, d)[0], watson_axis(x, "-")):
             np.testing.assert_array_equal(_j_statistic(x, mu), j_statistic_loop(x, mu))
+
+
+@pytest.mark.parametrize("fit", [watson_stein_fit, watson_mla_fit, watson_mle_fit,
+                                 watson_statistics])
+def test_one_eigendecomposition_per_call(monkeypatch, fit):
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return sym_eigen(s)
+
+    monkeypatch.setattr(est_watson, "sym_eigen", counting)
+    x = sample_watson(WatsonParams(np.ones(4) / 2.0, 5.0), 200, RngState(61))
+    fit(x)
+    assert len(calls) == 1

@@ -11,12 +11,10 @@ from spherestein.models import (
     WatsonParams,
     canonical_f1,
     canonical_f2,
-    fb_log_normalizer_mc,
     log_sphere_area,
     log_unnormalized_density,
     params_from_dict,
     params_to_dict,
-    sin_projection,
     stein_operator_apply,
     vmf_log_density,
     watson_log_density,
@@ -25,8 +23,10 @@ from spherestein.special import kummer_1f1, log_bessel_i
 
 from oracles import (
     bessel_i_half,
+    fb_log_normalizer_mc,
     grad_f2_by_hand_d3,
     random_unit_rows,
+    sin_projection,
     stein_mean_reference,
 )
 
