@@ -180,7 +180,7 @@ def cmd_asympvar(args) -> int:
         info = vmf_moments.fisher_information_vmf(args.d, args.kappa)
     except (ValueError, ZeroDivisionError) as exc:  # Bessel ratios underflow
         return _fail(f"kappa = {args.kappa!r} out of numerical range: {exc}", 2)
-    if not (math.isfinite(p_var) and math.isfinite(info)):
+    if not (math.isfinite(p_var) and math.isfinite(info) and info > 0):
         return _fail(f"kappa = {args.kappa!r} out of numerical range", 2)
     inverse = 1.0 / info
     if p_var < inverse - 1e-10 * abs(inverse):

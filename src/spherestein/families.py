@@ -51,6 +51,12 @@ class Family:
     ``errors(fit, params)`` returns one error per entry of ``blocks``.
     Signed errors (``signed``) give a bias and an MSE per block; unsigned
     ones are distances, which give an MSE and a mean distance instead.
+
+    A ``stacked`` family's sampler also takes a sequence of b streams and
+    returns a (b, n, d) stack, and its estimators fit such a stack in one
+    call: the fit's fields, and so its errors, hold one entry per sample,
+    and its ``ne`` flags the samples without an estimate.  The estimators
+    of any other family are applied to one sample at a time.
     """
 
     defaults: tuple[str, ...]
@@ -58,6 +64,7 @@ class Family:
     signed: bool
     errors: Callable[[Any, Params], tuple[float, ...]]
     report: Callable[[Any], dict]
+    stacked: bool = False
 
 
 def _kappa_error(fit, params) -> tuple[float, ...]:
@@ -90,7 +97,7 @@ def _fb_report(fit) -> dict:
 FAMILIES: dict[str, Family] = {
     "fb": Family(("st",), ("mu", "A"), False, _fb_errors, _fb_report),
     "vmf": Family(("st", "ml", "sm"), ("kappa",), True, _kappa_error,
-                  _vmf_report),
+                  _vmf_report, stacked=True),
     "watson": Family(("st", "mla"), ("kappa",), True, _kappa_error,
                      _watson_report),
 }

@@ -1,11 +1,14 @@
 """Monte Carlo simulation harness: replicate sampling + fitting and report
 bias, MSE and non-existence frequencies per estimator.
 
-Replications draw from independent RNG streams keyed by (seed, replication
-index), so results are identical for any level of parallelism and any
-thread schedule.  NE semantics: a Watson NotEligible or a Fisher-Bingham
-SingularSystem counts as a non-existence event and is excluded from bias
-and MSE; any other failure aborts loudly.
+Replications run in blocks of a fixed memory size.  Each block draws its
+samples from independent RNG streams keyed by (seed, replication index)
+and fits every estimator once: over the whole (b, n, d) stack for a
+stacked family (vMF), one sample at a time otherwise.  The CSV has
+identical bytes for any block size and thread count.  NE semantics: a
+Watson NotEligible or a Fisher-Bingham SingularSystem, or a replication
+that a stacked fit flags in its ``ne``, counts as a non-existence event
+and is excluded from bias and MSE; any other failure aborts loudly.
 
 Default replication count is 2000, a fifth of the full-scale studies the
 reference tables use; Monte Carlo standard errors (reported for every
@@ -28,6 +31,11 @@ from .models import Params, params_to_dict
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
+# memory for the samples of one block: b = BLOCK_BYTES // (8 n d)
+# replications, at least one.  Larger blocks gain little and raise the
+# peak memory of a study.
+BLOCK_BYTES = 128 * 1024
+
 
 @dataclass
 class SimConfig:
@@ -48,6 +56,8 @@ class SimConfig:
             raise ValueError("n must be >= 1")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         for est in self.estimators:
             if (family, est) not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r} for {family}")
@@ -85,7 +95,7 @@ class SimResult:
         """Deterministic CSV, one row per estimator x parameter block.
 
         Wall time is intentionally excluded so output bytes are identical
-        across parallelism levels at a fixed seed.
+        for any block size and thread count at a fixed seed.
         """
         fields = [
             "label", "family", "n", "reps", "seed", "estimator", "block",
@@ -127,30 +137,50 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-def _replicate(config: SimConfig, rep: int) -> dict:
-    """One replication: fresh stream, one dataset, every estimator fit.
+def _run_block(config: SimConfig, reps: range) -> dict:
+    """One block: a stream per replication, one sample stack, every
+    estimator fit.
 
-    Returns per-estimator either None (NE event) or the tuple of block
-    errors the family scores the fit by.
+    Returns per estimator the block's errors (one row per replication, one
+    column per error block, NaN where there is no estimate) and NE flags.
     """
     params = config.params
     family = params.family
-    rng = sampler.RngState(config.seed, stream=rep)
-    x = SAMPLERS[family](params, config.n, rng)
-    errors = FAMILIES[family].errors
+    fam = FAMILIES[family]
+    streams = [sampler.RngState(config.seed, stream=rep) for rep in reps]
+    if fam.stacked:
+        stack = SAMPLERS[family](params, config.n, streams)
+    else:
+        stack = [SAMPLERS[family](params, config.n, rng) for rng in streams]
     out = {}
     for est in config.estimators:
-        try:
-            fit = ESTIMATORS[family, est](x)
-        except (est_watson.NotEligible, SingularSystem):
-            out[est] = None
-            continue
-        except Exception as exc:
-            raise RuntimeError(
-                f"estimator {est!r} failed hard on replication {rep} "
-                f"(seed {config.seed}): {exc}"
-            ) from exc
-        out[est] = errors(fit, params)
+        fit_sample = ESTIMATORS[family, est]
+        if fam.stacked:
+            try:
+                fit = fit_sample(stack)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"estimator {est!r} failed hard on replications "
+                    f"{reps.start}-{reps.stop - 1} (seed {config.seed}): {exc}"
+                ) from exc
+            errors = np.column_stack(fam.errors(fit, params))
+            ne = fit.ne
+        else:
+            errors = np.full((len(reps), len(fam.blocks)), np.nan)
+            ne = np.zeros(len(reps), dtype=bool)
+            for i, (rep, x) in enumerate(zip(reps, stack)):
+                try:
+                    fit = fit_sample(x)
+                except (est_watson.NotEligible, SingularSystem):
+                    ne[i] = True
+                    continue
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"estimator {est!r} failed hard on replication {rep} "
+                        f"(seed {config.seed}): {exc}"
+                    ) from exc
+                errors[i] = fam.errors(fit, params)
+        out[est] = errors, ne
     return out
 
 
@@ -165,15 +195,18 @@ def run_simulation(config: SimConfig) -> SimResult:
     """Run all replications and aggregate bias/MSE/NE per estimator.
 
     Failures beyond the NE semantics propagate with the replication index
-    attached.
+    (or, for a stacked fit, the block's replication range) attached.
     """
     start = time.perf_counter()
-    reps = range(config.reps)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            outcomes = list(pool.map(lambda r: _replicate(config, r), reps))
+    size = max(1, BLOCK_BYTES // (8 * config.n * config.params.d))
+    blocks = [range(lo, min(lo + size, config.reps))
+              for lo in range(0, config.reps, size)]
+    workers = min(config.threads, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda reps: _run_block(config, reps), blocks))
     else:
-        outcomes = [_replicate(config, r) for r in reps]
+        outcomes = [_run_block(config, reps) for reps in blocks]
 
     warnings = []
     if config.reps < 30:
@@ -183,14 +216,14 @@ def run_simulation(config: SimConfig) -> SimResult:
     fam = FAMILIES[config.params.family]
     cells: dict[str, dict[str, Cell]] = {}
     for est in config.estimators:
-        values = [o[est] for o in outcomes]
-        ne_rate = sum(v is None for v in values) / config.reps
-        kept = [v for v in values if v is not None]
-        if not kept:
+        ne = np.concatenate([o[est][1] for o in outcomes])
+        ne_rate = int(ne.sum()) / config.reps
+        kept = np.concatenate([o[est][0] for o in outcomes])[~ne]
+        if not len(kept):
             raise RuntimeError(f"estimator {est!r} never existed in {config.reps} reps")
         cells[est] = {}
         for i, block in enumerate(fam.blocks):
-            err = np.array([v[i] for v in kept])
+            err = kept[:, i]
             mse, mse_se = _mean_se(err**2)
             mean, mean_se = _mean_se(err)
             if fam.signed:

@@ -177,20 +177,37 @@ def rotation_to_e1(u) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / vnorm2
 
 
+def solve_stack(a, b):
+    """Solve a[k] @ x[k] = b[k] for each slice of a (k, m, m) stack by LU
+    with partial pivoting; b is a (k, m) stack of vectors or a (k, m, r)
+    stack of matrices.  Returns (x, cond, singular).
+
+    cond holds each slice's 1-norm condition number.  A slice whose cond
+    exceeds COND_LIMIT or is not finite is singular: it is not solved and
+    its part of x is NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cond = np.linalg.cond(a, 1)
+    singular = ~(np.isfinite(cond) & (cond <= COND_LIMIT))
+    x = np.full(b.shape, np.nan)
+    ok = ~singular
+    if ok.any():
+        rhs = b[ok] if b.ndim == 3 else b[ok][..., None]
+        solved = np.linalg.solve(a[ok], rhs)
+        x[ok] = solved if b.ndim == 3 else solved[..., 0]
+    return x, cond, singular
+
+
 def solve_linear(a, b, name: str = "linear system"):
     """Solve a @ x = b by LU with partial pivoting; returns (x, cond).
 
-    cond is the 1-norm condition number of a; values above COND_LIMIT (or a
-    numerically singular factorization) raise SingularSystem tagged with
+    The one-system case of solve_stack: cond is the 1-norm condition
+    number of a, and a singular system raises SingularSystem tagged with
     `name` so callers can report which system failed.
     """
     a = _check_square(a)
-    b = np.asarray(b, dtype=float)
-    try:
-        cond = float(np.linalg.cond(a, 1))
-    except np.linalg.LinAlgError:
-        raise SingularSystem(name, float("inf")) from None
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularSystem(name, cond)
-    x = np.linalg.solve(a, b)
-    return x, cond
+    x, cond, singular = solve_stack(a[None], np.asarray(b, dtype=float)[None])
+    if singular[0]:
+        raise SingularSystem(name, float(cond[0]))
+    return x[0], float(cond[0])

@@ -198,11 +198,6 @@ def watson_log_density(params: WatsonParams, x) -> float:
     ) ** 2
 
 
-def log_sphere_area(d: int) -> float:
-    """log of the surface area of S^{d-1}."""
-    return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
-
-
 @dataclass
 class SmoothTestFunction:
     """A smooth map f: S^{d-1} -> R^m with analytic derivatives.

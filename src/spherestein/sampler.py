@@ -3,7 +3,8 @@ Fisher-Bingham samples.
 
 All samplers are exact rejection schemes driven by an explicit
 counter-based RNG state, so a (seed, stream) pair fully determines the
-output regardless of how calls are scheduled across threads.
+output regardless of how calls are scheduled across threads.  sample_vmf
+also takes a sequence of streams and returns the stack of their samples.
 
 vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
 Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
@@ -55,14 +56,18 @@ class RngState:
         return np.random.Generator(np.random.Philox(seq))
 
 
-def _unit_rows(x: np.ndarray, g: np.random.Generator) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
+    # rows of the (b, n, d) stack x scaled to unit length; gens[j] redraws
+    # the zero rows of x[j]
+    norms = np.linalg.norm(x, axis=-1)
     bad = norms < 1e-200
     while np.any(bad):  # probability-zero guard
-        x[bad] = g.standard_normal((int(bad.sum()), x.shape[1]))
-        norms = np.linalg.norm(x, axis=1)
+        for g, xj, badj in zip(gens, x, bad):
+            if badj.any():
+                xj[badj] = g.standard_normal((int(badj.sum()), x.shape[-1]))
+        norms = np.linalg.norm(x, axis=-1)
         bad = norms < 1e-200
-    return x / norms[:, None]
+    return x / norms[..., None]
 
 
 def sample_uniform(d: int, n: int, rng: RngState) -> np.ndarray:
@@ -70,43 +75,68 @@ def sample_uniform(d: int, n: int, rng: RngState) -> np.ndarray:
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
     g = rng.generator()
-    return _unit_rows(g.standard_normal((n, d)), g)
+    return _unit_rows(g.standard_normal((1, n, d)), [g])[0]
 
 
-def _vmf_radial(kappa: float, d: int, n: int, g: np.random.Generator) -> np.ndarray:
-    # Ulrich-Wood rejection for the cosine w = mu'x
+def _vmf_radial(kappa: float, d: int, n: int,
+                gens: list[np.random.Generator]) -> np.ndarray:
+    # Ulrich-Wood rejection for the cosine w = mu'x, n per stream.  Every
+    # stream draws its first batch, the accept step runs over the block,
+    # and only a stream that fell short draws again.
     b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
-    out = np.empty(n)
-    have = 0
-    while have < n:
+
+    def propose(g: np.random.Generator, have: int) -> tuple[np.ndarray, np.ndarray]:
         m = min(max(2 * (n - have), _MIN_BATCH), _MAX_BATCH)
-        z = g.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m)
-        u = g.random(m)
+        return g.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m), g.random(m)
+
+    def accept(z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
-        w = w[keep]
-        take = min(w.size, n - have)
-        out[have : have + take] = w[:take]
-        have += take
+        return w, kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
+
+    proposals = [propose(g, 0) for g in gens]
+    w, keep = accept(np.stack([z for z, _ in proposals]),
+                     np.stack([u for _, u in proposals]))
+    out = np.empty((len(gens), n))
+    full = keep.sum(axis=1) >= n
+    # the first n accepted draws of each full stream, in draw order
+    first = keep[full] & (np.cumsum(keep[full], axis=1) <= n)
+    out[full] = w[full][first].reshape(-1, n)
+    for j in np.flatnonzero(~full):
+        taken = w[j][keep[j]]
+        have = taken.size
+        out[j, :have] = taken
+        while have < n:
+            wj, keepj = accept(*propose(gens[j], have))
+            wj = wj[keepj]
+            take = min(wj.size, n - have)
+            out[j, have : have + take] = wj[:take]
+            have += take
     return out
 
 
-def sample_vmf(params: VmfParams, n: int, rng: RngState) -> np.ndarray:
-    """n i.i.d. vMF(mu, kappa) points (Ulrich-Wood, then rotate e1 -> mu)."""
+def sample_vmf(params: VmfParams, n: int, rng) -> np.ndarray:
+    """n i.i.d. vMF(mu, kappa) points (Ulrich-Wood, then rotate e1 -> mu).
+
+    ``rng`` is one RngState, giving an n x d sample, or a sequence of b
+    of them, giving a (b, n, d) stack whose slice j is bit for bit the
+    sample of stream j alone: each stream makes the same draws in the same
+    order, and the arithmetic on them runs over the whole stack.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = params.d
-    g = rng.generator()
-    w = _vmf_radial(params.kappa, d, n, g)
-    v = _unit_rows(g.standard_normal((n, d - 1)), g)
-    y = np.empty((n, d))
-    y[:, 0] = w
-    y[:, 1:] = np.sqrt(np.maximum(0.0, 1.0 - w * w))[:, None] * v
-    rot = linalg.rotation_to_e1(params.mu)
-    x = y @ rot  # rows are rot.T @ y
-    return _unit_rows(x, g)
+    single = isinstance(rng, RngState)
+    gens = [r.generator() for r in ([rng] if single else rng)]
+    w = _vmf_radial(params.kappa, d, n, gens)
+    v = _unit_rows(np.stack([g.standard_normal((n, d - 1)) for g in gens]), gens)
+    y = np.empty((len(gens), n, d))
+    y[..., 0] = w
+    y[..., 1:] = np.sqrt(np.maximum(0.0, 1.0 - w * w))[..., None] * v
+    # rows are rot.T @ y; a matmul per slice keeps each slice's bits
+    x = _unit_rows(np.matmul(y, linalg.rotation_to_e1(params.mu)), gens)
+    return x[0] if single else x
 
 
 def _acg_envelope(bmat_eigs: np.ndarray, d: int) -> tuple[float, np.ndarray, float]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 # below this, scipy's scaled Bessel value is too close to the subnormal
@@ -61,18 +62,26 @@ def log_bessel_i(nu: float, x: float) -> float:
     return _log_series_i(nu, x)
 
 
-def bessel_ratio(d: int, kappa: float) -> float:
-    """I_{d/2}(kappa) / I_{d/2-1}(kappa); lies in (0, 1), increasing in kappa."""
+def bessel_ratio(d: int, kappa):
+    """I_{d/2}(kappa) / I_{d/2-1}(kappa); lies in (0, 1), increasing in kappa.
+
+    An array of kappas gives the array of ratios.
+    """
     if d < 2:
         raise ValueError("dimension d must be >= 2")
-    if kappa <= 0:
+    k = np.atleast_1d(np.asarray(kappa, dtype=float))
+    if np.any(k <= 0):
         raise ValueError("kappa must be > 0")
     nu = 0.5 * d - 1.0
-    den = float(_sp.ive(nu, kappa))
-    num = float(_sp.ive(nu + 1.0, kappa))
-    if den > _IVE_FLOOR and num > 0.0:
-        return num / den
-    return math.exp(_log_series_i(nu + 1.0, kappa) - _log_series_i(nu, kappa))
+    den = _sp.ive(nu, k)
+    num = _sp.ive(nu + 1.0, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = num / den
+    series = ~((den > _IVE_FLOOR) & (num > 0.0))
+    for i in np.flatnonzero(series):
+        ratio[i] = math.exp(_log_series_i(nu + 1.0, float(k[i]))
+                            - _log_series_i(nu, float(k[i])))
+    return float(ratio[0]) if np.ndim(kappa) == 0 else ratio.reshape(np.shape(kappa))
 
 
 def _check_kummer_b(b: float) -> None:

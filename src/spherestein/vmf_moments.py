@@ -94,11 +94,35 @@ def vmf_moments(params: VmfParams) -> VmfMomentSet:
 
 
 def fisher_information_vmf(d: int, kappa: float) -> float:
-    """Fisher information for kappa: 1 - R1^2 - (d-1) R1 / kappa."""
+    """Fisher information for kappa: 1 - R1^2 - (d-1) R1 / kappa.
+
+    The difference is about (d-1) / (2 kappa^2) and loses its digits to
+    cancellation as kappa grows, so beyond kappa = 30 + 6d it is summed
+    from the large-kappa expansion instead.  With R1 ~ sum_m c_m kappa^-m
+    and c_0 = 1, the Riccati equation R1' = 1 - R1^2 - (d-1) R1 / kappa
+    gives 2 c_m = (m - d) c_{m-1} - sum_{i=1}^{m-1} c_i c_{m-i}, and the
+    information is R1' = -sum_{m>=1} m c_m kappa^-(m+1).
+    """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
-    r1 = _bessel_ratio_ladder(d, kappa, k_max=1)[0]
-    return 1.0 - r1 * r1 - (d - 1.0) * r1 / kappa
+    if kappa < 30.0 + 6.0 * d:
+        r1 = _bessel_ratio_ladder(d, kappa, k_max=1)[0]
+        return 1.0 - r1 * r1 - (d - 1.0) * r1 / kappa
+    coef = [1.0]
+    power = 1.0 / kappa
+    total = 0.0
+    small = 0
+    for m in range(1, 200):
+        coef.append(0.5 * ((m - d) * coef[-1]
+                           - sum(coef[i] * coef[m - i] for i in range(1, m))))
+        power /= kappa  # kappa^-(m+1), underflowing to 0 rather than raising
+        term = -m * coef[m] * power
+        total += term
+        # some c_m vanish, so one negligible term does not end the sum
+        small = small + 1 if abs(term) <= 1e-17 * abs(total) else 0
+        if small == 2:
+            break
+    return total
 
 
 def stein_asymptotic_variance_vmf(d: int, kappa: float) -> float:

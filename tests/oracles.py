@@ -6,7 +6,9 @@ the package's own evaluation routines, so agreement is evidence, not
 tautology.  The exceptions are kappa_stein_general and
 fb_statistics_generic, whose inputs are the package's test-function
 objects (their derivatives are checked by hand elsewhere); the latter
-also builds vec/vech maps with duplication_matrix.
+also builds vec/vech maps with duplication_matrix.  mle_newton_scalar
+takes the Bessel ratio as an argument: it pins the vectorised Newton
+iteration, not the ratio.
 """
 
 import math
@@ -77,6 +79,11 @@ def rank_by_row_reduction(m, tol: float = 1e-10) -> int:
                 a[r] -= a[r, col] * a[rank]
         rank += 1
     return rank
+
+
+def log_sphere_area(d: int) -> float:
+    """log of the surface area of S^{d-1}."""
+    return math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
 
 
 def random_unit_rows(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
@@ -293,8 +300,7 @@ def sin_projection(w) -> SmoothTestFunction:
 def fb_log_normalizer_mc(params, n_mc: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of log C(mu, A) by uniform importance sampling.
 
-    Returns (estimate, standard error of the estimate); the log surface
-    area of S^{d-1} is written out, not taken from the package.
+    Returns (estimate, standard error of the estimate).
     """
     if n_mc < 1000:
         raise ValueError("n_mc must be >= 1000")
@@ -306,5 +312,103 @@ def fb_log_normalizer_mc(params, n_mc: int, seed: int) -> tuple[float, float]:
     w = np.exp(h)
     mean = float(w.mean())
     se = float(w.std(ddof=1) / math.sqrt(n_mc))
-    log_area = math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d)
-    return log_area + math.log(mean), se / mean
+    return log_sphere_area(d) + math.log(mean), se / mean
+
+
+def vmf_sample_loop(params, n: int, rng,
+                    min_batch: int = 256) -> tuple[np.ndarray, int]:
+    """n vMF draws from one stream the way the sampler makes them, written
+    as a loop over the stream alone: Ulrich-Wood radial batches of
+    max(2 (n - have), min_batch) beta and uniform draws until n are
+    accepted, then normal tangent directions, then the Householder
+    rotation onto mu.  Returns the sample and the number of radial
+    batches drawn."""
+    d = params.d
+    kappa = params.kappa
+    g = rng.generator()
+
+    def unit_rows(x):
+        norms = np.linalg.norm(x, axis=1)
+        bad = norms < 1e-200
+        while np.any(bad):
+            x[bad] = g.standard_normal((int(bad.sum()), x.shape[1]))
+            norms = np.linalg.norm(x, axis=1)
+            bad = norms < 1e-200
+        return x / norms[:, None]
+
+    b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
+    x0 = (1.0 - b) / (1.0 + b)
+    c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
+    w_all = np.empty(n)
+    have = 0
+    batches = 0
+    while have < n:
+        m = max(2 * (n - have), min_batch)
+        z = g.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m)
+        u = g.random(m)
+        batches += 1
+        w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
+        keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
+        w = w[keep]
+        take = min(w.size, n - have)
+        w_all[have : have + take] = w[:take]
+        have += take
+    v = unit_rows(g.standard_normal((n, d - 1)))
+    y = np.empty((n, d))
+    y[:, 0] = w_all
+    y[:, 1:] = np.sqrt(np.maximum(0.0, 1.0 - w_all * w_all))[:, None] * v
+    u_vec = params.mu.copy()
+    u_vec[0] -= 1.0
+    vnorm2 = float(u_vec @ u_vec)
+    rot = (np.eye(d) if vnorm2 < 1e-24
+           else np.eye(d) - 2.0 * np.outer(u_vec, u_vec) / vnorm2)
+    return unit_rows(y @ rot), batches
+
+
+def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:
+    """The vMF maximum-likelihood root of ratio(d, kappa) = r for one
+    resultant length, by the bracketed Newton iteration one entry at a
+    time: rational initial guess, bracket grown by 8x until it holds the
+    root, and a bisection step whenever Newton leaves the bracket."""
+    kappa = max(r * (d - r * r) / (1.0 - r * r), 1e-8)
+    lo, hi = 1e-10, max(1e6, 4.0 * kappa)
+    while ratio(d, hi) < r:
+        hi *= 8.0
+    for it in range(1, 201):
+        value = ratio(d, kappa)
+        err = value - r
+        if abs(err) <= 1e-12:
+            return kappa, it
+        if err > 0:
+            hi = min(hi, kappa)
+        else:
+            lo = max(lo, kappa)
+        deriv = 1.0 - value * value - (d - 1.0) * value / kappa
+        nxt = kappa - err / deriv if deriv > 0 else lo
+        kappa = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    if abs(ratio(d, kappa) - r) > 1e-10:
+        raise RuntimeError("MLE root finder did not converge")
+    return kappa, 200
+
+
+def vmf_fit_loop(x, estimator: str, ratio) -> tuple[np.ndarray, float]:
+    """(mu_hat, kappa_hat) of one vMF fit of one n x d sample, written with
+    the per-sample expressions: Xbar, |Xbar| as np.linalg.norm, X'X, the
+    Stein quotient, the solve of (I - S) mu' = Xbar, the Newton root of
+    ratio(d, kappa) = |Xbar| and the score-matching quotient."""
+    n, d = x.shape
+    xbar = x.mean(axis=0)
+    r = float(np.linalg.norm(xbar))
+    mu = xbar / r
+    resid = np.eye(d) - x.T @ x / n
+    if estimator == "st":
+        num = float(mu @ resid @ xbar)
+        kappa = (d - 1.0) * num / float(mu @ resid @ resid @ mu)
+    elif estimator == "st2":
+        kappa = (d - 1.0) * float(np.linalg.norm(np.linalg.solve(resid, xbar)))
+    elif estimator == "ml":
+        kappa = mle_newton_scalar(d, r, ratio)[0]
+    else:
+        y = x @ mu
+        kappa = (d - 1.0) * float(y.mean()) / (1.0 - float((y * y).mean()))
+    return mu, kappa

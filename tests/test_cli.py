@@ -276,6 +276,18 @@ def test_simulate_rejects_empty_sample(tmp_path, capsys):
     assert err == "error: invalid config: n must be >= 1\n"
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_simulate_rejects_threads_below_one(capsys, monkeypatch, threads):
+    config = str(CONFIG_DIR / "table2_d3_k1.json")
+    assert cli.main(["simulate", "--config", config, "--reps", "5",
+                     "--threads", threads]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: threads must be >= 1\n")
+    monkeypatch.setenv("SPHERESTEIN_THREADS", threads)
+    assert cli.main(["simulate", "--config", config, "--reps", "5"]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
 def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
     def broken(x):
         raise RuntimeError("boom")
@@ -306,6 +318,21 @@ def test_asympvar(capsys):
     assert out["P"] == pytest.approx(3.8159533598900883, rel=1e-9)
     assert 1.0 / out["fisher_information"] == pytest.approx(out["inverse_fisher"])
     assert out["P"] >= out["inverse_fisher"]
+
+
+def test_asympvar_large_kappa(capsys):
+    # the Fisher information is about 1/kappa^2 here; subtracting nearly
+    # equal numbers used to break the efficiency check at 1e5 and give a
+    # negative information at 1e8
+    assert cli.main(["asympvar", "--d", "3", "--kappa", "1e5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["fisher_information"] == pytest.approx(1e-10, rel=1e-9)
+    code = cli.main(["asympvar", "--d", "3", "--kappa", "1e8"])
+    captured = capsys.readouterr()
+    if code == 0:
+        assert json.loads(captured.out)["fisher_information"] > 0.0
+    else:
+        assert code == 2 and "out of numerical range" in captured.err
 
 
 def test_asympvar_d2_note(capsys):

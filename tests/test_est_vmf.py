@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from spherestein import est_vmf, special
 from spherestein.est_fb import fb_statistics
 from spherestein.est_vmf import (
     DegenerateMean,
@@ -13,12 +14,19 @@ from spherestein.est_vmf import (
     kappa_stein2,
     mean_direction,
 )
+from spherestein.linalg import SingularSystem
 from spherestein.models import VmfParams, canonical_f1
 from spherestein.sampler import RngState, sample_vmf
 from spherestein.special import bessel_ratio
 from spherestein.vmf_moments import stein_asymptotic_variance_vmf
 
-from oracles import kappa_stein_general, random_unit_rows, ratio_d3
+from oracles import (
+    kappa_stein_general,
+    mle_newton_scalar,
+    random_unit_rows,
+    ratio_d3,
+    vmf_fit_loop,
+)
 
 E3 = np.eye(3)
 FIXTURE = np.array([E3[0], E3[0], E3[1]])
@@ -171,3 +179,118 @@ def test_empirical_variance_matches_theorem():
     empirical = n * estimates.var(ddof=1)
     expected = stein_asymptotic_variance_vmf(d, kappa)
     assert empirical == pytest.approx(expected, rel=0.25)
+
+
+# stacks: one call fits b samples --------------------------------------------
+
+FITTERS = (kappa_stein, kappa_stein2, kappa_mle, kappa_score_matching)
+
+
+def _vmf_stack(d, kappa, n, b, seed):
+    mu = np.ones(d) / math.sqrt(d)
+    streams = [RngState(seed, stream=k) for k in range(b)]
+    return sample_vmf(VmfParams(mu, kappa), n, streams)
+
+
+@pytest.mark.parametrize("code, fit_fn", zip(("st", "st2", "ml", "sm"), FITTERS))
+@pytest.mark.parametrize("d, kappa, n", [(2, 0.5, 5), (3, 1.0, 100),
+                                         (10, 10.0, 40), (3, 50.0, 7),
+                                         (20, 5.0, 60)])
+def test_stacked_fit_equals_single_fits_bitwise(code, fit_fn, d, kappa, n):
+    stack = _vmf_stack(d, kappa, n, 16, seed=40 + d)
+    fit = fit_fn(stack)
+    assert fit.mu_hat.shape == (16, d) and fit.kappa_hat.shape == (16,)
+    assert not fit.ne.any()
+    np.testing.assert_array_equal(mean_direction(stack), fit.mu_hat)
+    for k, x in enumerate(stack):
+        mu_loop, kappa_loop = vmf_fit_loop(x, code, bessel_ratio)
+        assert fit.kappa_hat[k] == kappa_loop
+        np.testing.assert_array_equal(fit.mu_hat[k], mu_loop)
+        one = fit_fn(x)
+        assert one.ne is None
+        assert isinstance(one.kappa_hat, float)
+        assert one.kappa_hat == fit.kappa_hat[k]
+        np.testing.assert_array_equal(one.mu_hat, fit.mu_hat[k])
+        assert one.diagnostics.keys() == fit.diagnostics.keys()
+        for key, value in one.diagnostics.items():
+            assert type(value) in (float, int)
+            assert value == fit.diagnostics[key][k]
+
+
+def test_stein2_flags_singular_slices_of_a_stack():
+    # all rows on the line through e1: S = e1 e1', so I - S is singular
+    line = np.array([E3[0], E3[0], -E3[0], E3[0]])
+    stack = _vmf_stack(3, 2.0, 4, 5, seed=41)
+    stack[[1, 3]] = line
+    fit = kappa_stein2(stack)
+    np.testing.assert_array_equal(fit.ne, [False, True, False, True, False])
+    assert np.isnan(fit.kappa_hat[[1, 3]]).all()
+    for k in (0, 2, 4):
+        assert kappa_stein2(stack[k]).kappa_hat == fit.kappa_hat[k]
+    with pytest.raises(SingularSystem):
+        kappa_stein2(line)
+
+
+def test_stack_input_validation():
+    with pytest.raises(ValueError):
+        kappa_stein(np.zeros((0, 5, 3)))
+    with pytest.raises(ValueError):
+        kappa_stein(np.ones((2, 5, 1)))
+    stack = _vmf_stack(3, 2.0, 4, 3, seed=42)
+    stack[2] = np.array([E3[0], -E3[0], E3[1], -E3[1]])
+    # one degenerate slice fails the whole stack, as it fails on its own
+    for fit_fn in FITTERS:
+        with pytest.raises(DegenerateMean):
+            fit_fn(stack)
+
+
+def _resultant_grid():
+    return np.concatenate([
+        [1e-12, 1e-10, 1e-8, 1e-6],
+        np.linspace(0.01, 0.99, 25),
+        1.0 - np.logspace(-3, -15, 13),
+        [np.nextafter(1.0, 0.0)],
+    ])
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 100])
+def test_vectorised_mle_equals_scalar_newton_bitwise(d, monkeypatch):
+    # at d = 100 and small r, ive underflows and the ratio of small
+    # kappas comes from the power series
+    series_calls = []
+    log_series = special._log_series_i
+
+    def counting(nu, x):
+        series_calls.append(x)
+        return log_series(nu, x)
+
+    monkeypatch.setattr(special, "_log_series_i", counting)
+    r = _resultant_grid()
+    kappa, iterations = est_vmf._mle_from_resultant(d, r.copy())
+    for k, rk in enumerate(r):
+        expected, its = mle_newton_scalar(d, float(rk), special.bessel_ratio)
+        assert kappa[k] == expected
+        assert iterations[k] == its
+    assert any(x < 1e-3 for x in series_calls) == (d == 100)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_vectorised_mle_bracket_expansion_equals_scalar(d, monkeypatch):
+    # With the true ratio the rational initial guess keeps the root inside
+    # the first bracket [1e-10, max(1e6, 4 kappa0)] on every r above, so
+    # the link is stretched beyond kappa = 1e6 to make the bracket grow.
+    true_ratio = special.bessel_ratio
+
+    def stretched(d, kappa):
+        k = np.asarray(kappa)
+        return true_ratio(d, np.where(k < 1e6, k, k / 64.0)[()])
+
+    monkeypatch.setattr(special, "bessel_ratio", stretched)
+    r = 1.0 - np.array([1e-6, 2e-6, 4e-6, 8e-6]) * (d - 1)
+    kappa, iterations = est_vmf._mle_from_resultant(d, r.copy())
+    for k, rk in enumerate(r):
+        kappa0 = rk * (d - rk * rk) / (1.0 - rk * rk)
+        assert stretched(d, max(1e6, 4.0 * kappa0)) < rk  # the bracket grows
+        expected, its = mle_newton_scalar(d, float(rk), stretched)
+        assert kappa[k] == expected
+        assert iterations[k] == its

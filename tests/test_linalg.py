@@ -10,6 +10,7 @@ from spherestein.linalg import (
     lower_pairs,
     rotation_to_e1,
     solve_linear,
+    solve_stack,
     spectral_norm,
     sym_eigen,
     unvech_prime,
@@ -202,6 +203,23 @@ def test_solve_linear_singular():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.raises(SingularSystem):
         solve_linear(singular, np.ones(2), name="test system")
+
+
+def test_solve_stack_slices_equal_single_solves_bitwise():
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((6, 4, 4)) + 4.0 * np.eye(4)
+    a[2] = [[1.0, 2.0, 0, 0], [2.0, 4.0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for b in (rng.standard_normal((6, 4)), rng.standard_normal((6, 4, 3))):
+        x, cond, singular = solve_stack(a, b)
+        np.testing.assert_array_equal(singular, [k == 2 for k in range(6)])
+        assert np.isnan(x[2]).all()
+        for k in (0, 1, 3, 4, 5):
+            xk, condk = solve_linear(a[k], b[k])
+            np.testing.assert_array_equal(x[k], xk)
+            assert cond[k] == condk
+            # the one-system case is numpy's own solve of that system
+            np.testing.assert_array_equal(xk, np.linalg.solve(a[k], b[k]))
+            assert condk == float(np.linalg.cond(a[k], 1))
 
 
 def test_lower_pairs_order():

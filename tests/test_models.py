@@ -11,7 +11,6 @@ from spherestein.models import (
     WatsonParams,
     canonical_f1,
     canonical_f2,
-    log_sphere_area,
     log_unnormalized_density,
     params_from_dict,
     params_to_dict,
@@ -25,6 +24,7 @@ from oracles import (
     bessel_i_half,
     fb_log_normalizer_mc,
     grad_f2_by_hand_d3,
+    log_sphere_area,
     random_unit_rows,
     sin_projection,
     stein_mean_reference,

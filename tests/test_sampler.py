@@ -21,7 +21,7 @@ from spherestein.sampler import (
 )
 from spherestein.special import bessel_ratio, kummer_ratio
 
-from oracles import fb_uniform_rejection
+from oracles import fb_uniform_rejection, vmf_sample_loop
 
 E3 = np.eye(3)
 
@@ -258,3 +258,25 @@ def test_envelope_cache_is_bounded():
     info = sampler._envelope.cache_info()
     assert info.maxsize == size
     assert info.currsize == size
+
+
+@pytest.mark.parametrize("min_batch", [1, 256])
+def test_vmf_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
+    # with min_batch = 1 a first radial batch of 2n proposals often falls
+    # short, so some streams draw a second batch mid-stack
+    monkeypatch.setattr(sampler, "_MIN_BATCH", min_batch)
+    short = 0
+    # n = 1 at d >= 5 and n = 257 at d = 20 are sizes where one matmul over
+    # all rows of the stack would round differently from one per slice
+    for d, kappa, n in ((2, 50.0, 2), (3, 1.0, 5), (3, 10.0, 100), (10, 4.0, 7),
+                        (5, 3.0, 1), (20, 5.0, 257)):
+        params = VmfParams(np.ones(d) / math.sqrt(d), kappa)
+        streams = [RngState(21, stream=k) for k in range(40)]
+        stack = sample_vmf(params, n, streams)
+        assert stack.shape == (40, n, d)
+        for k, rng in enumerate(streams):
+            expected, batches = vmf_sample_loop(params, n, rng, min_batch)
+            short += batches > 1
+            np.testing.assert_array_equal(stack[k], expected)
+            np.testing.assert_array_equal(sample_vmf(params, n, rng), expected)
+    assert (short > 0) == (min_batch == 1)

@@ -94,11 +94,26 @@ def test_bessel_ratio_monotone_and_bounded():
     assert bessel_ratio(10, 50.0) > bessel_ratio(10, 10.0)
 
 
+def test_bessel_ratio_array_equals_scalar_calls_bitwise():
+    # the small kappas at d = 100 take the power-series branch
+    for d in (2, 3, 10, 100):
+        kappa = np.concatenate([np.logspace(-12, 4, 33), [0.5, 7.0]])
+        values = bessel_ratio(d, kappa)
+        assert values.shape == kappa.shape
+        for k, v in zip(kappa, values):
+            assert bessel_ratio(d, float(k)) == v
+    grid = np.array([[0.5, 1.0], [2.0, 4.0]])
+    assert bessel_ratio(3, grid).shape == (2, 2)
+    assert isinstance(bessel_ratio(3, 2.0), float)
+
+
 def test_bessel_ratio_domain():
     with pytest.raises(ValueError):
         bessel_ratio(3, 0.0)
     with pytest.raises(ValueError):
         bessel_ratio(3, -1.0)
+    with pytest.raises(ValueError):
+        bessel_ratio(3, np.array([1.0, 0.0]))
 
 
 def test_bessel_recurrence():

@@ -103,6 +103,21 @@ def test_fisher_information_small_kappa_limit():
     assert fisher_information_vmf(10, 1e-3) == pytest.approx(0.1, abs=1e-5)
 
 
+@pytest.mark.parametrize("d", [2, 3, 10, 50])
+def test_fisher_information_matches_mpmath(d):
+    # 1 - R1^2 - (d-1) R1 / kappa at 40 digits; in double precision the
+    # difference cancels as kappa grows (it is about (d-1) / (2 kappa^2))
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    nu = mpmath.mpf(d) / 2 - 1
+    for kappa in np.logspace(-3, 8, 67):
+        k = mpmath.mpf(float(kappa))
+        ratio = mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
+        expected = 1 - ratio * ratio - (d - 1) * ratio / k
+        got = fisher_information_vmf(d, float(kappa))
+        assert abs(got - expected) <= 1e-8 * expected, (d, kappa)
+
+
 def test_asymptotic_variance_d3_k1():
     # plug the half-integer closed forms into the displayed formula
     i_low, i_high = bessel_i_half(1.0), bessel_i_three_halves(1.0)
