@@ -24,26 +24,15 @@ from .est_watson import (
     watson_mla_bounds,
     watson_mla_fit,
     watson_mle_kappa,
+    watson_statistics,
     watson_stein_fit,
     watson_stein_kappa,
 )
-from .harness import SimConfig, SimResult, compare_estimators, run_simulation
+from .harness import SimConfig, SimResult, run_simulation
 from .linalg import SingularSystem
-from .models import (
-    FisherBinghamParams,
-    SmoothTestFunction,
-    VmfParams,
-    WatsonParams,
-    stein_operator_apply,
-)
+from .models import FisherBinghamParams, VmfParams, WatsonParams
 from .sampler import RngState, sample_fb, sample_uniform, sample_vmf, sample_watson
-# the vmf_moments *function* stays on its submodule to avoid shadowing it
-from .vmf_moments import (
-    VmfMomentSet,
-    delta_method_variance_vmf,
-    fisher_information_vmf,
-    stein_asymptotic_variance_vmf,
-)
+from .vmf_moments import fisher_information_vmf, stein_asymptotic_variance_vmf
 
 __version__ = "0.1.0"
 
@@ -56,14 +45,10 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SingularSystem",
-    "SmoothTestFunction",
     "VmfEstimate",
-    "VmfMomentSet",
     "VmfParams",
     "WatsonEstimate",
     "WatsonParams",
-    "compare_estimators",
-    "delta_method_variance_vmf",
     "fb_stein_fit",
     "fb_stein_residual",
     "fb_statistics",
@@ -79,11 +64,11 @@ __all__ = [
     "sample_vmf",
     "sample_watson",
     "stein_asymptotic_variance_vmf",
-    "stein_operator_apply",
     "watson_axis",
     "watson_mla_bounds",
     "watson_mla_fit",
     "watson_mle_kappa",
+    "watson_statistics",
     "watson_stein_fit",
     "watson_stein_kappa",
 ]

@@ -9,7 +9,9 @@ Subcommands
 
 Exit codes: 0 success (including a Watson NE outcome, reported as
 {"status": "NE"}), 2 invalid input or schema violation, 3 sampler failure
-or (simulate) an estimator failing hard, 4 singular estimating equations.
+or an estimator failing hard (an overflow or a root finder that does not
+converge in fit, any failure beyond the booked outcomes in simulate),
+4 singular estimating equations.
 """
 
 from __future__ import annotations
@@ -116,6 +118,8 @@ def cmd_fit(args) -> int:
         return _fail(f"singular system: {exc}", 4)
     except (est_vmf.DegenerateMean, ValueError) as exc:
         return _fail(f"estimation failed: {exc}", 2)
+    except (OverflowError, RuntimeError) as exc:
+        return _fail(f"estimator failed: {exc}", 3)
 
     report.update(FAMILIES[family].report(fit))
     report["warnings"] = warnings + getattr(fit, "warnings", [])

@@ -155,9 +155,9 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inside = (lo_t < nxt) & (nxt < hi_t)
         kappa[todo] = np.where(inside, nxt, 0.5 * (lo_t + hi_t))
         lo[todo], hi[todo] = lo_t, hi_t
-    if todo.size and np.any(
-        np.abs(special.bessel_ratio(d, kappa[todo]) - r[todo]) > 1e-10
-    ):
+    if todo.size and not np.all(
+        np.abs(special.bessel_ratio(d, kappa[todo]) - r[todo]) <= 1e-10
+    ):  # written so that a NaN ratio fails it
         raise RuntimeError("MLE root finder did not converge")
     return kappa, iterations
 

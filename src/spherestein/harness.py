@@ -246,57 +246,3 @@ def run_simulation(config: SimConfig) -> SimResult:
         walltime=time.perf_counter() - start,
         label=config.label,
     )
-
-
-@dataclass
-class ComparisonRow:
-    label: str
-    block: str
-    cells: dict[str, Cell]
-    best_bias: str | None
-    best_mse: str
-
-
-def compare_estimators(configs: list[SimConfig]) -> list[ComparisonRow]:
-    """Run each config and flag the best |bias| and best MSE per row.
-
-    Estimators within a row share replication datasets, so the flags are
-    paired comparisons.
-    """
-    rows = []
-    for config in configs:
-        if len(config.estimators) < 2:
-            raise ValueError("comparison needs at least two estimators")
-        result = run_simulation(config)
-        blocks = sorted({b for est in result.cells for b in result.cells[est]})
-        for block in blocks:
-            cells = {est: result.cells[est][block] for est in result.cells}
-            with_bias = {e: c for e, c in cells.items() if c.bias is not None}
-            best_bias = (
-                min(with_bias, key=lambda e: abs(with_bias[e].bias))
-                if with_bias else None
-            )
-            best_mse = min(cells, key=lambda e: cells[e].mse)
-            rows.append(ComparisonRow(
-                label=result.label or f"{result.family} n={result.n}",
-                block=block, cells=cells,
-                best_bias=best_bias, best_mse=best_mse,
-            ))
-    return rows
-
-
-def comparison_table(rows: list[ComparisonRow]) -> str:
-    lines = []
-    for row in rows:
-        parts = [f"{row.label} [{row.block}]"]
-        for est in sorted(row.cells):
-            cell = row.cells[est]
-            bias = f"{cell.bias:.4g}" if cell.bias is not None else "-"
-            mark_b = "*" if est == row.best_bias else " "
-            mark_m = "*" if est == row.best_mse else " "
-            parts.append(
-                f"{est}: bias={bias}{mark_b} mse={cell.mse:.4g}{mark_m} "
-                f"ne={cell.ne:.3g}"
-            )
-        lines.append("  ".join(parts))
-    return "\n".join(lines)

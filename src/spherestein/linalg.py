@@ -1,8 +1,7 @@
 """Dense linear-algebra helpers shared by the estimators.
 
-Vectorization maps (vec/vech and the duplication and commutation matrices
-relating them), small symmetric eigendecompositions with a deterministic
-sign convention, Householder rotations onto the first axis, and a
+Half-vectorization (vech) and its index arrays, small symmetric
+eigendecompositions with a deterministic sign convention, Householder rotations onto the first axis, and a
 condition-checked linear solve.  Everything operates on small dense
 matrices; dimensions beyond a few hundred are out of scope.
 """
@@ -31,21 +30,16 @@ class SingularSystem(Exception):
         )
 
 
-def lower_pairs(d: int) -> list[tuple[int, int]]:
-    """Index pairs (i, j) with i >= j in column-stacked lower-triangle order.
-
-    This is the ordering behind vech: (0,0), (1,0), ..., (d-1,0), (1,1),
-    (2,1), ..., (d-1,d-1).
-    """
-    return [(i, j) for j in range(d) for i in range(j, d)]
-
-
 @functools.lru_cache(maxsize=64)
 def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """lower_pairs(d) as read-only (rows, cols) index arrays."""
-    index = np.array(lower_pairs(d), dtype=np.intp).reshape(-1, 2).T
-    index.flags.writeable = False
-    return index[0], index[1]
+    """Read-only (rows, cols) index arrays of the pairs i >= j in
+    column-stacked lower-triangle order, the ordering behind vech:
+    (0,0), (1,0), ..., (d-1,0), (1,1), (2,1), ..., (d-1,d-1).
+    """
+    cols, rows = np.triu_indices(d)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def _check_square(m) -> np.ndarray:
@@ -60,15 +54,6 @@ def _check_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
     if m.size and np.max(np.abs(m - m.T)) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
     return m
-
-
-def vec(m) -> np.ndarray:
-    """Column-stacking vectorization: columns top-to-bottom, left first."""
-    return np.asarray(m, dtype=float).flatten(order="F")
-
-
-def unvec(v, rows: int, cols: int) -> np.ndarray:
-    return np.asarray(v, dtype=float).reshape((rows, cols), order="F")
 
 
 def vech(s) -> np.ndarray:
@@ -93,34 +78,6 @@ def unvech_prime(v, d: int) -> np.ndarray:
     s[rows, cols] = v
     s[cols, rows] = v
     return s
-
-
-def duplication_matrix(d: int) -> np.ndarray:
-    """The 0/1 matrix D with D @ vech(S) = vec(S) for every symmetric S."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    q = d * (d + 1) // 2
-    dup = np.zeros((d * d, q))
-    for k, (i, j) in enumerate(lower_pairs(d)):
-        dup[j * d + i, k] = 1.0
-        dup[i * d + j, k] = 1.0
-    return dup
-
-
-def commutation_matrix(d: int) -> np.ndarray:
-    """The permutation K with K @ vec(M) = vec(M.T); K is an involution."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    k = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            k[i * d + j, j * d + i] = 1.0
-    return k
-
-
-def kron(a, b) -> np.ndarray:
-    """Standard Kronecker product, block (i, j) equal to a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
 @dataclass

@@ -1,13 +1,17 @@
-"""Modified Bessel I and Kummer confluent hypergeometric evaluations.
+"""The Bessel-I ratio and Kummer confluent hypergeometric evaluations.
 
-Domain-checked wrappers around scipy.special plus the log-scaled and ratio
-variants the estimators need to stay stable for concentrated distributions
-(large arguments) and moderately high orders.  Ratios are formed from
-exponentially scaled values so no intermediate overflows.
+Domain-checked wrappers around scipy.special in the forms the estimators
+need: the ratio R1 = I_{d/2}/I_{d/2-1}, stable for concentrated
+distributions (large arguments) and moderately high orders, and Kummer's
+1F1 with its logarithmic derivative.  R1 is formed from exponentially
+scaled values so no intermediate overflows; where those underflow it is
+summed from the ascending series, and where they fail at very large
+arguments, from the large-kappa expansion.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,20 +20,6 @@ from scipy import special as _sp
 # below this, scipy's scaled Bessel value is too close to the subnormal
 # range to divide through safely; switch to the power series
 _IVE_FLOOR = 1e-290
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, I_nu(x), nu >= 0, x >= 0."""
-    if nu < 0:
-        raise ValueError("order nu must be >= 0")
-    if x < 0:
-        raise ValueError("argument x must be >= 0")
-    if x == 0.0:
-        return 1.0 if nu == 0 else 0.0
-    val = float(_sp.iv(nu, x))
-    if not math.isfinite(val):
-        raise OverflowError("I_nu(x) overflowed; use log_bessel_i")
-    return val
 
 
 def _log_series_i(nu: float, x: float) -> float:
@@ -46,20 +36,35 @@ def _log_series_i(nu: float, x: float) -> float:
     return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + math.log1p(tail)
 
 
-def log_bessel_i(nu: float, x: float) -> float:
-    """log I_nu(x), computed without overflow for large x."""
-    if nu < 0:
-        raise ValueError("order nu must be >= 0")
-    if x < 0:
-        raise ValueError("argument x must be >= 0")
-    if x == 0.0:
-        if nu == 0:
-            return 0.0
-        return -math.inf
-    scaled = float(_sp.ive(nu, x))
-    if scaled > _IVE_FLOOR:
-        return math.log(scaled) + x
-    return _log_series_i(nu, x)
+def ratio_series_coefficients(d: int):
+    """Yield c_1, c_2, ... of the large-kappa expansion
+    I_{d/2}(kappa) / I_{d/2-1}(kappa) ~ sum_m c_m kappa^-m, c_0 = 1.
+
+    The ratio R1 solves the Riccati equation
+    R1' = 1 - R1^2 - (d-1) R1 / kappa, which gives
+    2 c_m = (m - d) c_{m-1} - sum_{i=1}^{m-1} c_i c_{m-i}.
+    """
+    coef = [1.0]
+    for m in itertools.count(1):
+        coef.append(0.5 * ((m - d) * coef[-1]
+                           - sum(coef[i] * coef[m - i] for i in range(1, m))))
+        yield coef[m]
+
+
+def _large_kappa_ratio(d: int, kappa: float) -> float:
+    # the expansion summed until two terms in a row are negligible (some
+    # c_m vanish); NaN if it has not settled within 200 terms
+    power = 1.0
+    tail = 0.0
+    small = 0
+    for c in itertools.islice(ratio_series_coefficients(d), 200):
+        power /= kappa
+        term = c * power
+        tail += term
+        small = small + 1 if abs(term) <= 1e-17 * (1.0 + abs(tail)) else 0
+        if small == 2:
+            return 1.0 + tail
+    return math.nan
 
 
 def bessel_ratio(d: int, kappa):
@@ -77,10 +82,13 @@ def bessel_ratio(d: int, kappa):
     num = _sp.ive(nu + 1.0, k)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / den
-    series = ~((den > _IVE_FLOOR) & (num > 0.0))
+    large = ~(np.isfinite(den) & np.isfinite(num))  # ive fails near 2e9
+    series = ~large & ~((den > _IVE_FLOOR) & (num > 0.0))
     for i in np.flatnonzero(series):
         ratio[i] = math.exp(_log_series_i(nu + 1.0, float(k[i]))
                             - _log_series_i(nu, float(k[i])))
+    for i in np.flatnonzero(large):
+        ratio[i] = _large_kappa_ratio(d, float(k[i]))
     return float(ratio[0]) if np.ndim(kappa) == 0 else ratio.reshape(np.shape(kappa))
 
 

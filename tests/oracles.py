@@ -1,23 +1,36 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here is deliberately primitive: plain power series, explicit
-loops over matrix entries, textbook closed forms.  These paths never call
-the package's own evaluation routines, so agreement is evidence, not
-tautology.  The exceptions are kappa_stein_general and
-fb_statistics_generic, whose inputs are the package's test-function
-objects (their derivatives are checked by hand elsewhere); the latter
-also builds vec/vech maps with duplication_matrix.  mle_newton_scalar
-takes the Bessel ratio as an argument: it pins the vectorised Newton
-iteration, not the ratio.
+loops over matrix entries, textbook closed forms.  This is also where the
+reference code lives that the package itself never runs: the generic
+spherical Stein operator with its test-function objects, the exact
+densities, the vec/duplication/commutation machinery, and the closed-form
+vMF moment blocks with their delta-method assembly of the asymptotic
+variance.  These paths never call the package's own evaluation routines,
+so agreement is evidence, not tautology.  The exceptions:
+
+* vmf_moments and delta_method_variance_vmf rotate their e1-frame blocks
+  with linalg.rotation_to_e1;
+* watson_log_density takes its normaliser from
+  models.watson_log_normalizer (and so from special.kummer_1f1);
+* fb_statistics_generic returns the package's FbSteinStatistics record
+  (a plain container; no package code computes its entries);
+* mle_newton_scalar takes the Bessel ratio as an argument: it pins the
+  vectorised Newton iteration, not the ratio.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy import special as _sp
 
 from spherestein.est_fb import FbSteinStatistics
-from spherestein.linalg import duplication_matrix
-from spherestein.models import SmoothTestFunction, canonical_f1, canonical_f2
+from spherestein.linalg import rotation_to_e1
+from spherestein.models import watson_log_normalizer
+
+_UNIT_TOL = 1e-8
 
 
 def series_bessel_i(nu: float, x: float, tol: float = 1e-17) -> float:
@@ -59,6 +72,50 @@ def bessel_i_three_halves(x: float) -> float:
 def ratio_d3(kappa: float) -> float:
     """I_{3/2}/I_{1/2} = coth(kappa) - 1/kappa."""
     return 1.0 / math.tanh(kappa) - 1.0 / kappa
+
+
+def _log_series_bessel_i(nu: float, x: float) -> float:
+    # log of the ascending series; accurate whenever x**2/4 << nu + 1,
+    # which is exactly the regime where ive underflows
+    t = 0.25 * x * x
+    tail = 0.0
+    term = 1.0
+    for k in range(1, 60):
+        term *= t / (k * (nu + k))
+        tail += term
+        if term < 1e-18 * (1.0 + tail):
+            break
+    return nu * math.log(0.5 * x) - math.lgamma(nu + 1.0) + math.log1p(tail)
+
+
+def bessel_i(nu: float, x: float) -> float:
+    """Modified Bessel function of the first kind, I_nu(x), nu >= 0, x >= 0."""
+    if nu < 0:
+        raise ValueError("order nu must be >= 0")
+    if x < 0:
+        raise ValueError("argument x must be >= 0")
+    if x == 0.0:
+        return 1.0 if nu == 0 else 0.0
+    val = float(_sp.iv(nu, x))
+    if not math.isfinite(val):
+        raise OverflowError("I_nu(x) overflowed; use log_bessel_i")
+    return val
+
+
+def log_bessel_i(nu: float, x: float) -> float:
+    """log I_nu(x), computed without overflow for large x."""
+    if nu < 0:
+        raise ValueError("order nu must be >= 0")
+    if x < 0:
+        raise ValueError("argument x must be >= 0")
+    if x == 0.0:
+        if nu == 0:
+            return 0.0
+        return -math.inf
+    scaled = float(_sp.ive(nu, x))
+    if scaled > 1e-290:
+        return math.log(scaled) + x
+    return _log_series_bessel_i(nu, x)
 
 
 def rank_by_row_reduction(m, tol: float = 1e-10) -> int:
@@ -120,6 +177,150 @@ def grad_f2_by_hand_d3(x) -> np.ndarray:
     ])
 
 
+# the spherical Stein operator and the exact densities ------------------------
+#
+# For a smooth test function f with Jacobian J, row-stacked vectorized
+# Hessians H and componentwise Laplacian L, the operator at a sphere point
+# x is
+#
+#     A f(x) = (1 - d) J x  -  H (x (x) x)  +  L  +  J (I - x x') score(x),
+#
+# and E[A f(X)] = 0 whenever X follows the density whose score is used.
+# The scores are hard-coded per family, so no normalising constant enters.
+
+
+def check_unit_point(x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if abs(np.linalg.norm(x) - 1.0) > _UNIT_TOL:
+        raise ValueError("x must lie on the unit sphere")
+    return x
+
+
+def score(params, x: np.ndarray) -> np.ndarray:
+    """Gradient of the log (unnormalized) density at x, as a vector."""
+    if params.family == "fb":
+        return params.mu + 2.0 * (params.A @ x)
+    if params.family == "vmf":
+        return params.kappa * params.mu
+    return 2.0 * params.kappa * float(params.mu @ x) * params.mu
+
+
+def log_unnormalized_density(params, x) -> float:
+    """The exponent of the density: mu'x + x'Ax, kappa mu'x, or kappa (mu'x)^2."""
+    x = check_unit_point(x)
+    if params.family == "fb":
+        return float(params.mu @ x + x @ params.A @ x)
+    if params.family == "vmf":
+        return float(params.kappa * (params.mu @ x))
+    return float(params.kappa * (params.mu @ x) ** 2)
+
+
+def vmf_log_normalizer(d: int, kappa: float) -> float:
+    """log of the vMF density prefactor kappa^{d/2-1} / ((2 pi)^{d/2} I_{d/2-1})."""
+    return (
+        (0.5 * d - 1.0) * math.log(kappa)
+        - 0.5 * d * math.log(2.0 * math.pi)
+        - log_bessel_i(0.5 * d - 1.0, kappa)
+    )
+
+
+def vmf_log_density(params, x) -> float:
+    """Exact vMF log density with respect to the surface measure."""
+    x = check_unit_point(x)
+    return vmf_log_normalizer(params.d, params.kappa) + params.kappa * float(
+        params.mu @ x
+    )
+
+
+def watson_log_density(params, x) -> float:
+    """Exact Watson log density with respect to the surface measure."""
+    x = check_unit_point(x)
+    return watson_log_normalizer(params.d, params.kappa) + params.kappa * float(
+        params.mu @ x
+    ) ** 2
+
+
+@dataclass
+class SmoothTestFunction:
+    """A smooth map f: S^{d-1} -> R^m with analytic derivatives.
+
+    jacobian(x) is the m x d Jacobian; hessian_rows(x) is m x d^2 with row
+    i the column-stacked vectorized Hessian of component i; laplacian(x)
+    collects the componentwise Laplacians.
+    """
+
+    m: int
+    value: Callable[[np.ndarray], np.ndarray]
+    jacobian: Callable[[np.ndarray], np.ndarray]
+    hessian_rows: Callable[[np.ndarray], np.ndarray]
+    laplacian: Callable[[np.ndarray], np.ndarray]
+
+
+def canonical_f1(d: int) -> SmoothTestFunction:
+    """The identity test function f(x) = x."""
+    eye = np.eye(d)
+    zeros_h = np.zeros((d, d * d))
+    zeros_l = np.zeros(d)
+    return SmoothTestFunction(
+        m=d,
+        value=lambda x: np.asarray(x, dtype=float).copy(),
+        jacobian=lambda x: eye,
+        hessian_rows=lambda x: zeros_h,
+        laplacian=lambda x: zeros_l,
+    )
+
+
+def canonical_f2(d: int) -> SmoothTestFunction:
+    """The quadratic test function f(x) = vech'(x x')."""
+    pairs = lower_pairs(d)[:-1]
+    m = len(pairs)
+
+    hess = np.zeros((m, d * d))
+    lap = np.zeros(m)
+    for k, (i, j) in enumerate(pairs):
+        e = np.zeros((d, d))
+        e[i, j] += 1.0
+        e[j, i] += 1.0
+        hess[k] = e.flatten(order="F")
+        if i == j:
+            lap[k] = 2.0
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.array([x[i] * x[j] for i, j in pairs])
+
+    def jacobian(x):
+        x = np.asarray(x, dtype=float)
+        jac = np.zeros((m, d))
+        for k, (i, j) in enumerate(pairs):
+            jac[k, i] += x[j]
+            jac[k, j] += x[i]
+        return jac
+
+    return SmoothTestFunction(
+        m=m,
+        value=value,
+        jacobian=jacobian,
+        hessian_rows=lambda x: hess,
+        laplacian=lambda x: lap,
+    )
+
+
+def stein_operator_apply(params, f: SmoothTestFunction, x) -> np.ndarray:
+    """Componentwise value of the spherical Stein operator at x."""
+    x = check_unit_point(x)
+    d = x.size
+    jac = f.jacobian(x)
+    s = score(params, x)
+    s_proj = s - x * float(x @ s)
+    return (
+        (1.0 - d) * (jac @ x)
+        - f.hessian_rows(x) @ np.kron(x, x)
+        + f.laplacian(x)
+        + jac @ s_proj
+    )
+
+
 def stein_mean_reference(score_fn, f, x) -> np.ndarray:
     """Mean of the spherical Stein operator over sample rows, computed from
     first principles (per-point loop, explicit matrices)."""
@@ -139,9 +340,42 @@ def stein_mean_reference(score_fn, f, x) -> np.ndarray:
     return total / n
 
 
-def _lower_pairs(d: int) -> list[tuple[int, int]]:
+def lower_pairs(d: int) -> list[tuple[int, int]]:
     # column-stacked lower triangle: (0,0), (1,0), ..., (d-1,0), (1,1), ...
     return [(i, j) for j in range(d) for i in range(j, d)]
+
+
+def vec(m) -> np.ndarray:
+    """Column-stacking vectorization: columns top-to-bottom, left first."""
+    return np.asarray(m, dtype=float).flatten(order="F")
+
+
+def kron(a, b) -> np.ndarray:
+    """Standard Kronecker product, block (i, j) equal to a[i, j] * b."""
+    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+
+
+def duplication_matrix(d: int) -> np.ndarray:
+    """The 0/1 matrix D with D @ vech(S) = vec(S) for every symmetric S."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    q = d * (d + 1) // 2
+    dup = np.zeros((d * d, q))
+    for k, (i, j) in enumerate(lower_pairs(d)):
+        dup[j * d + i, k] = 1.0
+        dup[i * d + j, k] = 1.0
+    return dup
+
+
+def commutation_matrix(d: int) -> np.ndarray:
+    """The permutation K with K @ vec(M) = vec(M.T); K is an involution."""
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    k = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            k[i * d + j, j * d + i] = 1.0
+    return k
 
 
 def j_statistic_loop(x, mu) -> np.ndarray:
@@ -154,7 +388,7 @@ def j_statistic_loop(x, mu) -> np.ndarray:
     q2 = (x.T * (t * t)) @ x / n
     return np.array([
         2.0 * (mu[i] * p[j] + mu[j] * p[i] - 2.0 * q2[i, j])
-        for i, j in _lower_pairs(d)[:-1]
+        for i, j in lower_pairs(d)[:-1]
     ])
 
 
@@ -163,7 +397,7 @@ def fb_blocks_loop(x) -> dict:
     equations, assembled entry by entry (untrimmed M and G columns are
     built, then the last one dropped)."""
     n, d = x.shape
-    pairs = _lower_pairs(d)
+    pairs = lower_pairs(d)
     q = len(pairs)
     xbar = x.mean(axis=0)
     scatter = x.T @ x / n
@@ -386,7 +620,7 @@ def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:
         deriv = 1.0 - value * value - (d - 1.0) * value / kappa
         nxt = kappa - err / deriv if deriv > 0 else lo
         kappa = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    if abs(ratio(d, kappa) - r) > 1e-10:
+    if not abs(ratio(d, kappa) - r) <= 1e-10:
         raise RuntimeError("MLE root finder did not converge")
     return kappa, 200
 
@@ -412,3 +646,103 @@ def vmf_fit_loop(x, estimator: str, ratio) -> tuple[np.ndarray, float]:
         y = x @ mu
         kappa = (d - 1.0) * float(y.mean()) / (1.0 - float((y * y).mean()))
     return mu, kappa
+
+
+# closed-form vMF moments and the delta-method variance -----------------------
+
+
+@dataclass
+class VmfMomentSet:
+    """First, second and fourth moment blocks of X ~ vMF(mu, kappa).
+
+    cross_cov is Cov[X, vec(XX')], a d x d^2 block.
+    """
+
+    mean: np.ndarray
+    second_moment: np.ndarray
+    var_x: np.ndarray
+    var_vec_xxt: np.ndarray
+    cross_cov: np.ndarray
+
+
+def bessel_ratio_ladder(d: int, kappa: float, k_max: int = 4) -> list[float]:
+    """R_k = I_{d/2-1+k}(kappa) / I_{d/2-1}(kappa) for k = 1..k_max."""
+    nu = 0.5 * d - 1.0
+    base = float(_sp.ive(nu, kappa))
+    if base <= 0:
+        raise ValueError("Bessel evaluation underflowed; kappa too small here")
+    return [float(_sp.ive(nu + k, kappa)) / base for k in range(1, k_max + 1)]
+
+
+def vmf_moments(params) -> VmfMomentSet:
+    """All moment blocks of the Appendix formulas, exact in the Bessel
+    ratios R_1..R_4.  The blocks are assembled at mu = e1 and conjugated
+    by a rotation for general directions."""
+    d, kappa = params.d, params.kappa
+    r1, r2, r3, r4 = bessel_ratio_ladder(d, kappa)
+
+    eye = np.eye(d)
+    e1 = eye[:, 0]
+    pmat = np.outer(e1, e1)
+    vec_i = vec(eye)
+    vec_p = vec(pmat)
+    kmat = commutation_matrix(d)
+
+    mean = r1 * e1
+    second = (r1 / kappa) * eye + r2 * pmat
+
+    sym_cross = (
+        np.outer(vec_i, vec_p)
+        + np.outer(vec_p, vec_i)
+        + kron(pmat, eye)
+        + kron(eye, pmat)
+        + kron(pmat, eye) @ kmat
+        + kron(eye, pmat) @ kmat
+    )
+    iso = np.outer(vec_i, vec_i) + kron(eye, eye) + kron(eye, eye) @ kmat
+    fourth = (
+        (r3 / kappa) * sym_cross
+        + (r2 / kappa**2) * iso
+        + r4 * np.outer(vec_p, vec_p)
+    )
+
+    mu_row = e1[None, :]
+    third = (r2 / kappa) * (
+        kron(eye, mu_row) + kron(eye, mu_row) @ kmat + np.outer(e1, vec_i)
+    ) + r3 * np.outer(e1, vec_p)
+
+    var_x = (r1 / kappa) * eye + (r2 - r1 * r1) * pmat
+    var_vec = fourth - np.outer(vec(second), vec(second))
+    cross = third - np.outer(mean, vec(second))
+
+    # conjugate the e1-frame blocks onto the requested direction
+    rot = rotation_to_e1(params.mu).T  # rot @ e1 = mu
+    rot2 = kron(rot, rot)
+    return VmfMomentSet(
+        mean=rot @ mean,
+        second_moment=rot @ second @ rot.T,
+        var_x=rot @ var_x @ rot.T,
+        var_vec_xxt=rot2 @ var_vec @ rot2.T,
+        cross_cov=rot @ cross @ rot2.T,
+    )
+
+
+def delta_method_variance_vmf(params) -> float:
+    """The asymptotic variance of the moment-type kappa estimator,
+    assembled from the moment blocks:
+
+    P = P1 Var[vec(XX')] P1' + 2 P2 Cov[X, vec(XX')] P1' + P2 Var[X] P2'
+    with the derivative rows P1 = kappa^2 / ((d-1) R1) (mu (x) mu)' and
+    P2 = kappa / R1 mu'.
+    """
+    d, kappa = params.d, params.kappa
+    r1 = bessel_ratio_ladder(d, kappa, k_max=1)[0]
+    mu = params.mu
+    moments = vmf_moments(params)
+    p1 = (kappa**2 / ((d - 1.0) * r1)) * np.kron(mu, mu)
+    p2 = (kappa / r1) * mu
+    return float(
+        p1 @ moments.var_vec_xxt @ p1
+        + 2.0 * (p2 @ moments.cross_cov @ p1)
+        + p2 @ moments.var_x @ p2
+    )

@@ -21,37 +21,33 @@ from spherestein.est_vmf import (
 )
 from spherestein.est_watson import watson_mla_bounds, watson_mla_fit, watson_statistics
 from spherestein.harness import SimConfig, run_simulation
-from spherestein.linalg import (
-    commutation_matrix,
-    duplication_matrix,
-    vec,
-    vech,
-)
-from spherestein.models import (
-    FisherBinghamParams,
-    VmfParams,
-    WatsonParams,
-    canonical_f1,
-    canonical_f2,
-    stein_operator_apply,
-)
+from spherestein.linalg import vech
+from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import RngState, sample_fb, sample_vmf, sample_watson
-from spherestein.special import bessel_i, bessel_ratio, kummer_1f1
+from spherestein.special import bessel_ratio, kummer_1f1
 from spherestein.vmf_moments import (
-    delta_method_variance_vmf,
     fisher_information_vmf,
     stein_asymptotic_variance_vmf,
 )
 
 from oracles import (
+    bessel_i,
     bessel_i_half,
     bessel_i_three_halves,
+    canonical_f1,
+    canonical_f2,
+    commutation_matrix,
+    delta_method_variance_vmf,
+    duplication_matrix,
     fb_statistics_generic,
     grad_f2_by_hand_d3,
+    lower_pairs,
     random_unit_rows,
     ratio_d3,
     series_1f1,
     sin_projection,
+    stein_operator_apply,
+    vec,
 )
 
 
@@ -220,8 +216,6 @@ def _operator_values_vectorized(params, x, which, w=None):
     if which == "f1":
         return (1.0 - d) * x + s - x * t_s[:, None]
     if which == "f2":
-        from spherestein.linalg import lower_pairs
-
         pairs = lower_pairs(d)[:-1]
         cols = []
         for (i, j) in pairs:

@@ -231,6 +231,44 @@ def test_fit_ne_reports_status(tmp_path, capsys, monkeypatch):
     assert report["status"] == "NE"
 
 
+def _write_rows(path, rows):
+    np.savetxt(path, rows / np.linalg.norm(rows, axis=1, keepdims=True),
+               delimiter=",", fmt="%.17g")
+    return str(path)
+
+
+def test_fit_vmf_ml_at_extreme_concentration(tmp_path, capsys):
+    # 1 - |Xbar| is about 1e-11, so the ML root lies beyond kappa = 2e9,
+    # where scipy's scaled Bessel values are NaN; at d = 3 the link is
+    # coth(kappa) - 1/kappa, whose root is 1/(1 - r) to double precision
+    rng = np.random.default_rng(5)
+    rows = np.eye(3)[2] + 3e-6 * rng.standard_normal((300, 3))
+    path = _write_rows(tmp_path / "tight.csv", rows)
+    assert cli.main(["fit", "--family", "vmf", "--estimator", "ml",
+                     "--in", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok"
+    r = report["diagnostics"]["resultant_length"]
+    assert 1.0 - r < 1e-10
+    assert report["kappa"] == pytest.approx(1.0 / (1.0 - r), rel=1e-6)
+
+
+@pytest.mark.parametrize("estimator", ["mla", "ml"])
+def test_fit_watson_overflow_exits_3(tmp_path, capsys, estimator):
+    # a tight bipolar sample puts the Watson likelihood fits where 1F1
+    # overflows; the CLI books that as one error line and exit 3
+    rng = np.random.default_rng(6)
+    sign = np.where(rng.random(300) < 0.5, -1.0, 1.0)
+    rows = sign[:, None] * np.eye(3)[2] + 0.02 * rng.standard_normal((300, 3))
+    path = _write_rows(tmp_path / "bipolar.csv", rows)
+    assert cli.main(["fit", "--family", "watson", "--estimator", estimator,
+                     "--in", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: estimator failed: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_fit_singular_system_exit_code(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("1,0,0\n")

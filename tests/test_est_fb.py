@@ -9,19 +9,16 @@ from spherestein.est_fb import (
     fb_stein_residual,
 )
 from spherestein.linalg import SingularSystem, spectral_norm
-from spherestein.models import (
-    FisherBinghamParams,
-    VmfParams,
-    canonical_f1,
-    canonical_f2,
-    score,
-)
+from spherestein.models import FisherBinghamParams, VmfParams
 from spherestein.sampler import RngState, sample_fb, sample_vmf
 
 from oracles import (
+    canonical_f1,
+    canonical_f2,
     fb_blocks_loop,
     fb_statistics_generic,
     random_unit_rows,
+    score,
     stein_mean_reference,
 )
 

@@ -15,12 +15,13 @@ from spherestein.est_vmf import (
     mean_direction,
 )
 from spherestein.linalg import SingularSystem
-from spherestein.models import VmfParams, canonical_f1
+from spherestein.models import VmfParams
 from spherestein.sampler import RngState, sample_vmf
 from spherestein.special import bessel_ratio
 from spherestein.vmf_moments import stein_asymptotic_variance_vmf
 
 from oracles import (
+    canonical_f1,
     kappa_stein_general,
     mle_newton_scalar,
     random_unit_rows,
@@ -90,6 +91,23 @@ def test_kappa_mle_closed_form_root():
 def test_kappa_mle_small_resultant():
     fit = kappa_mle(_sample_with_resultant(1e-6))
     assert 0 < fit.kappa_hat < 1e-4
+
+
+def test_kappa_mle_converges_beyond_scaled_bessel_range():
+    # the root of the link at r = 1 - 1e-10 is near kappa = 1e10, beyond
+    # the kappa near 2e9 where scipy's scaled Bessel values turn NaN
+    r = np.array([1.0 - 1e-10])
+    kappa, _ = est_vmf._mle_from_resultant(3, r.copy())
+    assert abs(bessel_ratio(3, kappa[0]) - r[0]) <= 1e-12
+    assert kappa[0] == pytest.approx(1.0 / (1.0 - r[0]), rel=1e-6)
+
+
+def test_kappa_mle_nan_ratio_does_not_pass_as_converged(monkeypatch):
+    # a NaN link never satisfies the final convergence check
+    monkeypatch.setattr(special, "bessel_ratio",
+                        lambda d, kappa: np.full(np.shape(kappa), np.nan)[()])
+    with pytest.raises(RuntimeError, match="did not converge"):
+        est_vmf._mle_from_resultant(3, np.array([0.5]))
 
 
 def test_kappa_mle_errors():

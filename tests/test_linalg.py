@@ -3,23 +3,27 @@ import pytest
 
 from spherestein.linalg import (
     SingularSystem,
-    commutation_matrix,
-    duplication_matrix,
     fix_sign,
-    kron,
-    lower_pairs,
+    lower_index,
     rotation_to_e1,
     solve_linear,
     solve_stack,
     spectral_norm,
     sym_eigen,
     unvech_prime,
-    vec,
     vech,
     vech_prime,
 )
 
-from oracles import rank_by_row_reduction, random_unit_rows
+from oracles import (
+    commutation_matrix,
+    duplication_matrix,
+    kron,
+    lower_pairs,
+    rank_by_row_reduction,
+    random_unit_rows,
+    vec,
+)
 
 
 def test_vec_examples():
@@ -223,4 +227,11 @@ def test_solve_stack_slices_equal_single_solves_bitwise():
 
 
 def test_lower_pairs_order():
-    assert lower_pairs(3) == [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
+    expected = [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
+    rows, cols = lower_index(3)
+    assert list(zip(rows.tolist(), cols.tolist())) == expected
+    assert lower_pairs(3) == expected
+    for d in (1, 2, 5, 9):
+        rows, cols = lower_index(d)
+        assert list(zip(rows.tolist(), cols.tolist())) == lower_pairs(d)
+        assert not rows.flags.writeable and not cols.flags.writeable

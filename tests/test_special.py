@@ -3,17 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spherestein.special import (
-    bessel_i,
-    bessel_ratio,
-    kummer_1f1,
-    kummer_ratio,
-    log_bessel_i,
-)
+from spherestein.special import bessel_ratio, kummer_1f1, kummer_ratio
 
 from oracles import (
+    bessel_i,
     bessel_i_half,
     bessel_i_three_halves,
+    log_bessel_i,
     ratio_d3,
     series_1f1,
     series_bessel_i,
@@ -105,6 +101,23 @@ def test_bessel_ratio_array_equals_scalar_calls_bitwise():
     grid = np.array([[0.5, 1.0], [2.0, 4.0]])
     assert bessel_ratio(3, grid).shape == (2, 2)
     assert isinstance(bessel_ratio(3, 2.0), float)
+
+
+def test_bessel_ratio_beyond_scaled_bessel_range():
+    # scipy's ive is NaN from kappa near 2e9 on; the ratio there is summed
+    # from its large-kappa expansion
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for d in (2, 3, 10, 50):
+        nu = mpmath.mpf(d) / 2 - 1
+        for kappa in (2e9, 1e12, 1e100, 1e300):
+            k = mpmath.mpf(kappa)
+            expected = mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
+            got = bessel_ratio(d, kappa)
+            assert abs(got - expected) <= 1e-15 * expected, (d, kappa)
+        values = bessel_ratio(d, np.array([1e9, 2e9, 1e300]))
+        assert values[0] == bessel_ratio(d, 1e9)
+        assert np.all(np.isfinite(values)) and np.all(np.diff(values) > 0)
 
 
 def test_bessel_ratio_domain():

@@ -6,13 +6,17 @@ import pytest
 from spherestein.models import VmfParams
 from spherestein.sampler import RngState, sample_vmf
 from spherestein.vmf_moments import (
-    delta_method_variance_vmf,
     fisher_information_vmf,
     stein_asymptotic_variance_vmf,
-    vmf_moments,
 )
 
-from oracles import bessel_i_half, bessel_i_three_halves
+from oracles import (
+    bessel_i_half,
+    bessel_i_three_halves,
+    bessel_ratio_ladder,
+    delta_method_variance_vmf,
+    vmf_moments,
+)
 
 GRID_D = (2, 3, 5, 10, 20)
 GRID_KAPPA = (0.5, 1.0, 2.0, 10.0, 50.0)
@@ -103,19 +107,43 @@ def test_fisher_information_small_kappa_limit():
     assert fisher_information_vmf(10, 1e-3) == pytest.approx(0.1, abs=1e-5)
 
 
-@pytest.mark.parametrize("d", [2, 3, 10, 50])
+def _mp_ratio(mpmath, d, kappa):
+    # kappa and I_{d/2}(kappa) / I_{d/2-1}(kappa) at the working precision
+    nu = mpmath.mpf(d) / 2 - 1
+    k = mpmath.mpf(float(kappa))
+    return k, mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
+
+
+# at d = 200 and 500 the scaled Bessel value ive(d/2 - 1, kappa) underflows
+# for the small kappas, so the ratio must come from its series there
+MPMATH_SPOT_KAPPA = (0.05, 5.0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 50, 200, 500])
 def test_fisher_information_matches_mpmath(d):
     # 1 - R1^2 - (d-1) R1 / kappa at 40 digits; in double precision the
     # difference cancels as kappa grows (it is about (d-1) / (2 kappa^2))
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    nu = mpmath.mpf(d) / 2 - 1
-    for kappa in np.logspace(-3, 8, 67):
-        k = mpmath.mpf(float(kappa))
-        ratio = mpmath.besseli(nu + 1, k) / mpmath.besseli(nu, k)
+    grid = [(kappa, 1e-8) for kappa in np.logspace(-3, 8, 67)]
+    grid += [(kappa, 1e-10) for kappa in MPMATH_SPOT_KAPPA]
+    for kappa, tol in grid:
+        k, ratio = _mp_ratio(mpmath, d, kappa)
         expected = 1 - ratio * ratio - (d - 1) * ratio / k
         got = fisher_information_vmf(d, float(kappa))
-        assert abs(got - expected) <= 1e-8 * expected, (d, kappa)
+        assert abs(got - expected) <= tol * expected, (d, kappa)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 50, 200, 500])
+def test_asymptotic_variance_matches_mpmath(d):
+    # P = kappa (2 kappa - (d+1) R1) / ((d-1) R1^2) at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for kappa in MPMATH_SPOT_KAPPA:
+        k, ratio = _mp_ratio(mpmath, d, kappa)
+        expected = k * (2 * k - (d + 1) * ratio) / ((d - 1) * ratio * ratio)
+        got = stein_asymptotic_variance_vmf(d, kappa)
+        assert abs(got - expected) <= 1e-10 * expected, (d, kappa)
 
 
 def test_asymptotic_variance_d3_k1():
@@ -152,13 +180,6 @@ def test_variance_invariant_under_direction():
         assert a == pytest.approx(b, rel=1e-10)
 
 
-def _ratio_ladder(d, kappa):
-    from scipy.special import ive
-    nu = 0.5 * d - 1.0
-    base = ive(nu, kappa)
-    return [float(ive(nu + k, kappa)) / float(base) for k in range(1, 5)]
-
-
 def test_derivative_rows_match_finite_differences():
     # the delta-method derivative rows, checked against central differences
     # of the plug-in map G(Z, z) at the true moments
@@ -166,7 +187,7 @@ def test_derivative_rows_match_finite_differences():
     mu = np.array([0.0, 0.6, 0.8])
     params = VmfParams(mu, kappa)
     moments = vmf_moments(params)
-    r1 = _ratio_ladder(d, kappa)[0]
+    r1 = bessel_ratio_ladder(d, kappa)[0]
 
     def g_fn(z_mat, z_vec):
         ell = z_vec / np.linalg.norm(z_vec)
