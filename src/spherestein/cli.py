@@ -3,12 +3,14 @@ and asymptotic-variance queries.
 
 Subcommands
     sample    draw from a parameter file into a CSV of unit rows
-    fit       fit an estimator to a CSV of unit rows, emit a JSON report
+    fit       fit an estimator to a CSV of unit rows (sample --header's
+              x1,...,xd line is skipped), emit a JSON report
     simulate  run a Monte Carlo study from a config file
     asympvar  asymptotic variance of the moment-type vMF estimator vs MLE
 
 Exit codes: 0 success (including a Watson NE outcome, reported as
-{"status": "NE"}), 2 invalid input or schema violation, 3 sampler failure
+{"status": "NE"}), 2 invalid input or schema violation (an unknown config
+key; Watson ML on an axis with none or all of the mass), 3 sampler failure
 or an estimator failing hard (an overflow or a root finder that does not
 converge in fit, any failure beyond the booked outcomes in simulate),
 4 singular estimating equations.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -72,7 +73,10 @@ def cmd_sample(args) -> int:
 
 
 def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
-    x = np.loadtxt(path, delimiter=",", ndmin=2)
+    with open(path, "r", encoding="utf-8") as fh:
+        names = fh.readline().strip().split(",")
+    header = names == [f"x{i + 1}" for i in range(len(names))]  # as sample --header
+    x = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError("expected an n x d CSV with d >= 2")
     finite = np.isfinite(x).all(axis=1)
@@ -135,28 +139,22 @@ def _emit_report(report: dict, out: str | None) -> None:
     print(text)
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("SPHERESTEIN_THREADS")
-    if env:
-        return int(env)
-    return 1
+# the config file's keys, each a SimConfig field of the same name
+_CONFIG_KEYS = ("params", "n", "reps", "estimators", "seed", "label")
 
 
 def cmd_simulate(args) -> int:
     try:
         raw = _load_json(args.config)
-        params = params_from_dict(raw["params"])
-        config = harness.SimConfig(
-            params=params,
-            n=int(raw["n"]),
-            reps=int(args.reps if args.reps is not None else raw.get("reps", 2000)),
-            estimators=tuple(raw.get("estimators", ())),
-            seed=int(args.seed if args.seed is not None else raw.get("seed", 0)),
-            threads=_resolve_threads(args),
-            label=raw.get("label", ""),
-        )
+        if not isinstance(raw, dict):
+            raise ValueError("a config must be a JSON object")
+        for key in raw:
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+        fields = {**raw, "params": params_from_dict(raw["params"])}
+        flags = {"reps": args.reps, "seed": args.seed, "threads": args.threads}
+        fields.update((k, v) for k, v in flags.items() if v is not None)
+        config = harness.SimConfig(**fields)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", 2)
     try:
@@ -230,8 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=None,
                        help="override the config replication count")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=None,
-                       help="default 1; env SPHERESTEIN_THREADS overrides")
+    p_sim.add_argument("--threads", type=int, default=None, help="default 1")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_av = sub.add_parser("asympvar", help="asymptotic variances for vMF kappa")

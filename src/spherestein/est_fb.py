@@ -63,6 +63,13 @@ class FbEstimate:
     estimator: str = "ST"
 
 
+def v_statistic(scatter: np.ndarray) -> np.ndarray:
+    """D = 2d vech'(S) - 2 vech'(I) = mean[(d-1) grad_f2 x + hess_f2 (x (x) x)
+    - lap_f2] for f2 = vech'(xx'), which the Watson fits call V."""
+    d = scatter.shape[0]
+    return 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
+
+
 def fb_statistics(x) -> FbSteinStatistics:
     """The six coefficient blocks for the canonical test-function pair.
 
@@ -83,7 +90,6 @@ def fb_statistics(x) -> FbSteinStatistics:
 
     h_vec = (d - 1.0) * xbar
     l_mat = np.eye(d) - scatter
-    d_vec = 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
 
     # row blocks of B(x) = grad_f2(x) (I - xx'); row (i,j) is
     # x_j e_i' + x_i e_j' - 2 x_i x_j x', so means reduce to moment tensors
@@ -109,7 +115,7 @@ def fb_statistics(x) -> FbSteinStatistics:
 
     return FbSteinStatistics(
         m_prime=m_full[:, :-1],
-        d_vec=d_vec,
+        d_vec=v_statistic(scatter),
         e_mat=e_mat,
         g_prime=g_full[:, :-1],
         h_vec=h_vec,

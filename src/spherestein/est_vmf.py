@@ -43,9 +43,9 @@ class VmfEstimate:
     ne: np.ndarray | None = None
 
 
-def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    # the sample as a (b, n, d) stack, the means Xbar, the resultant
-    # lengths |Xbar| and whether x was a single n x d sample
+def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
+    # the sample as a (b, n, d) stack, the means Xbar, their lengths |Xbar|,
+    # the mean directions Xbar / |Xbar| and whether x was one n x d sample
     x = np.asarray(x, dtype=float)
     single = x.ndim != 3
     if single:
@@ -57,7 +57,7 @@ def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     norm = np.sqrt(_dot(xbar, xbar))
     if np.any(norm <= 1e-12):
         raise DegenerateMean("resultant length is zero")
-    return x, xbar, norm, single
+    return x, xbar, norm, xbar / norm[:, None], single
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -82,8 +82,7 @@ def _estimate(single: bool, mu_hat, kappa, name: str, ne=None,
 
 def mean_direction(x) -> np.ndarray:
     """The directional sample mean Xbar / |Xbar| (one row per slice of a stack)."""
-    _, xbar, norm, single = _resultant(x)
-    mu_hat = xbar / norm[:, None]
+    mu_hat, single = _resultant(x)[3:]
     return mu_hat[0] if single else mu_hat
 
 
@@ -94,9 +93,8 @@ def kappa_stein(x) -> VmfEstimate:
 
     Strictly positive on any non-degenerate sample.
     """
-    x, xbar, r, single = _resultant(x)
+    x, xbar, r, mu_hat, single = _resultant(x)
     d = x.shape[2]
-    mu_hat = xbar / r[:, None]
     resid_mat = _resid_mat(x)
     mu_resid = np.matmul(mu_hat[:, None, :], resid_mat)
     denom = _dot(np.matmul(mu_resid, resid_mat)[:, 0], mu_hat)
@@ -112,13 +110,13 @@ def kappa_stein(x) -> VmfEstimate:
 
 def kappa_stein2(x) -> VmfEstimate:
     """The mu' = kappa mu variant: kappa = (d-1) |(I - S)^{-1} Xbar|."""
-    x, xbar, r, single = _resultant(x)
+    x, xbar, r, mu_hat, single = _resultant(x)
     d = x.shape[2]
     mu_prime, cond, singular = solve_stack(_resid_mat(x), xbar)
     if single and singular[0]:
         raise SingularSystem("I - mean(xx')", float(cond[0]))
     kappa = (d - 1.0) * np.sqrt(_dot(mu_prime, mu_prime))
-    return _estimate(single, xbar / r[:, None], kappa, "ST2", ne=singular,
+    return _estimate(single, mu_hat, kappa, "ST2", ne=singular,
                      resultant_length=r, cond=cond)
 
 
@@ -164,11 +162,11 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
-    x, xbar, r, single = _resultant(x)
+    x, _, r, mu_hat, single = _resultant(x)
     if np.any(r >= 1.0):
         raise ValueError("resultant length >= 1: all points identical")
     kappa, iterations = _mle_from_resultant(x.shape[2], r)
-    return _estimate(single, xbar / r[:, None], kappa, "ML",
+    return _estimate(single, mu_hat, kappa, "ML",
                      resultant_length=r, iterations=iterations)
 
 
@@ -179,9 +177,8 @@ def kappa_score_matching(x) -> VmfEstimate:
     R mu_hat = e1, which equals mu_hat'X_i exactly, so the rotation
     (the Householder reflector in linalg) never needs to be formed.
     """
-    x, xbar, r, single = _resultant(x)
+    x, _, r, mu_hat, single = _resultant(x)
     d = x.shape[2]
-    mu_hat = xbar / r[:, None]
     y = np.matmul(x, mu_hat[:, :, None])[..., 0]
     ybar = y.mean(axis=1)
     y2bar = (y * y).mean(axis=1)

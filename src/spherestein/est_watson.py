@@ -19,7 +19,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import special
-from .linalg import lower_index, sym_eigen, vech_prime
+from .est_fb import v_statistic
+from .linalg import lower_index, sym_eigen
 from .models import sample_matrix, watson_log_normalizer
 
 
@@ -75,16 +76,10 @@ def watson_statistics(x) -> WatsonSteinStatistics:
     """V and both branch J vectors, sharing one eigendecomposition."""
     x, scatter, axes = _scatter_axes(x)
     return WatsonSteinStatistics(
-        v_vec=_v_statistic(scatter),
+        v_vec=v_statistic(scatter),
         j_plus=_j_statistic(x, axes["+"]),
         j_minus=_j_statistic(x, axes["-"]),
     )
-
-
-def _v_statistic(scatter: np.ndarray) -> np.ndarray:
-    # closed form of mean[(d-1) grad_f2 x + hess_f2 (x (x) x) - lap_f2]
-    d = scatter.shape[0]
-    return 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
 
 
 def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -111,50 +106,27 @@ def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
 def watson_stein_kappa(x, branch: str) -> float:
     """Least-squares solution kappa = (J'J)^{-1} J'V for one branch."""
     x, scatter, axes = _scatter_axes(x)
-    return _stein_branch(x, _v_statistic(scatter), axes[_check_branch(branch)])[0]
-
-
-def _select_branch(
-    kappa_minus: float,
-    kappa_plus: float,
-    score_minus: float,
-    score_plus: float,
-) -> str:
-    """The three-case eligibility rule shared by the ST and MLa fits.
-
-    Eligibility is sign consistency (kappa^- <= 0, kappa^+ >= 0).  With
-    both branches eligible the smaller score wins; an exact tie goes to
-    (+).  scores are residual norms for ST and negative log-likelihoods
-    for MLa.
-    """
-    minus_ok = kappa_minus <= 0.0
-    plus_ok = kappa_plus >= 0.0
-    if not minus_ok and not plus_ok:
-        raise NotEligible(
-            f"kappa^- = {kappa_minus:.4g} > 0 and kappa^+ = {kappa_plus:.4g} < 0"
-        )
-    if minus_ok and not plus_ok:
-        return "-"
-    if plus_ok and not minus_ok:
-        return "+"
-    return "-" if score_minus < score_plus else "+"
+    return _stein_branch(x, v_statistic(scatter), axes[_check_branch(branch)])[0]
 
 
 def _pick_branch(estimator: str, axes: dict[str, np.ndarray], fits: dict[str, tuple],
                  by_sign: bool = True) -> WatsonEstimate:
     """Select a branch from its (kappa, score) pairs and wrap the estimate.
 
-    by_sign (ST, MLa) applies _select_branch's eligibility and flags a
-    near-uniform pick; without it (ML) both branches are eligible and the
-    smaller score alone decides, an exact tie going to (+).
+    by_sign (ST, MLa) makes a branch eligible when its kappa has its sign
+    (kappa^+ >= 0, kappa^- <= 0) and flags a near-uniform pick; ML has both
+    eligible.  The smaller score (residual norm for ST, negative
+    log-likelihood otherwise) wins; an exact tie goes to (+), a NaN loses.
     """
     kappas = {b: kappa for b, (kappa, _) in fits.items()}
     scores = {b: score for b, (_, score) in fits.items()}
-    signs = kappas if by_sign else {"+": 0.0, "-": 0.0}  # ML: both sign-consistent
-    branch = _select_branch(signs["-"], signs["+"], scores["-"], scores["+"])
-    eligible = tuple(
-        b for b in ("+", "-") if (signs[b] >= 0 if b == "+" else signs[b] <= 0)
-    )
+    eligible = tuple(b for b in ("+", "-") if not by_sign
+                     or (kappas[b] >= 0 if b == "+" else kappas[b] <= 0))
+    if not eligible:
+        raise NotEligible(
+            f"kappa^- = {kappas['-']:.4g} > 0 and kappa^+ = {kappas['+']:.4g} < 0"
+        )
+    branch = min(eligible, key=lambda b: (math.isnan(scores[b]), scores[b]))
     warnings = []
     if by_sign and len(eligible) == 2 and abs(kappas[branch]) < 1e-6:
         warnings.append("near-uniform: |kappa| < 1e-6, axis weakly identified")
@@ -172,7 +144,7 @@ def _pick_branch(estimator: str, axes: dict[str, np.ndarray], fits: dict[str, tu
 def watson_stein_fit(x) -> WatsonEstimate:
     """Both branches of the moment-type estimator plus the selection rule."""
     x, scatter, axes = _scatter_axes(x)
-    v_vec = _v_statistic(scatter)
+    v_vec = v_statistic(scatter)
     fits = {b: _stein_branch(x, v_vec, mu) for b, mu in axes.items()}
     return _pick_branch("ST", axes, fits)
 
@@ -198,13 +170,17 @@ def _neg_log_likelihood(x: np.ndarray, mu: np.ndarray, kappa: float) -> float:
     return -(n * watson_log_normalizer(d, kappa) + kappa * float((t * t).sum()))
 
 
+def _carries_mass(r: float) -> bool:
+    # some but not all of the mass on the axis; else |kappa| ~ 1/r or 1/(1-r)
+    return 1e-14 < r < 1.0 - 1e-14
+
+
 def _mla_branch(x: np.ndarray, scatter: np.ndarray, mu: np.ndarray,
                 branch: str) -> tuple[float, float]:
     # midpoint of the ML bounds at r = mu'S mu (mu a column view), and its NLL
     r = float(mu @ scatter @ mu)
-    if not 1e-14 < r < 1.0 - 1e-14:
-        # axis carries none (or all) of the mass; a wrong-signed infinite
-        # kappa makes the branch ineligible
+    if not _carries_mass(r):
+        # a wrong-signed infinite kappa makes the branch ineligible
         return (math.inf if branch == "-" else -math.inf), math.inf
     lower, upper = watson_mla_bounds(r, 0.5, 0.5 * x.shape[1])
     kappa = 0.5 * (lower + upper)
@@ -224,8 +200,9 @@ def _mle_branch(scatter: np.ndarray, mu: np.ndarray) -> float:
     mu = mu.copy()  # contiguous: the last bits of r depend on mu's layout
     d = scatter.shape[0]
     r = float(mu @ scatter @ mu)
-    if not 0.0 < r < 1.0:
-        raise ValueError("r = mu'S mu must lie strictly between 0 and 1")
+    if not _carries_mass(r):
+        raise ValueError(f"r = mu'S mu = {r:.3g}: the axis carries none or "
+                         "all of the mass")
     if abs(r - 1.0 / d) < 1e-14:
         return 0.0
 

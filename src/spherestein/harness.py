@@ -49,6 +49,7 @@ class SimConfig:
 
     def __post_init__(self):
         family = self.params.family
+        self.n, self.reps, self.seed = int(self.n), int(self.reps), int(self.seed)
         self.estimators = tuple(e.lower() for e in self.estimators)
         if not self.estimators:
             self.estimators = DEFAULT_ESTIMATORS[family]

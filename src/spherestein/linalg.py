@@ -93,20 +93,17 @@ class EigenDecomposition:
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip a vector, if needed, so its largest-|.| component is nonnegative."""
-    k = int(np.argmax(np.abs(v)))
-    return -v if v[k] < 0 else v
+    """Flip a vector, or each column of a matrix, so that its largest-|.|
+    component (lowest index on ties) is nonnegative."""
+    k = np.argmax(np.abs(v), axis=0)
+    peak = v[k, np.arange(v.shape[1])] if v.ndim == 2 else v[k]
+    return np.where(peak < 0, -v, v)
 
 
 def sym_eigen(s) -> EigenDecomposition:
-    s = _check_symmetric(s)
-    w, q = np.linalg.eigh(s)
-    w = w[::-1].copy()
-    q = q[:, ::-1].copy()
-    cols = np.arange(q.shape[1])
-    flip = q[np.argmax(np.abs(q), axis=0), cols] < 0  # fix_sign, per column
-    q[:, flip] = -q[:, flip]
-    return EigenDecomposition(eigenvalues=w, eigenvectors=q)
+    w, q = np.linalg.eigh(_check_symmetric(s))
+    return EigenDecomposition(eigenvalues=w[::-1].copy(),
+                              eigenvectors=fix_sign(q[:, ::-1].copy()))
 
 
 def spectral_norm(m) -> float:

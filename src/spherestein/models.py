@@ -22,10 +22,7 @@ from typing import ClassVar, get_args
 import numpy as np
 
 from . import special
-from .linalg import fix_sign
-
-_UNIT_TOL = 1e-8
-_SYM_TOL = 1e-10
+from .linalg import _SYM_TOL, _UNIT_TOL, fix_sign
 
 
 def _as_vector(mu, name: str = "mu") -> np.ndarray:

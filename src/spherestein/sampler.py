@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -49,7 +48,6 @@ class RngState:
 
     seed: int
     stream: int = 0
-    algorithm: ClassVar[str] = "philox"
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -14,13 +14,13 @@ def fisher_information_vmf(d: int, kappa: float) -> float:
     """Fisher information for kappa: 1 - R1^2 - (d-1) R1 / kappa.
 
     The difference is about (d-1) / (2 kappa^2) and loses its digits to
-    cancellation as kappa grows, so beyond kappa = 30 + 6d it is summed
+    cancellation as kappa grows, so beyond kappa = 30 + d it is summed
     from the large-kappa expansion R1 ~ sum_m c_m kappa^-m instead: the
     information is R1' = -sum_{m>=1} m c_m kappa^-(m+1).
     """
     if kappa <= 0:
         raise ValueError("kappa must be > 0")
-    if kappa < 30.0 + 6.0 * d:
+    if kappa < 30.0 + d:
         r1 = special.bessel_ratio(d, kappa)
         return 1.0 - r1 * r1 - (d - 1.0) * r1 / kappa
     power = 1.0 / kappa

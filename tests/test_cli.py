@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,22 @@ def test_sample_header_flag(tmp_path):
               "--seed", "1", "--out", out, "--header"])
     first = Path(out).read_text().splitlines()[0]
     assert first == "x1,x2,x3"
+
+
+@pytest.mark.parametrize("family", ["vmf", "watson"])
+def test_fit_reads_sample_header(tmp_path, capsys, family):
+    params = _write_params(tmp_path, {"family": family, "mu": [0.0, 0.6, 0.8],
+                                      "kappa": 4.0})
+    reports = []
+    for header in ([], ["--header"]):
+        out = str(tmp_path / f"draws{len(header)}.csv")
+        cli.main(["sample", "--params", params, "--n", "40", "--seed", "2",
+                  "--out", out, *header])
+        capsys.readouterr()
+        assert cli.main(["fit", "--family", family, "--in", out]) == 0
+        reports.append(capsys.readouterr().out)
+    assert Path(out).read_text().startswith("x1,x2,x3\n")
+    assert reports[0] == reports[1]
 
 
 def test_sample_rejects_bad_fb_matrix(tmp_path):
@@ -269,6 +286,22 @@ def test_fit_watson_overflow_exits_3(tmp_path, capsys, estimator):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_fit_watson_ml_fewer_rows_than_dimensions(tmp_path, capsys, n):
+    # at n < d the bottom eigenvector carries none of the mass
+    params = _write_params(tmp_path, {"family": "watson",
+                                      "mu": np.eye(10)[0].tolist(), "kappa": 5.0})
+    out = str(tmp_path / "x.csv")
+    cli.main(["sample", "--params", params, "--n", str(n), "--seed", "3",
+              "--out", out])
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert cli.main(["fit", "--family", "watson", "--estimator", "ml",
+                     "--in", out]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "none or all of the mass" in capsys.readouterr().err
+
+
 def test_fit_singular_system_exit_code(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("1,0,0\n")
@@ -315,15 +348,42 @@ def test_simulate_rejects_empty_sample(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
-def test_simulate_rejects_threads_below_one(capsys, monkeypatch, threads):
+def test_simulate_rejects_threads_below_one(capsys, threads):
     config = str(CONFIG_DIR / "table2_d3_k1.json")
     assert cli.main(["simulate", "--config", config, "--reps", "5",
                      "--threads", threads]) == 2
     assert capsys.readouterr().err == (
         "error: invalid config: threads must be >= 1\n")
-    monkeypatch.setenv("SPHERESTEIN_THREADS", threads)
-    assert cli.main(["simulate", "--config", config, "--reps", "5"]) == 2
-    assert "threads must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rep", "threads"])
+def test_simulate_rejects_unknown_config_key(tmp_path, capsys, key):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 10, key: 5,
+    }))
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid config: unknown config key '{key}'\n")
+
+
+def test_simulate_rejects_non_object_config(tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text(json.dumps(["params", "n"]))
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_simulate_casts_config_numbers(tmp_path, capsys):
+    config = tmp_path / "cast.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": "100", "reps": 5.0, "seed": "7",
+    }))
+    assert cli.main(["simulate", "--config", str(config)]) == 0
+    summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert summary == {"seed": 7, "reps": 5, "threads": 1}
 
 
 def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
@@ -340,14 +400,6 @@ def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: simulation failed:") and "boom" in err
     assert len(err.strip().splitlines()) == 1
     assert not out.exists()
-
-
-def test_simulate_threads_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SPHERESTEIN_THREADS", "2")
-    code = cli.main(["simulate", "--config",
-                     str(CONFIG_DIR / "table2_d3_k1.json"), "--reps", "20"])
-    assert code == 0
-    assert '"threads": 2' in capsys.readouterr().out
 
 
 def test_asympvar(capsys):

@@ -8,7 +8,7 @@ from spherestein import est_watson
 from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
-    _select_branch,
+    _pick_branch,
     watson_axis,
     watson_mla_bounds,
     watson_mla_fit,
@@ -136,14 +136,43 @@ def test_stein_consistency_bipolar():
     assert abs(fit.mu_hat @ mu) > 0.999
 
 
+def _pick(kappa_minus, kappa_plus, score_minus, score_plus, by_sign=True):
+    fits = {"+": (kappa_plus, score_plus), "-": (kappa_minus, score_minus)}
+    return _pick_branch("ST", {"+": E3[0], "-": E3[2]}, fits, by_sign)
+
+
 def test_selection_rule_cases():
     with pytest.raises(NotEligible):
-        _select_branch(3.0, -2.0, 0.0, 0.0)
-    assert _select_branch(-3.0, -2.0, 1.0, 9.9) == "-"
-    assert _select_branch(3.0, 2.0, 9.9, 1.0) == "+"
-    assert _select_branch(-3.0, 2.0, 0.5, 0.2) == "+"
-    assert _select_branch(-3.0, 2.0, 0.2, 0.5) == "-"
-    assert _select_branch(-3.0, 2.0, 0.4, 0.4) == "+"  # exact tie
+        _pick(3.0, -2.0, 0.0, 0.0)
+    assert _pick(-3.0, -2.0, 1.0, 9.9).branch == "-"
+    assert _pick(3.0, 2.0, 9.9, 1.0).branch == "+"
+    assert _pick(-3.0, 2.0, 0.5, 0.2).branch == "+"
+    assert _pick(-3.0, 2.0, 0.2, 0.5).branch == "-"
+    assert _pick(-3.0, 2.0, 0.4, 0.4).branch == "+"  # exact tie
+    fit = _pick(-3.0, -2.0, 1.0, 9.9)
+    assert fit.eligible_branches == ("-",)
+    np.testing.assert_array_equal(fit.mu_hat, E3[2])
+    assert fit.kappa_hat == -3.0
+
+
+def test_selection_rule_without_signs():
+    # ML: both branches eligible whatever the signs of their kappas
+    fit = _pick(3.0, -2.0, 0.5, 0.2, by_sign=False)
+    assert fit.eligible_branches == ("+", "-") and fit.branch == "+"
+    assert _pick(3.0, -2.0, 0.2, 0.5, by_sign=False).branch == "-"
+    assert _pick(3.0, -2.0, 0.4, 0.4, by_sign=False).branch == "+"  # exact tie
+    assert _pick(3.0, -2.0, math.nan, 0.4, by_sign=False).branch == "+"
+    assert _pick(3.0, -2.0, 0.4, math.nan, by_sign=False).branch == "-"
+    assert not _pick(0.0, 1e-9, 1.0, 1.0, by_sign=False).warnings
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_mle_fit_rejects_axis_without_mass(n):
+    # n < d: the bottom eigenvector carries r ~ 1e-18 of the mass, where
+    # the likelihood root would lie near kappa = -1/r
+    x = sample_watson(WatsonParams(np.eye(10)[0], 5.0), n, RngState(70 + n))
+    with pytest.raises(ValueError, match="none or all of the mass"):
+        watson_mle_fit(x)
 
 
 def test_mla_bounds_examples():

@@ -137,6 +137,15 @@ def test_sym_eigen_sign_convention_matches_fix_sign_bitwise():
         np.testing.assert_array_equal(sym_eigen(s).eigenvalues, w[::-1])
 
 
+def test_fix_sign_ties_and_columns():
+    # the lowest index wins a tie; a matrix is fixed column by column
+    np.testing.assert_array_equal(fix_sign(np.array([-1.0, 1.0])), [1.0, -1.0])
+    m = np.array([[-1.0, 2.0], [1.0, -3.0]])
+    np.testing.assert_array_equal(fix_sign(m), [[1.0, -2.0], [-1.0, 3.0]])
+    # the Watson fits read r = mu'S mu off column views of a C-ordered array
+    assert sym_eigen(np.diag([1.0, 2.0, 3.0])).eigenvectors.flags.c_contiguous
+
+
 def test_sym_eigen_reconstruction_random():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -125,7 +125,7 @@ def test_fisher_information_matches_mpmath(d):
     # difference cancels as kappa grows (it is about (d-1) / (2 kappa^2))
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
-    grid = [(kappa, 1e-8) for kappa in np.logspace(-3, 8, 67)]
+    grid = [(kappa, 1e-9) for kappa in np.logspace(-3, 8, 67)]
     grid += [(kappa, 1e-10) for kappa in MPMATH_SPOT_KAPPA]
     for kappa, tol in grid:
         k, ratio = _mp_ratio(mpmath, d, kappa)
