@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    SingularSystem,
     lower_index,
     solve_linear,
     spectral_norm,
@@ -29,6 +30,7 @@ from .linalg import (
 from .models import (
     FisherBinghamParams,
     sample_matrix,
+    sample_stack,
 )
 
 # estimates with larger norms are reported with a warning: far out on the
@@ -54,19 +56,29 @@ class FbSteinStatistics:
 
 @dataclass
 class FbEstimate:
+    """A fit of one sample, or of a (b, n, d) stack of b samples.
+
+    For a stack every field gains a leading axis of b entries (warnings
+    holds one list per sample), and ``ne`` flags the samples whose system
+    is singular, whose entries are NaN.  A single such sample raises
+    SingularSystem instead.
+    """
+
     mu_hat: np.ndarray
     A_hat: np.ndarray
-    residual_norm: float
-    cond_m_prime: float
-    cond_schur: float
-    warnings: list[str] = field(default_factory=list)
+    residual_norm: float | np.ndarray
+    cond_m_prime: float | np.ndarray
+    cond_schur: float | np.ndarray
+    warnings: list = field(default_factory=list)
     estimator: str = "ST"
+    ne: np.ndarray | None = None
 
 
 def v_statistic(scatter: np.ndarray) -> np.ndarray:
     """D = 2d vech'(S) - 2 vech'(I) = mean[(d-1) grad_f2 x + hess_f2 (x (x) x)
-    - lap_f2] for f2 = vech'(xx'), which the Watson fits call V."""
-    d = scatter.shape[0]
+    - lap_f2] for f2 = vech'(xx'), which the Watson fits call V (one row
+    per slice of a stack of scatter matrices)."""
+    d = scatter.shape[-1]
     return 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
 
 
@@ -128,9 +140,30 @@ def fb_stein_fit(x) -> FbEstimate:
     A[d, d] = 0.
 
     Raises SingularSystem (tagged with the failing block) when M' or the
-    Schur complement L - G'(M')^{-1}E is numerically singular.
+    Schur complement L - G'(M')^{-1}E is numerically singular.  A
+    (b, n, d) stack is fitted one slice at a time, and a singular slice is
+    flagged in ``ne`` instead.
     """
-    x = sample_matrix(x)
+    stack, single = sample_stack(x)
+    if single:
+        return _fit_one(stack[0])
+    b, _, d = stack.shape
+    fit = FbEstimate(np.full((b, d), np.nan), np.full((b, d, d), np.nan),
+                     np.full(b, np.nan), np.full(b, np.nan), np.full(b, np.nan),
+                     [[] for _ in range(b)], ne=np.zeros(b, dtype=bool))
+    for k, xk in enumerate(stack):
+        try:
+            one = _fit_one(xk)
+        except SingularSystem:
+            fit.ne[k] = True
+            continue
+        fit.mu_hat[k], fit.A_hat[k], fit.warnings[k] = one.mu_hat, one.A_hat, one.warnings
+        fit.residual_norm[k] = one.residual_norm
+        fit.cond_m_prime[k], fit.cond_schur[k] = one.cond_m_prime, one.cond_schur
+    return fit
+
+
+def _fit_one(x: np.ndarray) -> FbEstimate:
     d = x.shape[1]
     st = fb_statistics(x)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import special
 from .linalg import SingularSystem, solve_stack
-from .models import sample_matrix
+from .models import sample_stack
 
 
 class DegenerateMean(Exception):
@@ -46,12 +46,7 @@ class VmfEstimate:
 def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
     # the sample as a (b, n, d) stack, the means Xbar, their lengths |Xbar|,
     # the mean directions Xbar / |Xbar| and whether x was one n x d sample
-    x = np.asarray(x, dtype=float)
-    single = x.ndim != 3
-    if single:
-        x = sample_matrix(x)[None]
-    elif 0 in x.shape[:2] or x.shape[2] < 2:
-        raise ValueError("sample stack must be a b x n x d array with d >= 2")
+    x, single = sample_stack(x)
     xbar = x.mean(axis=1)
     # a dot product per slice, as np.linalg.norm takes for one vector
     norm = np.sqrt(_dot(xbar, xbar))

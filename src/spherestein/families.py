@@ -1,9 +1,15 @@
 """The family table: what the simulation harness and the CLI need to know
 about each parameter family, in one place.
 
-* ``SAMPLERS[family]`` draws ``(params, n, rng) -> n x d`` sample rows.
-* ``ESTIMATORS[family, code]`` fits a sample; the codes are the names that
-  configs and ``fit --estimator`` use.
+* ``SAMPLERS[family]`` draws ``(params, n, rng) -> n x d`` sample rows
+  for one RngState, or a (b, n, d) stack for a sequence of b of them.
+* ``ESTIMATORS[family, code]`` fits a sample or a stack; the codes are the
+  names that configs and ``fit --estimator`` use.  A stack's fit holds one
+  entry per sample in each field, and its ``ne`` flags the samples
+  without an estimate, where a single sample raises instead.
+* ``PREPARE[family]``, where a family has it, is the step that turns a
+  stack into the object its estimators share, so that work common to
+  them (the Watson scatter eigendecomposition) runs once per block.
 * ``FAMILIES[family]`` says which estimators a study runs by default, how
   a fit is scored against the true parameters, and which fields a fit
   report carries.
@@ -23,7 +29,6 @@ from typing import Any, Callable
 import numpy as np
 
 from . import est_fb, est_vmf, est_watson, sampler
-from .linalg import spectral_norm
 from .models import Params
 
 SAMPLERS: dict[str, Callable] = {
@@ -31,6 +36,8 @@ SAMPLERS: dict[str, Callable] = {
     "watson": sampler.sample_watson,
     "fb": sampler.sample_fb,
 }
+
+PREPARE: dict[str, Callable] = {"watson": est_watson.prepare_sample}
 
 ESTIMATORS: dict[tuple[str, str], Callable] = {
     ("vmf", "st"): est_vmf.kappa_stein,
@@ -48,32 +55,31 @@ ESTIMATORS: dict[tuple[str, str], Callable] = {
 class Family:
     """How a family's fits are scored and reported.
 
-    ``errors(fit, params)`` returns one error per entry of ``blocks``.
-    Signed errors (``signed``) give a bias and an MSE per block; unsigned
-    ones are distances, which give an MSE and a mean distance instead.
-
-    A ``stacked`` family's sampler also takes a sequence of b streams and
-    returns a (b, n, d) stack, and its estimators fit such a stack in one
-    call: the fit's fields, and so its errors, hold one entry per sample,
-    and its ``ne`` flags the samples without an estimate.  The estimators
-    of any other family are applied to one sample at a time.
+    ``errors(fit, params)`` takes the fit of a stack and returns one array
+    per entry of ``blocks``, holding each sample's error (NaN where there
+    is no estimate).  Signed errors (``signed``) give a bias and an MSE per
+    block; unsigned ones are distances, which give an MSE and a mean
+    distance instead.
     """
 
     defaults: tuple[str, ...]
     blocks: tuple[str, ...]
     signed: bool
-    errors: Callable[[Any, Params], tuple[float, ...]]
+    errors: Callable[[Any, Params], tuple[np.ndarray, ...]]
     report: Callable[[Any], dict]
-    stacked: bool = False
 
 
-def _kappa_error(fit, params) -> tuple[float, ...]:
+def _kappa_error(fit, params) -> tuple[np.ndarray, ...]:
     return (fit.kappa_hat - params.kappa,)
 
 
-def _fb_errors(fit, params) -> tuple[float, ...]:
-    return (float(np.linalg.norm(fit.mu_hat - params.mu)),
-            spectral_norm(fit.A_hat - params.A))
+def _fb_errors(fit, params) -> tuple[np.ndarray, ...]:
+    # the norm of each mu error row is one dot product, as for one vector;
+    # a NaN slice's A error is zeroed for the SVD and reported as NaN
+    mu_err = fit.mu_hat - params.mu
+    a_err = np.where(fit.ne[:, None, None], 0.0, fit.A_hat - params.A)
+    return (np.sqrt(np.vecdot(mu_err, mu_err)),
+            np.where(fit.ne, np.nan, np.linalg.norm(a_err, 2, axis=(1, 2))))
 
 
 def _vmf_report(fit) -> dict:
@@ -97,7 +103,7 @@ def _fb_report(fit) -> dict:
 FAMILIES: dict[str, Family] = {
     "fb": Family(("st",), ("mu", "A"), False, _fb_errors, _fb_report),
     "vmf": Family(("st", "ml", "sm"), ("kappa",), True, _kappa_error,
-                  _vmf_report, stacked=True),
+                  _vmf_report),
     "watson": Family(("st", "mla"), ("kappa",), True, _kappa_error,
                      _watson_report),
 }

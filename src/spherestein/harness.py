@@ -3,12 +3,13 @@ bias, MSE and non-existence frequencies per estimator.
 
 Replications run in blocks of a fixed memory size.  Each block draws its
 samples from independent RNG streams keyed by (seed, replication index)
-and fits every estimator once: over the whole (b, n, d) stack for a
-stacked family (vMF), one sample at a time otherwise.  The CSV has
-identical bytes for any block size and thread count.  NE semantics: a
-Watson NotEligible or a Fisher-Bingham SingularSystem, or a replication
-that a stacked fit flags in its ``ne``, counts as a non-existence event
-and is excluded from bias and MSE; any other failure aborts loudly.
+as one (b, n, d) stack, prepares it once where the family has a
+``PREPARE`` step, and fits every estimator once over the whole stack.
+The CSV has identical bytes for any block size and thread count.  NE
+semantics: a replication that a fit flags in its ``ne`` (Watson: neither
+branch eligible; Fisher-Bingham: a singular system; vMF ST2: a singular
+I - S) counts as a non-existence event and is excluded from bias and
+MSE; any other failure aborts loudly.
 
 Default replication count is 2000, a fifth of the full-scale studies the
 reference tables use; Monte Carlo standard errors (reported for every
@@ -24,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import est_watson, sampler
-from .families import ESTIMATORS, FAMILIES, SAMPLERS
-from .linalg import SingularSystem
+from . import sampler
+from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
 from .models import Params, params_to_dict
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
@@ -50,6 +50,8 @@ class SimConfig:
     def __post_init__(self):
         family = self.params.family
         self.n, self.reps, self.seed = int(self.n), int(self.reps), int(self.seed)
+        if not all(isinstance(e, str) for e in self.estimators):
+            raise ValueError("estimator names must be strings")
         self.estimators = tuple(e.lower() for e in self.estimators)
         if not self.estimators:
             self.estimators = DEFAULT_ESTIMATORS[family]
@@ -140,48 +142,27 @@ def _fmt(value) -> str:
 
 def _run_block(config: SimConfig, reps: range) -> dict:
     """One block: a stream per replication, one sample stack, every
-    estimator fit.
+    estimator fit once on it.
 
     Returns per estimator the block's errors (one row per replication, one
     column per error block, NaN where there is no estimate) and NE flags.
     """
     params = config.params
     family = params.family
-    fam = FAMILIES[family]
     streams = [sampler.RngState(config.seed, stream=rep) for rep in reps]
-    if fam.stacked:
-        stack = SAMPLERS[family](params, config.n, streams)
-    else:
-        stack = [SAMPLERS[family](params, config.n, rng) for rng in streams]
+    stack = SAMPLERS[family](params, config.n, streams)
+    if family in PREPARE:
+        stack = PREPARE[family](stack)
     out = {}
     for est in config.estimators:
-        fit_sample = ESTIMATORS[family, est]
-        if fam.stacked:
-            try:
-                fit = fit_sample(stack)
-            except Exception as exc:
-                raise RuntimeError(
-                    f"estimator {est!r} failed hard on replications "
-                    f"{reps.start}-{reps.stop - 1} (seed {config.seed}): {exc}"
-                ) from exc
-            errors = np.column_stack(fam.errors(fit, params))
-            ne = fit.ne
-        else:
-            errors = np.full((len(reps), len(fam.blocks)), np.nan)
-            ne = np.zeros(len(reps), dtype=bool)
-            for i, (rep, x) in enumerate(zip(reps, stack)):
-                try:
-                    fit = fit_sample(x)
-                except (est_watson.NotEligible, SingularSystem):
-                    ne[i] = True
-                    continue
-                except Exception as exc:
-                    raise RuntimeError(
-                        f"estimator {est!r} failed hard on replication {rep} "
-                        f"(seed {config.seed}): {exc}"
-                    ) from exc
-                errors[i] = fam.errors(fit, params)
-        out[est] = errors, ne
+        try:
+            fit = ESTIMATORS[family, est](stack)
+        except Exception as exc:
+            raise RuntimeError(
+                f"estimator {est!r} failed hard on replications "
+                f"{reps.start}-{reps.stop - 1} (seed {config.seed}): {exc}"
+            ) from exc
+        out[est] = np.column_stack(FAMILIES[family].errors(fit, params)), fit.ne
     return out
 
 
@@ -195,8 +176,8 @@ def _mean_se(values: np.ndarray) -> tuple[float, float]:
 def run_simulation(config: SimConfig) -> SimResult:
     """Run all replications and aggregate bias/MSE/NE per estimator.
 
-    Failures beyond the NE semantics propagate with the replication index
-    (or, for a stacked fit, the block's replication range) attached.
+    Failures beyond the NE semantics propagate with the block's
+    replication range attached.
     """
     start = time.perf_counter()
     size = max(1, BLOCK_BYTES // (8 * config.n * config.params.d))

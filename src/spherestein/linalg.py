@@ -42,30 +42,33 @@ def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _check_square(m) -> np.ndarray:
+def _check_square(m, stack: bool = False) -> np.ndarray:
+    # a square matrix or, with stack, also a (b, d, d) stack of them
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
         raise ValueError("expected a square matrix")
     return m
 
 
 def _check_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
-    m = _check_square(m)
-    if m.size and np.max(np.abs(m - m.T)) > tol:
+    # every slice of a stack is checked
+    m = _check_square(m, stack=True)
+    if m.size and np.max(np.abs(m - m.swapaxes(-1, -2))) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
     return m
 
 
 def vech(s) -> np.ndarray:
-    """Half-vectorization of a symmetric matrix, column-stacked lower triangle."""
+    """Half-vectorization of a symmetric matrix, column-stacked lower
+    triangle (one row per slice of a stack)."""
     s = _check_symmetric(s)
-    rows, cols = lower_index(s.shape[0])
-    return s[rows, cols]
+    rows, cols = lower_index(s.shape[-1])
+    return s[..., rows, cols]
 
 
 def vech_prime(s) -> np.ndarray:
     """vech with the final component (the (d,d) entry) removed."""
-    return vech(s)[:-1]
+    return vech(s)[..., :-1]
 
 
 def unvech_prime(v, d: int) -> np.ndarray:
@@ -86,6 +89,7 @@ class EigenDecomposition:
 
     eigenvectors[:, k] belongs to eigenvalues[k]; each column is sign-fixed
     so its largest-magnitude component (lowest index on ties) is nonnegative.
+    For a (b, d, d) stack both fields gain a leading axis of b slices.
     """
 
     eigenvalues: np.ndarray
@@ -93,17 +97,21 @@ class EigenDecomposition:
 
 
 def fix_sign(v: np.ndarray) -> np.ndarray:
-    """Flip a vector, or each column of a matrix, so that its largest-|.|
-    component (lowest index on ties) is nonnegative."""
-    k = np.argmax(np.abs(v), axis=0)
-    peak = v[k, np.arange(v.shape[1])] if v.ndim == 2 else v[k]
-    return np.where(peak < 0, -v, v)
+    """Flip a vector, or each column of a matrix or of a stack of
+    matrices, so that its largest-|.| component (lowest index on ties) is
+    nonnegative."""
+    cols = v if v.ndim > 1 else v[:, None]
+    k = np.argmax(np.abs(cols), axis=-2)
+    peak = np.take_along_axis(cols, k[..., None, :], axis=-2)
+    return np.where(peak < 0, -cols, cols).reshape(v.shape)
 
 
 def sym_eigen(s) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix, or of each slice of a
+    (b, d, d) stack in one batched call (bit for bit the per-slice one)."""
     w, q = np.linalg.eigh(_check_symmetric(s))
-    return EigenDecomposition(eigenvalues=w[::-1].copy(),
-                              eigenvectors=fix_sign(q[:, ::-1].copy()))
+    return EigenDecomposition(eigenvalues=w[..., ::-1].copy(),
+                              eigenvectors=fix_sign(q[..., ::-1].copy()))
 
 
 def spectral_norm(m) -> float:

@@ -50,6 +50,18 @@ def sample_matrix(x) -> np.ndarray:
     return x
 
 
+def sample_stack(x) -> tuple[np.ndarray, bool]:
+    """One n x d sample or a (b, n, d) stack of samples as a float
+    (b, n, d) stack, and whether it was one sample; raises ValueError on
+    any other shape."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3:
+        return sample_matrix(x)[None], True
+    if 0 in x.shape[:2] or x.shape[2] < 2:
+        raise ValueError("sample stack must be a b x n x d array with d >= 2")
+    return x, False
+
+
 @dataclass
 class FisherBinghamParams:
     """Location vector mu and symmetric matrix A with A[d, d] pinned to 0."""

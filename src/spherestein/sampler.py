@@ -3,8 +3,9 @@ Fisher-Bingham samples.
 
 All samplers are exact rejection schemes driven by an explicit
 counter-based RNG state, so a (seed, stream) pair fully determines the
-output regardless of how calls are scheduled across threads.  sample_vmf
-also takes a sequence of streams and returns the stack of their samples.
+output regardless of how calls are scheduled across threads.  Every
+sampler also takes a sequence of streams and returns the (b, n, d) stack
+of their samples, slice j bit for bit the sample of stream j alone.
 
 vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
 Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
@@ -68,12 +69,21 @@ def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
     return x / norms[..., None]
 
 
-def sample_uniform(d: int, n: int, rng: RngState) -> np.ndarray:
-    """n i.i.d. uniform points on S^{d-1}, via normalized Gaussians."""
+def _streams(rng) -> tuple[list[np.random.Generator], bool]:
+    # the generators of one RngState or of a sequence of them, and
+    # whether it was one
+    single = isinstance(rng, RngState)
+    return [r.generator() for r in ([rng] if single else rng)], single
+
+
+def sample_uniform(d: int, n: int, rng) -> np.ndarray:
+    """n i.i.d. uniform points on S^{d-1}, via normalized Gaussians;
+    ``rng`` is one RngState or a sequence of them, as for sample_vmf."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    g = rng.generator()
-    return _unit_rows(g.standard_normal((1, n, d)), [g])[0]
+    gens, single = _streams(rng)
+    x = _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
+    return x[0] if single else x
 
 
 def _vmf_radial(kappa: float, d: int, n: int,
@@ -125,8 +135,7 @@ def sample_vmf(params: VmfParams, n: int, rng) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = params.d
-    single = isinstance(rng, RngState)
-    gens = [r.generator() for r in ([rng] if single else rng)]
+    gens, single = _streams(rng)
     w = _vmf_radial(params.kappa, d, n, gens)
     v = _unit_rows(np.stack([g.standard_normal((n, d - 1)) for g in gens]), gens)
     y = np.empty((len(gens), n, d))
@@ -193,70 +202,95 @@ def _fb_acg_rejection(
     mu: np.ndarray,
     a_mat: np.ndarray,
     n: int,
-    g: np.random.Generator,
+    gens: list[np.random.Generator],
     accept_floor: float,
 ) -> np.ndarray:
+    # n points per stream, as a (b, n, d) stack.  Every stream draws its
+    # batches in the order and sizes it would alone: the first from n, each
+    # further one, drawn only while the stream is short, from its own
+    # acceptance rate so far.  The projection and the accept step run over
+    # the streams of a round that draw batches of one size.
     d = mu.size
     eigvecs, omega, inv_sqrt_omega, log_bound = _envelope(
         mu.tobytes(), a_mat.tobytes(), d
     )
 
-    out = np.empty((n, d))
-    have = 0
-    proposed = 0
-    accepted = 0
-    while have < n:
+    def batch(proposed: int, accepted: int, have: int) -> int:
         rate = accepted / proposed if proposed else 1.0
         m = int((n - have) / max(rate, 0.02) * 1.3) + 32
-        m = min(max(m, _MIN_BATCH), _MAX_BATCH)
-        z = (g.standard_normal((m, d)) * inv_sqrt_omega) @ eigvecs.T
-        u = g.random(m)
-        norms = np.linalg.norm(z, axis=1)
-        ok = norms > 1e-200  # dropping a measure-zero event keeps exactness
-        z, u, norms = z[ok], u[ok], norms[ok]
-        m = z.shape[0]
-        y = z / norms[:, None]
+        return min(max(m, _MIN_BATCH), _MAX_BATCH)
+
+    def propose(gs: list[np.random.Generator], m: int):
+        # m proposals per stream: the unit rows y, which of them are
+        # accepted, and how many were proposed (rows of measure-zero
+        # length are dropped, which keeps the rejection exact)
+        z = (np.stack([g.standard_normal((m, d)) for g in gs]) * inv_sqrt_omega) @ eigvecs.T
+        u = np.stack([g.random(m) for g in gs])
+        norms = np.linalg.norm(z, axis=-1)
+        ok = norms > 1e-200
+        y = z / np.where(ok, norms, 1.0)[..., None]
         proj = y @ eigvecs
         omega_quad = (proj * proj) @ omega  # y' Omega y
-        log_target = y @ mu + np.einsum("ni,ij,nj->n", y, a_mat, y)
+        log_target = y @ mu + ((y @ a_mat) * y).sum(axis=-1)
         log_acc = log_target - log_bound + 0.5 * d * np.log(omega_quad)
-        if float(log_acc.max()) > 1e-9:
+        if float(np.where(ok, log_acc, -np.inf).max()) > 1e-9:
             raise RuntimeError("rejection envelope bound violated")
-        keep = np.log(u) <= log_acc
-        taken = y[keep]
-        proposed += m
-        accepted += int(keep.sum())
-        take = min(taken.shape[0], n - have)
-        out[have : have + take] = taken[:take]
-        have += take
+        return y, ok & (np.log(u) <= log_acc), ok.sum(axis=-1)
+
+    def check_floor(proposed: int, accepted: int) -> None:
         if proposed >= _FLOOR_WINDOW and accepted / proposed < accept_floor:
             raise RuntimeError(
                 f"rejection acceptance {accepted / proposed:.2e} below "
                 f"{accept_floor:.0e} after {proposed} proposals"
             )
+
+    b = len(gens)
+    out = np.empty((b, n, d))
+    have, proposed, accepted = [0] * b, [0] * b, [0] * b
+    short = list(range(b))
+    while short:
+        # one round: each short stream draws its next batch; the streams
+        # whose batches have the same size are proposed as one stack
+        sizes = [batch(proposed[j], accepted[j], have[j]) for j in short]
+        for m in sorted(set(sizes)):
+            group = [j for j, size in zip(short, sizes) if size == m]
+            y, keep, count = propose([gens[j] for j in group], m)
+            for j, yj, keepj, countj in zip(group, y, keep, count):
+                taken = yj[keepj]
+                proposed[j] += int(countj)
+                accepted[j] += taken.shape[0]
+                take = min(taken.shape[0], n - have[j])
+                out[j, have[j] : have[j] + take] = taken[:take]
+                have[j] += take
+                check_floor(proposed[j], accepted[j])
+        short = [j for j in short if have[j] < n]
     return out
 
 
-def sample_watson(params: WatsonParams, n: int, rng: RngState) -> np.ndarray:
+def sample_watson(params: WatsonParams, n: int, rng) -> np.ndarray:
     """n i.i.d. Watson(mu, kappa) points; kappa = 0 falls back to uniform.
 
     Bipolar (kappa > 0) and girdle (kappa < 0) regimes both use the ACG
-    envelope on the Bingham form A = kappa mu mu'.
+    envelope on the Bingham form A = kappa mu mu'.  ``rng`` is one
+    RngState or a sequence of them, as for sample_vmf.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = params.d
     if params.kappa == 0.0:
         return sample_uniform(d, n, rng)
-    g = rng.generator()
+    gens, single = _streams(rng)
     a_mat = params.kappa * np.outer(params.mu, params.mu)
-    return _fb_acg_rejection(np.zeros(d), a_mat, n, g, accept_floor=1e-4)
+    x = _fb_acg_rejection(np.zeros(d), a_mat, n, gens, accept_floor=1e-4)
+    return x[0] if single else x
 
 
-def sample_fb(params: FisherBinghamParams, n: int, rng: RngState) -> np.ndarray:
+def sample_fb(params: FisherBinghamParams, n: int, rng) -> np.ndarray:
     """n i.i.d. Fisher-Bingham(mu, A) points by exact rejection from the
-    tilted angular-central-Gaussian envelope."""
+    tilted angular-central-Gaussian envelope; ``rng`` is one RngState or a
+    sequence of them, as for sample_vmf."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    g = rng.generator()
-    return _fb_acg_rejection(params.mu, params.A, n, g, accept_floor=1e-6)
+    gens, single = _streams(rng)
+    x = _fb_acg_rejection(params.mu, params.A, n, gens, accept_floor=1e-6)
+    return x[0] if single else x

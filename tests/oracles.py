@@ -16,7 +16,9 @@ so agreement is evidence, not tautology.  The exceptions:
 * fb_statistics_generic returns the package's FbSteinStatistics record
   (a plain container; no package code computes its entries);
 * mle_newton_scalar takes the Bessel ratio as an argument: it pins the
-  vectorised Newton iteration, not the ratio.
+  vectorised Newton iteration, not the ratio;
+* acg_sample_loop takes its envelope from sampler._envelope: it pins the
+  stacked rejection loop, not the envelope.
 """
 
 import math
@@ -29,6 +31,7 @@ from scipy import special as _sp
 from spherestein.est_fb import FbSteinStatistics
 from spherestein.linalg import rotation_to_e1
 from spherestein.models import watson_log_normalizer
+from spherestein.sampler import _envelope
 
 _UNIT_TOL = 1e-8
 
@@ -597,6 +600,50 @@ def vmf_sample_loop(params, n: int, rng,
     rot = (np.eye(d) if vnorm2 < 1e-24
            else np.eye(d) - 2.0 * np.outer(u_vec, u_vec) / vnorm2)
     return unit_rows(y @ rot), batches
+
+
+def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
+                    min_batch: int = 256) -> tuple[np.ndarray, int]:
+    """n Fisher-Bingham(mu, A) draws from one stream the way the ACG
+    rejection sampler makes them, written as a loop over the stream alone:
+    batches of about 1.3 (n - have) / rate + 32 (at least min_batch)
+    normal and uniform draws, projected through the envelope, normalised
+    and accepted one batch at a time until n are accepted.  Returns the
+    sample and the number of batches drawn."""
+    d = mu.size
+    eigvecs, omega, inv_sqrt_omega, log_bound = _envelope(
+        mu.tobytes(), a_mat.tobytes(), d)
+    g = rng.generator()
+    out = np.empty((n, d))
+    have = proposed = accepted = batches = 0
+    while have < n:
+        rate = accepted / proposed if proposed else 1.0
+        m = max(int((n - have) / max(rate, 0.02) * 1.3) + 32, min_batch)
+        z = (g.standard_normal((m, d)) * inv_sqrt_omega) @ eigvecs.T
+        u = g.random(m)
+        batches += 1
+        norms = np.linalg.norm(z, axis=1)
+        y = z / norms[:, None]
+        proj = y @ eigvecs
+        log_acc = (y @ mu + ((y @ a_mat) * y).sum(axis=1) - log_bound
+                   + 0.5 * d * np.log((proj * proj) @ omega))
+        taken = y[np.log(u) <= log_acc]
+        proposed += m
+        accepted += taken.shape[0]
+        take = min(taken.shape[0], n - have)
+        out[have : have + take] = taken[:take]
+        have += take
+    return out, batches
+
+
+def watson_st_ne_points() -> np.ndarray:
+    """Five unit rows in d = 3 on which the Watson ST fit has no eligible
+    branch (kappa^+ = -6.2 < 0 < kappa^- = 0.10) while the MLa and ML fits
+    exist; found by maximising min(kappa^-, -kappa^+) over five-point sets
+    and rounding to two decimals."""
+    x = np.array([[-0.05, -0.63, -0.78], [-0.01, 0.79, -0.62], [-1.0, 0.02, 0.04],
+                  [-0.06, -0.6, -0.8], [0.0, 0.58, 0.82]])
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
 def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:

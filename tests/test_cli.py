@@ -375,6 +375,18 @@ def test_simulate_rejects_non_object_config(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("estimators", [[1], ["st", None]])
+def test_simulate_rejects_non_string_estimator(tmp_path, capsys, estimators):
+    config = tmp_path / "est.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 10, "reps": 5, "estimators": estimators,
+    }))
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: estimator names must be strings\n")
+
+
 def test_simulate_casts_config_numbers(tmp_path, capsys):
     config = tmp_path / "cast.json"
     config.write_text(json.dumps({

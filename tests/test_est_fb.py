@@ -212,3 +212,23 @@ def test_blocks_equal_loop_oracle_bitwise(d):
         st, loop = fb_statistics(x), fb_blocks_loop(x)
         for name, block in loop.items():
             np.testing.assert_array_equal(getattr(st, name), block)
+
+
+def test_stacked_fit_equals_single_fits_and_books_singular_slices():
+    stack = sample_fb(FIG6, 60, [RngState(43, stream=k) for k in range(5)])
+    stack[2] = E3[0]  # one point repeated: M' is singular
+    fit = fb_stein_fit(stack)
+    np.testing.assert_array_equal(fit.ne, [False, False, True, False, False])
+    assert np.isnan(fit.mu_hat[2]).all() and np.isnan(fit.A_hat[2]).all()
+    for k, x in enumerate(stack):
+        if k == 2:
+            with pytest.raises(SingularSystem):
+                fb_stein_fit(x)
+            continue
+        one = fb_stein_fit(x)
+        np.testing.assert_array_equal(fit.mu_hat[k], one.mu_hat)
+        np.testing.assert_array_equal(fit.A_hat[k], one.A_hat)
+        assert fit.residual_norm[k] == one.residual_norm
+        assert fit.cond_m_prime[k] == one.cond_m_prime
+        assert fit.cond_schur[k] == one.cond_schur
+        assert fit.warnings[k] == one.warnings

@@ -28,6 +28,7 @@ from oracles import (
     grad_f2_by_hand_d3,
     j_statistic_loop,
     random_unit_rows,
+    watson_st_ne_points,
 )
 
 E3 = np.eye(3)
@@ -310,3 +311,38 @@ def test_one_eigendecomposition_per_call(monkeypatch, fit):
     x = sample_watson(WatsonParams(np.ones(4) / 2.0, 5.0), 200, RngState(61))
     fit(x)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("d, kappa, n", [(3, 5.0, 10), (3, -5.0, 10), (10, 20.0, 100),
+                                         (20, 5.0, 100), (20, -2.0, 100)])
+def test_stacked_fits_equal_single_fits_bitwise(d, kappa, n):
+    params = WatsonParams(np.ones(d) / math.sqrt(d), kappa)
+    stack = sample_watson(params, n, [RngState(62, stream=k) for k in range(12)])
+    if d == 3:  # slice 4 has no ST estimate
+        stack[4] = np.tile(watson_st_ne_points(), (2, 1))
+    prepared = est_watson.prepare_sample(stack)
+    for fit_fn in (watson_stein_fit, watson_mla_fit, watson_mle_fit):
+        fit = fit_fn(prepared)
+        np.testing.assert_array_equal(fit_fn(stack).kappa_hat, fit.kappa_hat)
+        expect_ne = d == 3 and fit_fn is watson_stein_fit
+        np.testing.assert_array_equal(fit.ne, np.arange(12) == (4 if expect_ne else -1))
+        for k, x in enumerate(stack):
+            if fit.ne[k]:
+                with pytest.raises(NotEligible):
+                    fit_fn(x)
+                assert np.isnan(fit.kappa_hat[k]) and fit.branch[k] == ""
+                continue
+            one = fit_fn(x)
+            assert fit.kappa_hat[k] == one.kappa_hat
+            np.testing.assert_array_equal(fit.mu_hat[k], one.mu_hat)
+            assert fit.branch[k] == one.branch
+            assert fit.eligible_branches[k] == one.eligible_branches
+            for b in ("+", "-"):
+                assert fit.residual_norms[b][k] == one.residual_norms[b]
+
+
+def test_stack_shape_is_checked():
+    with pytest.raises(ValueError):
+        watson_stein_fit(np.zeros((2, 0, 3)))
+    with pytest.raises(ValueError):
+        watson_mla_fit(np.zeros((2, 5, 1)))

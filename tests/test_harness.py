@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from spherestein import families, harness, sampler
+from spherestein import est_watson, families, harness, sampler
 from spherestein.est_watson import NotEligible
 from spherestein.harness import SimConfig, run_simulation
+from spherestein.linalg import spectral_norm, sym_eigen
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
+
+from oracles import watson_st_ne_points
 
 
 def _vmf_config(**kwargs):
@@ -65,23 +68,34 @@ def test_fb_blocks_and_alt_reading():
         assert cell.mse_alt**2 <= cell.mse + 1e-12
 
 
+def _planting(monkeypatch, family, sample, rep_gets_it):
+    # the family's sampler, with `sample` in every slice whose stream
+    # satisfies rep_gets_it
+    real = families.SAMPLERS[family]
+
+    def planted(params, n, streams):
+        stack = real(params, n, streams)
+        for k, rng in enumerate(streams):
+            if rep_gets_it(rng.stream):
+                stack[k] = sample
+        return stack
+
+    monkeypatch.setitem(families.SAMPLERS, family, planted)
+
+
 def test_ne_bookkeeping(monkeypatch):
-    # force NE on a deterministic subset of replications
-    from spherestein import est_watson
-
-    original = est_watson.watson_stein_fit
-
-    def flaky(x):
-        if x[0, 0] < -0.4:
-            raise NotEligible("forced for the test")
-        return original(x)
-
-    monkeypatch.setitem(families.ESTIMATORS, ("watson", "st"), flaky)
+    # replications 0, 4, 8, ... get a sample without an ST estimate
+    x = watson_st_ne_points()
+    with pytest.raises(NotEligible):
+        est_watson.watson_stein_fit(x)
+    _planting(monkeypatch, "watson", np.tile(x, (10, 1)), lambda rep: rep % 4 == 0)
     config = SimConfig(params=WatsonParams(np.ones(3) / math.sqrt(3), 5.0),
                        n=50, reps=100, estimators=("st", "mla"), seed=9)
+    _set_block_size(monkeypatch, config, 30)
     result = run_simulation(config)
     ne_st = result.cells["st"]["kappa"].ne
     assert 0.0 < ne_st < 1.0
+    assert ne_st == 25 / 100
     assert result.cells["mla"]["kappa"].ne == 0.0
     # NE replications are excluded, not imputed: bias stays finite
     assert np.isfinite(result.cells["st"]["kappa"].bias)
@@ -152,22 +166,47 @@ def test_csv_bytes_identical_for_any_block_size_and_thread_count(family, monkeyp
             assert run_simulation(config).to_csv() == reference, (size, threads)
 
 
+def _single_errors(family, fit, params) -> list[float]:
+    # the family's error of one single-sample fit, as each family scores it
+    if family == "fb":
+        return [float(np.linalg.norm(fit.mu_hat - params.mu)),
+                spectral_norm(fit.A_hat - params.A)]
+    return [fit.kappa_hat - params.kappa]
+
+
 def test_block_results_equal_per_replication_fits(monkeypatch):
     # each replication scored on its own: its own stream, a single-sample
     # fit, the family's error
-    config = SimConfig(reps=9, seed=12, **ENGINE_CONFIGS["vmf"])
-    _set_block_size(monkeypatch, config, 4)
-    result = run_simulation(config)
-    for est in config.estimators:
-        errors = []
-        for rep in range(config.reps):
-            x = sampler.sample_vmf(config.params, config.n,
-                                   sampler.RngState(config.seed, stream=rep))
-            fit = families.ESTIMATORS["vmf", est](x)
-            errors.append(fit.kappa_hat - config.params.kappa)
-        errors = np.array(errors)
-        assert result.cells[est]["kappa"].bias == float(errors.mean())
-        assert result.cells[est]["kappa"].mse == float((errors**2).mean())
+    for family, fields in sorted(ENGINE_CONFIGS.items()):
+        config = SimConfig(reps=9, seed=12, **fields)
+        _set_block_size(monkeypatch, config, 4)
+        result = run_simulation(config)
+        fam = families.FAMILIES[family]
+        for est in config.estimators:
+            errors = np.array([_single_errors(family, families.ESTIMATORS[family, est](
+                families.SAMPLERS[family](config.params, config.n,
+                                          sampler.RngState(config.seed, stream=rep))),
+                config.params) for rep in range(config.reps)])
+            for i, block in enumerate(fam.blocks):
+                cell = result.cells[est][block]
+                mean = cell.bias if fam.signed else cell.mse_alt
+                assert mean == float(errors[:, i].mean()), (family, est, block)
+                assert cell.mse == float((errors[:, i] ** 2).mean())
+
+
+def test_watson_study_decomposes_once_per_block(monkeypatch):
+    shapes = []
+
+    def counting(s):
+        shapes.append(np.shape(s))
+        return sym_eigen(s)
+
+    monkeypatch.setattr(est_watson, "sym_eigen", counting)
+    config = SimConfig(reps=17, seed=11, **ENGINE_CONFIGS["watson"])
+    assert set(config.estimators) >= {"st", "mla"}
+    _set_block_size(monkeypatch, config, 5)
+    run_simulation(config)
+    assert shapes == [(5, 4, 4)] * 3 + [(2, 4, 4)]
 
 
 def test_pool_has_no_more_workers_than_blocks(monkeypatch):
@@ -221,23 +260,21 @@ def test_stein2_books_ne_per_replication(monkeypatch):
 
 
 def test_hard_failure_names_estimator_seed_and_replication(monkeypatch):
+    # replication 5 gets a great circle lifted off its plane by 1e-6: the
+    # bottom axis carries r ~ 5e-13 of the mass, so the MLa kappa^- is
+    # about -1e12 and the Watson normaliser overflows
+    angle = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+    bad = np.column_stack([np.cos(angle), np.sin(angle), 1e-6 * np.cos(3 * angle)])
+    bad /= np.linalg.norm(bad, axis=1, keepdims=True)
+    _planting(monkeypatch, "watson", bad, lambda rep: rep == 5)
     params = WatsonParams(np.ones(3) / math.sqrt(3), 5.0)
-    bad = sampler.sample_watson(params, 40, sampler.RngState(9, stream=5))
-    original = families.ESTIMATORS["watson", "mla"]
-
-    def fails_on_rep_5(x):
-        if np.array_equal(x, bad):
-            raise ValueError("bad replication")
-        return original(x)
-
-    monkeypatch.setitem(families.ESTIMATORS, ("watson", "mla"), fails_on_rep_5)
     config = SimConfig(params=params, n=40, reps=12, estimators=("mla",), seed=9)
     _set_block_size(monkeypatch, config, 4)
     with pytest.raises(RuntimeError) as info:
         run_simulation(config)
     message = str(info.value)
-    assert "'mla'" in message and "replication 5 " in message
-    assert "seed 9" in message and "bad replication" in message
+    assert "'mla'" in message and "replications 4-7 " in message
+    assert "seed 9" in message and "1F1 overflowed" in message
 
 
 def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):
@@ -258,3 +295,17 @@ def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):
     message = str(info.value)
     assert "'ml'" in message and "replications 14-19" in message
     assert "seed 8" in message and "bad block" in message
+
+
+def test_fb_errors_per_slice_equal_single_fit_errors():
+    params = ENGINE_CONFIGS["fb"]["params"]
+    stack = sampler.sample_fb(params, 60, [sampler.RngState(5, stream=k) for k in range(6)])
+    stack[3] = np.eye(3)[0]  # singular: no estimate
+    fit = families.ESTIMATORS["fb", "st"](stack)
+    errors = np.column_stack(families.FAMILIES["fb"].errors(fit, params))
+    for k, x in enumerate(stack):
+        if k == 3:
+            assert fit.ne[k] and np.isnan(errors[k]).all()
+        else:
+            expected = _single_errors("fb", families.ESTIMATORS["fb", "st"](x), params)
+            np.testing.assert_array_equal(errors[k], expected)

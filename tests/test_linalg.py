@@ -146,6 +146,36 @@ def test_fix_sign_ties_and_columns():
     assert sym_eigen(np.diag([1.0, 2.0, 3.0])).eigenvectors.flags.c_contiguous
 
 
+@pytest.mark.parametrize("d", [3, 10, 20])
+def test_batched_eigh_and_sym_eigen_equal_per_slice_bitwise(d):
+    # a Watson block decomposes its scatter matrices in one batched call
+    rng = np.random.default_rng(40 + d)
+    x = rng.standard_normal((64, 2 * d, d))
+    x /= np.linalg.norm(x, axis=-1, keepdims=True)
+    stack = np.matmul(x.transpose(0, 2, 1), x) / (2 * d)
+    w, q = np.linalg.eigh(stack)
+    decomp = sym_eigen(stack)
+    assert decomp.eigenvectors.shape == (64, d, d)
+    for k, s in enumerate(stack):
+        w_k, q_k = np.linalg.eigh(s)
+        np.testing.assert_array_equal(w[k], w_k)
+        np.testing.assert_array_equal(q[k], q_k)
+        one = sym_eigen(s)
+        np.testing.assert_array_equal(decomp.eigenvalues[k], one.eigenvalues)
+        np.testing.assert_array_equal(decomp.eigenvectors[k], one.eigenvectors)
+        np.testing.assert_array_equal(fix_sign(q[k]), fix_sign(q)[k])
+
+
+def test_stacked_symmetry_check_covers_every_slice():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = 1e-3
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigen(stack)
+    with pytest.raises(ValueError, match="square"):
+        sym_eigen(np.zeros((2, 2, 3)))
+    np.testing.assert_array_equal(vech(stack[:2]), [vech(np.eye(3))] * 2)
+
+
 def test_sym_eigen_reconstruction_random():
     rng = np.random.default_rng(11)
     for _ in range(200):

@@ -20,6 +20,7 @@ from oracles import (
     canonical_f2,
     fb_uniform_rejection,
     stein_operator_apply,
+    acg_sample_loop,
     vmf_sample_loop,
 )
 
@@ -226,8 +227,8 @@ _ACG_CASES = {
 def test_acg_rejection_with_cached_envelope_matches_fresh_build(case):
     mu, a_mat, floor = _ACG_CASES[case]
     sampler._envelope.cache_clear()
-    fresh = sampler._fb_acg_rejection(mu, a_mat, 500, np.random.default_rng(3), floor)
-    cached = sampler._fb_acg_rejection(mu, a_mat, 500, np.random.default_rng(3), floor)
+    fresh = sampler._fb_acg_rejection(mu, a_mat, 500, [np.random.default_rng(3)], floor)
+    cached = sampler._fb_acg_rejection(mu, a_mat, 500, [np.random.default_rng(3)], floor)
     assert sampler._envelope.cache_info().hits == 1
     np.testing.assert_array_equal(cached, fresh)
     key = (mu.tobytes(), a_mat.tobytes(), mu.size)
@@ -280,3 +281,38 @@ def test_vmf_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
             np.testing.assert_array_equal(stack[k], expected)
             np.testing.assert_array_equal(sample_vmf(params, n, rng), expected)
     assert (short > 0) == (min_batch == 1)
+
+
+@pytest.mark.parametrize("min_batch", [1, 256])
+def test_acg_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
+    # with min_batch = 1 a first batch of 1.3 n + 32 proposals often falls
+    # short at these acceptance rates, so some streams draw a second batch
+    monkeypatch.setattr(sampler, "_MIN_BATCH", min_batch)
+    u20 = np.ones(20) / math.sqrt(20)
+    cases = [(WatsonParams(_U4, 6.0), 60), (WatsonParams(_U4, -6.0), 60),
+             (WatsonParams(u20, 5.0), 100), (WatsonParams(u20, -2.0), 100),
+             (FisherBinghamParams(*_ACG_CASES["fb"][:2]), 60)]
+    short = 0
+    for params, n in cases:
+        if params.family == "fb":
+            fn, mu, a_mat = sample_fb, params.mu, params.A
+        else:
+            fn, mu = sample_watson, np.zeros(params.d)
+            a_mat = params.kappa * np.outer(params.mu, params.mu)
+        streams = [RngState(22, stream=k) for k in range(30)]
+        stack = fn(params, n, streams)
+        assert stack.shape == (30, n, params.d)
+        for k, rng in enumerate(streams):
+            expected, batches = acg_sample_loop(mu, a_mat, n, rng, min_batch)
+            short += batches > 1
+            np.testing.assert_array_equal(stack[k], expected)
+            np.testing.assert_array_equal(fn(params, n, rng), expected)
+    assert (short > 0) == (min_batch == 1)
+
+
+def test_watson_uniform_stack_equals_per_stream_samples():
+    params = WatsonParams(E3[0], 0.0)
+    streams = [RngState(23, stream=k) for k in range(5)]
+    stack = sample_watson(params, 7, streams)
+    for k, rng in enumerate(streams):
+        np.testing.assert_array_equal(stack[k], sample_uniform(3, 7, rng))
