@@ -13,7 +13,9 @@ Exit codes: 0 success (including a Watson NE outcome, reported as
 key; Watson ML on an axis with none or all of the mass), 3 sampler failure
 or an estimator failing hard (an overflow or a root finder that does not
 converge in fit, any failure beyond the booked outcomes in simulate),
-4 singular estimating equations.
+4 singular estimating equations.  An --out path that cannot be opened for
+writing exits 2 with one "error: cannot write ..." line; simulate checks
+it before the study runs.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -66,7 +69,10 @@ def cmd_sample(args) -> int:
         x = SAMPLERS[params.family](params, args.n, rng)
     except RuntimeError as exc:
         return _fail(f"sampler failed: {exc}", 3)
-    _write_csv(args.out, x, args.header)
+    try:
+        _write_csv(args.out, x, args.header)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc.strerror}", 2)
     print(json.dumps({"seed": args.seed, "n": args.n, "d": x.shape[1],
                       "out": args.out}))
     return 0
@@ -116,8 +122,7 @@ def cmd_fit(args) -> int:
     except est_watson.NotEligible as exc:
         report["status"] = "NE"
         report["detail"] = str(exc)
-        _emit_report(report, args.out)
-        return 0
+        return _emit_report(report, args.out)
     except SingularSystem as exc:
         return _fail(f"singular system: {exc}", 4)
     except (est_vmf.DegenerateMean, ValueError) as exc:
@@ -127,16 +132,19 @@ def cmd_fit(args) -> int:
 
     report.update(FAMILIES[family].report(fit))
     report["warnings"] = warnings + getattr(fit, "warnings", [])
-    _emit_report(report, args.out)
-    return 0
+    return _emit_report(report, args.out)
 
 
-def _emit_report(report: dict, out: str | None) -> None:
+def _emit_report(report: dict, out: str | None) -> int:
     text = json.dumps(report, indent=2)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _fail(f"cannot write {out}: {exc.strerror}", 2)
     print(text)
+    return 0
 
 
 # the config file's keys, each a SimConfig field of the same name
@@ -157,9 +165,17 @@ def cmd_simulate(args) -> int:
         config = harness.SimConfig(**fields)
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", 2)
+    fresh = bool(args.out) and not os.path.exists(args.out)
+    if args.out:
+        try:  # before the study; "a" leaves an existing file as it is
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc.strerror}", 2)
     try:
         result = harness.run_simulation(config)
     except RuntimeError as exc:
+        if fresh:  # made by the check above; a failed study writes no CSV
+            os.remove(args.out)
         return _fail(f"simulation failed: {exc}", 3)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -11,6 +11,9 @@ whose coefficient blocks are sample moments up to fourth order, assembled
 here from moment tensors by index arrays.  The tests cross-check them
 against a per-point path built from the explicit derivative matrices of
 the test functions (the two agree to machine precision).
+
+The statistics and the fit take one n x d sample or a (b, n, d) stack,
+slice k of which gets the bits of that sample on its own.
 """
 
 from __future__ import annotations
@@ -19,19 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (
-    SingularSystem,
-    lower_index,
-    solve_linear,
-    spectral_norm,
-    unvech_prime,
-    vech_prime,
-)
-from .models import (
-    FisherBinghamParams,
-    sample_matrix,
-    sample_stack,
-)
+from .linalg import SingularSystem, lower_index, solve_stack, unvech_prime, vech_prime
+from .models import FisherBinghamParams, sample_matrix, sample_stack
 
 # estimates with larger norms are reported with a warning: far out on the
 # likelihood plateau, very different (mu, A) give near-identical densities
@@ -43,7 +35,8 @@ class FbSteinStatistics:
     """Sample means defining the estimating equations (trimmed to A[d,d] = 0).
 
     Shapes, with q = d(d+1)/2: m_prime (q-1, q-1), d_vec (q-1,),
-    e_mat (q-1, d), g_prime (d, q-1), h_vec (d,), l_mat (d, d).
+    e_mat (q-1, d), g_prime (d, q-1), h_vec (d,), l_mat (d, d); for a
+    stack each block gains a leading axis of b slices.
     """
 
     m_prime: np.ndarray
@@ -59,9 +52,10 @@ class FbEstimate:
     """A fit of one sample, or of a (b, n, d) stack of b samples.
 
     For a stack every field gains a leading axis of b entries (warnings
-    holds one list per sample), and ``ne`` flags the samples whose system
-    is singular, whose entries are NaN.  A single such sample raises
-    SingularSystem instead.
+    holds one list per sample), and ``ne`` flags the samples whose M' or
+    Schur complement is singular: their estimates and residual norms are
+    NaN, and the condition numbers show which system failed.  A single
+    such sample raises SingularSystem instead.
     """
 
     mu_hat: np.ndarray
@@ -83,118 +77,107 @@ def v_statistic(scatter: np.ndarray) -> np.ndarray:
 
 
 def fb_statistics(x) -> FbSteinStatistics:
-    """The six coefficient blocks for the canonical test-function pair.
+    """The six coefficient blocks for the canonical test-function pair, for
+    one n x d sample or per slice of a (b, n, d) stack (every block then
+    gains a leading axis of b slices).
 
     Uses the closed forms the canonical pair admits: H = (d-1) Xbar,
     L = I - S, D = 2d vech'(S) - 2 vech'(I), and moment-tensor assemblies
     for M, E, G; equal to the generic path to machine precision.
     """
-    x = sample_matrix(x)
-    n, d = x.shape
+    x, single = sample_stack(x)
+    b, n, d = x.shape
     k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
     i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
 
-    xbar = x.mean(axis=0)
-    scatter = x.T @ x / n
-    third = np.einsum("ni,nj,nk->ijk", x, x, x) / n
-    w = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
-    fourth = (w.T @ w / n).reshape(d, d, d, d)
-
-    h_vec = (d - 1.0) * xbar
-    l_mat = np.eye(d) - scatter
+    xbar = x.mean(axis=1)
+    scatter = np.matmul(x.swapaxes(1, 2), x) / n
+    third = np.einsum("bni,bnj,bnk->bijk", x, x, x) / n
+    w = (x[:, :, :, None] * x[:, :, None, :]).reshape(b, n, d * d)
+    fourth = (np.matmul(w.swapaxes(1, 2), w) / n).reshape(b, d, d, d, d)
 
     # row blocks of B(x) = grad_f2(x) (I - xx'); row (i,j) is
     # x_j e_i' + x_i e_j' - 2 x_i x_j x', so means reduce to moment tensors
-    e_mat = -2.0 * third[i, j]
+    e_mat = -2.0 * third[:, i, j]
     rows = np.arange(i.size)
-    e_mat[rows, i] += xbar[j]
-    e_mat[rows, j] += xbar[i]
+    e_mat[:, rows, i] += xbar[:, j]
+    e_mat[:, rows, j] += xbar[:, i]
 
     # T4[(i,j), k, l] = mean[B_{(ij),k} x_l], symmetrised over (k, l); the
     # np.where operands and their order are those of the entrywise formula
     i, j = i[:, None], j[:, None]
-    t_kl = np.where(i == k, scatter[j, l], 0.0) \
-        + np.where(j == k, scatter[i, l], 0.0) - 2.0 * fourth[i, j, k, l]
-    t_lk = np.where(i == l, scatter[j, k], 0.0) \
-        + np.where(j == l, scatter[i, k], 0.0) - 2.0 * fourth[i, j, l, k]
+    t_kl = np.where(i == k, scatter[:, j, l], 0.0) \
+        + np.where(j == k, scatter[:, i, l], 0.0) - 2.0 * fourth[:, i, j, k, l]
+    t_lk = np.where(i == l, scatter[:, j, k], 0.0) \
+        + np.where(j == l, scatter[:, i, k], 0.0) - 2.0 * fourth[:, i, j, l, k]
     m_full = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
 
     # mean[(I - xx')_{row,k} x_l], symmetrised over (k, l)
     row = np.arange(d)[:, None]
-    t_kl = np.where(row == k, xbar[l], 0.0) - third[row, k, l]
-    t_lk = np.where(row == l, xbar[k], 0.0) - third[row, l, k]
+    t_kl = np.where(row == k, xbar[:, None, l], 0.0) - third[:, row, k, l]
+    t_lk = np.where(row == l, xbar[:, None, k], 0.0) - third[:, row, l, k]
     g_full = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
 
-    return FbSteinStatistics(
-        m_prime=m_full[:, :-1],
-        d_vec=v_statistic(scatter),
-        e_mat=e_mat,
-        g_prime=g_full[:, :-1],
-        h_vec=h_vec,
-        l_mat=l_mat,
-    )
+    # the fancy-indexed blocks come out with b as their innermost stride;
+    # matmul rounds such a slice differently from a contiguous one
+    blocks = (m_full[..., :-1], v_statistic(scatter), e_mat,
+              g_full[..., :-1], (d - 1.0) * xbar, np.eye(d) - scatter)
+    return FbSteinStatistics(*(np.ascontiguousarray(a[0] if single else a)
+                               for a in blocks))
 
 
 def fb_stein_fit(x) -> FbEstimate:
-    """Solve the coupled equations for (mu, A); A comes back symmetric with
-    A[d, d] = 0.
+    """Solve the coupled equations for (mu, A) on one sample or per slice
+    of a (b, n, d) stack; A comes back symmetric with A[d, d] = 0.
 
-    Raises SingularSystem (tagged with the failing block) when M' or the
-    Schur complement L - G'(M')^{-1}E is numerically singular.  A
-    (b, n, d) stack is fitted one slice at a time, and a singular slice is
-    flagged in ``ne`` instead.
+    A single sample raises SingularSystem (tagged with the failing block)
+    when M' or the Schur complement L - G'(M')^{-1}E is numerically
+    singular; a stack flags such slices in ``ne`` instead.
     """
-    stack, single = sample_stack(x)
-    if single:
-        return _fit_one(stack[0])
-    b, _, d = stack.shape
-    fit = FbEstimate(np.full((b, d), np.nan), np.full((b, d, d), np.nan),
-                     np.full(b, np.nan), np.full(b, np.nan), np.full(b, np.nan),
-                     [[] for _ in range(b)], ne=np.zeros(b, dtype=bool))
-    for k, xk in enumerate(stack):
-        try:
-            one = _fit_one(xk)
-        except SingularSystem:
-            fit.ne[k] = True
-            continue
-        fit.mu_hat[k], fit.A_hat[k], fit.warnings[k] = one.mu_hat, one.A_hat, one.warnings
-        fit.residual_norm[k] = one.residual_norm
-        fit.cond_m_prime[k], fit.cond_schur[k] = one.cond_m_prime, one.cond_schur
-    return fit
-
-
-def _fit_one(x: np.ndarray) -> FbEstimate:
-    d = x.shape[1]
+    x, single = sample_stack(x)
+    d = x.shape[2]
     st = fb_statistics(x)
 
-    rhs = np.column_stack([st.e_mat, st.d_vec])
-    solved, cond_m = solve_linear(st.m_prime, rhs, name="M'")
-    w_e, w_d = solved[:, :d], solved[:, d]
-    schur = st.l_mat - st.g_prime @ w_e
-    mu_hat, cond_schur = solve_linear(
-        schur, st.h_vec - st.g_prime @ w_d, name="Schur complement"
-    )
-    a_hat = unvech_prime(w_d - w_e @ mu_hat, d)
+    rhs = np.concatenate([st.e_mat, st.d_vec[..., None]], axis=-1)
+    solved, cond_m, sing_m = solve_stack(st.m_prime, rhs)
+    w_e, w_d = solved[..., :d], solved[..., d]
+    schur = st.l_mat - np.matmul(st.g_prime, w_e)
+    mu_hat, cond_s, sing_s = solve_stack(schur, st.h_vec - _mv(st.g_prime, w_d))
+    if single and (sing_m[0] or sing_s[0]):
+        name, cond = ("M'", cond_m) if sing_m[0] else ("Schur complement", cond_s)
+        raise SingularSystem(name, float(cond[0]))
+    va = w_d - _mv(w_e, mu_hat)
+    residual = _residual(st, mu_hat, va)
+    resid_norm = np.sqrt(np.vecdot(residual, residual))
+    ne = sing_m | sing_s
+    a_hat = unvech_prime(va, d)
+    a_hat[ne] = np.nan  # its pinned A[d, d] = 0 too
+    # the SVD of a NaN slice would not converge; its norm is never read
+    a_norm = np.linalg.norm(np.where(ne[:, None, None], 0.0, a_hat), 2, axis=(1, 2))
+    mu_norm = np.sqrt(np.vecdot(mu_hat, mu_hat))
+    warnings = [
+        ["identification: parameter norms are large "
+         f"(|mu| = {m:.1f}, |A| = {a:.1f}); distinct parameters "
+         "this far out can produce near-identical densities"]
+        if not skip and (m > IDENTIFICATION_NORM or a > IDENTIFICATION_NORM) else []
+        for m, a, skip in zip(mu_norm, a_norm, ne)
+    ]
+    if single:
+        return FbEstimate(mu_hat[0], a_hat[0], float(resid_norm[0]),
+                          float(cond_m[0]), float(cond_s[0]), warnings[0])
+    return FbEstimate(mu_hat, a_hat, resid_norm, cond_m, cond_s, warnings, ne=ne)
 
-    params = FisherBinghamParams(mu=mu_hat, A=a_hat)
-    residual = fb_stein_residual(params, x, statistics=st)
-    warnings = []
-    mu_norm = float(np.linalg.norm(mu_hat))
-    a_norm = spectral_norm(a_hat)
-    if mu_norm > IDENTIFICATION_NORM or a_norm > IDENTIFICATION_NORM:
-        warnings.append(
-            "identification: parameter norms are large "
-            f"(|mu| = {mu_norm:.1f}, |A| = {a_norm:.1f}); distinct parameters "
-            "this far out can produce near-identical densities"
-        )
-    return FbEstimate(
-        mu_hat=mu_hat,
-        A_hat=a_hat,
-        residual_norm=float(np.linalg.norm(residual)),
-        cond_m_prime=cond_m,
-        cond_schur=cond_schur,
-        warnings=warnings,
-    )
+
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # m @ v for one matrix and vector or per slice of stacks of them
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _residual(st: FbSteinStatistics, mu: np.ndarray, va: np.ndarray) -> np.ndarray:
+    # the f1 block, then the f2 block, at (mu, vech'(A)); one row per slice
+    res_f1 = _mv(st.g_prime, va) + _mv(st.l_mat, mu) - st.h_vec
+    res_f2 = _mv(st.m_prime, va) + _mv(st.e_mat, mu) - st.d_vec
+    return np.concatenate([res_f1, res_f2], axis=-1)
 
 
 def fb_stein_residual(
@@ -207,7 +190,4 @@ def fb_stein_residual(
     """
     x = sample_matrix(x)
     st = statistics if statistics is not None else fb_statistics(x)
-    va = vech_prime(params.A)
-    res_f1 = st.g_prime @ va + st.l_mat @ params.mu - st.h_vec
-    res_f2 = st.m_prime @ va + st.e_mat @ params.mu - st.d_vec
-    return np.concatenate([res_f1, res_f2])
+    return _residual(st, params.mu, vech_prime(params.A))

@@ -4,9 +4,10 @@ bias, MSE and non-existence frequencies per estimator.
 Replications run in blocks of a fixed memory size.  Each block draws its
 samples from independent RNG streams keyed by (seed, replication index)
 as one (b, n, d) stack, prepares it once where the family has a
-``PREPARE`` step, and fits every estimator once over the whole stack.
-The CSV has identical bytes for any block size and thread count.  NE
-semantics: a replication that a fit flags in its ``ne`` (Watson: neither
+``PREPARE`` step, and fits every estimator once over the whole stack
+(every fit, Fisher-Bingham's too, is one computation over it).  The CSV
+has identical bytes for any block size and thread count.  NE semantics:
+a replication that a fit flags in its ``ne`` (Watson: neither
 branch eligible; Fisher-Bingham: a singular system; vMF ST2: a singular
 I - S) counts as a non-existence event and is excluded from bias and
 MSE; any other failure aborts loudly.

@@ -1,9 +1,10 @@
 """Dense linear-algebra helpers shared by the estimators.
 
 Half-vectorization (vech) and its index arrays, small symmetric
-eigendecompositions with a deterministic sign convention, Householder rotations onto the first axis, and a
-condition-checked linear solve.  Everything operates on small dense
-matrices; dimensions beyond a few hundred are out of scope.
+eigendecompositions with a deterministic sign convention, Householder
+rotations onto the first axis, and a condition-checked solve of a stack of
+linear systems.  Everything operates on small dense matrices; dimensions
+beyond a few hundred are out of scope.
 """
 
 from __future__ import annotations
@@ -42,17 +43,11 @@ def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _check_square(m, stack: bool = False) -> np.ndarray:
-    # a square matrix or, with stack, also a (b, d, d) stack of them
-    m = np.asarray(m, dtype=float)
-    if m.ndim not in ((2, 3) if stack else (2,)) or m.shape[-1] != m.shape[-2]:
-        raise ValueError("expected a square matrix")
-    return m
-
-
 def _check_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
-    # every slice of a stack is checked
-    m = _check_square(m, stack=True)
+    # a square matrix or a (b, d, d) stack of them; every slice is checked
+    m = np.asarray(m, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError("expected a square matrix")
     if m.size and np.max(np.abs(m - m.swapaxes(-1, -2))) > tol:
         raise ValueError("matrix is not symmetric within tolerance")
     return m
@@ -72,14 +67,15 @@ def vech_prime(s) -> np.ndarray:
 
 
 def unvech_prime(v, d: int) -> np.ndarray:
-    """Embed a length d(d+1)/2 - 1 vector as a symmetric matrix with S[d,d] = 0."""
+    """Embed a length d(d+1)/2 - 1 vector as a symmetric matrix with
+    S[d,d] = 0 (one matrix per row of a stack of such vectors)."""
     v = np.asarray(v, dtype=float)
     rows, cols = (idx[:-1] for idx in lower_index(d))
-    if v.size != rows.size:
-        raise ValueError(f"expected length {rows.size}, got {v.size}")
-    s = np.zeros((d, d))
-    s[rows, cols] = v
-    s[cols, rows] = v
+    if v.shape[-1:] != rows.shape:
+        raise ValueError(f"expected length {rows.size}, got shape {v.shape}")
+    s = np.zeros((*v.shape[:-1], d, d))
+    s[..., rows, cols] = v
+    s[..., cols, rows] = v
     return s
 
 
@@ -112,14 +108,6 @@ def sym_eigen(s) -> EigenDecomposition:
     w, q = np.linalg.eigh(_check_symmetric(s))
     return EigenDecomposition(eigenvalues=w[..., ::-1].copy(),
                               eigenvectors=fix_sign(q[..., ::-1].copy()))
-
-
-def spectral_norm(m) -> float:
-    """Largest singular value."""
-    m = np.asarray(m, dtype=float)
-    if not m.size:
-        return 0.0
-    return float(np.linalg.norm(m, 2))
 
 
 def rotation_to_e1(u) -> np.ndarray:
@@ -160,16 +148,3 @@ def solve_stack(a, b):
         x[ok] = solved if b.ndim == 3 else solved[..., 0]
     return x, cond, singular
 
-
-def solve_linear(a, b, name: str = "linear system"):
-    """Solve a @ x = b by LU with partial pivoting; returns (x, cond).
-
-    The one-system case of solve_stack: cond is the 1-norm condition
-    number of a, and a singular system raises SingularSystem tagged with
-    `name` so callers can report which system failed.
-    """
-    a = _check_square(a)
-    x, cond, singular = solve_stack(a[None], np.asarray(b, dtype=float)[None])
-    if singular[0]:
-        raise SingularSystem(name, float(cond[0]))
-    return x[0], float(cond[0])

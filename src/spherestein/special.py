@@ -102,13 +102,18 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
 
     Negative arguments go through the Kummer transform
     1F1(a; b; x) = e^x * 1F1(b-a; b; -x) so only positive-term series are
-    ever summed.
+    ever summed.  Where e^x underflows to 0 with b > a, the transformed
+    series overflows for the Watson orders (a = 1/2, 3/2), so the product
+    would be 0 * inf: OverflowError is raised without summing it.
     """
     _check_kummer_b(b)
     if x == 0.0:
         return 1.0
     if x < 0:
-        val = math.exp(x) * float(_sp.hyp1f1(b - a, b, -x))
+        scale = math.exp(x)
+        if scale == 0.0 and b > a:
+            raise OverflowError("1F1 overflowed")
+        val = scale * float(_sp.hyp1f1(b - a, b, -x))
     else:
         val = float(_sp.hyp1f1(a, b, x))
     if not math.isfinite(val):

@@ -308,6 +308,26 @@ def test_fit_singular_system_exit_code(tmp_path):
     assert cli.main(["fit", "--family", "fb", "--in", str(path)]) == 4
 
 
+@pytest.mark.parametrize("command", ["sample", "fit", "simulate"])
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
+    # one error line and exit 2, where each used to end in a traceback;
+    # simulate checks the path before it runs the study
+    sample = str(tmp_path / "x.csv")
+    cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "20",
+              "--out", sample])
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "o.csv")
+    argv = {"sample": ["sample", "--params", _vmf_params(tmp_path), "--n", "5"],
+            "fit": ["fit", "--family", "vmf", "--in", sample],
+            "simulate": ["simulate", "--config",
+                         str(CONFIG_DIR / "table2_d3_k1.json"), "--reps", "5"]}
+    monkeypatch.setattr(cli.harness, "run_simulation", None)  # not reached
+    assert cli.main(argv[command] + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: No such file or directory\n"
+
+
 def test_simulate_bundled_config(tmp_path, capsys):
     out = str(tmp_path / "result.csv")
     code = cli.main(["simulate", "--config",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spherestein import est_watson
+from spherestein import est_watson, special
 from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
@@ -223,6 +223,27 @@ def test_mla_bracket_contains_mle():
     assert lower < kappa_ml < upper
     fit = watson_mla_fit(x)
     assert fit.kappa_hat == pytest.approx(0.5 * (lower + upper), rel=1e-12)
+
+
+def test_mle_overflow_near_great_circle_sums_no_underflowed_1f1(monkeypatch):
+    # 50 points of a great circle lifted by 1e-6 (r ~ 1e-12): ML's root
+    # bracket reaches kappa where e^-kappa underflows, and there the
+    # overflow is raised before scipy sums the transformed series (which
+    # took seconds before failing the same way)
+    hyp1f1, args = special._sp.hyp1f1, []
+
+    def spy(a, b, x):
+        args.append(x)
+        return hyp1f1(a, b, x)
+
+    monkeypatch.setattr(special._sp, "hyp1f1", spy)
+    rng = np.random.default_rng(0)
+    t = rng.uniform(0.0, 2.0 * np.pi, 50)
+    x = np.column_stack([np.cos(t), np.sin(t), 1e-6 * rng.standard_normal(50)])
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    with pytest.raises(OverflowError, match="1F1 overflowed"):
+        watson_mle_fit(x)
+    assert args and max(args) < 745.0
 
 
 def test_mle_zero_at_isotropic_r():

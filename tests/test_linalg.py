@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from spherestein.linalg import (
-    SingularSystem,
+    COND_LIMIT,
     fix_sign,
     lower_index,
     rotation_to_e1,
-    solve_linear,
     solve_stack,
-    spectral_norm,
     sym_eigen,
     unvech_prime,
     vech,
@@ -51,6 +49,11 @@ def test_vech_prime_examples():
 def test_vech_prime_inverse_embed():
     a = np.array([[0, 0, 0], [0, 0, -3], [0, -3, 0]], dtype=float)
     np.testing.assert_array_equal(unvech_prime(vech_prime(a), 3), a)
+    # a stack of vectors embeds row by row
+    stack = np.stack([a, 2.0 * a, np.zeros((3, 3))])
+    np.testing.assert_array_equal(unvech_prime(vech_prime(stack), 3), stack)
+    with pytest.raises(ValueError):
+        unvech_prime(np.zeros((2, 4)), 3)
 
 
 def test_duplication_d2_rows():
@@ -192,16 +195,6 @@ def test_sym_eigen_reconstruction_random():
             assert col[int(np.argmax(np.abs(col)))] >= 0
 
 
-def test_spectral_norm():
-    assert spectral_norm(np.diag([-3.0, 2.0])) == pytest.approx(3.0)
-    assert spectral_norm(np.zeros((3, 3))) == 0.0
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        m = rng.standard_normal((3, 3))
-        expected = np.sqrt(np.max(np.linalg.eigvalsh(m.T @ m)))
-        assert spectral_norm(m) == pytest.approx(expected, rel=1e-10)
-
-
 def test_rotation_to_e1():
     np.testing.assert_array_equal(rotation_to_e1([1.0, 0.0, 0.0]), np.eye(3))
     np.testing.assert_allclose(
@@ -223,29 +216,32 @@ def test_rotation_rejects_non_unit():
         rotation_to_e1([0.5, 0.5, 0.5])
 
 
-def test_solve_linear():
-    x, cond = solve_linear(np.eye(3), np.array([1.0, 2.0, 3.0]))
-    np.testing.assert_array_equal(x, [1, 2, 3])
-    assert cond == pytest.approx(1.0)
+def test_solve_stack_one_system():
+    x, cond, singular = solve_stack(np.eye(3)[None], np.array([[1.0, 2.0, 3.0]]))
+    np.testing.assert_array_equal(x[0], [1, 2, 3])
+    assert cond[0] == pytest.approx(1.0)
+    assert not singular[0]
 
-    x, _ = solve_linear(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    np.testing.assert_allclose(x, [1.0, 1.0])
+    x, _, _ = solve_stack(np.diag([2.0, 4.0])[None], np.array([[2.0, 4.0]]))
+    np.testing.assert_allclose(x[0], [1.0, 1.0])
 
     rng = np.random.default_rng(13)
     for _ in range(50):
         a = rng.standard_normal((6, 6)) + 6.0 * np.eye(6)
         b = rng.standard_normal(6)
-        x, cond = solve_linear(a, b)
+        x, cond, _ = solve_stack(a[None], b[None])
+        x, cond = x[0], cond[0]
         resid = np.linalg.norm(a @ x - b)
         bound = 1e-8 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
         assert resid <= bound
         assert np.isfinite(cond)
 
 
-def test_solve_linear_singular():
+def test_solve_stack_singular_system():
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    with pytest.raises(SingularSystem):
-        solve_linear(singular, np.ones(2), name="test system")
+    x, cond, flags = solve_stack(singular[None], np.ones((1, 2)))
+    assert flags[0] and not cond[0] <= COND_LIMIT
+    assert np.isnan(x).all()
 
 
 def test_solve_stack_slices_equal_single_solves_bitwise():
@@ -257,12 +253,9 @@ def test_solve_stack_slices_equal_single_solves_bitwise():
         np.testing.assert_array_equal(singular, [k == 2 for k in range(6)])
         assert np.isnan(x[2]).all()
         for k in (0, 1, 3, 4, 5):
-            xk, condk = solve_linear(a[k], b[k])
-            np.testing.assert_array_equal(x[k], xk)
-            assert cond[k] == condk
-            # the one-system case is numpy's own solve of that system
-            np.testing.assert_array_equal(xk, np.linalg.solve(a[k], b[k]))
-            assert condk == float(np.linalg.cond(a[k], 1))
+            # each slice is numpy's own solve of that system on its own
+            np.testing.assert_array_equal(x[k], np.linalg.solve(a[k], b[k]))
+            assert cond[k] == np.linalg.cond(a[k], 1)
 
 
 def test_lower_pairs_order():

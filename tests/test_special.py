@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spherestein import special
 from spherestein.special import bessel_ratio, kummer_1f1, kummer_ratio
 
 from oracles import (
@@ -180,6 +181,23 @@ def test_kummer_invalid_b():
         kummer_1f1(0.5, 0.0, 1.0)
     with pytest.raises(ValueError):
         kummer_1f1(0.5, -2.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.5])
+def test_kummer_overflow_where_exp_underflows_skips_scipy(monkeypatch, a):
+    # with x < 0 and e^x == 0, the transformed series overflows at the
+    # Watson orders (b = d/2 for a = 1/2, d/2 + 1 for a = 3/2), so the
+    # product would be 0 * inf; the overflow is raised without summing it
+    def unreachable(*args):
+        raise AssertionError(f"hyp1f1{args} called")
+
+    monkeypatch.setattr(special._sp, "hyp1f1", unreachable)
+    for d in (2, 3, 10, 59, 100, 1000):
+        for x in (-745.2, -1e4, -1e6):
+            with pytest.raises(OverflowError, match="1F1 overflowed"):
+                kummer_1f1(a, 0.5 * d + a - 0.5, x)
+            with pytest.raises(OverflowError, match="1F1 overflowed"):
+                kummer_ratio(0.5, 0.5 * d, x)
 
 
 def test_kummer_ratio_at_zero():
