@@ -43,18 +43,20 @@ def _as_unit_vector(mu, name: str = "mu") -> np.ndarray:
 
 
 def sample_matrix(x) -> np.ndarray:
-    """A sample as a float n x d array; raises ValueError on any other shape."""
-    x = np.asarray(x, dtype=float)
+    """A sample as a C-ordered float n x d array; raises ValueError on any
+    other shape.  C order makes the estimates' bits independent of the
+    caller's layout (a Fortran-ordered or strided copy of a sample)."""
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 2:
         raise ValueError("sample must be an n x d array with d >= 2")
     return x
 
 
 def sample_stack(x) -> tuple[np.ndarray, bool]:
-    """One n x d sample or a (b, n, d) stack of samples as a float
-    (b, n, d) stack, and whether it was one sample; raises ValueError on
-    any other shape."""
-    x = np.asarray(x, dtype=float)
+    """One n x d sample or a (b, n, d) stack of samples as a C-ordered
+    float (b, n, d) stack, and whether it was one sample; raises
+    ValueError on any other shape."""
+    x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3:
         return sample_matrix(x)[None], True
     if 0 in x.shape[:2] or x.shape[2] < 2:

@@ -101,20 +101,22 @@ def kummer_1f1(a: float, b: float, x: float) -> float:
     """Kummer's confluent hypergeometric 1F1(a; b; x).
 
     Negative arguments go through the Kummer transform
-    1F1(a; b; x) = e^x * 1F1(b-a; b; -x) so only positive-term series are
-    ever summed.  Where e^x underflows to 0 with b > a, the transformed
-    series overflows for the Watson orders (a = 1/2, 3/2), so the product
-    would be 0 * inf: OverflowError is raised without summing it.
+    1F1(a; b; x) = e^x * 1F1(b-a; b; -x), a positive-term series, wherever
+    that product is finite.  From about x = -710 the transformed series
+    overflows at the Watson orders (a = 1/2, 3/2), and below x = -745 e^x
+    underflows to 0; there scipy evaluates 1F1(a; b; x) directly.  The
+    transformed series is never summed where e^x == 0: at large -x that
+    sum takes seconds and then overflows.
     """
     _check_kummer_b(b)
     if x == 0.0:
         return 1.0
+    val = math.inf
     if x < 0:
         scale = math.exp(x)
-        if scale == 0.0 and b > a:
-            raise OverflowError("1F1 overflowed")
-        val = scale * float(_sp.hyp1f1(b - a, b, -x))
-    else:
+        if scale > 0.0:
+            val = scale * float(_sp.hyp1f1(b - a, b, -x))
+    if not math.isfinite(val):
         val = float(_sp.hyp1f1(a, b, x))
     if not math.isfinite(val):
         raise OverflowError("1F1 overflowed")

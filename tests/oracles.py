@@ -395,6 +395,19 @@ def j_statistic_loop(x, mu) -> np.ndarray:
     ])
 
 
+def third_moment_loop(x) -> np.ndarray:
+    """The third-moment tensor mean[x_i x_j x_k] of an n x d sample (or
+    per slice of a (b, n, d) stack), as a loop over the points: each
+    (x_i x_j) x_k is added to the running sum in order, then the sum is
+    divided by n."""
+    n, d = x.shape[-2:]
+    total = np.zeros(x.shape[:-2] + (d, d, d))
+    for m in range(n):
+        p = x[..., m, :]
+        total += (p[..., :, None, None] * p[..., None, :, None]) * p[..., None, None, :]
+    return total / n
+
+
 def fb_blocks_loop(x) -> dict:
     """The moment-tensor blocks E, M' and G' of the Fisher-Bingham
     equations, assembled entry by entry (untrimmed M and G columns are
@@ -404,7 +417,7 @@ def fb_blocks_loop(x) -> dict:
     q = len(pairs)
     xbar = x.mean(axis=0)
     scatter = x.T @ x / n
-    third = np.einsum("ni,nj,nk->ijk", x, x, x) / n
+    third = third_moment_loop(x)
     w = (x[:, :, None] * x[:, None, :]).reshape(n, d * d)
     fourth = (w.T @ w / n).reshape(d, d, d, d)
 

@@ -207,11 +207,27 @@ def test_identification_warning_for_extreme_concentration():
 @pytest.mark.parametrize("d", [2, 3, 5, 10])
 def test_blocks_equal_loop_oracle_bitwise(d):
     rng = np.random.default_rng(200 + d)
-    for n in (3, 60):
+    for n in (3, 60, 1000):
         x = random_unit_rows(rng, n, d)
         st, loop = fb_statistics(x), fb_blocks_loop(x)
         for name, block in loop.items():
             np.testing.assert_array_equal(getattr(st, name), block)
+
+
+@pytest.mark.parametrize("b,n,d", [(1, 1000, 10), (5, 1000, 3), (1, 2000, 10),
+                                   (2, 200, 20), (3, 1, 4), (3, 3, 4)])
+def test_third_moment_blocks_equal_sequential_loop_bitwise(b, n, d):
+    # the third moment adds (x_i x_j) x_k over the points one at a time,
+    # in order; a blocked or SIMD-split sum (matmul, optimize=True, the
+    # transposed operands) changes the last bits of E and G'
+    stack = random_unit_rows(np.random.default_rng(b * n * d), b * n, d)
+    stack = stack.reshape(b, n, d)
+    st = fb_statistics(stack)
+    for k, x in enumerate(stack):
+        loop, one = fb_blocks_loop(x), fb_statistics(x)
+        for name in ("e_mat", "g_prime"):
+            np.testing.assert_array_equal(getattr(st, name)[k], loop[name])
+            np.testing.assert_array_equal(getattr(one, name), loop[name])
 
 
 @pytest.mark.parametrize("d", [3, 5, 10])

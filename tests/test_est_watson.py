@@ -9,6 +9,7 @@ from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
     _pick_branch,
+    prepare_sample,
     watson_axis,
     watson_mla_bounds,
     watson_mla_fit,
@@ -225,11 +226,14 @@ def test_mla_bracket_contains_mle():
     assert fit.kappa_hat == pytest.approx(0.5 * (lower + upper), rel=1e-12)
 
 
-def test_mle_overflow_near_great_circle_sums_no_underflowed_1f1(monkeypatch):
+def test_mle_near_great_circle_is_finite_and_sums_no_underflowed_1f1(monkeypatch):
     # 50 points of a great circle lifted by 1e-6 (r ~ 1e-12): ML's root
-    # bracket reaches kappa where e^-kappa underflows, and there the
-    # overflow is raised before scipy sums the transformed series (which
-    # took seconds before failing the same way)
+    # bracket reaches kappa where e^kappa underflows; there 1F1 is
+    # evaluated directly (the transformed series, which took seconds and
+    # then overflowed, is never summed), and the girdle root matches
+    # mpmath's ratio at r
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
     hyp1f1, args = special._sp.hyp1f1, []
 
     def spy(a, b, x):
@@ -241,9 +245,25 @@ def test_mle_overflow_near_great_circle_sums_no_underflowed_1f1(monkeypatch):
     t = rng.uniform(0.0, 2.0 * np.pi, 50)
     x = np.column_stack([np.cos(t), np.sin(t), 1e-6 * rng.standard_normal(50)])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
-    with pytest.raises(OverflowError, match="1F1 overflowed"):
-        watson_mle_fit(x)
+    fit = watson_mle_fit(x)
     assert args and max(args) < 745.0
+    assert fit.branch == "-" and math.isfinite(fit.kappa_hat)
+    assert -1e12 < fit.kappa_hat < -745.0
+    s = prepare_sample(x)
+    r = float(s.axes["-"] @ s.scatter @ s.axes["-"])
+    k = mpmath.mpf(fit.kappa_hat)
+    ratio = mpmath.hyp1f1(1.5, 2.5, k) / mpmath.hyp1f1(0.5, 1.5, k) / 3
+    assert float(ratio) == pytest.approx(r, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("d,kappa", [(3, -800.0), (50, -1e4)])
+def test_likelihood_fits_finite_for_strong_girdles(d, kappa):
+    # the likelihood needs 1F1(1/2; d/2; kappa) where e^kappa underflows
+    mu = np.eye(d)[0]
+    x = sample_watson(WatsonParams(mu, kappa), 200, RngState(58))
+    for fit in (watson_mle_fit(x), watson_mla_fit(x)):
+        assert fit.branch == "-" and math.isfinite(fit.kappa_hat)
+        assert 0.5 * kappa > fit.kappa_hat > 2.0 * kappa
 
 
 def test_mle_zero_at_isotropic_r():

@@ -260,11 +260,11 @@ def test_stein2_books_ne_per_replication(monkeypatch):
 
 
 def test_hard_failure_names_estimator_seed_and_replication(monkeypatch):
-    # replication 5 gets a great circle lifted off its plane by 1e-6: the
-    # bottom axis carries r ~ 5e-13 of the mass, so the MLa kappa^- is
-    # about -1e12 and the Watson normaliser overflows
+    # replication 5 gets 40 points within 1e-6 of one axis: the top axis
+    # carries all but ~5e-13 of the mass, so the MLa kappa^+ is about 1e12
+    # and the Watson normaliser 1F1(1/2; 3/2; kappa^+) overflows
     angle = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
-    bad = np.column_stack([np.cos(angle), np.sin(angle), 1e-6 * np.cos(3 * angle)])
+    bad = np.column_stack([1e-6 * np.cos(angle), 1e-6 * np.sin(angle), np.ones(40)])
     bad /= np.linalg.norm(bad, axis=1, keepdims=True)
     _planting(monkeypatch, "watson", bad, lambda rep: rep == 5)
     params = WatsonParams(np.ones(3) / math.sqrt(3), 5.0)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spherestein import sampler
+from spherestein import families, sampler
 from spherestein.models import (
     FisherBinghamParams,
     VmfParams,
@@ -80,6 +80,32 @@ def test_params_from_dict_errors():
     with pytest.raises(ValueError):
         params_from_dict({"family": "fb", "mu": [1, 0, 0],
                           "A": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]})
+
+
+# sample layout ------------------------------------------------------------
+
+LAYOUT_PARAMS = {
+    "vmf": VmfParams(np.array([0.0, 0.6, 0.8, 0.0, 0.0]), 5.0),
+    "watson": WatsonParams(np.array([0.6, 0.8, 0.0, 0.0, 0.0]), -5.0),
+    "fb": FisherBinghamParams(np.array([0.0, 2.0, 1.0, 0.5, 0.0]),
+                              np.diag([1.0, -1.0, 0.5, 0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("family,estimator", sorted(families.ESTIMATORS))
+def test_estimates_do_not_depend_on_sample_layout(family, estimator):
+    # a Fortran-ordered or strided copy (a pandas .values array is often
+    # F-ordered) gets the bits of the C-ordered sample, one or a stack
+    fit = families.ESTIMATORS[family, estimator]
+    stack = families.SAMPLERS[family](
+        LAYOUT_PARAMS[family], 300, [sampler.RngState(70, stream=k) for k in range(3)])
+    for x in (stack, stack[1]):
+        strided = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))[..., ::2]
+        strided[...] = x
+        expected = vars(fit(x))
+        for copy in (np.asfortranarray(x), strided):
+            assert not copy.flags.c_contiguous
+            np.testing.assert_equal(vars(fit(copy)), expected)
 
 
 # densities ----------------------------------------------------------------

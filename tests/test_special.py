@@ -184,20 +184,33 @@ def test_kummer_invalid_b():
 
 
 @pytest.mark.parametrize("a", [0.5, 1.5])
-def test_kummer_overflow_where_exp_underflows_skips_scipy(monkeypatch, a):
-    # with x < 0 and e^x == 0, the transformed series overflows at the
-    # Watson orders (b = d/2 for a = 1/2, d/2 + 1 for a = 3/2), so the
-    # product would be 0 * inf; the overflow is raised without summing it
-    def unreachable(*args):
-        raise AssertionError(f"hyp1f1{args} called")
+def test_kummer_where_transform_fails_matches_mpmath(monkeypatch, a):
+    # at the Watson orders (b = d/2 for a = 1/2, d/2 + 1 for a = 3/2) the
+    # transformed series overflows from about x = -710, and below -745
+    # e^x == 0 as well: 1F1 is evaluated directly at x there, and no
+    # argument of 745 or more (a transformed series that would take
+    # seconds to overflow) reaches scipy.  Where the transform stays
+    # finite near overflow (a = 3/2, d = 2 at x = -720) it is off by 3e-12
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    hyp1f1, args = special._sp.hyp1f1, []
 
-    monkeypatch.setattr(special._sp, "hyp1f1", unreachable)
+    def spy(*call):
+        args.append(call[-1])
+        return hyp1f1(*call)
+
+    monkeypatch.setattr(special._sp, "hyp1f1", spy)
     for d in (2, 3, 10, 59, 100, 1000):
-        for x in (-745.2, -1e4, -1e6):
-            with pytest.raises(OverflowError, match="1F1 overflowed"):
-                kummer_1f1(a, 0.5 * d + a - 0.5, x)
-            with pytest.raises(OverflowError, match="1F1 overflowed"):
-                kummer_ratio(0.5, 0.5 * d, x)
+        b = 0.5 * d + a - 0.5
+        for x in (-720.0, -745.2, -1e4, -1e6, -1e9):
+            expected = mpmath.hyp1f1(a, b, x)
+            assert kummer_1f1(a, b, x) == pytest.approx(float(expected),
+                                                        rel=1e-11, abs=0.0)
+            expected = (mpmath.hyp1f1(1.5, 0.5 * d + 1, x)
+                        / mpmath.hyp1f1(0.5, 0.5 * d, x) / d)
+            assert kummer_ratio(0.5, 0.5 * d, x) == pytest.approx(float(expected),
+                                                                  rel=1e-11, abs=0.0)
+    assert args and max(args) < 745.0
 
 
 def test_kummer_ratio_at_zero():
