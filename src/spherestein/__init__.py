@@ -5,6 +5,11 @@ von Mises-Fisher and Watson families on the unit hypersphere S^{d-1},
 plus a Monte Carlo harness for simulation studies.  The estimators solve
 the empirical version of an integration-by-parts (Stein) identity and
 never touch a normalising constant.
+
+Samplers and estimators work on stacks: a sampler draws a (b, n, d)
+stack for a sequence of b RngStates, and an estimator fits every slice
+of a (b, n, d) stack at once.  ``fit_one(family, code, x)`` fits one
+n x d sample and returns its report.
 """
 
 from .est_fb import FbEstimate, fb_stein_fit, fb_stein_residual, fb_statistics
@@ -20,14 +25,11 @@ from .est_vmf import (
 from .est_watson import (
     NotEligible,
     WatsonEstimate,
-    watson_axis,
     watson_mla_bounds,
     watson_mla_fit,
-    watson_mle_kappa,
-    watson_statistics,
     watson_stein_fit,
-    watson_stein_kappa,
 )
+from .families import fit_one
 from .harness import SimConfig, SimResult, run_simulation
 from .linalg import SingularSystem
 from .models import FisherBinghamParams, VmfParams, WatsonParams
@@ -53,6 +55,7 @@ __all__ = [
     "fb_stein_residual",
     "fb_statistics",
     "fisher_information_vmf",
+    "fit_one",
     "kappa_mle",
     "kappa_score_matching",
     "kappa_stein",
@@ -64,11 +67,7 @@ __all__ = [
     "sample_vmf",
     "sample_watson",
     "stein_asymptotic_variance_vmf",
-    "watson_axis",
     "watson_mla_bounds",
     "watson_mla_fit",
-    "watson_mle_kappa",
-    "watson_statistics",
     "watson_stein_fit",
-    "watson_stein_kappa",
 ]

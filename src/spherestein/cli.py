@@ -25,11 +25,12 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
 from . import est_vmf, est_watson, harness, sampler, vmf_moments
-from .families import ESTIMATORS, FAMILIES, SAMPLERS
+from .families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
 from .linalg import SingularSystem
 from .models import params_from_dict
 
@@ -64,9 +65,12 @@ def cmd_sample(args) -> int:
                      f"({params.family})", 2)
     if args.n < 1:
         return _fail("--n must be >= 1", 2)
-    rng = sampler.RngState(args.seed)
     try:
-        x = SAMPLERS[params.family](params, args.n, rng)
+        rng = sampler.RngState(args.seed)
+    except ValueError as exc:
+        return _fail(f"invalid --seed: {exc}", 2)
+    try:
+        x = SAMPLERS[params.family](params, args.n, [rng])[0]
     except RuntimeError as exc:
         return _fail(f"sampler failed: {exc}", 3)
     try:
@@ -82,15 +86,19 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
     header = names == [f"x{i + 1}" for i in range(len(names))]  # as sample --header
-    x = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
-    if x.ndim != 2 or x.shape[1] < 2:
+    with warnings.catch_warnings():  # a file without rows is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        x = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header))
+    if x.shape[0] < 1:
+        raise ValueError("no data rows")
+    if x.shape[1] < 2:
         raise ValueError("expected an n x d CSV with d >= 2")
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} has a non-finite entry")
     norms = np.linalg.norm(x, axis=1)
     dev = np.abs(norms - 1.0)
-    warnings = []
+    notes = []
     if np.any(dev > 1e-3):
         first_bad = int(np.argmax(dev > 1e-3))
         raise ValueError(
@@ -98,10 +106,10 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
             "unit vectors (within 1e-3 for auto-renormalization)"
         )
     if np.any(dev > 1e-6):
-        warnings.append(
+        notes.append(
             f"{int((dev > 1e-6).sum())} rows renormalized (norm deviation > 1e-6)"
         )
-    return x / norms[:, None], warnings
+    return x / norms[:, None], notes
 
 
 def cmd_fit(args) -> int:
@@ -110,15 +118,15 @@ def cmd_fit(args) -> int:
     if (family, estimator) not in ESTIMATORS:
         return _fail(f"no estimator {estimator!r} for family {family!r}", 2)
     try:
-        x, warnings = _read_sample(args.infile)
+        x, notes = _read_sample(args.infile)
     except (OSError, ValueError) as exc:
         return _fail(f"cannot read sample: {exc}", 2)
 
     report = {"family": family, "estimator": estimator,
               "n": int(x.shape[0]), "d": int(x.shape[1]), "status": "ok",
-              "warnings": warnings}
+              "warnings": notes}
     try:
-        fit = ESTIMATORS[family, estimator](x)
+        fit = fit_one(family, estimator, x)
     except est_watson.NotEligible as exc:
         report["status"] = "NE"
         report["detail"] = str(exc)
@@ -130,8 +138,7 @@ def cmd_fit(args) -> int:
     except (OverflowError, RuntimeError) as exc:
         return _fail(f"estimator failed: {exc}", 3)
 
-    report.update(FAMILIES[family].report(fit))
-    report["warnings"] = warnings + getattr(fit, "warnings", [])
+    report.update(fit, warnings=notes + fit["warnings"])
     return _emit_report(report, args.out)
 
 

@@ -12,8 +12,8 @@ here from moment tensors by index arrays.  The tests cross-check them
 against a per-point path built from the explicit derivative matrices of
 the test functions (the two agree to machine precision).
 
-The statistics and the fit take one n x d sample or a (b, n, d) stack,
-slice k of which gets the bits of that sample on its own.
+The statistics, the fit and the residual take a (b, n, d) stack of b
+samples; slice k gets the bits of that sample fitted as a stack of one.
 
 The third-moment tensor mean[x_i x_j x_k] is contracted from the pair
 products w = x_i x_j that the fourth moment needs anyway, as the
@@ -27,25 +27,21 @@ blockwise or in SIMD partial sums and change the last bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SingularSystem, lower_index, solve_stack, unvech_prime, vech_prime
-from .models import FisherBinghamParams, sample_matrix, sample_stack
-
-# estimates with larger norms are reported with a warning: far out on the
-# likelihood plateau, very different (mu, A) give near-identical densities
-IDENTIFICATION_NORM = 25.0
+from .linalg import lower_index, solve_stack, unvech_prime, vech_prime
+from .models import FisherBinghamParams, sample_stack
 
 
 @dataclass
 class FbSteinStatistics:
     """Sample means defining the estimating equations (trimmed to A[d,d] = 0).
 
-    Shapes, with q = d(d+1)/2: m_prime (q-1, q-1), d_vec (q-1,),
-    e_mat (q-1, d), g_prime (d, q-1), h_vec (d,), l_mat (d, d); for a
-    stack each block gains a leading axis of b slices.
+    Shapes per slice of a stack, with q = d(d+1)/2: m_prime (q-1, q-1),
+    d_vec (q-1,), e_mat (q-1, d), g_prime (d, q-1), h_vec (d,),
+    l_mat (d, d); each block has a leading axis of b slices.
     """
 
     m_prime: np.ndarray
@@ -58,23 +54,21 @@ class FbSteinStatistics:
 
 @dataclass
 class FbEstimate:
-    """A fit of one sample, or of a (b, n, d) stack of b samples.
+    """A fit of a (b, n, d) stack of b samples.
 
-    For a stack every field gains a leading axis of b entries (warnings
-    holds one list per sample), and ``ne`` flags the samples whose M' or
-    Schur complement is singular: their estimates and residual norms are
-    NaN, and the condition numbers show which system failed.  A single
-    such sample raises SingularSystem instead.
+    Every field has a leading axis of b entries, and ``ne`` flags the
+    samples whose M' or Schur complement is singular: their estimates and
+    residual norms are NaN, and the condition numbers show which system
+    failed.
     """
 
     mu_hat: np.ndarray
     A_hat: np.ndarray
-    residual_norm: float | np.ndarray
-    cond_m_prime: float | np.ndarray
-    cond_schur: float | np.ndarray
-    warnings: list = field(default_factory=list)
+    residual_norm: np.ndarray
+    cond_m_prime: np.ndarray
+    cond_schur: np.ndarray
+    ne: np.ndarray
     estimator: str = "ST"
-    ne: np.ndarray | None = None
 
 
 def v_statistic(scatter: np.ndarray) -> np.ndarray:
@@ -86,15 +80,15 @@ def v_statistic(scatter: np.ndarray) -> np.ndarray:
 
 
 def fb_statistics(x) -> FbSteinStatistics:
-    """The six coefficient blocks for the canonical test-function pair, for
-    one n x d sample or per slice of a (b, n, d) stack (every block then
-    gains a leading axis of b slices).
+    """The six coefficient blocks for the canonical test-function pair,
+    per slice of a (b, n, d) stack (every block has a leading axis of b
+    slices).
 
     Uses the closed forms the canonical pair admits: H = (d-1) Xbar,
     L = I - S, D = 2d vech'(S) - 2 vech'(I), and moment-tensor assemblies
     for M, E, G; equal to the generic path to machine precision.
     """
-    x, single = sample_stack(x)
+    x = sample_stack(x)
     b, n, d = x.shape
     k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
     i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
@@ -135,54 +129,35 @@ def fb_statistics(x) -> FbSteinStatistics:
     # matmul rounds such a slice differently from a contiguous one
     blocks = (m_full[..., :-1], v_statistic(scatter), e_mat,
               g_full[..., :-1], (d - 1.0) * xbar, np.eye(d) - scatter)
-    return FbSteinStatistics(*(np.ascontiguousarray(a[0] if single else a)
-                               for a in blocks))
+    return FbSteinStatistics(*(np.ascontiguousarray(a) for a in blocks))
 
 
 def fb_stein_fit(x) -> FbEstimate:
-    """Solve the coupled equations for (mu, A) on one sample or per slice
-    of a (b, n, d) stack; A comes back symmetric with A[d, d] = 0.
+    """Solve the coupled equations for (mu, A) per slice of a (b, n, d)
+    stack; A comes back symmetric with A[d, d] = 0.
 
-    A single sample raises SingularSystem (tagged with the failing block)
-    when M' or the Schur complement L - G'(M')^{-1}E is numerically
-    singular; a stack flags such slices in ``ne`` instead.
+    A slice whose M' or Schur complement L - G'(M')^{-1}E is numerically
+    singular is flagged in ``ne``.
     """
-    x, single = sample_stack(x)
-    d = x.shape[2]
     st = fb_statistics(x)
+    d = st.h_vec.shape[-1]
 
     rhs = np.concatenate([st.e_mat, st.d_vec[..., None]], axis=-1)
     solved, cond_m, sing_m = solve_stack(st.m_prime, rhs)
     w_e, w_d = solved[..., :d], solved[..., d]
     schur = st.l_mat - np.matmul(st.g_prime, w_e)
     mu_hat, cond_s, sing_s = solve_stack(schur, st.h_vec - _mv(st.g_prime, w_d))
-    if single and (sing_m[0] or sing_s[0]):
-        name, cond = ("M'", cond_m) if sing_m[0] else ("Schur complement", cond_s)
-        raise SingularSystem(name, float(cond[0]))
     va = w_d - _mv(w_e, mu_hat)
     residual = _residual(st, mu_hat, va)
     resid_norm = np.sqrt(np.vecdot(residual, residual))
     ne = sing_m | sing_s
     a_hat = unvech_prime(va, d)
     a_hat[ne] = np.nan  # its pinned A[d, d] = 0 too
-    # the SVD of a NaN slice would not converge; its norm is never read
-    a_norm = np.linalg.norm(np.where(ne[:, None, None], 0.0, a_hat), 2, axis=(1, 2))
-    mu_norm = np.sqrt(np.vecdot(mu_hat, mu_hat))
-    warnings = [
-        ["identification: parameter norms are large "
-         f"(|mu| = {m:.1f}, |A| = {a:.1f}); distinct parameters "
-         "this far out can produce near-identical densities"]
-        if not skip and (m > IDENTIFICATION_NORM or a > IDENTIFICATION_NORM) else []
-        for m, a, skip in zip(mu_norm, a_norm, ne)
-    ]
-    if single:
-        return FbEstimate(mu_hat[0], a_hat[0], float(resid_norm[0]),
-                          float(cond_m[0]), float(cond_s[0]), warnings[0])
-    return FbEstimate(mu_hat, a_hat, resid_norm, cond_m, cond_s, warnings, ne=ne)
+    return FbEstimate(mu_hat, a_hat, resid_norm, cond_m, cond_s, ne)
 
 
 def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # m @ v for one matrix and vector or per slice of stacks of them
+    # m @ v per slice of stacks of matrices and vectors
     return np.matmul(m, v[..., None])[..., 0]
 
 
@@ -193,14 +168,11 @@ def _residual(st: FbSteinStatistics, mu: np.ndarray, va: np.ndarray) -> np.ndarr
     return np.concatenate([res_f1, res_f2], axis=-1)
 
 
-def fb_stein_residual(
-    params: FisherBinghamParams, x, statistics: FbSteinStatistics | None = None
-) -> np.ndarray:
+def fb_stein_residual(params: FisherBinghamParams, x) -> np.ndarray:
     """Empirical mean of the Stein operator at the given parameters,
-    concatenated over the canonical test-function pair (f1 block first).
+    concatenated over the canonical test-function pair (f1 block first),
+    one row per slice of a (b, n, d) stack.
 
     Zero (to solver accuracy) at the fitted parameters.
     """
-    x = sample_matrix(x)
-    st = statistics if statistics is not None else fb_statistics(x)
-    return _residual(st, params.mu, vech_prime(params.A))
+    return _residual(fb_statistics(x), params.mu, vech_prime(params.A))

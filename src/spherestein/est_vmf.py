@@ -6,19 +6,19 @@ with f(x) = x (ST), the variant that solves for mu' = kappa mu first
 (ST2), the maximum likelihood estimator (ML), and the score-matching
 estimator (SM).  All four are invariant under rotations of the sample.
 
-Each estimator takes one n x d sample or a (b, n, d) stack of b samples,
-which a simulation study fits in one call; slice k of a stack gets the
-same bits as the sample on its own.
+Each estimator takes a (b, n, d) stack of b samples, which a simulation
+study fits in one call; slice k of a stack gets the same bits as that
+sample fitted as a stack of one (``families.fit_one`` fits one sample).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import special
-from .linalg import SingularSystem, solve_stack
+from .linalg import solve_stack
 from .models import sample_stack
 
 
@@ -28,31 +28,30 @@ class DegenerateMean(Exception):
 
 @dataclass
 class VmfEstimate:
-    """A fit of one sample, or of a (b, n, d) stack of b samples.
+    """A fit of a (b, n, d) stack of b samples.
 
-    For a stack, ``mu_hat`` is b x d, ``kappa_hat`` and each diagnostic
-    hold one entry per sample, and ``ne`` flags the samples without an
-    estimate (ST2 with a singular I - S), whose entries are NaN.  A
-    single sample without an estimate raises instead.
+    ``mu_hat`` is b x d, ``kappa_hat`` and each diagnostic hold one entry
+    per sample, and ``ne`` flags the samples without an estimate (ST2 with
+    a singular I - S), whose entries are NaN.
     """
 
     mu_hat: np.ndarray
-    kappa_hat: float | np.ndarray
+    kappa_hat: np.ndarray
     estimator: str
-    diagnostics: dict = field(default_factory=dict)
-    ne: np.ndarray | None = None
+    diagnostics: dict
+    ne: np.ndarray
 
 
-def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, bool]:
-    # the sample as a (b, n, d) stack, the means Xbar, their lengths |Xbar|,
-    # the mean directions Xbar / |Xbar| and whether x was one n x d sample
-    x, single = sample_stack(x)
+def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the checked stack, the means Xbar, their lengths |Xbar| and the mean
+    # directions Xbar / |Xbar|
+    x = sample_stack(x)
     xbar = x.mean(axis=1)
     # a dot product per slice, as np.linalg.norm takes for one vector
     norm = np.sqrt(_dot(xbar, xbar))
     if np.any(norm <= 1e-12):
         raise DegenerateMean("resultant length is zero")
-    return x, xbar, norm, xbar / norm[:, None], single
+    return x, xbar, norm, xbar / norm[:, None]
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -65,20 +64,15 @@ def _resid_mat(x: np.ndarray) -> np.ndarray:
     return np.eye(x.shape[2]) - np.matmul(x.transpose(0, 2, 1), x) / x.shape[1]
 
 
-def _estimate(single: bool, mu_hat, kappa, name: str, ne=None,
-              **diagnostics) -> VmfEstimate:
-    if single:
-        return VmfEstimate(mu_hat[0], float(kappa[0]), name,
-                           {k: v[0].item() for k, v in diagnostics.items()})
+def _estimate(mu_hat, kappa, name: str, ne=None, **diagnostics) -> VmfEstimate:
     if ne is None:
         ne = np.zeros(kappa.shape, dtype=bool)
     return VmfEstimate(mu_hat, kappa, name, diagnostics, ne)
 
 
 def mean_direction(x) -> np.ndarray:
-    """The directional sample mean Xbar / |Xbar| (one row per slice of a stack)."""
-    mu_hat, single = _resultant(x)[3:]
-    return mu_hat[0] if single else mu_hat
+    """The directional sample mean Xbar / |Xbar|, one row per slice."""
+    return _resultant(x)[3]
 
 
 def kappa_stein(x) -> VmfEstimate:
@@ -88,7 +82,7 @@ def kappa_stein(x) -> VmfEstimate:
 
     Strictly positive on any non-degenerate sample.
     """
-    x, xbar, r, mu_hat, single = _resultant(x)
+    x, xbar, r, mu_hat = _resultant(x)
     d = x.shape[2]
     resid_mat = _resid_mat(x)
     mu_resid = np.matmul(mu_hat[:, None, :], resid_mat)
@@ -100,18 +94,16 @@ def kappa_stein(x) -> VmfEstimate:
         # numerator equals |Xbar| mu'(I-S)mu >= 0, so this cannot trigger
         # on finite input; checked because positivity is part of the contract
         raise ValueError(f"positivity postcondition failed: kappa = {kappa}")
-    return _estimate(single, mu_hat, kappa, "ST", resultant_length=r)
+    return _estimate(mu_hat, kappa, "ST", resultant_length=r)
 
 
 def kappa_stein2(x) -> VmfEstimate:
     """The mu' = kappa mu variant: kappa = (d-1) |(I - S)^{-1} Xbar|."""
-    x, xbar, r, mu_hat, single = _resultant(x)
+    x, xbar, r, mu_hat = _resultant(x)
     d = x.shape[2]
     mu_prime, cond, singular = solve_stack(_resid_mat(x), xbar)
-    if single and singular[0]:
-        raise SingularSystem("I - mean(xx')", float(cond[0]))
     kappa = (d - 1.0) * np.sqrt(_dot(mu_prime, mu_prime))
-    return _estimate(single, mu_hat, kappa, "ST2", ne=singular,
+    return _estimate(mu_hat, kappa, "ST2", ne=singular,
                      resultant_length=r, cond=cond)
 
 
@@ -157,11 +149,11 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
-    x, _, r, mu_hat, single = _resultant(x)
+    x, _, r, mu_hat = _resultant(x)
     if np.any(r >= 1.0):
         raise ValueError("resultant length >= 1: all points identical")
     kappa, iterations = _mle_from_resultant(x.shape[2], r)
-    return _estimate(single, mu_hat, kappa, "ML",
+    return _estimate(mu_hat, kappa, "ML",
                      resultant_length=r, iterations=iterations)
 
 
@@ -172,7 +164,7 @@ def kappa_score_matching(x) -> VmfEstimate:
     R mu_hat = e1, which equals mu_hat'X_i exactly, so the rotation
     (the Householder reflector in linalg) never needs to be formed.
     """
-    x, _, r, mu_hat, single = _resultant(x)
+    x, _, r, mu_hat = _resultant(x)
     d = x.shape[2]
     y = np.matmul(x, mu_hat[:, :, None])[..., 0]
     ybar = y.mean(axis=1)
@@ -180,4 +172,4 @@ def kappa_score_matching(x) -> VmfEstimate:
     if np.any(y2bar >= 1.0 - 1e-15):
         raise ValueError("mean squared projection is 1: sample degenerate")
     kappa = (d - 1.0) * ybar / (1.0 - y2bar)
-    return _estimate(single, mu_hat, kappa, "SM", resultant_length=r)
+    return _estimate(mu_hat, kappa, "SM", resultant_length=r)

@@ -1,20 +1,22 @@
 """Watson-family estimation: eigenvector axis, the least-squares
 moment-type concentration estimate with its +/- branch selection rule,
-the midpoint-of-likelihood-bounds estimator (MLa), and a single-component
-maximum likelihood baseline.
+the midpoint-of-likelihood-bounds estimator (MLa), and a maximum
+likelihood baseline for one Watson component.
 
 Branches: (+) takes the top eigenvector of the scatter matrix (bipolar
 data, kappa > 0), (-) the bottom eigenvector (girdle data, kappa < 0).
 A branch is eligible when the sign of its concentration estimate matches;
-if neither branch is eligible the estimate does not exist: a single sample
-raises NotEligible, a stack flags the sample in its fit's ``ne``, and the
-simulation harness books it as the NE event.
+if neither branch is eligible the estimate does not exist: the fit flags
+the sample in its ``ne``, the simulation harness books it as the NE event,
+and ``families.fit_one`` raises NotEligible for it.
+
+Every fit takes a (b, n, d) stack of b samples or its WatsonSample.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,83 +32,52 @@ class NotEligible(Exception):
 
 
 @dataclass
-class WatsonSteinStatistics:
-    """V and the per-branch J vectors for the canonical test function."""
-
-    v_vec: np.ndarray
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-
-
-@dataclass
 class WatsonEstimate:
-    """A fit of one sample, or of a (b, n, d) stack of b samples.
+    """A fit of a (b, n, d) stack of b samples.
 
-    For a stack, ``mu_hat`` is b x d, ``kappa_hat``, ``branch``,
-    ``eligible_branches`` and each residual norm hold one entry per
-    sample, and ``ne`` flags the samples where neither branch is eligible
-    (NaN estimates, branch "").  A single such sample raises NotEligible.
+    ``mu_hat`` is b x d; every other array, and each per-branch ("+", "-")
+    array of ``kappas``, ``residual_norms`` (the scores that order the
+    branches) and ``eligible``, holds one entry per sample.  ``ne`` flags
+    the samples where neither branch is eligible (NaN estimates, branch
+    ""), ``near_uniform`` a sign-rule pick with both branches eligible and
+    |kappa| < 1e-6, whose axis is weakly identified.
     """
 
     mu_hat: np.ndarray
-    kappa_hat: float | np.ndarray
-    branch: str | np.ndarray  # "+" or "-"
+    kappa_hat: np.ndarray
+    branch: np.ndarray  # "+" or "-"
     estimator: str
-    eligible_branches: tuple[str, ...] | list[tuple[str, ...]]
-    residual_norms: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
-    ne: np.ndarray | None = None
+    kappas: dict[str, np.ndarray]
+    residual_norms: dict[str, np.ndarray]
+    eligible: dict[str, np.ndarray]
+    near_uniform: np.ndarray
+    ne: np.ndarray
 
 
 @dataclass
 class WatsonSample:
-    """A sample x, n x d, or a (b, n, d) stack of b samples, prepared once
-    for the Watson fits: the scatter S = x'x/n (d x d, or b x d x d) and
-    its (+) top and (-) bottom eigenvectors (column views, d or b x d),
-    from one batched eigendecomposition.  The fits take a sample, a stack
-    or a WatsonSample; a simulation block prepares its stack once, so that
-    all its fits share one decomposition."""
+    """A (b, n, d) stack of b samples prepared once for the Watson fits:
+    the scatters S = x'x/n (b x d x d) and their (+) top and (-) bottom
+    eigenvectors (column views, b x d), from one batched
+    eigendecomposition.  A simulation block prepares its stack once, so
+    that all its fits share one decomposition.
+
+    Near-isotropic samples have no meaningful axis; the eigenvectors are
+    still deterministic (sign-fixed), just unstable under resampling."""
 
     x: np.ndarray
     scatter: np.ndarray
     axes: dict[str, np.ndarray]
 
 
-def _check_branch(branch: str) -> str:
-    if branch not in ("+", "-"):
-        raise ValueError("branch must be '+' or '-'")
-    return branch
-
-
 def prepare_sample(x) -> WatsonSample:
-    """The WatsonSample of x; a WatsonSample is returned as it is."""
+    """The WatsonSample of a stack x; a WatsonSample is returned as it is."""
     if isinstance(x, WatsonSample):
         return x
-    x, single = sample_stack(x)
-    if single:
-        x = x[0]
+    x = sample_stack(x)
     scatter = np.matmul(x.swapaxes(-1, -2), x) / x.shape[-2]
     vectors = sym_eigen(scatter).eigenvectors
     return WatsonSample(x, scatter, {"+": vectors[..., 0], "-": vectors[..., -1]})
-
-
-def watson_axis(x, branch: str) -> np.ndarray:
-    """Top (+) or bottom (-) scatter-matrix eigenvector, sign-fixed.
-
-    Near-isotropic samples have no meaningful axis; the output is still
-    deterministic, just unstable under resampling.
-    """
-    return prepare_sample(x).axes[_check_branch(branch)].copy()
-
-
-def watson_statistics(x) -> WatsonSteinStatistics:
-    """V and both branch J vectors, sharing one eigendecomposition."""
-    s = prepare_sample(x)
-    return WatsonSteinStatistics(
-        v_vec=v_statistic(s.scatter),
-        j_plus=_j_statistic(s.x, s.axes["+"]),
-        j_minus=_j_statistic(s.x, s.axes["-"]),
-    )
 
 
 def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -136,61 +107,34 @@ def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
     return kappa, np.sqrt(np.vecdot(resid, resid))
 
 
-def watson_stein_kappa(x, branch: str) -> float:
-    """Least-squares solution kappa = (J'J)^{-1} J'V for one branch."""
-    s = prepare_sample(x)
-    return float(_stein_branch(s.x, v_statistic(s.scatter),
-                               s.axes[_check_branch(branch)])[0])
-
-
 def _pick_branch(estimator: str, axes: dict[str, np.ndarray], fits: dict[str, tuple],
                  by_sign: bool = True) -> WatsonEstimate:
     """Select a branch from its (kappa, score) pairs and wrap the estimate.
 
-    axes[branch] is one axis (d) or one per slice of a stack (b x d), and
-    fits[branch] holds (kappa, score) as scalars or per slice.  by_sign (ST, MLa) makes a branch
-    eligible when its kappa has its sign (kappa^+ >= 0, kappa^- <= 0) and
-    flags a near-uniform pick; ML has both eligible.  The smaller score
-    (residual norm for ST, negative log-likelihood otherwise) wins; an
-    exact tie goes to (+), a NaN loses.
+    axes[branch] holds one axis per slice of a stack (b x d), and
+    fits[branch] holds (kappa, score) per slice.  by_sign (ST, MLa) makes
+    a branch eligible when its kappa has its sign (kappa^+ >= 0,
+    kappa^- <= 0) and flags a near-uniform pick; ML has both eligible.
+    The smaller score (residual norm for ST, negative log-likelihood
+    otherwise) wins; an exact tie goes to (+), a NaN loses.
     """
-    single = axes["+"].ndim == 1
-    kappa_p, kappa_m = (np.atleast_1d(fits[b][0]) for b in ("+", "-"))
-    score_p, score_m = (np.atleast_1d(fits[b][1]) for b in ("+", "-"))
+    (kappa_p, score_p), (kappa_m, score_m) = fits["+"], fits["-"]
     if by_sign:
         ok_p, ok_m = kappa_p >= 0, kappa_m <= 0
     else:
         ok_p = ok_m = np.ones(kappa_p.shape, dtype=bool)
     ne = ~(ok_p | ok_m)
-    if single and ne[0]:
-        raise NotEligible(
-            f"kappa^- = {kappa_m[0]:.4g} > 0 and kappa^+ = {kappa_p[0]:.4g} < 0"
-        )
     minus_wins = (np.isnan(score_p) & ~np.isnan(score_m)) | (score_m < score_p)
     minus = ok_m & (~ok_p | minus_wins)
     kappa = np.where(ne, np.nan, np.where(minus, kappa_m, kappa_p))
-    mu_hat = np.where(ne[:, None], np.nan, np.where(
-        minus[:, None], np.atleast_2d(axes["-"]), np.atleast_2d(axes["+"])))
-    eligible = [tuple(b for b, ok in (("+", p), ("-", m)) if ok)
-                for p, m in zip(ok_p, ok_m)]
-    if not single:
-        return WatsonEstimate(
-            mu_hat=mu_hat, kappa_hat=kappa,
-            branch=np.where(ne, "", np.where(minus, "-", "+")),
-            estimator=estimator, eligible_branches=eligible,
-            residual_norms={"+": score_p, "-": score_m}, ne=ne)
-    warnings = []
-    if by_sign and len(eligible[0]) == 2 and abs(kappa[0]) < 1e-6:
-        warnings.append("near-uniform: |kappa| < 1e-6, axis weakly identified")
     return WatsonEstimate(
-        mu_hat=mu_hat[0],
-        kappa_hat=float(kappa[0]),
-        branch="-" if minus[0] else "+",
-        estimator=estimator,
-        eligible_branches=eligible[0],
-        residual_norms={"+": float(score_p[0]), "-": float(score_m[0])},
-        warnings=warnings,
-    )
+        mu_hat=np.where(ne[:, None], np.nan,
+                        np.where(minus[:, None], axes["-"], axes["+"])),
+        kappa_hat=kappa, branch=np.where(ne, "", np.where(minus, "-", "+")),
+        estimator=estimator, kappas={"+": kappa_p, "-": kappa_m},
+        residual_norms={"+": score_p, "-": score_m},
+        eligible={"+": ok_p, "-": ok_m},
+        near_uniform=by_sign & ok_p & ok_m & (np.abs(kappa) < 1e-6), ne=ne)
 
 
 def watson_stein_fit(x) -> WatsonEstimate:
@@ -220,7 +164,7 @@ def watson_mla_bounds(r, a: float = 0.5, c: float = 1.5) -> tuple:
 
 
 def _neg_log_likelihood(x: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
-    # per slice of a stack (or for one sample); inf where kappa is infinite
+    # per slice of a stack; inf where kappa is infinite
     n, d = x.shape[-2:]
     t = np.matmul(x, mu[..., None])[..., 0]
     finite = np.isfinite(kappa)
@@ -257,7 +201,10 @@ def watson_mla_fit(x) -> WatsonEstimate:
 
 
 def _mle_branch(scatter: np.ndarray, mu: np.ndarray) -> float:
-    # the ML root at r = mu'S mu, bracketed by the MLa bounds
+    # the ML concentration of one axis: the root of
+    #     (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) = r,
+    # r = mu'S mu, bracketed by the MLa bounds and solved to
+    # |ratio - r| <= 1e-10
     mu = mu.copy()  # contiguous: the last bits of r depend on mu's layout
     d = scatter.shape[0]
     r = float(mu @ scatter @ mu)
@@ -283,28 +230,13 @@ def _mle_branch(scatter: np.ndarray, mu: np.ndarray) -> float:
     return kappa
 
 
-def watson_mle_kappa(x, branch: str) -> float:
-    """Single-component ML concentration for one branch: the root of
-
-        (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) = r,
-
-    r = mu'S mu.  The root lies inside the (L, U) bounds, which seed the
-    bracket; solved to |ratio - r| <= 1e-10.
-    """
-    s = prepare_sample(x)
-    return _mle_branch(s.scatter, s.axes[_check_branch(branch)])
-
-
 def watson_mle_fit(x) -> WatsonEstimate:
-    """Joint single-component MLE: both branch MLEs, pick the higher
-    likelihood.  Never raises NotEligible (the likelihood always orders
+    """Joint one-component MLE: both branch MLEs, pick the higher
+    likelihood.  Never flags a sample NE (the likelihood always orders
     the branches).  The root is found one slice at a time."""
     s = prepare_sample(x)
-    d = s.scatter.shape[-1]
     fits = {}
     for branch, mu in s.axes.items():
-        kappa = np.reshape([_mle_branch(sc, m) for sc, m in
-                            zip(s.scatter.reshape(-1, d, d), mu.reshape(-1, d))],
-                           mu.shape[:-1])
+        kappa = np.array([_mle_branch(sc, m) for sc, m in zip(s.scatter, mu)])
         fits[branch] = kappa, _neg_log_likelihood(s.x, mu, kappa)
     return _pick_branch("ML", s.axes, fits, by_sign=False)

@@ -20,6 +20,7 @@ cell) are correspondingly sqrt(5) times larger.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -50,7 +51,12 @@ class SimConfig:
 
     def __post_init__(self):
         family = self.params.family
-        self.n, self.reps, self.seed = int(self.n), int(self.reps), int(self.seed)
+        for name in ("n", "reps", "seed"):  # JSON integers, not floats or bools
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
+        sampler.RngState(self.seed)  # raises ValueError on a negative seed
         if not all(isinstance(e, str) for e in self.estimators):
             raise ValueError("estimator names must be strings")
         self.estimators = tuple(e.lower() for e in self.estimators)

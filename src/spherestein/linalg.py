@@ -127,19 +127,24 @@ def rotation_to_e1(u) -> np.ndarray:
     return np.eye(d) - 2.0 * np.outer(v, v) / vnorm2
 
 
+def is_singular(cond) -> np.ndarray:
+    """Whether a system with 1-norm condition number cond is singular:
+    cond exceeds COND_LIMIT or is not finite (entrywise for an array)."""
+    return ~(np.isfinite(cond) & (cond <= COND_LIMIT))
+
+
 def solve_stack(a, b):
     """Solve a[k] @ x[k] = b[k] for each slice of a (k, m, m) stack by LU
     with partial pivoting; b is a (k, m) stack of vectors or a (k, m, r)
     stack of matrices.  Returns (x, cond, singular).
 
-    cond holds each slice's 1-norm condition number.  A slice whose cond
-    exceeds COND_LIMIT or is not finite is singular: it is not solved and
-    its part of x is NaN.
+    cond holds each slice's 1-norm condition number.  A slice that
+    is_singular flags is not solved and its part of x is NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     cond = np.linalg.cond(a, 1)
-    singular = ~(np.isfinite(cond) & (cond <= COND_LIMIT))
+    singular = is_singular(cond)
     x = np.full(b.shape, np.nan)
     ok = ~singular
     if ok.any():

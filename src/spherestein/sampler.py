@@ -4,8 +4,9 @@ Fisher-Bingham samples.
 All samplers are exact rejection schemes driven by an explicit
 counter-based RNG state, so a (seed, stream) pair fully determines the
 output regardless of how calls are scheduled across threads.  Every
-sampler also takes a sequence of streams and returns the (b, n, d) stack
-of their samples, slice j bit for bit the sample of stream j alone.
+sampler takes a sequence of b streams and returns the (b, n, d) stack of
+their samples, slice j bit for bit the sample of stream j alone (a
+sequence of one draws one sample).
 
 vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
 Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
@@ -44,11 +45,17 @@ class RngState:
 
     Identical state yields an identical sample sequence on every platform;
     distinct streams are statistically independent, which is what the
-    Monte Carlo harness uses for parallel replications.
+    Monte Carlo harness uses for parallel replications.  Both keys must
+    be >= 0.
     """
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):
+        for key in ("seed", "stream"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -69,21 +76,13 @@ def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
     return x / norms[..., None]
 
 
-def _streams(rng) -> tuple[list[np.random.Generator], bool]:
-    # the generators of one RngState or of a sequence of them, and
-    # whether it was one
-    single = isinstance(rng, RngState)
-    return [r.generator() for r in ([rng] if single else rng)], single
-
-
-def sample_uniform(d: int, n: int, rng) -> np.ndarray:
-    """n i.i.d. uniform points on S^{d-1}, via normalized Gaussians;
-    ``rng`` is one RngState or a sequence of them, as for sample_vmf."""
+def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
+    """n i.i.d. uniform points on S^{d-1} per stream, via normalized
+    Gaussians, as a (b, n, d) stack for a sequence of b RngStates."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    gens, single = _streams(rng)
-    x = _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
-    return x[0] if single else x
+    gens = [r.generator() for r in rngs]
+    return _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
 
 
 def _vmf_radial(kappa: float, d: int, n: int,
@@ -124,26 +123,24 @@ def _vmf_radial(kappa: float, d: int, n: int,
     return out
 
 
-def sample_vmf(params: VmfParams, n: int, rng) -> np.ndarray:
-    """n i.i.d. vMF(mu, kappa) points (Ulrich-Wood, then rotate e1 -> mu).
-
-    ``rng`` is one RngState, giving an n x d sample, or a sequence of b
-    of them, giving a (b, n, d) stack whose slice j is bit for bit the
-    sample of stream j alone: each stream makes the same draws in the same
-    order, and the arithmetic on them runs over the whole stack.
+def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
+    """n i.i.d. vMF(mu, kappa) points (Ulrich-Wood, then rotate e1 -> mu)
+    per stream of the sequence ``rngs`` of b RngStates, as a (b, n, d)
+    stack whose slice j is bit for bit the sample of stream j alone: each
+    stream makes the same draws in the same order, and the arithmetic on
+    them runs over the whole stack.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = params.d
-    gens, single = _streams(rng)
+    gens = [r.generator() for r in rngs]
     w = _vmf_radial(params.kappa, d, n, gens)
     v = _unit_rows(np.stack([g.standard_normal((n, d - 1)) for g in gens]), gens)
     y = np.empty((len(gens), n, d))
     y[..., 0] = w
     y[..., 1:] = np.sqrt(np.maximum(0.0, 1.0 - w * w))[..., None] * v
     # rows are rot.T @ y; a matmul per slice keeps each slice's bits
-    x = _unit_rows(np.matmul(y, linalg.rotation_to_e1(params.mu)), gens)
-    return x[0] if single else x
+    return _unit_rows(np.matmul(y, linalg.rotation_to_e1(params.mu)), gens)
 
 
 def _acg_envelope(bmat_eigs: np.ndarray, d: int) -> tuple[float, np.ndarray, float]:
@@ -267,30 +264,29 @@ def _fb_acg_rejection(
     return out
 
 
-def sample_watson(params: WatsonParams, n: int, rng) -> np.ndarray:
-    """n i.i.d. Watson(mu, kappa) points; kappa = 0 falls back to uniform.
+def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
+    """n i.i.d. Watson(mu, kappa) points per stream, as a (b, n, d) stack
+    for a sequence of b RngStates, as for sample_vmf; kappa = 0 falls
+    back to uniform.
 
     Bipolar (kappa > 0) and girdle (kappa < 0) regimes both use the ACG
-    envelope on the Bingham form A = kappa mu mu'.  ``rng`` is one
-    RngState or a sequence of them, as for sample_vmf.
+    envelope on the Bingham form A = kappa mu mu'.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     d = params.d
     if params.kappa == 0.0:
-        return sample_uniform(d, n, rng)
-    gens, single = _streams(rng)
+        return sample_uniform(d, n, rngs)
     a_mat = params.kappa * np.outer(params.mu, params.mu)
-    x = _fb_acg_rejection(np.zeros(d), a_mat, n, gens, accept_floor=1e-4)
-    return x[0] if single else x
+    return _fb_acg_rejection(np.zeros(d), a_mat, n, [r.generator() for r in rngs],
+                             accept_floor=1e-4)
 
 
-def sample_fb(params: FisherBinghamParams, n: int, rng) -> np.ndarray:
-    """n i.i.d. Fisher-Bingham(mu, A) points by exact rejection from the
-    tilted angular-central-Gaussian envelope; ``rng`` is one RngState or a
-    sequence of them, as for sample_vmf."""
+def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
+    """n i.i.d. Fisher-Bingham(mu, A) points per stream by exact rejection
+    from the tilted angular-central-Gaussian envelope, as a (b, n, d)
+    stack for a sequence of b RngStates, as for sample_vmf."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gens, single = _streams(rng)
-    x = _fb_acg_rejection(params.mu, params.A, n, gens, accept_floor=1e-6)
-    return x[0] if single else x
+    return _fb_acg_rejection(params.mu, params.A, n, [r.generator() for r in rngs],
+                             accept_floor=1e-6)

@@ -12,14 +12,15 @@ import time
 
 import numpy as np
 
-from spherestein.est_fb import fb_statistics
+from spherestein.est_fb import fb_statistics, v_statistic
 from spherestein.est_vmf import (
     kappa_mle,
     kappa_score_matching,
     kappa_stein,
     kappa_stein2,
 )
-from spherestein.est_watson import watson_mla_bounds, watson_mla_fit, watson_statistics
+from spherestein.est_watson import _j_statistic, prepare_sample, watson_mla_bounds
+from spherestein.families import fit_one
 from spherestein.harness import SimConfig, run_simulation
 from spherestein.linalg import vech
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
@@ -181,8 +182,8 @@ def test_criterion_4_variance():
     params = VmfParams(_mu_ones(d), kappa)
     estimates = np.empty(reps)
     for rep in range(reps):
-        x = sample_vmf(params, n, RngState(17, stream=rep))
-        estimates[rep] = kappa_stein(x).kappa_hat
+        x = sample_vmf(params, n, [RngState(17, stream=rep)])
+        estimates[rep] = kappa_stein(x).kappa_hat[0]
     empirical = n * estimates.var(ddof=1)
     expected = stein_asymptotic_variance_vmf(d, kappa)
     var_ok = abs(empirical - expected) <= 0.10 * expected
@@ -251,7 +252,7 @@ def test_criterion_5_stein_identity_suite():
     ]
     failures = []
     for params, draw, seed in cases:
-        x = draw(params, n, RngState(seed))
+        x = draw(params, n, [RngState(seed)])[0]
         d = x.shape[1]
         functions = [("f1", canonical_f1(d)), ("f2", canonical_f2(d)),
                      ("sin", sin_projection(w))]
@@ -282,11 +283,11 @@ def test_criterion_6_hand_oracles():
     e = np.eye(3)
     fixture = np.array([e[0], e[0], e[1]])
     checks = [
-        ("kappa ST", kappa_stein(fixture).kappa_hat, 1.5 * math.sqrt(5)),
-        ("kappa ST2", kappa_stein2(fixture).kappa_hat, math.sqrt(17)),
-        ("kappa SM", kappa_score_matching(fixture).kappa_hat,
+        ("kappa ST", fit_one("vmf", "st", fixture)["kappa"], 1.5 * math.sqrt(5)),
+        ("kappa ST2", fit_one("vmf", "st2", fixture)["kappa"], math.sqrt(17)),
+        ("kappa SM", fit_one("vmf", "sm", fixture)["kappa"],
          5.0 * math.sqrt(5) / 3.0),
-        ("MLa midpoint", watson_mla_fit(fixture).kappa_hat, 4.125),
+        ("MLa midpoint", fit_one("watson", "mla", fixture)["kappa"], 4.125),
         ("MLa L(2/3)", watson_mla_bounds(2 / 3, 0.5, 1.5)[0], 3.0),
         ("MLa U(2/3)", watson_mla_bounds(2 / 3, 0.5, 1.5)[1], 5.25),
         ("MLa L(0.8)", watson_mla_bounds(0.8, 0.5, 1.5)[0], 5.25),
@@ -343,32 +344,28 @@ def test_criterion_7_structural_invariants():
             failures.append(f"commutation identity (trial {trial})")
             break
 
-        fast, slow = fb_statistics(x), fb_statistics_generic(x)
+        fast, slow = fb_statistics(x[None]), fb_statistics_generic(x)
         blocks = ("m_prime", "d_vec", "e_mat", "g_prime", "h_vec", "l_mat")
         if any(
-            np.max(np.abs(getattr(fast, b) - getattr(slow, b))) > 1e-12
+            np.max(np.abs(getattr(fast, b)[0] - getattr(slow, b))) > 1e-12
             for b in blocks
         ):
             failures.append(f"fb statistics paths (trial {trial})")
             break
-        if np.max(np.abs(watson_statistics(x).v_vec - slow.d_vec)) > 1e-12:
+        w_stats, w_stats_flip = _watson_statistics(x), _watson_statistics(-x)
+        if np.max(np.abs(w_stats[0] - slow.d_vec)) > 1e-12:
             failures.append(f"watson V closed form (trial {trial})")
             break
 
-        w_stats, w_stats_flip = watson_statistics(x), watson_statistics(-x)
-        if not (
-            np.array_equal(w_stats.v_vec, w_stats_flip.v_vec)
-            and np.array_equal(w_stats.j_plus, w_stats_flip.j_plus)
-            and np.array_equal(w_stats.j_minus, w_stats_flip.j_minus)
-        ):
+        if not all(np.array_equal(a, b) for a, b in zip(w_stats, w_stats_flip)):
             failures.append(f"watson axis symmetry (trial {trial})")
             break
 
         if trial % 4 == 0:  # rotation invariance, value level
             q, _ = np.linalg.qr(rng.standard_normal((d, d)))
             for fit_fn in fitters:
-                base = fit_fn(x).kappa_hat
-                rotated = fit_fn(x @ q.T).kappa_hat
+                base = fit_fn(x[None]).kappa_hat[0]
+                rotated = fit_fn((x @ q.T)[None]).kappa_hat[0]
                 if abs(rotated - base) > 1e-9 * max(1.0, abs(base)):
                     failures.append(f"rotation invariance {fit_fn.__name__}")
                     break
@@ -377,6 +374,13 @@ def test_criterion_7_structural_invariants():
     _report(7, not failures,
             "structural invariants over 1000 random instances"
             + ("" if not failures else f"; failures: {failures}"))
+
+
+def _watson_statistics(x):
+    # V and the (+) and (-) J vectors of one sample, as a stack of one
+    s = prepare_sample(x[None])
+    return (v_statistic(s.scatter)[0],
+            *(_j_statistic(s.x, s.axes[b])[0] for b in ("+", "-")))
 
 
 # 8. efficiency ordering ------------------------------------------------------

@@ -1,12 +1,14 @@
 import json
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spherestein import cli, families
-from spherestein.est_watson import NotEligible
+
+from oracles import watson_st_ne_points
 
 CONFIG_DIR = Path(__file__).parent.parent / "configs"
 
@@ -235,17 +237,14 @@ def test_fit_unknown_estimator(tmp_path):
                      "--in", str(path)]) == 2
 
 
-def test_fit_ne_reports_status(tmp_path, capsys, monkeypatch):
-    def raiser(x):
-        raise NotEligible("both branches rejected")
-
-    monkeypatch.setitem(families.ESTIMATORS, ("watson", "st"), raiser)
-    path = tmp_path / "x.csv"
-    path.write_text("1,0,0\n0,1,0\n0,0,1\n")
+def test_fit_ne_reports_status(tmp_path, capsys):
+    # the ST fit flags this sample NE; fit reports the per-branch kappas
+    path = _write_rows(tmp_path / "x.csv", watson_st_ne_points())
     assert cli.main(["fit", "--family", "watson", "--estimator", "st",
-                     "--in", str(path)]) == 0
+                     "--in", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "NE"
+    assert report["detail"] == "kappa^- = 0.1005 > 0 and kappa^+ = -6.188 < 0"
 
 
 def _write_rows(path, rows):
@@ -407,15 +406,63 @@ def test_simulate_rejects_non_string_estimator(tmp_path, capsys, estimators):
         "error: invalid config: estimator names must be strings\n")
 
 
-def test_simulate_casts_config_numbers(tmp_path, capsys):
+@pytest.mark.parametrize("key,value", [("n", 2.7), ("n", "100"), ("reps", 5.0),
+                                       ("seed", "7"), ("seed", True), ("n", None)])
+def test_simulate_rejects_non_integer_config_numbers(tmp_path, capsys, key, value):
+    # "n": 2.7 used to run a study at n = 2; n, reps and seed must be
+    # JSON integers, and a boolean is not one
     config = tmp_path / "cast.json"
+    out = tmp_path / "result.csv"
     config.write_text(json.dumps({
         "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
-        "n": "100", "reps": 5.0, "seed": "7",
+        "n": 100, "reps": 5, "seed": 7, key: value,
+    }))
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (
+        f"error: invalid config: {key} must be an integer, got {value!r}\n")
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 100, "reps": 5, "seed": 7,
     }))
     assert cli.main(["simulate", "--config", str(config)]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary == {"seed": 7, "reps": 5, "threads": 1}
+
+
+@pytest.mark.parametrize("case", ["config", "simulate", "sample"])
+def test_negative_seed_exits_2(tmp_path, capsys, case):
+    # one error line and exit 2, where each used to end in a numpy traceback
+    out = tmp_path / "out.csv"
+    config = tmp_path / "neg.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 10, "reps": 5, "seed": -1 if case == "config" else 0,
+    }))
+    argv = {"config": ["simulate", "--config", str(config)],
+            "simulate": ["simulate", "--config", str(config), "--seed", "-3"],
+            "sample": ["sample", "--params", _vmf_params(tmp_path), "--n", "5",
+                       "--seed", "-2"]}[case]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    seed = {"config": -1, "simulate": -3, "sample": -2}[case]
+    prefix = "invalid --seed" if case == "sample" else "invalid config"
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {prefix}: seed must be >= 0, got {seed}\n"
+
+
+@pytest.mark.parametrize("text", ["", "x1,x2,x3\n", "\n\n"])
+def test_fit_rejects_csv_without_rows(tmp_path, capsys, text):
+    # one error line: numpy's "no data" warning does not reach stderr
+    path = tmp_path / "empty.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["fit", "--family", "vmf", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot read sample: no data rows\n"
 
 
 def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):

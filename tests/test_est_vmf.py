@@ -14,6 +14,7 @@ from spherestein.est_vmf import (
     kappa_stein2,
     mean_direction,
 )
+from spherestein.families import fit_one
 from spherestein.linalg import SingularSystem
 from spherestein.models import VmfParams
 from spherestein.sampler import RngState, sample_vmf
@@ -40,36 +41,37 @@ def _random_orthogonal(rng, d):
 
 def test_mean_direction_examples():
     np.testing.assert_allclose(
-        mean_direction(FIXTURE), np.array([2.0, 1.0, 0.0]) / math.sqrt(5),
+        mean_direction(FIXTURE[None]), [np.array([2.0, 1.0, 0.0]) / math.sqrt(5)],
         atol=1e-15,
     )
     with pytest.raises(DegenerateMean):
-        mean_direction(np.array([E3[0], -E3[0]]))
+        mean_direction(np.array([[E3[0], -E3[0]]]))
     rng = np.random.default_rng(0)
     x = random_unit_rows(rng, 20, 3)
     rot = _random_orthogonal(rng, 3)
     np.testing.assert_allclose(
-        mean_direction(x @ rot.T), rot @ mean_direction(x), atol=1e-12
+        mean_direction((x @ rot.T)[None])[0], rot @ mean_direction(x[None])[0],
+        atol=1e-12
     )
 
 
 def test_kappa_stein_fixture():
-    fit = kappa_stein(FIXTURE)
-    assert fit.kappa_hat == pytest.approx(1.5 * math.sqrt(5), rel=1e-9)
+    fit = kappa_stein(FIXTURE[None])
+    assert fit.kappa_hat[0] == pytest.approx(1.5 * math.sqrt(5), rel=1e-9)
     assert fit.estimator == "ST"
-    assert fit.diagnostics["resultant_length"] == pytest.approx(
+    assert fit.diagnostics["resultant_length"][0] == pytest.approx(
         math.sqrt(5) / 3, rel=1e-12
     )
 
 
 def test_kappa_stein2_fixture():
-    fit = kappa_stein2(FIXTURE)
-    assert fit.kappa_hat == pytest.approx(math.sqrt(17), rel=1e-9)
+    fit = kappa_stein2(FIXTURE[None])
+    assert fit.kappa_hat[0] == pytest.approx(math.sqrt(17), rel=1e-9)
 
 
 def test_kappa_sm_fixture():
-    fit = kappa_score_matching(FIXTURE)
-    assert fit.kappa_hat == pytest.approx(5 * math.sqrt(5) / 3, rel=1e-9)
+    fit = kappa_score_matching(FIXTURE[None])
+    assert fit.kappa_hat[0] == pytest.approx(5 * math.sqrt(5) / 3, rel=1e-9)
 
 
 def _sample_with_resultant(r):
@@ -83,14 +85,13 @@ def test_kappa_mle_closed_form_root():
     # oracle: bisect coth(k) - 1/k = 1/2 directly
     expected = brentq(lambda k: ratio_d3(k) - 0.5, 1e-6, 50.0, xtol=1e-13)
     assert expected == pytest.approx(1.7967559847237133, rel=1e-10)
-    fit = kappa_mle(_sample_with_resultant(0.5))
-    assert fit.kappa_hat == pytest.approx(expected, rel=1e-9)
-    assert abs(bessel_ratio(3, fit.kappa_hat) - 0.5) <= 1e-10
+    kappa = fit_one("vmf", "ml", _sample_with_resultant(0.5))["kappa"]
+    assert kappa == pytest.approx(expected, rel=1e-9)
+    assert abs(bessel_ratio(3, kappa) - 0.5) <= 1e-10
 
 
 def test_kappa_mle_small_resultant():
-    fit = kappa_mle(_sample_with_resultant(1e-6))
-    assert 0 < fit.kappa_hat < 1e-4
+    assert 0 < fit_one("vmf", "ml", _sample_with_resultant(1e-6))["kappa"] < 1e-4
 
 
 def test_kappa_mle_converges_beyond_scaled_bessel_range():
@@ -112,9 +113,9 @@ def test_kappa_mle_nan_ratio_does_not_pass_as_converged(monkeypatch):
 
 def test_kappa_mle_errors():
     with pytest.raises(ValueError):
-        kappa_mle(np.array([E3[0], E3[0]]))
+        kappa_mle(np.array([[E3[0], E3[0]]]))
     with pytest.raises(DegenerateMean):
-        kappa_mle(np.array([E3[0], -E3[0]]))
+        kappa_mle(np.array([[E3[0], -E3[0]]]))
 
 
 def test_mc_consistency_all_estimators():
@@ -127,13 +128,13 @@ def test_mc_consistency_all_estimators():
     ]
     for fit_fn, d, kappa, seed in cases:
         mu = np.ones(d) / math.sqrt(d)
-        x = sample_vmf(VmfParams(mu, kappa), n, RngState(seed))
+        x = sample_vmf(VmfParams(mu, kappa), n, [RngState(seed)])
         fit = fit_fn(x)
         # ST obeys the closed-form asymptotic variance; use it with margin
         # as a common yardstick (the four estimators are near-efficient)
         tol = 6.0 * math.sqrt(stein_asymptotic_variance_vmf(d, kappa) / n)
-        assert abs(fit.kappa_hat - kappa) <= tol
-        assert abs(fit.mu_hat @ mu) > 0.999
+        assert abs(fit.kappa_hat[0] - kappa) <= tol
+        assert abs(fit.mu_hat[0] @ mu) > 0.999
 
 
 def test_rotation_invariance_and_equivariance():
@@ -145,10 +146,10 @@ def test_rotation_invariance_and_equivariance():
         x = random_unit_rows(rng, n, d)
         rot = _random_orthogonal(rng, d)
         for fit_fn in fitters:
-            base = fit_fn(x)
-            rotated = fit_fn(x @ rot.T)
-            assert rotated.kappa_hat == pytest.approx(base.kappa_hat, rel=1e-9)
-            np.testing.assert_allclose(rotated.mu_hat, rot @ base.mu_hat, atol=1e-9)
+            base = fit_fn(x[None])
+            rotated = fit_fn((x @ rot.T)[None])
+            assert rotated.kappa_hat[0] == pytest.approx(base.kappa_hat[0], rel=1e-9)
+            np.testing.assert_allclose(rotated.mu_hat[0], rot @ base.mu_hat[0], atol=1e-9)
 
 
 def test_kappa_stein_positive_on_random_samples():
@@ -157,7 +158,7 @@ def test_kappa_stein_positive_on_random_samples():
         d = int(rng.integers(2, 7))
         n = int(rng.integers(3, 13))
         x = random_unit_rows(rng, n, d)
-        assert kappa_stein(x).kappa_hat > 0.0
+        assert kappa_stein(x[None]).kappa_hat[0] > 0.0
 
 
 def test_stein2_equals_fb_first_equation_path():
@@ -168,13 +169,13 @@ def test_stein2_equals_fb_first_equation_path():
     for _ in range(50):
         d = int(rng.integers(2, 6))
         x = random_unit_rows(rng, 30, d)
-        st = fb_statistics(x)
-        mu_prime = np.linalg.solve(st.l_mat, st.h_vec)
+        st = fb_statistics(x[None])
+        mu_prime = np.linalg.solve(st.l_mat[0], st.h_vec[0])
         expected = (d - 1.0) * np.linalg.norm(
             np.linalg.solve(np.eye(d) - x.T @ x / 30, x.mean(axis=0))
         )
         assert np.linalg.norm(mu_prime) == pytest.approx(expected, rel=1e-12)
-        assert kappa_stein2(x).kappa_hat == pytest.approx(expected, rel=1e-12)
+        assert kappa_stein2(x[None]).kappa_hat[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_general_path_reduces_to_closed_form():
@@ -183,7 +184,7 @@ def test_general_path_reduces_to_closed_form():
         d = int(rng.integers(2, 6))
         x = random_unit_rows(rng, 25, d)
         general = kappa_stein_general(x, canonical_f1(d))
-        assert general == pytest.approx(kappa_stein(x).kappa_hat, rel=1e-12)
+        assert general == pytest.approx(kappa_stein(x[None]).kappa_hat[0], rel=1e-12)
 
 
 def test_empirical_variance_matches_theorem():
@@ -192,8 +193,8 @@ def test_empirical_variance_matches_theorem():
     mu = np.ones(d) / math.sqrt(d)
     estimates = np.empty(reps)
     for rep in range(reps):
-        x = sample_vmf(VmfParams(mu, kappa), n, RngState(39, stream=rep))
-        estimates[rep] = kappa_stein(x).kappa_hat
+        x = sample_vmf(VmfParams(mu, kappa), n, [RngState(39, stream=rep)])
+        estimates[rep] = kappa_stein(x).kappa_hat[0]
     empirical = n * estimates.var(ddof=1)
     expected = stein_asymptotic_variance_vmf(d, kappa)
     assert empirical == pytest.approx(expected, rel=0.25)
@@ -224,15 +225,8 @@ def test_stacked_fit_equals_single_fits_bitwise(code, fit_fn, d, kappa, n):
         mu_loop, kappa_loop = vmf_fit_loop(x, code, bessel_ratio)
         assert fit.kappa_hat[k] == kappa_loop
         np.testing.assert_array_equal(fit.mu_hat[k], mu_loop)
-        one = fit_fn(x)
-        assert one.ne is None
-        assert isinstance(one.kappa_hat, float)
-        assert one.kappa_hat == fit.kappa_hat[k]
-        np.testing.assert_array_equal(one.mu_hat, fit.mu_hat[k])
-        assert one.diagnostics.keys() == fit.diagnostics.keys()
-        for key, value in one.diagnostics.items():
-            assert type(value) in (float, int)
-            assert value == fit.diagnostics[key][k]
+    for value in fit.diagnostics.values():
+        assert value.shape == (16,)
 
 
 def test_stein2_flags_singular_slices_of_a_stack():
@@ -244,9 +238,9 @@ def test_stein2_flags_singular_slices_of_a_stack():
     np.testing.assert_array_equal(fit.ne, [False, True, False, True, False])
     assert np.isnan(fit.kappa_hat[[1, 3]]).all()
     for k in (0, 2, 4):
-        assert kappa_stein2(stack[k]).kappa_hat == fit.kappa_hat[k]
-    with pytest.raises(SingularSystem):
-        kappa_stein2(line)
+        assert fit_one("vmf", "st2", stack[k])["kappa"] == fit.kappa_hat[k]
+    with pytest.raises(SingularSystem, match="I - mean"):
+        fit_one("vmf", "st2", line)
 
 
 def test_stack_input_validation():

@@ -87,7 +87,7 @@ def test_ne_bookkeeping(monkeypatch):
     # replications 0, 4, 8, ... get a sample without an ST estimate
     x = watson_st_ne_points()
     with pytest.raises(NotEligible):
-        est_watson.watson_stein_fit(x)
+        families.fit_one("watson", "st", x)
     _planting(monkeypatch, "watson", np.tile(x, (10, 1)), lambda rep: rep % 4 == 0)
     config = SimConfig(params=WatsonParams(np.ones(3) / math.sqrt(3), 5.0),
                        n=50, reps=100, estimators=("st", "mla"), seed=9)
@@ -166,12 +166,13 @@ def test_csv_bytes_identical_for_any_block_size_and_thread_count(family, monkeyp
             assert run_simulation(config).to_csv() == reference, (size, threads)
 
 
-def _single_errors(family, fit, params) -> list[float]:
-    # the family's error of one single-sample fit, as each family scores it
+def _single_errors(family, report, params) -> list[float]:
+    # the family's error of one single-sample fit report, as each family
+    # scores it
     if family == "fb":
-        return [float(np.linalg.norm(fit.mu_hat - params.mu)),
-                float(np.linalg.norm(fit.A_hat - params.A, 2))]
-    return [fit.kappa_hat - params.kappa]
+        return [float(np.linalg.norm(report["mu"] - params.mu)),
+                float(np.linalg.norm(report["A"] - params.A, 2))]
+    return [report["kappa"] - params.kappa]
 
 
 def test_block_results_equal_per_replication_fits(monkeypatch):
@@ -183,9 +184,10 @@ def test_block_results_equal_per_replication_fits(monkeypatch):
         result = run_simulation(config)
         fam = families.FAMILIES[family]
         for est in config.estimators:
-            errors = np.array([_single_errors(family, families.ESTIMATORS[family, est](
-                families.SAMPLERS[family](config.params, config.n,
-                                          sampler.RngState(config.seed, stream=rep))),
+            errors = np.array([_single_errors(family, families.fit_one(
+                family, est, families.SAMPLERS[family](
+                    config.params, config.n,
+                    [sampler.RngState(config.seed, stream=rep)])[0]),
                 config.params) for rep in range(config.reps)])
             for i, block in enumerate(fam.blocks):
                 cell = result.cells[est][block]
@@ -253,8 +255,8 @@ def test_stein2_books_ne_per_replication(monkeypatch):
     result = run_simulation(config)
     assert result.cells["st2"]["kappa"].ne == 7 / 20
     assert result.cells["ml"]["kappa"].ne == 0.0
-    errors = [families.ESTIMATORS["vmf", "st2"](real(
-        config.params, config.n, sampler.RngState(13, stream=rep))).kappa_hat - 2.0
+    errors = [families.fit_one("vmf", "st2", real(
+        config.params, config.n, [sampler.RngState(13, stream=rep)])[0])["kappa"] - 2.0
         for rep in range(20) if rep % 3]
     assert result.cells["st2"]["kappa"].bias == float(np.mean(errors))
 
@@ -281,7 +283,7 @@ def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):
     config = _vmf_config(reps=20, seed=8)
     _set_block_size(monkeypatch, config, 7)
     bad = sampler.sample_vmf(config.params, config.n,
-                             sampler.RngState(8, stream=14))
+                             [sampler.RngState(8, stream=14)])[0]
     original = families.ESTIMATORS["vmf", "ml"]
 
     def fails_on_third_block(x):
@@ -307,5 +309,5 @@ def test_fb_errors_per_slice_equal_single_fit_errors():
         if k == 3:
             assert fit.ne[k] and np.isnan(errors[k]).all()
         else:
-            expected = _single_errors("fb", families.ESTIMATORS["fb", "st"](x), params)
+            expected = _single_errors("fb", families.fit_one("fb", "st", x), params)
             np.testing.assert_array_equal(errors[k], expected)

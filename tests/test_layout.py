@@ -4,6 +4,8 @@ Every module-level public function or class in ``src/spherestein`` must
 be used somewhere in the package outside its own definition, be exported
 through ``spherestein.__all__``, or be the console-script entry point.
 Reference code that only the tests call belongs in ``tests/oracles.py``.
+Samplers, preparation steps and estimators take stacks only, so that
+``families.fit_one`` stays the one single-sample path.
 """
 
 import ast
@@ -11,8 +13,13 @@ import tomllib
 from pathlib import Path
 from typing import get_args
 
+import numpy as np
+import pytest
+
 import spherestein
-from spherestein.models import Params
+from spherestein import families
+from spherestein.models import FisherBinghamParams, Params, VmfParams, WatsonParams
+from spherestein.sampler import RngState
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spherestein"
@@ -82,3 +89,32 @@ def test_params_classes_hold_only_their_fields():
                    if callable(value) or isinstance(value, property)}
         assert methods <= {"__init__", "__post_init__", "__repr__", "__eq__", "d"}, \
             (cls.__name__, methods)
+
+
+# stacks only: fit_one is the one single-sample path ------------------------
+
+LAYOUT_PARAMS = {
+    "vmf": VmfParams(np.eye(3)[0], 5.0),
+    "watson": WatsonParams(np.eye(3)[0], 5.0),
+    "fb": FisherBinghamParams(np.array([1.0, 0.0, 0.0]), np.zeros((3, 3))),
+}
+
+
+@pytest.mark.parametrize("family,code", sorted(families.ESTIMATORS))
+def test_estimators_reject_a_single_sample(family, code):
+    # the n x d sample of which the (1, n, d) stack is fitted
+    stack = families.SAMPLERS[family](LAYOUT_PARAMS[family], 50, [RngState(0)])
+    assert not families.ESTIMATORS[family, code](stack).ne[0]
+    with pytest.raises(ValueError, match="b x n x d"):
+        families.ESTIMATORS[family, code](stack[0])
+    if family in families.PREPARE:
+        with pytest.raises(ValueError, match="b x n x d"):
+            families.PREPARE[family](stack[0])
+
+
+@pytest.mark.parametrize("family", sorted(families.SAMPLERS))
+def test_samplers_reject_a_bare_rng_state(family):
+    sample = families.SAMPLERS[family]
+    assert sample(LAYOUT_PARAMS[family], 5, [RngState(0)]).shape == (1, 5, 3)
+    with pytest.raises(TypeError):
+        sample(LAYOUT_PARAMS[family], 5, RngState(0))

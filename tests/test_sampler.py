@@ -36,7 +36,7 @@ def test_rng_state_reproducible():
 
 
 def test_all_samplers_deterministic_and_unit():
-    rng = RngState(1)
+    rng = [RngState(1)]
     draws = {
         "uniform": sample_uniform(3, 50, rng),
         "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, rng),
@@ -57,11 +57,12 @@ def test_all_samplers_deterministic_and_unit():
     }
     for name, x in draws.items():
         np.testing.assert_array_equal(x, again[name])
-        np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
+        assert x.shape == (1, 50, 3)
+        np.testing.assert_allclose(np.linalg.norm(x, axis=-1), 1.0, atol=1e-12)
 
 
 def test_uniform_moments():
-    x = sample_uniform(3, 100_000, RngState(2))
+    x = sample_uniform(3, 100_000, [RngState(2)])[0]
     n = x.shape[0]
     se_mean = 1.0 / math.sqrt(3 * n)  # component variance is 1/d
     assert np.all(np.abs(x.mean(axis=0)) <= 4 * se_mean)
@@ -74,7 +75,7 @@ def test_uniform_moments():
 def test_vmf_mean_direction_and_resultant():
     params = VmfParams(np.array([0.0, 0.6, 0.8]), 10.0)
     n = 100_000
-    x = sample_vmf(params, n, RngState(3))
+    x = sample_vmf(params, n, [RngState(3)])[0]
     xbar = x.mean(axis=0)
     rho = bessel_ratio(3, 10.0)
     # per-component variance of X is bounded by 1/n-scale terms
@@ -86,7 +87,7 @@ def test_vmf_mean_direction_and_resultant():
 def test_vmf_high_concentration():
     # P(angle > 0.2) ~ 5e-5 per draw at kappa = 500, so keep n modest
     params = VmfParams(np.array([1.0, 0.0, 0.0]), 500.0)
-    x = sample_vmf(params, 2_000, RngState(4))
+    x = sample_vmf(params, 2_000, [RngState(4)])[0]
     angles = np.arccos(np.clip(x @ params.mu, -1.0, 1.0))
     assert np.max(angles) < 0.2
     assert np.mean(angles) < 0.1  # typical scale is sqrt(2/kappa)
@@ -94,29 +95,29 @@ def test_vmf_high_concentration():
 
 def test_vmf_d2_works():
     params = VmfParams(np.array([0.0, 1.0]), 3.0)
-    x = sample_vmf(params, 50_000, RngState(5))
+    x = sample_vmf(params, 50_000, [RngState(5)])[0]
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
     assert abs(np.linalg.norm(x.mean(axis=0)) - bessel_ratio(2, 3.0)) < 0.01
 
 
 def test_watson_zero_kappa_is_uniform():
     params = WatsonParams(E3[0], 0.0)
-    x = sample_watson(params, 100_000, RngState(6))
-    np.testing.assert_array_equal(x, sample_uniform(3, 100_000, RngState(6)))
+    x = sample_watson(params, 100_000, [RngState(6)])[0]
+    np.testing.assert_array_equal(x, sample_uniform(3, 100_000, [RngState(6)])[0])
     scatter = x.T @ x / x.shape[0]
     assert np.max(np.abs(scatter - np.eye(3) / 3)) <= 4 * math.sqrt(2 / 15 / 1e5)
 
 
 def test_watson_bipolar_alignment():
     mu = np.array([0.0, 0.6, 0.8])
-    x = sample_watson(WatsonParams(mu, 10.0), 100_000, RngState(7))
+    x = sample_watson(WatsonParams(mu, 10.0), 100_000, [RngState(7)])[0]
     top = np.linalg.eigh(x.T @ x / x.shape[0])[1][:, -1]
     assert abs(top @ mu) > 0.99
 
 
 def test_watson_girdle_alignment():
     mu = np.array([0.0, 0.6, 0.8])
-    x = sample_watson(WatsonParams(mu, -10.0), 100_000, RngState(8))
+    x = sample_watson(WatsonParams(mu, -10.0), 100_000, [RngState(8)])[0]
     bottom = np.linalg.eigh(x.T @ x / x.shape[0])[1][:, 0]
     assert abs(bottom @ mu) > 0.99
 
@@ -125,7 +126,7 @@ def test_watson_girdle_alignment():
 def test_watson_squared_projection_moment(kappa):
     mu = np.ones(3) / math.sqrt(3)
     n = 100_000
-    x = sample_watson(WatsonParams(mu, kappa), n, RngState(9))
+    x = sample_watson(WatsonParams(mu, kappa), n, [RngState(9)])[0]
     t2 = (x @ mu) ** 2
     expected = kummer_ratio(0.5, 1.5, kappa)
     se = t2.std(ddof=1) / math.sqrt(n)
@@ -134,7 +135,7 @@ def test_watson_squared_projection_moment(kappa):
 
 def test_fb_zero_params_uniform():
     params = FisherBinghamParams(np.zeros(3), np.zeros((3, 3)))
-    x = sample_fb(params, 100_000, RngState(10))
+    x = sample_fb(params, 100_000, [RngState(10)])[0]
     scatter = x.T @ x / x.shape[0]
     assert np.max(np.abs(scatter - np.eye(3) / 3)) <= 4 * math.sqrt(2 / 15 / 1e5)
     assert np.all(np.abs(x.mean(axis=0)) <= 4 / math.sqrt(3 * 1e5))
@@ -145,8 +146,8 @@ def test_fb_reduces_to_vmf():
     kappa, mu0 = 5.0, np.array([0.0, 0.0, 1.0])
     n = 10_000
     x_fb = sample_fb(FisherBinghamParams(kappa * mu0, np.zeros((3, 3))),
-                     n, RngState(11))
-    x_vmf = sample_vmf(VmfParams(mu0, kappa), n, RngState(12))
+                     n, [RngState(11)])[0]
+    x_vmf = sample_vmf(VmfParams(mu0, kappa), n, [RngState(12)])[0]
     ks = stats.ks_2samp(x_fb @ mu0, x_vmf @ mu0)
     assert ks.pvalue > 0.01
 
@@ -156,8 +157,8 @@ def test_fb_reduces_to_watson():
     kappa, mu0 = 6.0, np.array([1.0, 0.0, 0.0])
     a_mat = kappa * np.outer(mu0, mu0)  # A[d,d] = 0 holds for this axis
     n = 10_000
-    x_fb = sample_fb(FisherBinghamParams(np.zeros(3), a_mat), n, RngState(13))
-    x_w = sample_watson(WatsonParams(mu0, kappa), n, RngState(14))
+    x_fb = sample_fb(FisherBinghamParams(np.zeros(3), a_mat), n, [RngState(13)])[0]
+    x_w = sample_watson(WatsonParams(mu0, kappa), n, [RngState(14)])[0]
     ks = stats.ks_2samp((x_fb @ mu0) ** 2, (x_w @ mu0) ** 2)
     assert ks.pvalue > 0.01
 
@@ -166,7 +167,7 @@ def test_fb_uniform_envelope_agrees_with_acg():
     params = FisherBinghamParams(np.array([0.0, 1.0, 1.0]),
                                  np.array([[0.0, 0, 0], [0, 0, -1], [0, -1, 0]]))
     n = 10_000
-    x_acg = sample_fb(params, n, RngState(15))
+    x_acg = sample_fb(params, n, [RngState(15)])[0]
     x_uni = fb_uniform_rejection(params.mu, params.A, n,
                                  np.random.default_rng(16))
     direction = params.mu / np.linalg.norm(params.mu)
@@ -180,7 +181,7 @@ def test_fb_strong_concentration_runs():
         np.array([11.0, 3.0, 10.0]),
         np.array([[2.0, -2, 1], [-2, 12, -2], [1, -2, 0]]),
     )
-    x = sample_fb(params, 5_000, RngState(17))
+    x = sample_fb(params, 5_000, [RngState(17)])[0]
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
 
 
@@ -196,7 +197,7 @@ def test_stein_identity_canonical_functions_all_families():
          sample_fb, 22),
     ]
     for params, draw, seed in cases:
-        x = draw(params, n, RngState(seed))
+        x = draw(params, n, [RngState(seed)])[0]
         d = x.shape[1]
         for f in (canonical_f1(d), canonical_f2(d)):
             values = np.array(
@@ -209,9 +210,13 @@ def test_stein_identity_canonical_functions_all_families():
 
 def test_sampler_input_validation():
     with pytest.raises(ValueError):
-        sample_uniform(1, 5, RngState(0))
+        sample_uniform(1, 5, [RngState(0)])
     with pytest.raises(ValueError):
-        sample_uniform(3, 0, RngState(0))
+        sample_uniform(3, 0, [RngState(0)])
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RngState(-1)
+    with pytest.raises(ValueError, match="stream must be >= 0, got -2"):
+        RngState(0, stream=-2)
 
 
 _U4 = np.array([0.5, -0.5, 0.5, 0.5])
@@ -243,7 +248,7 @@ def test_envelope_cache_keeps_parameter_sets_apart():
     kappas = (5.0, np.nextafter(5.0, 6.0), -5.0)
     envelopes = []
     for kappa in kappas:
-        sample_watson(WatsonParams(E3[0], kappa), 10, RngState(0))
+        sample_watson(WatsonParams(E3[0], kappa), 10, [RngState(0)])
         a_mat = kappa * np.outer(E3[0], E3[0])
         envelopes.append(sampler._envelope(np.zeros(3).tobytes(), a_mat.tobytes(), 3))
     info = sampler._envelope.cache_info()
@@ -255,7 +260,7 @@ def test_envelope_cache_is_bounded():
     sampler._envelope.cache_clear()
     size = sampler._ENVELOPE_CACHE_SIZE
     for k in range(size + 5):
-        sample_watson(WatsonParams(E3[0], 1.0 + k), 1, RngState(k))
+        sample_watson(WatsonParams(E3[0], 1.0 + k), 1, [RngState(k)])
     info = sampler._envelope.cache_info()
     assert info.maxsize == size
     assert info.currsize == size
@@ -279,7 +284,7 @@ def test_vmf_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
             expected, batches = vmf_sample_loop(params, n, rng, min_batch)
             short += batches > 1
             np.testing.assert_array_equal(stack[k], expected)
-            np.testing.assert_array_equal(sample_vmf(params, n, rng), expected)
+            np.testing.assert_array_equal(sample_vmf(params, n, [rng])[0], expected)
     assert (short > 0) == (min_batch == 1)
 
 
@@ -306,7 +311,7 @@ def test_acg_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
             expected, batches = acg_sample_loop(mu, a_mat, n, rng, min_batch)
             short += batches > 1
             np.testing.assert_array_equal(stack[k], expected)
-            np.testing.assert_array_equal(fn(params, n, rng), expected)
+            np.testing.assert_array_equal(fn(params, n, [rng])[0], expected)
     assert (short > 0) == (min_batch == 1)
 
 
@@ -315,4 +320,4 @@ def test_watson_uniform_stack_equals_per_stream_samples():
     streams = [RngState(23, stream=k) for k in range(5)]
     stack = sample_watson(params, 7, streams)
     for k, rng in enumerate(streams):
-        np.testing.assert_array_equal(stack[k], sample_uniform(3, 7, rng))
+        np.testing.assert_array_equal(stack[k], sample_uniform(3, 7, [rng])[0])

@@ -45,7 +45,7 @@ def test_mean_resultant_closed_form_d3():
 def test_moment_blocks_match_monte_carlo():
     params = VmfParams(np.array([0.0, 0.6, 0.8]), 2.0)
     n = 1_000_000
-    x = sample_vmf(params, n, RngState(30))
+    x = sample_vmf(params, n, [RngState(30)])[0]
     moments = vmf_moments(params)
 
     xbar = x.mean(axis=0)
