@@ -10,10 +10,10 @@ Subcommands
 
 Exit codes: 0 success (including a Watson NE outcome, reported as
 {"status": "NE"}), 2 invalid input or schema violation (an unknown config
-key; Watson ML on an axis with none or all of the mass), 3 sampler failure
-or an estimator failing hard (an overflow or a root finder that does not
-converge in fit, any failure beyond the booked outcomes in simulate),
-4 singular estimating equations.  An --out path that cannot be opened for
+key, a non-finite parameter; Watson ML on an axis with none or all of the
+mass), 3 sampler failure or an estimator failing hard (1F1 out of range or
+a root finder that does not converge in fit, any failure beyond the booked
+outcomes in simulate), 4 singular estimating equations.  An --out path that cannot be opened for
 writing exits 2 with one "error: cannot write ..." line; simulate checks
 it before the study runs.
 """

@@ -108,43 +108,21 @@ def kappa_stein2(x) -> VmfEstimate:
 
 
 def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # bracketed Newton on the monotone link ratio(kappa) = r, with the
-    # rational initial guess r(d - r^2)/(1 - r^2), run on every entry of r
-    # at once; an entry leaves the iteration when it converges.  The link's
+    # Newton on the monotone link ratio(kappa) = r from the rational guess
+    # r(d - r^2)/(1 - r^2), every entry of r at once.  The link's
     # derivative is the Fisher information 1 - ratio^2 - (d-1) ratio / kappa
     kappa = np.maximum(r * (d - r * r) / (1.0 - r * r), 1e-8)
-    lo, hi = np.full_like(r, 1e-10), np.maximum(1e6, 4.0 * kappa)
+    hi = np.maximum(1e6, 4.0 * kappa)
     grow = special.bessel_ratio(d, hi) < r
     while grow.any():
         hi[grow] *= 8.0
         grow[grow] = special.bessel_ratio(d, hi[grow]) < r[grow]
-    iterations = np.full(r.shape, 200)
-    todo = np.arange(r.size)
-    for it in range(1, 201):
-        k = kappa[todo]
+
+    def link(k):
         ratio = special.bessel_ratio(d, k)
-        err = ratio - r[todo]
-        done = np.abs(err) <= 1e-12
-        iterations[todo[done]] = it
-        keep = ~done
-        todo, k, ratio, err = todo[keep], k[keep], ratio[keep], err[keep]
-        if not todo.size:
-            break
-        lo_t, hi_t = lo[todo], hi[todo]
-        above = err > 0
-        hi_t = np.where(above, np.minimum(hi_t, k), hi_t)
-        lo_t = np.where(above, lo_t, np.maximum(lo_t, k))
-        deriv = 1.0 - ratio * ratio - (d - 1.0) * ratio / k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = np.where(deriv > 0, k - err / deriv, lo_t)
-        inside = (lo_t < nxt) & (nxt < hi_t)
-        kappa[todo] = np.where(inside, nxt, 0.5 * (lo_t + hi_t))
-        lo[todo], hi[todo] = lo_t, hi_t
-    if todo.size and not np.all(
-        np.abs(special.bessel_ratio(d, kappa[todo]) - r[todo]) <= 1e-10
-    ):  # written so that a NaN ratio fails it
-        raise RuntimeError("MLE root finder did not converge")
-    return kappa, iterations
+        return ratio, 1.0 - ratio * ratio - (d - 1.0) * ratio / k
+
+    return special.newton_root(link, r, kappa, np.full_like(r, 1e-10), hi, 1e-12)
 
 
 def kappa_mle(x) -> VmfEstimate:

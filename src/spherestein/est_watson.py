@@ -1,7 +1,9 @@
 """Watson-family estimation: eigenvector axis, the least-squares
 moment-type concentration estimate with its +/- branch selection rule,
 the midpoint-of-likelihood-bounds estimator (MLa), and a maximum
-likelihood baseline for one Watson component.
+likelihood baseline for one Watson component, solved for every slice at
+once by the Newton root finder it shares with vMF ML.  The likelihood
+fits raise OverflowError where 1F1 is out of range (special).
 
 Branches: (+) takes the top eigenvector of the scatter matrix (bipolar
 data, kappa > 0), (-) the bottom eigenvector (girdle data, kappa < 0).
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import special
 from .est_fb import v_statistic
@@ -169,24 +170,24 @@ def _neg_log_likelihood(x: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
     t = np.matmul(x, mu[..., None])[..., 0]
     finite = np.isfinite(kappa)
     kappa = np.where(finite, kappa, 0.0)
-    log_norm = np.reshape([watson_log_normalizer(d, k) for k in np.ravel(kappa)],
-                          np.shape(kappa))
-    nll = -(n * log_norm + kappa * (t * t).sum(axis=-1))
+    nll = -(n * watson_log_normalizer(d, kappa) + kappa * (t * t).sum(axis=-1))
     return np.where(finite, nll, math.inf)
 
 
-def _carries_mass(r):
-    # some but not all of the mass on the axis; else |kappa| ~ 1/r or 1/(1-r)
-    return (1e-14 < r) & (r < 1.0 - 1e-14)
+def _axis_mass(s: WatsonSample, branch: str):
+    # the axes (column views) of a branch, the share r = mu'S mu of the mass
+    # on them per slice, and whether an axis carries some but not all of
+    # it (else |kappa| ~ 1/r or 1/(1-r))
+    mu = s.axes[branch]
+    r = np.matmul(np.matmul(mu[..., None, :], s.scatter), mu[..., None])[..., 0, 0]
+    return mu, r, (1e-14 < r) & (r < 1.0 - 1e-14)
 
 
 def _mla_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
-    # midpoint of the ML bounds at r = mu'S mu (mu a column view) per
-    # slice, and its NLL; a wrong-signed infinite kappa makes a branch
-    # without mass on its axis ineligible
-    mu = s.axes[branch]
-    r = np.matmul(np.matmul(mu[..., None, :], s.scatter), mu[..., None])[..., 0, 0]
-    mass = _carries_mass(r)
+    # midpoint of the ML bounds at r = mu'S mu per slice, and its NLL; a
+    # wrong-signed infinite kappa makes a branch without mass on its axis
+    # ineligible
+    mu, r, mass = _axis_mass(s, branch)
     kappa = np.full(r.shape, math.inf if branch == "-" else -math.inf)
     if np.any(mass):
         kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], 0.5, 0.5 * s.x.shape[-1]))
@@ -200,43 +201,38 @@ def watson_mla_fit(x) -> WatsonEstimate:
     return _pick_branch("MLa", s.axes, {b: _mla_branch(s, b) for b in s.axes})
 
 
-def _mle_branch(scatter: np.ndarray, mu: np.ndarray) -> float:
-    # the ML concentration of one axis: the root of
-    #     (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) = r,
-    # r = mu'S mu, bracketed by the MLa bounds and solved to
-    # |ratio - r| <= 1e-10
-    mu = mu.copy()  # contiguous: the last bits of r depend on mu's layout
-    d = scatter.shape[0]
-    r = float(mu @ scatter @ mu)
-    if not _carries_mass(r):
-        raise ValueError(f"r = mu'S mu = {r:.3g}: the axis carries none or "
-                         "all of the mass")
-    if abs(r - 1.0 / d) < 1e-14:
-        return 0.0
+def _mle_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
+    # the ML concentration per slice, and its NLL: the root of E[t] = r, with
+    # E[t] = (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) and
+    # derivative Var[t], from the midpoint of the padded MLa bounds
+    # (exactly 0 at r = 1/d), to |E[t] - r| <= 1e-14 min(r, 1 - r)
+    mu, r, mass = _axis_mass(s, branch)
+    if not np.all(mass):
+        raise ValueError(f"r = mu'S mu = {r[~mass][0]:.3g}: the axis carries "
+                         "none or all of the mass")
+    b = 0.5 * s.x.shape[-1]
 
-    def gap(kappa: float) -> float:
-        return special.kummer_ratio(0.5, 0.5 * d, kappa) - r
+    def link(kappa):
+        mean = special.kummer_moment(1, 0.5, b, kappa)
+        return mean, special.kummer_moment(2, 0.5, b, kappa) - mean * mean
 
-    lower, upper = watson_mla_bounds(r, 0.5, 0.5 * d)
-    pad = 1e-6 + 1e-6 * (abs(lower) + abs(upper))
+    lower, upper = watson_mla_bounds(r, 0.5, b)
+    pad = 1e-6 + 1e-6 * (np.abs(lower) + np.abs(upper))
     lo, hi = lower - pad, upper + pad
-    while gap(lo) > 0:  # bracket safety; the bounds are strict in theory
-        lo -= 1.0 + 0.5 * abs(lo)
-    while gap(hi) < 0:
-        hi += 1.0 + 0.5 * abs(hi)
-    kappa = float(brentq(gap, lo, hi, xtol=1e-12, maxiter=200))
-    if abs(gap(kappa)) > 1e-10:
-        raise RuntimeError("Watson MLE root finder did not converge")
-    return kappa
+    for end, sign in ((lo, 1.0), (hi, -1.0)):  # the bounds are strict in theory
+        grow = sign * (link(end)[0] - r) > 0
+        while grow.any():
+            end[grow] -= sign * (1.0 + 0.5 * np.abs(end[grow]))
+            grow[grow] = sign * (link(end[grow])[0] - r[grow]) > 0
+    kappa = special.newton_root(link, r, 0.5 * (lo + hi), lo, hi,
+                                1e-14 * np.minimum(r, 1.0 - r))[0]
+    return kappa, _neg_log_likelihood(s.x, mu, kappa)
 
 
 def watson_mle_fit(x) -> WatsonEstimate:
     """Joint one-component MLE: both branch MLEs, pick the higher
     likelihood.  Never flags a sample NE (the likelihood always orders
-    the branches).  The root is found one slice at a time."""
+    the branches)."""
     s = prepare_sample(x)
-    fits = {}
-    for branch, mu in s.axes.items():
-        kappa = np.array([_mle_branch(sc, m) for sc, m in zip(s.scatter, mu)])
-        fits[branch] = kappa, _neg_log_likelihood(s.x, mu, kappa)
-    return _pick_branch("ML", s.axes, fits, by_sign=False)
+    return _pick_branch("ML", s.axes, {b: _mle_branch(s, b) for b in s.axes},
+                        by_sign=False)

@@ -9,8 +9,8 @@ S^{d-1}:
 * Watson:          exp(kappa * (mu'x)^2), mu a unit axis, kappa real.
 
 A params class holds its family's ``family`` name and its fields, and
-checks them on construction.  The Watson log normaliser, which the
-Watson likelihood fits need, lives here too.
+checks them on construction; every field must be finite.  The Watson log
+normaliser, which the Watson likelihood fits need, lives here too.
 """
 
 from __future__ import annotations
@@ -65,8 +65,8 @@ class FisherBinghamParams:
         self.mu = _as_vector(self.mu)
         a = np.asarray(self.A, dtype=float)
         d = self.mu.size
-        if a.shape != (d, d):
-            raise ValueError("A must be d x d")
+        if a.shape != (d, d) or not np.all(np.isfinite(a)):
+            raise ValueError("A must be a finite d x d matrix")
         if np.max(np.abs(a - a.T)) > _SYM_TOL:
             raise ValueError("A must be symmetric")
         if abs(a[d - 1, d - 1]) > 1e-12:
@@ -91,8 +91,8 @@ class VmfParams:
     def __post_init__(self):
         self.mu = _as_unit_vector(self.mu)
         self.kappa = float(self.kappa)
-        if not self.kappa > 0:
-            raise ValueError("kappa must be > 0")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be finite and > 0")
 
     @property
     def d(self) -> int:
@@ -114,6 +114,8 @@ class WatsonParams:
     def __post_init__(self):
         self.mu = fix_sign(_as_unit_vector(self.mu))
         self.kappa = float(self.kappa)
+        if not math.isfinite(self.kappa):
+            raise ValueError("kappa must be finite")
 
     @property
     def d(self) -> int:
@@ -123,13 +125,13 @@ class WatsonParams:
 Params = FisherBinghamParams | VmfParams | WatsonParams
 
 
-def watson_log_normalizer(d: int, kappa: float) -> float:
-    """log of Gamma(d/2) / (2 pi^{d/2} 1F1(1/2; d/2; kappa))."""
+def watson_log_normalizer(d: int, kappa):
+    """log of Gamma(d/2) / (2 pi^{d/2} 1F1(1/2; d/2; kappa)), elementwise."""
     return (
         math.lgamma(0.5 * d)
         - math.log(2.0)
         - 0.5 * d * math.log(math.pi)
-        - math.log(special.kummer_1f1(0.5, 0.5 * d, kappa))
+        - special.log_kummer_1f1(0.5, 0.5 * d, kappa)
     )
 
 

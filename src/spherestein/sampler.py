@@ -90,9 +90,12 @@ def _vmf_radial(kappa: float, d: int, n: int,
     # Ulrich-Wood rejection for the cosine w = mu'x, n per stream.  Every
     # stream draws its first batch, the accept step runs over the block,
     # and only a stream that fell short draws again.
-    b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
-    x0 = (1.0 - b) / (1.0 + b)
-    c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
+    try:  # from about kappa = 1e16 (d = 3), x0 rounds to 1 or kappa**2 overflows
+        b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
+        x0 = (1.0 - b) / (1.0 + b)
+        c = kappa * x0 + (d - 1.0) * math.log(1.0 - x0 * x0)
+    except (OverflowError, ValueError):
+        raise RuntimeError(f"kappa = {kappa:.3g} beyond the vMF sampler's range") from None
 
     def propose(g: np.random.Generator, have: int) -> tuple[np.ndarray, np.ndarray]:
         m = min(max(2 * (n - have), _MIN_BATCH), _MAX_BATCH)
@@ -171,6 +174,7 @@ def _acg_envelope(bmat_eigs: np.ndarray, d: int) -> tuple[float, np.ndarray, flo
 
 
 @functools.lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite envelope raises
 def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
     """Everything the ACG rejection needs that depends only on (mu, A):
     eigenvectors of the quadratic bound, ACG weights omega, 1/sqrt(omega)
@@ -190,9 +194,12 @@ def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
     bmat_eigs = shift - eigvals  # PSD with min eigenvalue 0
     _, omega, log_m = _acg_envelope(bmat_eigs, d)
     inv_sqrt_omega = 1.0 / np.sqrt(omega)
+    log_bound = log_linear_const + shift + log_m
+    if not (np.all(np.isfinite(omega)) and math.isfinite(log_bound)):
+        raise RuntimeError("rejection envelope is not finite: parameters out of range")
     for arr in (eigvecs, omega, inv_sqrt_omega):
         arr.flags.writeable = False
-    return eigvecs, omega, inv_sqrt_omega, log_linear_const + shift + log_m
+    return eigvecs, omega, inv_sqrt_omega, log_bound
 
 
 def _fb_acg_rejection(

@@ -1,12 +1,12 @@
-"""The Bessel-I ratio and Kummer confluent hypergeometric evaluations.
+"""The Bessel-I ratio, Kummer's confluent hypergeometric 1F1, and the
+bracketed Newton root finder of the maximum likelihood fits.
 
-Domain-checked wrappers around scipy.special in the forms the estimators
-need: the ratio R1 = I_{d/2}/I_{d/2-1}, stable for concentrated
-distributions (large arguments) and moderately high orders, and Kummer's
-1F1 with its logarithmic derivative.  R1 is formed from exponentially
-scaled values so no intermediate overflows; where those underflow it is
+The ratio R1 = I_{d/2}/I_{d/2-1} is formed from scipy's exponentially
+scaled values, so no intermediate overflows; where those underflow it is
 summed from the ascending series, and where they fail at very large
-arguments, from the large-kappa expansion.
+arguments, from the large-kappa expansion.  1F1 has one rule: scipy
+evaluates it at -|x| only, and the Kummer transform carries a positive
+argument over, its e^x kept apart as a log or cancelled in a ratio.
 """
 
 from __future__ import annotations
@@ -92,42 +92,67 @@ def bessel_ratio(d: int, kappa):
     return float(ratio[0]) if np.ndim(kappa) == 0 else ratio.reshape(np.shape(kappa))
 
 
-def _check_kummer_b(b: float) -> None:
-    if b <= 0 and b == int(b):
-        raise ValueError("1F1 undefined for b a nonpositive integer")
-
-
-def kummer_1f1(a: float, b: float, x: float) -> float:
-    """Kummer's confluent hypergeometric 1F1(a; b; x).
-
-    Negative arguments go through the Kummer transform
-    1F1(a; b; x) = e^x * 1F1(b-a; b; -x), a positive-term series, wherever
-    that product is finite.  From about x = -710 the transformed series
-    overflows at the Watson orders (a = 1/2, 3/2), and below x = -745 e^x
-    underflows to 0; there scipy evaluates 1F1(a; b; x) directly.  The
-    transformed series is never summed where e^x == 0: at large -x that
-    sum takes seconds and then overflows.
-    """
-    _check_kummer_b(b)
-    if x == 0.0:
-        return 1.0
-    val = math.inf
-    if x < 0:
-        scale = math.exp(x)
-        if scale > 0.0:
-            val = scale * float(_sp.hyp1f1(b - a, b, -x))
-    if not math.isfinite(val):
-        val = float(_sp.hyp1f1(a, b, x))
-    if not math.isfinite(val):
-        raise OverflowError("1F1 overflowed")
+def _scaled_1f1(a, b, x):
+    # e^{-max(x, 0)} 1F1(a; b; x); for x > 0 by the Kummer transform
+    # 1F1(a; b; x) = e^x 1F1(b-a; b; -x) (DLMF 13.2.39)
+    x = np.asarray(x, dtype=float)
+    val = _sp.hyp1f1(np.where(x > 0, b - a, a), b, -np.abs(x))
+    if not np.all(np.isfinite(val) & (val != 0.0)):
+        raise OverflowError("1F1 out of range")
     return val
 
 
-def kummer_ratio(a: float, b: float, x: float) -> float:
-    """The logarithmic-derivative ratio (a/b) * 1F1(a+1; b+1; x) / 1F1(a; b; x).
+def log_kummer_1f1(a, b, x):
+    """log 1F1(a; b; x), elementwise; OverflowError("1F1 out of range")
+    where scipy's hyp1f1 at -|x| is 0 or not finite."""
+    return np.maximum(x, 0.0) + np.log(_scaled_1f1(a, b, x))
 
-    Equals d/dx log 1F1(a; b; x); for the Watson family this is the mean of
-    the squared axis projection.
-    """
-    _check_kummer_b(b)
-    return (a / b) * kummer_1f1(a + 1.0, b + 1.0, x) / kummer_1f1(a, b, x)
+
+def kummer_moment(k: int, a, b, x):
+    """(a)_k / (b)_k * 1F1(a+k; b+k; x) / 1F1(a; b; x), elementwise; the
+    e^x of the transform cancels exactly.  At (a, b) = (1/2, d/2) and
+    x = kappa it is the Watson moment E[t^k], t = (mu'x)^2."""
+    coef = math.prod((a + i) / (b + i) for i in range(k))
+    return coef * _scaled_1f1(a + k, b + k, x) / _scaled_1f1(a, b, x)
+
+
+def newton_root(link, target: np.ndarray, x0: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
+    """Solve link(x) = target for each entry of a 1-D target by Newton's
+    method, bisecting lo < x < hi where a step leaves it; link(x) returns
+    the increasing link and its derivative.  An entry is done once
+    |link(x) - target| <= tol (a number or one per entry), or once iterates
+    on both sides of its target close its bracket to adjacent floats.
+    Returns the roots and their iteration counts; RuntimeError unless every
+    entry is within 100 tol after 200 steps."""
+    x = np.array(x0, dtype=float)
+    iterations = np.full(target.shape, 200)
+    # per unfinished entry: its index, target, tolerance and bracket, and
+    # whether an iterate has fallen below (under) or above (over) the target
+    todo, tol = np.arange(target.size), np.broadcast_to(tol, target.shape)
+    under = over = np.zeros(target.shape, dtype=bool)
+    for it in range(1, 201):
+        k = x[todo]
+        value, deriv = link(k)
+        err = value - target
+        above = err > 0
+        lo = np.where(above, lo, np.maximum(lo, k))
+        hi = np.where(above, np.minimum(hi, k), hi)
+        under, over = under | (err < 0), over | above
+        mid = 0.5 * (lo + hi)
+        done = (np.abs(err) <= tol) | (under & over & ((mid == lo) | (mid == hi)))
+        if done.any():
+            iterations[todo[done]] = it
+            todo, target, tol, lo, hi, under, over, k, deriv, err, mid = (
+                v[~done] for v in (todo, target, tol, lo, hi, under, over,
+                                   k, deriv, err, mid))
+            if not todo.size:
+                break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            nxt = np.where(deriv > 0, k - err / deriv, lo)
+        x[todo] = np.where((lo < nxt) & (nxt < hi), nxt, mid)
+    if todo.size and not np.all(
+        np.abs(link(x[todo])[0] - target) <= 100.0 * tol
+    ):  # written so that a NaN link fails it
+        raise RuntimeError("root finder did not converge")
+    return x, iterations

@@ -12,7 +12,7 @@ so agreement is evidence, not tautology.  The exceptions:
 * vmf_moments and delta_method_variance_vmf rotate their e1-frame blocks
   with linalg.rotation_to_e1;
 * watson_log_density takes its normaliser from
-  models.watson_log_normalizer (and so from special.kummer_1f1);
+  models.watson_log_normalizer (and so from special.log_kummer_1f1);
 * fb_statistics_generic returns the package's FbSteinStatistics record
   (a plain container; no package code computes its entries);
 * mle_newton_scalar takes the Bessel ratio as an argument: it pins the
@@ -238,7 +238,7 @@ def vmf_log_density(params, x) -> float:
 def watson_log_density(params, x) -> float:
     """Exact Watson log density with respect to the surface measure."""
     x = check_unit_point(x)
-    return watson_log_normalizer(params.d, params.kappa) + params.kappa * float(
+    return float(watson_log_normalizer(params.d, params.kappa)) + params.kappa * float(
         params.mu @ x
     ) ** 2
 

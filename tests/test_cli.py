@@ -1,4 +1,6 @@
 import json
+import math
+import signal
 import time
 import warnings
 from pathlib import Path
@@ -23,6 +25,71 @@ def _vmf_params(tmp_path, kappa=10.0):
     return _write_params(
         tmp_path, {"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": kappa}
     )
+
+
+@pytest.fixture
+def deadline():
+    # fail a test that has not returned within 30 s instead of hanging
+    def expire(signum, frame):
+        raise TimeoutError("no result within 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _sample_and_simulate(tmp_path, capsys, params):
+    # exit codes and stderr lines of sample and simulate on one parameter set
+    path = _write_params(tmp_path, params)
+    config = _write_params(tmp_path, {"params": params, "n": 10, "reps": 3},
+                           "config.json")
+    runs = []
+    for argv in (["sample", "--params", path, "--n", "10",
+                  "--out", str(tmp_path / "x.csv")],
+                 ["simulate", "--config", config]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        runs.append((code, captured.err.splitlines()))
+    return runs
+
+
+@pytest.mark.parametrize("params", [
+    {"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": math.inf},
+    {"family": "watson", "mu": [0.0, 0.0, 1.0], "kappa": math.nan},
+    {"family": "watson", "mu": [0.0, 0.0, 1.0], "kappa": math.inf},
+    {"family": "fb", "mu": [0.0, 0.0, 1.0],
+     "A": [[math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
+], ids=["vmf-inf", "watson-nan", "watson-inf", "fb-nan"])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, deadline, params):
+    # JSON NaN and Infinity are rejected with the parameters, before any
+    # sampler runs (the FB sampler never returned on a NaN entry of A)
+    field = "A must be a finite" if params["family"] == "fb" else "kappa must be finite"
+    for code, err in _sample_and_simulate(tmp_path, capsys, params):
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: invalid ")
+        assert field in err[0]
+
+
+@pytest.mark.parametrize("params, reason", [
+    ({"family": "fb", "mu": [0.0, 0.0, 1e300], "A": np.zeros((3, 3)).tolist()},
+     "rejection envelope is not finite"),
+    ({"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": 1e200},
+     "beyond the vMF sampler's range"),
+    ({"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": 1e17},
+     "beyond the vMF sampler's range"),
+], ids=["fb-mu-1e300", "vmf-kappa-1e200", "vmf-kappa-1e17"])
+def test_huge_parameters_are_sampler_failures(tmp_path, capsys, deadline, params,
+                                              reason):
+    # an envelope of |mu| = 1e300 is NaN (the FB sampler spun for ever on
+    # NaN proposals), and the vMF radial constants overflow or hit
+    # log(0); both are booked as sampler failures
+    for code, err in _sample_and_simulate(tmp_path, capsys, params):
+        assert code == 3
+        assert len(err) == 1 and err[0].startswith("error: s")
+        assert reason in err[0]
 
 
 def test_sample_writes_unit_rows(tmp_path, capsys):
@@ -269,20 +336,36 @@ def test_fit_vmf_ml_at_extreme_concentration(tmp_path, capsys):
     assert report["kappa"] == pytest.approx(1.0 / (1.0 - r), rel=1e-6)
 
 
-@pytest.mark.parametrize("estimator", ["mla", "ml"])
-def test_fit_watson_overflow_exits_3(tmp_path, capsys, estimator):
-    # a tight bipolar sample puts the Watson likelihood fits where 1F1
-    # overflows; the CLI books that as one error line and exit 3
+def _tight_bipolar_rows(d, noise):
+    # 300 rows within about `noise` of +-e_d, each sign with probability 1/2
     rng = np.random.default_rng(6)
     sign = np.where(rng.random(300) < 0.5, -1.0, 1.0)
-    rows = sign[:, None] * np.eye(3)[2] + 0.02 * rng.standard_normal((300, 3))
-    path = _write_rows(tmp_path / "bipolar.csv", rows)
+    return sign[:, None] * np.eye(d)[-1] + noise * rng.standard_normal((300, d))
+
+
+@pytest.mark.parametrize("estimator", ["mla", "ml"])
+def test_fit_watson_bipolar_likelihood_exits_0(tmp_path, capsys, estimator):
+    # kappa near 2000 puts 1F1(1/2; 3/2; kappa) far beyond the float range;
+    # the likelihood fits carry e^kappa as a log and stay finite
+    path = _write_rows(tmp_path / "bipolar.csv", _tight_bipolar_rows(3, 0.02))
+    assert cli.main(["fit", "--family", "watson", "--estimator", estimator,
+                     "--in", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok" and report["branch"] == "+"
+    assert 1000.0 < report["kappa"] < 1e4
+
+
+@pytest.mark.parametrize("estimator", ["mla", "ml"])
+def test_fit_watson_overflow_exits_3(tmp_path, capsys, estimator):
+    # at d = 200 a tight bipolar sample puts kappa near 1e6, where
+    # 1F1(199/2; 100; -kappa), the transformed 1F1 of the likelihood fits,
+    # underflows; the CLI books that as one error line and exit 3
+    path = _write_rows(tmp_path / "bipolar.csv", _tight_bipolar_rows(200, 1e-3))
     assert cli.main(["fit", "--family", "watson", "--estimator", estimator,
                      "--in", path]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: estimator failed: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == "error: estimator failed: 1F1 out of range\n"
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])

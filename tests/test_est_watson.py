@@ -22,7 +22,7 @@ from spherestein.families import FAMILIES, fit_one
 from spherestein.linalg import sym_eigen
 from spherestein.models import WatsonParams
 from spherestein.sampler import RngState, sample_uniform, sample_watson
-from spherestein.special import kummer_ratio
+from spherestein.special import kummer_moment
 
 from oracles import (
     fb_statistics_generic,
@@ -58,8 +58,7 @@ def _stein_kappa(x, branch):
 
 def _mle_kappa(x, branch):
     # the ML concentration of one branch
-    s = prepare_sample(x[None])
-    return _mle_branch(s.scatter[0], s.axes[branch][0])
+    return float(_mle_branch(prepare_sample(x[None]), branch)[0][0])
 
 
 def test_axis_examples():
@@ -268,16 +267,15 @@ def test_mla_bracket_contains_mle():
 
 def test_mle_near_great_circle_is_finite_and_sums_no_underflowed_1f1(monkeypatch):
     # 50 points of a great circle lifted by 1e-6 (r ~ 1e-12): ML's root
-    # bracket reaches kappa where e^kappa underflows; there 1F1 is
-    # evaluated directly (the transformed series, which took seconds and
-    # then overflowed, is never summed), and the girdle root matches
-    # mpmath's ratio at r
+    # bracket reaches kappa where e^kappa underflows; scipy's 1F1 is only
+    # called at non-positive arguments (no transformed series is summed
+    # where e^x underflows), and the girdle root matches mpmath's ratio at r
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     hyp1f1, args = special._sp.hyp1f1, []
 
     def spy(a, b, x):
-        args.append(x)
+        args.append(np.max(x))
         return hyp1f1(a, b, x)
 
     monkeypatch.setattr(special._sp, "hyp1f1", spy)
@@ -286,7 +284,7 @@ def test_mle_near_great_circle_is_finite_and_sums_no_underflowed_1f1(monkeypatch
     x = np.column_stack([np.cos(t), np.sin(t), 1e-6 * rng.standard_normal(50)])
     x /= np.linalg.norm(x, axis=1, keepdims=True)
     fit = fit_one("watson", "ml", x)
-    assert args and max(args) < 745.0
+    assert args and max(args) <= 0.0
     assert fit["branch"] == "-" and math.isfinite(fit["kappa"])
     assert -1e12 < fit["kappa"] < -745.0
     axis = _axis(x, "-")
@@ -307,6 +305,52 @@ def test_likelihood_fits_finite_for_strong_girdles(d, kappa):
         assert 0.5 * kappa > fit["kappa"] > 2.0 * kappa
 
 
+@pytest.mark.parametrize("d,kappa", [(3, 700.0), (3, 800.0), (10, 2000.0),
+                                     (50, 1e4)])
+def test_likelihood_fits_finite_for_strong_bipolar_samples(d, kappa):
+    # 1F1(1/2; d/2; kappa) overflows from kappa near 710: the likelihood
+    # carries e^kappa as a log, and the ML link cancels it exactly.  Far
+    # out, the MLa bounds are about (kappa, 3 kappa), so MLa reads 2 kappa
+    x = sample_watson(WatsonParams(np.eye(d)[0], kappa), 200, [RngState(58)])[0]
+    for code, high in (("ml", 1.2), ("mla", 2.4)):
+        fit = fit_one("watson", code, x)
+        assert fit["branch"] == "+" and math.isfinite(fit["kappa"])
+        assert 0.8 * kappa < fit["kappa"] < high * kappa
+        assert all(map(math.isfinite, fit["residual_norms"].values()))
+
+
+def _ml_root_error(kappa, r, d):
+    # |kappa - root| / |root| of E[t] = r, from one Newton step in 40-digit
+    # mpmath: E[t] and its derivative Var[t] = E[t^2] - E[t]^2 at kappa
+    import mpmath
+    a, b, k = mpmath.mpf(1) / 2, mpmath.mpf(d) / 2, mpmath.mpf(kappa)
+    base = mpmath.hyp1f1(a, b, k)
+    m1 = a / b * mpmath.hyp1f1(a + 1, b + 1, k) / base
+    m2 = a * (a + 1) / (b * (b + 1)) * mpmath.hyp1f1(a + 2, b + 2, k) / base
+    root = k - (m1 - mpmath.mpf(r)) / (m2 - m1 * m1)
+    return float(abs((k - root) / root))
+
+
+@pytest.mark.parametrize("d", [3, 10, 20, 50])
+def test_mle_root_against_mpmath(d):
+    # within 1e-13 of the root of E[t] = r where the parent's 1F1 was
+    # finite, and within 1e-11 at the bipolar kappa where it overflowed
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for kappa, bound in ((2.0, 1e-13), (-2.0, 1e-13), (20.0, 1e-13),
+                         (-20.0, 1e-13), (-800.0, 1e-13), (-1e4, 1e-13),
+                         (800.0, 1e-11), (1e4, 1e-11)):
+        x = sample_watson(WatsonParams(np.eye(d)[0], kappa), 200,
+                          [RngState(58, stream=k) for k in range(3)])
+        s = prepare_sample(x)
+        branch = "+" if kappa > 0 else "-"
+        fitted = _mle_branch(s, branch)[0]
+        axes = s.axes[branch]
+        for k, mu in enumerate(axes):
+            r = float(mu @ s.scatter[k] @ mu)
+            assert _ml_root_error(fitted[k], r, d) <= bound, (kappa, k)
+
+
 def test_mle_zero_at_isotropic_r():
     x = np.vstack([E3])  # scatter = I/3 exactly, r = 1/d on every branch
     assert _mle_kappa(x, "+") == 0.0
@@ -324,7 +368,7 @@ def test_mle_bracketing_random_samples():
         lower, upper = watson_mla_bounds(r, 0.5, 1.5)
         kappa_ml = _mle_kappa(x, branch)
         assert lower - 1e-9 <= kappa_ml <= upper + 1e-9
-        assert abs(kummer_ratio(0.5, 1.5, kappa_ml) - r) <= 1e-10
+        assert abs(kummer_moment(1, 0.5, 1.5, kappa_ml) - r) <= 1e-10
 
 
 def test_mle_consistency_high_dimension():

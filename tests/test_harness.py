@@ -262,21 +262,23 @@ def test_stein2_books_ne_per_replication(monkeypatch):
 
 
 def test_hard_failure_names_estimator_seed_and_replication(monkeypatch):
-    # replication 5 gets 40 points within 1e-6 of one axis: the top axis
-    # carries all but ~5e-13 of the mass, so the MLa kappa^+ is about 1e12
-    # and the Watson normaliser 1F1(1/2; 3/2; kappa^+) overflows
+    # replication 5 gets 40 points of d = 200 within 1e-5 of one axis: the
+    # top axis carries all but ~1e-10 of the mass, so the MLa kappa^+ is
+    # about 2e12, where 1F1(199/2; 100; -kappa^+), the transformed 1F1 of
+    # the Watson normaliser, underflows
     angle = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
-    bad = np.column_stack([1e-6 * np.cos(angle), 1e-6 * np.sin(angle), np.ones(40)])
+    bad = np.zeros((40, 200))
+    bad[:, 0], bad[:, 1], bad[:, -1] = 1e-5 * np.cos(angle), 1e-5 * np.sin(angle), 1.0
     bad /= np.linalg.norm(bad, axis=1, keepdims=True)
     _planting(monkeypatch, "watson", bad, lambda rep: rep == 5)
-    params = WatsonParams(np.ones(3) / math.sqrt(3), 5.0)
+    params = WatsonParams(np.ones(200) / math.sqrt(200), 5.0)
     config = SimConfig(params=params, n=40, reps=12, estimators=("mla",), seed=9)
     _set_block_size(monkeypatch, config, 4)
     with pytest.raises(RuntimeError) as info:
         run_simulation(config)
     message = str(info.value)
     assert "'mla'" in message and "replications 4-7 " in message
-    assert "seed 9" in message and "1F1 overflowed" in message
+    assert "seed 9" in message and "1F1 out of range" in message
 
 
 def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):

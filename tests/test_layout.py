@@ -9,6 +9,9 @@ Samplers, preparation steps and estimators take stacks only, so that
 """
 
 import ast
+import os
+import subprocess
+import sys
 import tomllib
 from pathlib import Path
 from typing import get_args
@@ -79,6 +82,16 @@ def test_all_names_resolve():
                if not hasattr(spherestein, name)]
     assert not missing
     assert len(set(spherestein.__all__)) == len(spherestein.__all__)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    # in a fresh interpreter: the test modules import scipy.optimize themselves
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, spherestein.cli; "
+         "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.split() == ["False", "True"]
 
 
 def test_params_classes_hold_only_their_fields():
