@@ -51,7 +51,7 @@ class SimConfig:
 
     def __post_init__(self):
         family = self.params.family
-        for name in ("n", "reps", "seed"):  # JSON integers, not floats or bools
+        for name in ("n", "reps", "seed", "threads"):  # integers, not floats or bools
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")

@@ -8,6 +8,14 @@ sampler takes a sequence of b streams and returns the (b, n, d) stack of
 their samples, slice j bit for bit the sample of stream j alone (a
 sequence of one draws one sample).
 
+One driver runs every rejection sampler in rounds: each stream short of
+n draws its next batch (vMF 2 (n - have), ACG 1.3 (n - have) / rate + 32
+at its acceptance rate so far, clipped to [_MIN_BATCH, _MAX_BATCH]),
+batches of one size are accepted as one stack, and each stream keeps its
+first n accepted draws in draw order.  After _FLOOR_WINDOW proposals an
+acceptance rate below the family's floor raises RuntimeError: Watson
+1e-4, Fisher-Bingham 1e-6, vMF none (it accepts 0.65 or more).
+
 vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
 Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
 the linear part of the Fisher-Bingham exponent is first dominated by a
@@ -85,11 +93,43 @@ def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
     return _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
 
 
+def _rejection(gens: list[np.random.Generator], n: int, batch, propose,
+               accept_floor: float) -> np.ndarray:
+    # the first n accepted draws of each stream, as a (b, n, ...) stack.
+    # batch(proposed, accepted, have) sizes a stream's next batch from its
+    # own counts, so it makes the draws it would make alone; propose(gs, m)
+    # returns m stacked draws per stream of gs, which of them are accepted,
+    # and how many each stream proposed
+    b = len(gens)
+    out = None
+    have, proposed, accepted = [0] * b, [0] * b, [0] * b
+    short = list(range(b))
+    while short:
+        sizes = [batch(proposed[j], accepted[j], have[j]) for j in short]
+        for m in sorted(set(sizes)):
+            group = [j for j, size in zip(short, sizes) if size == m]
+            draws, keep, count = propose([gens[j] for j in group], m)
+            if out is None:
+                out = np.empty((b, n) + draws.shape[2:])
+            for j, drawsj, keepj, countj in zip(group, draws, keep, count):
+                taken = drawsj[keepj]
+                proposed[j] += int(countj)
+                accepted[j] += taken.shape[0]
+                take = min(taken.shape[0], n - have[j])
+                out[j, have[j] : have[j] + take] = taken[:take]
+                have[j] += take
+                if proposed[j] >= _FLOOR_WINDOW and accepted[j] / proposed[j] < accept_floor:
+                    raise RuntimeError(
+                        f"rejection acceptance {accepted[j] / proposed[j]:.2e} below "
+                        f"{accept_floor:.0e} after {proposed[j]} proposals"
+                    )
+        short = [j for j in short if have[j] < n]
+    return out
+
+
 def _vmf_radial(kappa: float, d: int, n: int,
                 gens: list[np.random.Generator]) -> np.ndarray:
-    # Ulrich-Wood rejection for the cosine w = mu'x, n per stream.  Every
-    # stream draws its first batch, the accept step runs over the block,
-    # and only a stream that fell short draws again.
+    # Ulrich-Wood rejection for the cosine w = mu'x, n per stream
     try:  # from about kappa = 1e16 (d = 3), x0 rounds to 1 or kappa**2 overflows
         b = (d - 1.0) / (2.0 * kappa + math.sqrt(4.0 * kappa**2 + (d - 1.0) ** 2))
         x0 = (1.0 - b) / (1.0 + b)
@@ -97,33 +137,17 @@ def _vmf_radial(kappa: float, d: int, n: int,
     except (OverflowError, ValueError):
         raise RuntimeError(f"kappa = {kappa:.3g} beyond the vMF sampler's range") from None
 
-    def propose(g: np.random.Generator, have: int) -> tuple[np.ndarray, np.ndarray]:
-        m = min(max(2 * (n - have), _MIN_BATCH), _MAX_BATCH)
-        return g.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m), g.random(m)
+    def batch(proposed: int, accepted: int, have: int) -> int:
+        return min(max(2 * (n - have), _MIN_BATCH), _MAX_BATCH)
 
-    def accept(z: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def propose(gs: list[np.random.Generator], m: int):
+        z = np.stack([g.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m) for g in gs])
+        u = np.stack([g.random(m) for g in gs])
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
-        return w, kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
+        keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
+        return w, keep, [m] * len(gs)
 
-    proposals = [propose(g, 0) for g in gens]
-    w, keep = accept(np.stack([z for z, _ in proposals]),
-                     np.stack([u for _, u in proposals]))
-    out = np.empty((len(gens), n))
-    full = keep.sum(axis=1) >= n
-    # the first n accepted draws of each full stream, in draw order
-    first = keep[full] & (np.cumsum(keep[full], axis=1) <= n)
-    out[full] = w[full][first].reshape(-1, n)
-    for j in np.flatnonzero(~full):
-        taken = w[j][keep[j]]
-        have = taken.size
-        out[j, :have] = taken
-        while have < n:
-            wj, keepj = accept(*propose(gens[j], have))
-            wj = wj[keepj]
-            take = min(wj.size, n - have)
-            out[j, have : have + take] = wj[:take]
-            have += take
-    return out
+    return _rejection(gens, n, batch, propose, accept_floor=0.0)
 
 
 def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
@@ -209,11 +233,7 @@ def _fb_acg_rejection(
     gens: list[np.random.Generator],
     accept_floor: float,
 ) -> np.ndarray:
-    # n points per stream, as a (b, n, d) stack.  Every stream draws its
-    # batches in the order and sizes it would alone: the first from n, each
-    # further one, drawn only while the stream is short, from its own
-    # acceptance rate so far.  The projection and the accept step run over
-    # the streams of a round that draw batches of one size.
+    # n points per stream, as a (b, n, d) stack
     d = mu.size
     eigvecs, omega, inv_sqrt_omega, log_bound = _envelope(
         mu.tobytes(), a_mat.tobytes(), d
@@ -241,34 +261,7 @@ def _fb_acg_rejection(
             raise RuntimeError("rejection envelope bound violated")
         return y, ok & (np.log(u) <= log_acc), ok.sum(axis=-1)
 
-    def check_floor(proposed: int, accepted: int) -> None:
-        if proposed >= _FLOOR_WINDOW and accepted / proposed < accept_floor:
-            raise RuntimeError(
-                f"rejection acceptance {accepted / proposed:.2e} below "
-                f"{accept_floor:.0e} after {proposed} proposals"
-            )
-
-    b = len(gens)
-    out = np.empty((b, n, d))
-    have, proposed, accepted = [0] * b, [0] * b, [0] * b
-    short = list(range(b))
-    while short:
-        # one round: each short stream draws its next batch; the streams
-        # whose batches have the same size are proposed as one stack
-        sizes = [batch(proposed[j], accepted[j], have[j]) for j in short]
-        for m in sorted(set(sizes)):
-            group = [j for j, size in zip(short, sizes) if size == m]
-            y, keep, count = propose([gens[j] for j in group], m)
-            for j, yj, keepj, countj in zip(group, y, keep, count):
-                taken = yj[keepj]
-                proposed[j] += int(countj)
-                accepted[j] += taken.shape[0]
-                take = min(taken.shape[0], n - have[j])
-                out[j, have[j] : have[j] + take] = taken[:take]
-                have[j] += take
-                check_floor(proposed[j], accepted[j])
-        short = [j for j in short if have[j] < n]
-    return out
+    return _rejection(gens, n, batch, propose, accept_floor)
 
 
 def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:

@@ -20,6 +20,7 @@ from scipy import special as _sp
 # below this, scipy's scaled Bessel value is too close to the subnormal
 # range to divide through safely; switch to the power series
 _IVE_FLOOR = 1e-290
+_TINY = np.finfo(float).tiny
 
 
 def _log_series_i(nu: float, x: float) -> float:
@@ -97,14 +98,15 @@ def _scaled_1f1(a, b, x):
     # 1F1(a; b; x) = e^x 1F1(b-a; b; -x) (DLMF 13.2.39)
     x = np.asarray(x, dtype=float)
     val = _sp.hyp1f1(np.where(x > 0, b - a, a), b, -np.abs(x))
-    if not np.all(np.isfinite(val) & (val != 0.0)):
+    # a subnormal value has lost digits: hyp1f1(499.5, 500, -800) = 1.8e-319
+    if not np.all(np.isfinite(val) & (val >= _TINY)):
         raise OverflowError("1F1 out of range")
     return val
 
 
 def log_kummer_1f1(a, b, x):
     """log 1F1(a; b; x), elementwise; OverflowError("1F1 out of range")
-    where scipy's hyp1f1 at -|x| is 0 or not finite."""
+    where scipy's hyp1f1 at -|x| is not finite or below the normal range."""
     return np.maximum(x, 0.0) + np.log(_scaled_1f1(a, b, x))
 
 

@@ -80,12 +80,17 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, deadline, params):
      "beyond the vMF sampler's range"),
     ({"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": 1e17},
      "beyond the vMF sampler's range"),
-], ids=["fb-mu-1e300", "vmf-kappa-1e200", "vmf-kappa-1e17"])
+    ({"family": "fb", "mu": [100.0, 0.0, 0.0],
+      "A": np.diag([-100.0, 0.0, 0.0]).tolist()},
+     "rejection acceptance 0.00e+00 below 1e-06 after 250550 proposals"),
+], ids=["fb-mu-1e300", "vmf-kappa-1e200", "vmf-kappa-1e17", "fb-acceptance-floor"])
 def test_huge_parameters_are_sampler_failures(tmp_path, capsys, deadline, params,
                                               reason):
     # an envelope of |mu| = 1e300 is NaN (the FB sampler spun for ever on
-    # NaN proposals), and the vMF radial constants overflow or hit
-    # log(0); both are booked as sampler failures
+    # NaN proposals), the vMF radial constants overflow or hit log(0), and
+    # the FB envelope, whose bound on the linear term is tight at mu, lies
+    # far above a density whose quadratic term moves the mode to x1 = 1/2,
+    # so the acceptance floor stops it; all are booked as sampler failures
     for code, err in _sample_and_simulate(tmp_path, capsys, params):
         assert code == 3
         assert len(err) == 1 and err[0].startswith("error: s")

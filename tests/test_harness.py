@@ -32,6 +32,13 @@ def test_config_validation():
     assert _vmf_config(estimators=()).estimators == ("st", "ml", "sm")
 
 
+@pytest.mark.parametrize("threads", [2.5, True])
+def test_config_rejects_non_integer_threads(threads):
+    # threads=2.5 used to run a pool and threads=True one thread
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        _vmf_config(threads=threads)
+
+
 def test_single_replication_degenerate():
     result = run_simulation(_vmf_config(reps=1))
     cell = result.cells["st"]["kappa"]

@@ -1,19 +1,25 @@
-"""Property tests of the Watson fits over d <= 50 and |kappa| <= 1e4.
+"""Property tests of the samplers and of the Watson fits.
 
-Hypothesis draws the dimension, the concentration, the sample size and
-the sampler stream; the examples are derandomised, so every run sees the
-same samples.  On each sample, ST, MLa and ML return a finite estimate or
-a typed outcome, give the same bits on the negated rows, and the ML
-concentration of each branch lies within the MLa bounds at its r (up to
-the resolution of the likelihood equation).
+Hypothesis draws the parameters, the sample size and the sampler streams;
+the examples are derandomised, so every run sees the same samples.  The
+stacked samplers give, stream for stream, the bits of the one-stream
+loops in ``oracles``.  Over d <= 50 and |kappa| <= 1e4, ST, MLa and ML
+return a finite estimate or a typed outcome on each Watson sample, give
+the same bits on the negated rows and the same estimate, up to rounding,
+on rotated rows (ST: on signed permutations fixing the last axis), and
+the ML concentration of each branch lies within the MLa bounds at its r
+(up to the resolution of the likelihood equation).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherestein import sampler
 from spherestein.est_watson import (
     NotEligible,
     prepare_sample,
@@ -23,8 +29,10 @@ from spherestein.est_watson import (
     watson_stein_fit,
 )
 from spherestein.families import FAMILIES
-from spherestein.models import WatsonParams
-from spherestein.sampler import RngState, sample_watson
+from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
+from spherestein.sampler import RngState, sample_fb, sample_vmf, sample_watson
+
+from oracles import acg_sample_loop, vmf_sample_loop
 
 FITS = {"st": watson_stein_fit, "mla": watson_mla_fit, "ml": watson_mle_fit}
 
@@ -87,3 +95,87 @@ def test_watson_ml_within_mla_bounds(case):
         kappa_ml = fit.kappas[branch][0]
         slack = 1e-14 * abs(kappa_ml) / min(r, 1.0 - r)
         assert lower - slack <= kappa_ml <= upper + slack, (branch, r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(samples, st.integers(0, 2**32 - 1))
+def test_watson_fits_are_rotation_equivariant(case, seed):
+    # the fits of the rows Q x give the kappas of the rows x and the axis
+    # Q mu up to sign, or raise the same typed outcome.  MLa and ML see the
+    # rows only through the scatter's eigenvectors and r = mu'S mu, so Q is
+    # any rotation.  ST solves its least squares in vech' coordinates (the
+    # (d, d) entry dropped), which only signed permutations fixing the last
+    # axis preserve: a random rotation moves its kappa by O(n^-1/2)
+    d, x = case
+    rng = np.random.default_rng(seed)
+    rotation = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    order = np.append(rng.permutation(d - 1), d - 1)
+    permutation = np.eye(d)[order] * rng.choice([-1.0, 1.0], d)[:, None]
+    for code, fit_fn in FITS.items():
+        q = permutation if code == "st" else rotation
+        plain, turned = _outcome(fit_fn, x), _outcome(fit_fn, x @ q.T)
+        if isinstance(plain, tuple) or isinstance(turned, tuple):
+            assert type(plain) is tuple and plain[0] is turned[0], (code, plain, turned)
+            continue
+        for branch in ("+", "-"):
+            assert turned.kappas[branch][0] == pytest.approx(
+                plain.kappas[branch][0], rel=1e-9), (code, branch)
+        assert plain.ne[0] == turned.ne[0], code
+        if plain.ne[0]:
+            continue
+        if plain.branch[0] != turned.branch[0]:
+            # at d = 2, (mu, kappa) and (mu_perp, -kappa) are one
+            # distribution, so the branch scores tie up to rounding
+            score = plain.residual_norms
+            assert score["+"][0] == pytest.approx(score["-"][0], rel=1e-9), code
+            continue
+        axis = q @ plain.mu_hat[0]
+        np.testing.assert_allclose(np.copysign(1.0, axis @ turned.mu_hat[0])
+                                   * turned.mu_hat[0], axis, rtol=0, atol=1e-7,
+                                   err_msg=code)
+
+
+@st.composite
+def sampler_params(draw):
+    # vMF, Watson or Fisher-Bingham parameters in d <= 10
+    family = draw(st.sampled_from(["vmf", "watson", "fb"]))
+    d = draw(st.integers(2, 10))
+    floats = st.floats(-1.0, 1.0)
+    axis = np.array(draw(st.lists(floats, min_size=d, max_size=d)))
+    axis[0] += 2.0  # keeps the axis away from 0
+    axis /= np.linalg.norm(axis)
+    if family == "vmf":
+        return VmfParams(axis, draw(st.floats(0.01, 1000.0)))
+    if family == "watson":
+        return WatsonParams(axis, draw(st.sampled_from([-1.0, 1.0]))
+                            * draw(st.floats(0.1, 100.0)))
+    a = np.array(draw(st.lists(floats, min_size=d * d, max_size=d * d))).reshape(d, d)
+    a = 5.0 * (a + a.T)
+    a[-1, -1] = 0.0
+    return FisherBinghamParams(draw(st.floats(0.0, 20.0)) * axis, a)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sampler_params(), st.integers(1, 60), st.integers(1, 8),
+       st.integers(0, 2**32 - 1), st.sampled_from([1, 256]))
+def test_stacked_samplers_equal_the_per_stream_loops(params, n, b, seed, min_batch):
+    # every stream of a stack makes the draws it would make alone, so each
+    # slice is bit for bit the one-stream loop; at min_batch = 1 streams
+    # fall short after different numbers of batches
+    streams = [RngState(seed, stream=k) for k in range(b)]
+    with mock.patch.object(sampler, "_MIN_BATCH", min_batch):
+        if params.family == "vmf":
+            stack = sample_vmf(params, n, streams)
+            expected = [vmf_sample_loop(params, n, r, min_batch)[0] for r in streams]
+        else:
+            if params.family == "watson":
+                stack = sample_watson(params, n, streams)
+                mu = np.zeros(params.d)
+                a_mat = params.kappa * np.outer(params.mu, params.mu)
+            else:
+                stack = sample_fb(params, n, streams)
+                mu, a_mat = params.mu, params.A
+            expected = [acg_sample_loop(mu, a_mat, n, r, min_batch)[0] for r in streams]
+    assert stack.shape == (b, n, params.d)
+    for k, sample in enumerate(expected):
+        np.testing.assert_array_equal(stack[k], sample)

@@ -200,6 +200,22 @@ def test_kummer_out_of_range_raises():
         log_kummer_1f1(0.5, 1.5, np.array([1.0, math.inf]))
 
 
+def test_kummer_subnormal_is_out_of_range():
+    # hyp1f1(499.5, 500, -x) leaves the normal range between x = 760 and
+    # 770; the subnormal 1.8e-319 at x = 800 gave log 1F1(1/2; 500; 800) =
+    # 66.071631 where 40-digit mpmath gives 66.071619
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    assert abs(log_kummer_1f1(0.5, 500.0, 760.0)
+               - mpmath.log(mpmath.hyp1f1(0.5, 500, 760))) <= 1e-11
+    assert abs(mpmath.log(mpmath.hyp1f1(0.5, 500, 800)) - 66.071619) < 1e-6
+    for x in (800.0, np.array([760.0, 800.0])):
+        with pytest.raises(OverflowError, match="1F1 out of range"):
+            log_kummer_1f1(0.5, 500.0, x)
+        with pytest.raises(OverflowError, match="1F1 out of range"):
+            kummer_moment(1, 0.5, 500.0, x)
+
+
 def _spy_hyp1f1(monkeypatch):
     # the arguments scipy's hyp1f1 is called at
     hyp1f1, args = special._sp.hyp1f1, []
