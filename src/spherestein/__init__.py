@@ -16,11 +16,13 @@ from .est_fb import FbEstimate, fb_stein_fit, fb_stein_residual, fb_statistics
 from .est_vmf import (
     DegenerateMean,
     VmfEstimate,
+    fisher_information_vmf,
     kappa_mle,
     kappa_score_matching,
     kappa_stein,
     kappa_stein2,
     mean_direction,
+    stein_asymptotic_variance_vmf,
 )
 from .est_watson import (
     NotEligible,
@@ -34,7 +36,6 @@ from .harness import SimConfig, SimResult, run_simulation
 from .linalg import SingularSystem
 from .models import FisherBinghamParams, VmfParams, WatsonParams
 from .sampler import RngState, sample_fb, sample_uniform, sample_vmf, sample_watson
-from .vmf_moments import fisher_information_vmf, stein_asymptotic_variance_vmf
 
 __version__ = "0.1.0"
 

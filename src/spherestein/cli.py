@@ -29,7 +29,7 @@ import warnings
 
 import numpy as np
 
-from . import est_vmf, est_watson, harness, sampler, vmf_moments
+from . import est_vmf, est_watson, harness, sampler
 from .families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
 from .linalg import SingularSystem
 from .models import params_from_dict
@@ -166,11 +166,13 @@ def cmd_simulate(args) -> int:
         for key in raw:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
+        if "params" not in raw:
+            raise ValueError("a config needs 'params'")
         fields = {**raw, "params": params_from_dict(raw["params"])}
         flags = {"reps": args.reps, "seed": args.seed, "threads": args.threads}
         fields.update((k, v) for k, v in flags.items() if v is not None)
         config = harness.SimConfig(**fields)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", 2)
     fresh = bool(args.out) and not os.path.exists(args.out)
     if args.out:
@@ -201,8 +203,8 @@ def cmd_asympvar(args) -> int:
     if not 0 < args.kappa < math.inf:
         return _fail("--kappa must be finite and > 0", 2)
     try:
-        p_var = vmf_moments.stein_asymptotic_variance_vmf(args.d, args.kappa)
-        info = vmf_moments.fisher_information_vmf(args.d, args.kappa)
+        p_var = est_vmf.stein_asymptotic_variance_vmf(args.d, args.kappa)
+        info = est_vmf.fisher_information_vmf(args.d, args.kappa)
     except (ValueError, ZeroDivisionError) as exc:  # Bessel ratios underflow
         return _fail(f"kappa = {args.kappa!r} out of numerical range: {exc}", 2)
     if not (math.isfinite(p_var) and math.isfinite(info) and info > 0):

@@ -68,7 +68,6 @@ class FbEstimate:
     cond_m_prime: np.ndarray
     cond_schur: np.ndarray
     ne: np.ndarray
-    estimator: str = "ST"
 
 
 def v_statistic(scatter: np.ndarray) -> np.ndarray:

@@ -9,6 +9,10 @@ estimator (SM).  All four are invariant under rotations of the sample.
 Each estimator takes a (b, n, d) stack of b samples, which a simulation
 study fits in one call; slice k of a stack gets the same bits as that
 sample fitted as a stack of one (``families.fit_one`` fits one sample).
+
+The Fisher information for kappa and the closed-form asymptotic variance
+of the ST estimator live here too; both depend on kappa only through the
+Bessel ratio R1 = I_{d/2} / I_{d/2-1} (``special.bessel_ratio``).
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ class VmfEstimate:
 
     mu_hat: np.ndarray
     kappa_hat: np.ndarray
-    estimator: str
     diagnostics: dict
     ne: np.ndarray
 
@@ -48,15 +51,10 @@ def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     x = sample_stack(x)
     xbar = x.mean(axis=1)
     # a dot product per slice, as np.linalg.norm takes for one vector
-    norm = np.sqrt(_dot(xbar, xbar))
+    norm = np.sqrt(np.vecdot(xbar, xbar))
     if np.any(norm <= 1e-12):
         raise DegenerateMean("resultant length is zero")
     return x, xbar, norm, xbar / norm[:, None]
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # row-wise u[k] @ v[k] of two b x d stacks
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _resid_mat(x: np.ndarray) -> np.ndarray:
@@ -64,10 +62,10 @@ def _resid_mat(x: np.ndarray) -> np.ndarray:
     return np.eye(x.shape[2]) - np.matmul(x.transpose(0, 2, 1), x) / x.shape[1]
 
 
-def _estimate(mu_hat, kappa, name: str, ne=None, **diagnostics) -> VmfEstimate:
+def _estimate(mu_hat, kappa, ne=None, **diagnostics) -> VmfEstimate:
     if ne is None:
         ne = np.zeros(kappa.shape, dtype=bool)
-    return VmfEstimate(mu_hat, kappa, name, diagnostics, ne)
+    return VmfEstimate(mu_hat, kappa, diagnostics, ne)
 
 
 def mean_direction(x) -> np.ndarray:
@@ -86,15 +84,15 @@ def kappa_stein(x) -> VmfEstimate:
     d = x.shape[2]
     resid_mat = _resid_mat(x)
     mu_resid = np.matmul(mu_hat[:, None, :], resid_mat)
-    denom = _dot(np.matmul(mu_resid, resid_mat)[:, 0], mu_hat)
+    denom = np.vecdot(np.matmul(mu_resid, resid_mat)[:, 0], mu_hat)
     if np.any(denom <= 1e-14):
         raise ValueError("degenerate sample: denominator of the estimator is zero")
-    kappa = (d - 1.0) * _dot(mu_resid[:, 0], xbar) / denom
+    kappa = (d - 1.0) * np.vecdot(mu_resid[:, 0], xbar) / denom
     if not np.all(kappa > 0.0):
         # numerator equals |Xbar| mu'(I-S)mu >= 0, so this cannot trigger
         # on finite input; checked because positivity is part of the contract
         raise ValueError(f"positivity postcondition failed: kappa = {kappa}")
-    return _estimate(mu_hat, kappa, "ST", resultant_length=r)
+    return _estimate(mu_hat, kappa, resultant_length=r)
 
 
 def kappa_stein2(x) -> VmfEstimate:
@@ -102,9 +100,8 @@ def kappa_stein2(x) -> VmfEstimate:
     x, xbar, r, mu_hat = _resultant(x)
     d = x.shape[2]
     mu_prime, cond, singular = solve_stack(_resid_mat(x), xbar)
-    kappa = (d - 1.0) * np.sqrt(_dot(mu_prime, mu_prime))
-    return _estimate(mu_hat, kappa, "ST2", ne=singular,
-                     resultant_length=r, cond=cond)
+    kappa = (d - 1.0) * np.sqrt(np.vecdot(mu_prime, mu_prime))
+    return _estimate(mu_hat, kappa, ne=singular, resultant_length=r, cond=cond)
 
 
 def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,8 +128,7 @@ def kappa_mle(x) -> VmfEstimate:
     if np.any(r >= 1.0):
         raise ValueError("resultant length >= 1: all points identical")
     kappa, iterations = _mle_from_resultant(x.shape[2], r)
-    return _estimate(mu_hat, kappa, "ML",
-                     resultant_length=r, iterations=iterations)
+    return _estimate(mu_hat, kappa, resultant_length=r, iterations=iterations)
 
 
 def kappa_score_matching(x) -> VmfEstimate:
@@ -150,4 +146,34 @@ def kappa_score_matching(x) -> VmfEstimate:
     if np.any(y2bar >= 1.0 - 1e-15):
         raise ValueError("mean squared projection is 1: sample degenerate")
     kappa = (d - 1.0) * ybar / (1.0 - y2bar)
-    return _estimate(mu_hat, kappa, "SM", resultant_length=r)
+    return _estimate(mu_hat, kappa, resultant_length=r)
+
+
+def fisher_information_vmf(d: int, kappa: float) -> float:
+    """Fisher information for kappa: 1 - R1^2 - (d-1) R1 / kappa.
+
+    The difference is about (d-1) / (2 kappa^2) and loses its digits to
+    cancellation as kappa grows, so beyond kappa = 30 + d it is the
+    derivative R1' of the large-kappa expansion instead.
+    """
+    if kappa <= 0:
+        raise ValueError("kappa must be > 0")
+    if kappa < 30.0 + d:
+        r1 = special.bessel_ratio(d, kappa)
+        return 1.0 - r1 * r1 - (d - 1.0) * r1 / kappa
+    return special.large_kappa_expansion(d, kappa)[1]
+
+
+def stein_asymptotic_variance_vmf(d: int, kappa: float) -> float:
+    """Closed-form asymptotic variance of the moment-type kappa estimator.
+
+    P = kappa I_{d/2-1} (2 kappa I_{d/2-1} - (d+1) I_{d/2})
+        / ((d-1) I_{d/2}^2).
+    """
+    if kappa <= 0:
+        raise ValueError("kappa must be > 0")
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    r1 = special.bessel_ratio(d, kappa)
+    # divide the display through by I_{d/2-1}^2 to work in ratios
+    return kappa * (2.0 * kappa - (d + 1.0) * r1) / ((d - 1.0) * r1 * r1)

@@ -47,7 +47,6 @@ class WatsonEstimate:
     mu_hat: np.ndarray
     kappa_hat: np.ndarray
     branch: np.ndarray  # "+" or "-"
-    estimator: str
     kappas: dict[str, np.ndarray]
     residual_norms: dict[str, np.ndarray]
     eligible: dict[str, np.ndarray]
@@ -77,7 +76,7 @@ def prepare_sample(x) -> WatsonSample:
         return x
     x = sample_stack(x)
     scatter = np.matmul(x.swapaxes(-1, -2), x) / x.shape[-2]
-    vectors = sym_eigen(scatter).eigenvectors
+    vectors = sym_eigen(scatter)
     return WatsonSample(x, scatter, {"+": vectors[..., 0], "-": vectors[..., -1]})
 
 
@@ -108,7 +107,7 @@ def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
     return kappa, np.sqrt(np.vecdot(resid, resid))
 
 
-def _pick_branch(estimator: str, axes: dict[str, np.ndarray], fits: dict[str, tuple],
+def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple],
                  by_sign: bool = True) -> WatsonEstimate:
     """Select a branch from its (kappa, score) pairs and wrap the estimate.
 
@@ -132,7 +131,7 @@ def _pick_branch(estimator: str, axes: dict[str, np.ndarray], fits: dict[str, tu
         mu_hat=np.where(ne[:, None], np.nan,
                         np.where(minus[:, None], axes["-"], axes["+"])),
         kappa_hat=kappa, branch=np.where(ne, "", np.where(minus, "-", "+")),
-        estimator=estimator, kappas={"+": kappa_p, "-": kappa_m},
+        kappas={"+": kappa_p, "-": kappa_m},
         residual_norms={"+": score_p, "-": score_m},
         eligible={"+": ok_p, "-": ok_m},
         near_uniform=by_sign & ok_p & ok_m & (np.abs(kappa) < 1e-6), ne=ne)
@@ -143,7 +142,7 @@ def watson_stein_fit(x) -> WatsonEstimate:
     s = prepare_sample(x)
     v_vec = v_statistic(s.scatter)
     fits = {b: _stein_branch(s.x, v_vec, mu) for b, mu in s.axes.items()}
-    return _pick_branch("ST", s.axes, fits)
+    return _pick_branch(s.axes, fits)
 
 
 def watson_mla_bounds(r, a: float = 0.5, c: float = 1.5) -> tuple:
@@ -198,7 +197,7 @@ def watson_mla_fit(x) -> WatsonEstimate:
     """Midpoint of the ML bounds at r = mu'S mu, per branch, with the same
     eligibility rule as the moment-type fit and likelihood tie-breaking."""
     s = prepare_sample(x)
-    return _pick_branch("MLa", s.axes, {b: _mla_branch(s, b) for b in s.axes})
+    return _pick_branch(s.axes, {b: _mla_branch(s, b) for b in s.axes})
 
 
 def _mle_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
@@ -234,5 +233,4 @@ def watson_mle_fit(x) -> WatsonEstimate:
     likelihood.  Never flags a sample NE (the likelihood always orders
     the branches)."""
     s = prepare_sample(x)
-    return _pick_branch("ML", s.axes, {b: _mle_branch(s, b) for b in s.axes},
-                        by_sign=False)
+    return _pick_branch(s.axes, {b: _mle_branch(s, b) for b in s.axes}, by_sign=False)

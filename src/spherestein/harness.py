@@ -29,7 +29,7 @@ import numpy as np
 
 from . import sampler
 from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
-from .models import Params, params_to_dict
+from .models import Params
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
@@ -57,6 +57,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
         sampler.RngState(self.seed)  # raises ValueError on a negative seed
+        if not isinstance(self.estimators, (list, tuple)):  # a string is not a list
+            raise ValueError("estimators must be a list of estimator names")
         if not all(isinstance(e, str) for e in self.estimators):
             raise ValueError("estimator names must be strings")
         self.estimators = tuple(e.lower() for e in self.estimators)
@@ -71,13 +73,14 @@ class SimConfig:
         for est in self.estimators:
             if (family, est) not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r} for {family}")
+            if self.estimators.count(est) > 1:
+                raise ValueError(f"estimator {est!r} listed more than once")
 
 
 @dataclass
 class Cell:
     """Metrics for one estimator and one parameter block."""
 
-    block: str
     bias: float | None
     bias_se: float | None
     mse: float
@@ -95,7 +98,6 @@ class SimResult:
     n: int
     reps: int
     seed: int
-    params: dict
     cells: dict[str, dict[str, Cell]]  # estimator -> block -> Cell
     warnings: list[str] = field(default_factory=list)
     walltime: float = 0.0
@@ -216,10 +218,10 @@ def run_simulation(config: SimConfig) -> SimResult:
             mse, mse_se = _mean_se(err**2)
             mean, mean_se = _mean_se(err)
             if fam.signed:
-                cell = Cell(block=block, bias=mean, bias_se=mean_se,
+                cell = Cell(bias=mean, bias_se=mean_se,
                             mse=mse, mse_se=mse_se, ne=ne_rate)
             else:
-                cell = Cell(block=block, bias=None, bias_se=None,
+                cell = Cell(bias=None, bias_se=None,
                             mse=mse, mse_se=mse_se, ne=ne_rate,
                             mse_alt=mean, mse_alt_se=mean_se)
             cells[est][block] = cell
@@ -229,7 +231,6 @@ def run_simulation(config: SimConfig) -> SimResult:
         n=config.n,
         reps=config.reps,
         seed=config.seed,
-        params=params_to_dict(config.params),
         cells=cells,
         warnings=warnings,
         walltime=time.perf_counter() - start,

@@ -10,7 +10,6 @@ beyond a few hundred are out of scope.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,19 +78,6 @@ def unvech_prime(v, d: int) -> np.ndarray:
     return s
 
 
-@dataclass
-class EigenDecomposition:
-    """Full spectrum of a symmetric matrix, eigenvalues sorted descending.
-
-    eigenvectors[:, k] belongs to eigenvalues[k]; each column is sign-fixed
-    so its largest-magnitude component (lowest index on ties) is nonnegative.
-    For a (b, d, d) stack both fields gain a leading axis of b slices.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def fix_sign(v: np.ndarray) -> np.ndarray:
     """Flip a vector, or each column of a matrix or of a stack of
     matrices, so that its largest-|.| component (lowest index on ties) is
@@ -102,12 +88,12 @@ def fix_sign(v: np.ndarray) -> np.ndarray:
     return np.where(peak < 0, -cols, cols).reshape(v.shape)
 
 
-def sym_eigen(s) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, or of each slice of a
-    (b, d, d) stack in one batched call (bit for bit the per-slice one)."""
-    w, q = np.linalg.eigh(_check_symmetric(s))
-    return EigenDecomposition(eigenvalues=w[..., ::-1].copy(),
-                              eigenvectors=fix_sign(q[..., ::-1].copy()))
+def sym_eigen(s) -> np.ndarray:
+    """Eigenvectors of a symmetric matrix, or of each slice of a (b, d, d)
+    stack in one batched call (bit for bit the per-slice one): column k
+    belongs to the k-th largest eigenvalue and is sign-fixed by fix_sign."""
+    q = np.linalg.eigh(_check_symmetric(s)).eigenvectors
+    return fix_sign(q[..., ::-1].copy())
 
 
 def rotation_to_e1(u) -> np.ndarray:

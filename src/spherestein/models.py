@@ -1,5 +1,5 @@
 """Parameter types for the three families on the unit sphere, and the
-JSON parameter schema the CLI reads and writes.
+JSON parameter schema the CLI reads.
 
 The three families are exponential tilts of the uniform measure on
 S^{d-1}:
@@ -135,18 +135,10 @@ def watson_log_normalizer(d: int, kappa):
     )
 
 
-# JSON parameter schema shared with the CLI -------------------------------
-
-def params_to_dict(params: Params) -> dict:
-    out = {"family": params.family}
-    for f in fields(params):
-        value = getattr(params, f.name)
-        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return out
-
-
 def params_from_dict(obj: dict) -> Params:
-    """Parse {"family": ..., "mu": [...], "A"/"kappa": ...}; raises ValueError."""
+    """Parse the JSON parameter schema {"family": ..., "mu": [...],
+    "A"/"kappa": ...}; raises ValueError, also on a key that is not the
+    family's."""
     if not isinstance(obj, dict):
         raise ValueError("parameters must be a JSON object")
     family = obj.get("family")
@@ -156,6 +148,9 @@ def params_from_dict(obj: dict) -> Params:
     else:
         raise ValueError(f"unknown family {family!r}")
     names = [f.name for f in fields(cls)]
+    for key in obj:
+        if key != "family" and key not in names:
+            raise ValueError(f"unknown {family} parameter key {key!r}")
     if any(name not in obj for name in names):
         raise ValueError(f"{family} parameters need "
                          + " and ".join(repr(name) for name in names))

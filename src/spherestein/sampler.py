@@ -13,8 +13,9 @@ n draws its next batch (vMF 2 (n - have), ACG 1.3 (n - have) / rate + 32
 at its acceptance rate so far, clipped to [_MIN_BATCH, _MAX_BATCH]),
 batches of one size are accepted as one stack, and each stream keeps its
 first n accepted draws in draw order.  After _FLOOR_WINDOW proposals an
-acceptance rate below the family's floor raises RuntimeError: Watson
-1e-4, Fisher-Bingham 1e-6, vMF none (it accepts 0.65 or more).
+acceptance rate below _ACCEPT_FLOOR raises RuntimeError.  One floor
+serves every family: vMF accepts 0.65 or more and Watson about 0.05 or
+more (d <= 500), so only a Fisher-Bingham envelope can come near it.
 
 vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
 Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
@@ -41,8 +42,10 @@ from .models import FisherBinghamParams, VmfParams, WatsonParams
 
 _MAX_BATCH = 1_000_000
 _MIN_BATCH = 256
-# proposals to burn before declaring an envelope mis-tuned
+# proposals to burn before declaring an envelope mis-tuned, and the
+# acceptance rate it is declared mis-tuned below
 _FLOOR_WINDOW = 250_000
+_ACCEPT_FLOOR = 1e-6
 # envelopes kept per process; a study reuses one parameter set throughout
 _ENVELOPE_CACHE_SIZE = 32
 
@@ -93,8 +96,7 @@ def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
     return _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
 
 
-def _rejection(gens: list[np.random.Generator], n: int, batch, propose,
-               accept_floor: float) -> np.ndarray:
+def _rejection(gens: list[np.random.Generator], n: int, batch, propose) -> np.ndarray:
     # the first n accepted draws of each stream, as a (b, n, ...) stack.
     # batch(proposed, accepted, have) sizes a stream's next batch from its
     # own counts, so it makes the draws it would make alone; propose(gs, m)
@@ -118,10 +120,10 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose,
                 take = min(taken.shape[0], n - have[j])
                 out[j, have[j] : have[j] + take] = taken[:take]
                 have[j] += take
-                if proposed[j] >= _FLOOR_WINDOW and accepted[j] / proposed[j] < accept_floor:
+                if proposed[j] >= _FLOOR_WINDOW and accepted[j] / proposed[j] < _ACCEPT_FLOOR:
                     raise RuntimeError(
                         f"rejection acceptance {accepted[j] / proposed[j]:.2e} below "
-                        f"{accept_floor:.0e} after {proposed[j]} proposals"
+                        f"{_ACCEPT_FLOOR:.0e} after {proposed[j]} proposals"
                     )
         short = [j for j in short if have[j] < n]
     return out
@@ -147,7 +149,7 @@ def _vmf_radial(kappa: float, d: int, n: int,
         keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
         return w, keep, [m] * len(gs)
 
-    return _rejection(gens, n, batch, propose, accept_floor=0.0)
+    return _rejection(gens, n, batch, propose)
 
 
 def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
@@ -170,33 +172,6 @@ def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
     return _unit_rows(np.matmul(y, linalg.rotation_to_e1(params.mu)), gens)
 
 
-def _acg_envelope(bmat_eigs: np.ndarray, d: int) -> tuple[float, np.ndarray, float]:
-    """Shape parameter b, ACG weights omega, and the log rejection constant.
-
-    bmat_eigs are the (PSD, min zero) eigenvalues of the quadratic bound B;
-    the envelope (y'Omega y)^(-d/2) with Omega = I + 2B/b and
-    sum 1/(b + 2 lambda) = 1 dominates exp(-y'By) up to
-    M = exp(-(d-b)/2) (d/b)^{d/2}.
-    """
-    if np.all(bmat_eigs < 1e-14):
-        return float(d), np.ones(d), 0.0
-
-    def gap(b):
-        return float(np.sum(1.0 / (b + 2.0 * bmat_eigs)) - 1.0)
-
-    lo, hi = 1e-12, float(d)
-    for _ in range(200):  # bisection; gap is monotone decreasing
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
-    omega = 1.0 + 2.0 * bmat_eigs / b
-    log_m = -0.5 * (d - b) + 0.5 * d * (math.log(d) - math.log(b))
-    return b, omega, log_m
-
-
 @functools.lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite envelope raises
 def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
@@ -215,8 +190,23 @@ def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
         log_linear_const = 0.0
     eigvals, eigvecs = np.linalg.eigh(quad)
     shift = float(eigvals[-1])
-    bmat_eigs = shift - eigvals  # PSD with min eigenvalue 0
-    _, omega, log_m = _acg_envelope(bmat_eigs, d)
+    bmat_eigs = shift - eigvals  # B = shift I - quad: PSD with min eigenvalue 0
+    # the ACG envelope (y'Omega y)^(-d/2) with Omega = I + 2B/b and
+    # sum 1/(b + 2 lambda) = 1 dominates exp(-y'By) up to
+    # M = exp(-(d-b)/2) (d/b)^{d/2}; B = 0 is the uniform law itself
+    if np.all(bmat_eigs < 1e-14):
+        omega, log_m = np.ones(d), 0.0
+    else:
+        lo, hi = 1e-12, float(d)
+        for _ in range(200):  # bisection; the sum decreases in b
+            mid = 0.5 * (lo + hi)
+            if np.sum(1.0 / (mid + 2.0 * bmat_eigs)) > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        b = 0.5 * (lo + hi)
+        omega = 1.0 + 2.0 * bmat_eigs / b
+        log_m = -0.5 * (d - b) + 0.5 * d * (math.log(d) - math.log(b))
     inv_sqrt_omega = 1.0 / np.sqrt(omega)
     log_bound = log_linear_const + shift + log_m
     if not (np.all(np.isfinite(omega)) and math.isfinite(log_bound)):
@@ -231,7 +221,6 @@ def _fb_acg_rejection(
     a_mat: np.ndarray,
     n: int,
     gens: list[np.random.Generator],
-    accept_floor: float,
 ) -> np.ndarray:
     # n points per stream, as a (b, n, d) stack
     d = mu.size
@@ -261,7 +250,7 @@ def _fb_acg_rejection(
             raise RuntimeError("rejection envelope bound violated")
         return y, ok & (np.log(u) <= log_acc), ok.sum(axis=-1)
 
-    return _rejection(gens, n, batch, propose, accept_floor)
+    return _rejection(gens, n, batch, propose)
 
 
 def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
@@ -278,8 +267,7 @@ def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
     if params.kappa == 0.0:
         return sample_uniform(d, n, rngs)
     a_mat = params.kappa * np.outer(params.mu, params.mu)
-    return _fb_acg_rejection(np.zeros(d), a_mat, n, [r.generator() for r in rngs],
-                             accept_floor=1e-4)
+    return _fb_acg_rejection(np.zeros(d), a_mat, n, [r.generator() for r in rngs])
 
 
 def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
@@ -288,5 +276,4 @@ def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
     stack for a sequence of b RngStates, as for sample_vmf."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _fb_acg_rejection(params.mu, params.A, n, [r.generator() for r in rngs],
-                             accept_floor=1e-6)
+    return _fb_acg_rejection(params.mu, params.A, n, [r.generator() for r in rngs])

@@ -4,7 +4,8 @@ bracketed Newton root finder of the maximum likelihood fits.
 The ratio R1 = I_{d/2}/I_{d/2-1} is formed from scipy's exponentially
 scaled values, so no intermediate overflows; where those underflow it is
 summed from the ascending series, and where they fail at very large
-arguments, from the large-kappa expansion.  1F1 has one rule: scipy
+arguments, from the large-kappa expansion, which also gives the
+derivative R1' of the vMF Fisher information.  1F1 has one rule: scipy
 evaluates it at -|x| only, and the Kummer transform carries a positive
 argument over, its e^x kept apart as a log or cancelled in a ratio.
 """
@@ -52,20 +53,30 @@ def ratio_series_coefficients(d: int):
         yield coef[m]
 
 
-def _large_kappa_ratio(d: int, kappa: float) -> float:
-    # the expansion summed until two terms in a row are negligible (some
-    # c_m vanish); NaN if it has not settled within 200 terms
-    power = 1.0
-    tail = 0.0
-    small = 0
-    for c in itertools.islice(ratio_series_coefficients(d), 200):
+def large_kappa_expansion(d: int, kappa: float) -> tuple[float, float]:
+    """R1 = I_{d/2}(kappa) / I_{d/2-1}(kappa) and its derivative
+    R1' = -sum_{m>=1} m c_m kappa^-(m+1), summed from the large-kappa
+    expansion in one pass over its coefficients.
+
+    Each sum runs until two of its terms in a row are negligible (some
+    c_m vanish); R1 is NaN if it has not settled within 200 terms.
+    """
+    power = 1.0  # kappa^-m, underflowing to 0 rather than raising
+    tail = slope = 0.0
+    small_tail = small_slope = 0
+    for m, c in enumerate(itertools.islice(ratio_series_coefficients(d), 200), 1):
         power /= kappa
-        term = c * power
-        tail += term
-        small = small + 1 if abs(term) <= 1e-17 * (1.0 + abs(tail)) else 0
-        if small == 2:
-            return 1.0 + tail
-    return math.nan
+        if small_tail < 2:
+            term = c * power
+            tail += term
+            small_tail = small_tail + 1 if abs(term) <= 1e-17 * (1.0 + abs(tail)) else 0
+        if small_slope < 2:
+            term = -m * c * (power / kappa)
+            slope += term
+            small_slope = small_slope + 1 if abs(term) <= 1e-17 * abs(slope) else 0
+        if small_tail == small_slope == 2:
+            break
+    return (1.0 + tail if small_tail == 2 else math.nan), slope
 
 
 def bessel_ratio(d: int, kappa):
@@ -89,7 +100,7 @@ def bessel_ratio(d: int, kappa):
         ratio[i] = math.exp(_log_series_i(nu + 1.0, float(k[i]))
                             - _log_series_i(nu, float(k[i])))
     for i in np.flatnonzero(large):
-        ratio[i] = _large_kappa_ratio(d, float(k[i]))
+        ratio[i] = large_kappa_expansion(d, float(k[i]))[0]
     return float(ratio[0]) if np.ndim(kappa) == 0 else ratio.reshape(np.shape(kappa))
 
 

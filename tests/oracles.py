@@ -22,7 +22,7 @@ so agreement is evidence, not tautology.  The exceptions:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -206,6 +206,16 @@ def score(params, x: np.ndarray) -> np.ndarray:
     if params.family == "vmf":
         return params.kappa * params.mu
     return 2.0 * params.kappa * float(params.mu @ x) * params.mu
+
+
+def params_to_dict(params) -> dict:
+    """The JSON parameter object of params, which models.params_from_dict
+    reads back."""
+    out = {"family": params.family}
+    for f in fields(params):
+        value = getattr(params, f.name)
+        out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return out
 
 
 def log_unnormalized_density(params, x) -> float:

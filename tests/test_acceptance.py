@@ -14,10 +14,12 @@ import numpy as np
 
 from spherestein.est_fb import fb_statistics, v_statistic
 from spherestein.est_vmf import (
+    fisher_information_vmf,
     kappa_mle,
     kappa_score_matching,
     kappa_stein,
     kappa_stein2,
+    stein_asymptotic_variance_vmf,
 )
 from spherestein.est_watson import _j_statistic, prepare_sample, watson_mla_bounds
 from spherestein.families import fit_one
@@ -26,10 +28,6 @@ from spherestein.linalg import vech
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import RngState, sample_fb, sample_vmf, sample_watson
 from spherestein.special import bessel_ratio, log_kummer_1f1
-from spherestein.vmf_moments import (
-    fisher_information_vmf,
-    stein_asymptotic_variance_vmf,
-)
 
 from oracles import (
     bessel_i,

@@ -494,6 +494,46 @@ def test_simulate_rejects_non_string_estimator(tmp_path, capsys, estimators):
         "error: invalid config: estimator names must be strings\n")
 
 
+@pytest.mark.parametrize("estimators,message", [
+    ("st", "estimators must be a list of estimator names"),
+    (["st", "st", "ST"], "estimator 'st' listed more than once"),
+])
+def test_simulate_rejects_estimators_not_a_list_of_distinct_names(
+        tmp_path, capsys, estimators, message):
+    # "st" used to be read as the estimators 's' and 't', and a repeated
+    # estimator was fitted once per listing into one CSV row
+    config = tmp_path / "est.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 10, "reps": 5, "estimators": estimators,
+    }))
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: invalid config: {message}\n"
+
+
+def test_simulate_rejects_config_without_params(tmp_path, capsys):
+    config = tmp_path / "no_params.json"
+    config.write_text(json.dumps({"n": 10, "reps": 5}))
+    assert cli.main(["simulate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == "error: invalid config: a config needs 'params'\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "simulate"])
+def test_unknown_parameter_key_exits_2(tmp_path, capsys, command):
+    params = {"family": "vmf", "mu": [0, 0, 1], "kappa": 2, "kapa": 5}
+    if command == "sample":
+        argv = ["sample", "--params", _write_params(tmp_path, params), "--n", "5",
+                "--out", str(tmp_path / "draws.csv")]
+        prefix = "invalid parameter file"
+    else:
+        config = _write_params(tmp_path, {"params": params, "n": 10, "reps": 5})
+        argv = ["simulate", "--config", config]
+        prefix = "invalid config"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {prefix}: unknown vmf parameter key 'kapa'\n")
+
+
 @pytest.mark.parametrize("key,value", [("n", 2.7), ("n", "100"), ("reps", 5.0),
                                        ("seed", "7"), ("seed", True), ("n", None)])
 def test_simulate_rejects_non_integer_config_numbers(tmp_path, capsys, key, value):

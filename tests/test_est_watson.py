@@ -167,7 +167,7 @@ def _pick(kappa_minus, kappa_plus, score_minus, score_plus, by_sign=True):
     # the rule on a stack of one sample with axes e1 (+) and e3 (-)
     fits = {"+": (np.array([kappa_plus]), np.array([score_plus])),
             "-": (np.array([kappa_minus]), np.array([score_minus]))}
-    return _pick_branch("ST", {"+": E3[[0]], "-": E3[[2]]}, fits, by_sign)
+    return _pick_branch({"+": E3[[0]], "-": E3[[2]]}, fits, by_sign)
 
 
 def _branch(fit):

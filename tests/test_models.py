@@ -10,7 +10,6 @@ from spherestein.models import (
     VmfParams,
     WatsonParams,
     params_from_dict,
-    params_to_dict,
 )
 from spherestein.special import log_kummer_1f1
 
@@ -23,6 +22,7 @@ from oracles import (
     log_bessel_i,
     log_sphere_area,
     log_unnormalized_density,
+    params_to_dict,
     random_unit_rows,
     score,
     sin_projection,

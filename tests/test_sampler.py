@@ -13,7 +13,7 @@ from spherestein.sampler import (
     sample_vmf,
     sample_watson,
 )
-from spherestein.special import bessel_ratio, kummer_moment
+from spherestein.special import bessel_ratio, kummer_moment, log_kummer_1f1
 
 from oracles import (
     canonical_f1,
@@ -221,19 +221,19 @@ def test_sampler_input_validation():
 
 _U4 = np.array([0.5, -0.5, 0.5, 0.5])
 _ACG_CASES = {
-    "watson_bipolar": (np.zeros(4), 6.0 * np.outer(_U4, _U4), 1e-4),
-    "watson_girdle": (np.zeros(4), -6.0 * np.outer(_U4, _U4), 1e-4),
+    "watson_bipolar": (np.zeros(4), 6.0 * np.outer(_U4, _U4)),
+    "watson_girdle": (np.zeros(4), -6.0 * np.outer(_U4, _U4)),
     "fb": (np.array([1.0, 0.0, 2.0]),
-           np.array([[1.5, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]]), 1e-6),
+           np.array([[1.5, 0.5, 0.0], [0.5, -1.0, 0.0], [0.0, 0.0, 0.0]])),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_ACG_CASES))
 def test_acg_rejection_with_cached_envelope_matches_fresh_build(case):
-    mu, a_mat, floor = _ACG_CASES[case]
+    mu, a_mat = _ACG_CASES[case]
     sampler._envelope.cache_clear()
-    fresh = sampler._fb_acg_rejection(mu, a_mat, 500, [np.random.default_rng(3)], floor)
-    cached = sampler._fb_acg_rejection(mu, a_mat, 500, [np.random.default_rng(3)], floor)
+    fresh = sampler._fb_acg_rejection(mu, a_mat, 500, [np.random.default_rng(3)])
+    cached = sampler._fb_acg_rejection(mu, a_mat, 500, [np.random.default_rng(3)])
     assert sampler._envelope.cache_info().hits == 1
     np.testing.assert_array_equal(cached, fresh)
     key = (mu.tobytes(), a_mat.tobytes(), mu.size)
@@ -241,6 +241,50 @@ def test_acg_rejection_with_cached_envelope_matches_fresh_build(case):
     for got, want in zip(stored, rebuilt):
         np.testing.assert_array_equal(got, want)
     assert not any(arr.flags.writeable for arr in stored[:3])
+
+
+def _watson_acceptance(d: int, kappa: float) -> float:
+    # the chance that one ACG proposal is accepted for Watson(e1, kappa):
+    # sqrt(det Omega) 1F1(1/2; d/2; kappa) e^(-log_bound); OverflowError
+    # where 1F1 is out of range
+    log_1f1 = log_kummer_1f1(0.5, 0.5 * d, kappa)
+    a_mat = kappa * np.outer(np.eye(d)[0], np.eye(d)[0])
+    _, omega, _, log_bound = sampler._envelope.__wrapped__(
+        np.zeros(d).tobytes(), a_mat.tobytes(), d)
+    return math.exp(0.5 * np.log(omega).sum() + log_1f1 - log_bound)
+
+
+def test_watson_acceptance_stays_far_above_the_floor():
+    # one acceptance floor serves every family: no Watson envelope with
+    # d <= 500 comes near it (the least rate, about 0.05, is at d = 500)
+    assert sampler._ACCEPT_FLOOR <= 1e-6
+    for d in (2, 3, 10, 20, 50, 100, 200, 500):
+        for kappa in np.concatenate([np.logspace(-3, 5, 17), -np.logspace(-3, 5, 17)]):
+            try:
+                rate = _watson_acceptance(d, kappa)
+            except OverflowError:
+                continue
+            assert 0.04 <= rate <= 1.0 + 1e-12, (d, kappa, rate)
+
+
+@pytest.mark.parametrize("d,kappa", [(10, 20.0), (3, -10.0)])
+def test_watson_acceptance_matches_sampler_count(monkeypatch, d, kappa):
+    # count every proposal and acceptance of the rejection loop
+    counts = np.zeros(2, dtype=np.int64)
+    rejection = sampler._rejection
+
+    def counting(gens, n, batch, propose):
+        def counted(gs, m):
+            draws, keep, count = propose(gs, m)
+            counts[:] += (int(np.sum(count)), int(keep.sum()))
+            return draws, keep, count
+        return rejection(gens, n, batch, counted)
+
+    monkeypatch.setattr(sampler, "_rejection", counting)
+    sample_watson(WatsonParams(np.eye(d)[0], kappa), 50_000, [RngState(24)])
+    rate = _watson_acceptance(d, kappa)
+    se = math.sqrt(rate * (1.0 - rate) / counts[0])
+    assert abs(counts[1] / counts[0] - rate) <= 4.0 * se
 
 
 def test_envelope_cache_keeps_parameter_sets_apart():

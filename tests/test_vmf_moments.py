@@ -5,7 +5,7 @@ import pytest
 
 from spherestein.models import VmfParams
 from spherestein.sampler import RngState, sample_vmf
-from spherestein.vmf_moments import (
+from spherestein.est_vmf import (
     fisher_information_vmf,
     stein_asymptotic_variance_vmf,
 )
