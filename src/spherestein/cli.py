@@ -34,8 +34,6 @@ from .families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
 from .linalg import SingularSystem
 from .models import params_from_dict
 
-_FLOAT_FMT = "%.17g"  # bit-faithful round trip of 64-bit floats
-
 
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
@@ -45,14 +43,6 @@ def _fail(message: str, code: int) -> int:
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _write_csv(path: str, x: np.ndarray, header: bool) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(f"x{i + 1}" for i in range(x.shape[1])) + "\n")
-        for row in x:
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
 
 
 def cmd_sample(args) -> int:
@@ -73,8 +63,10 @@ def cmd_sample(args) -> int:
         x = SAMPLERS[params.family](params, args.n, [rng])[0]
     except RuntimeError as exc:
         return _fail(f"sampler failed: {exc}", 3)
+    names = ",".join(f"x{i + 1}" for i in range(x.shape[1])) if args.header else ""
     try:
-        _write_csv(args.out, x, args.header)
+        np.savetxt(args.out, x, fmt=harness.FLOAT_FMT, delimiter=",", header=names,
+                   comments="", encoding="utf-8")
     except OSError as exc:
         return _fail(f"cannot write {args.out}: {exc.strerror}", 2)
     print(json.dumps({"seed": args.seed, "n": args.n, "d": x.shape[1],
@@ -166,8 +158,9 @@ def cmd_simulate(args) -> int:
         for key in raw:
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key {key!r}")
-        if "params" not in raw:
-            raise ValueError("a config needs 'params'")
+        for key in ("params", "n"):
+            if key not in raw:
+                raise ValueError(f"a config needs {key!r}")
         fields = {**raw, "params": params_from_dict(raw["params"])}
         flags = {"reps": args.reps, "seed": args.seed, "threads": args.threads}
         fields.update((k, v) for k, v in flags.items() if v is not None)

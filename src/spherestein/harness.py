@@ -37,6 +37,7 @@ DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 # replications, at least one.  Larger blocks gain little and raise the
 # peak memory of a study.
 BLOCK_BYTES = 128 * 1024
+FLOAT_FMT = "%.17g"  # bit-faithful round trip of 64-bit floats
 
 
 @dataclass
@@ -70,6 +71,8 @@ class SimConfig:
             raise ValueError("reps must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not isinstance(self.label, str) or any(c in self.label for c in ",\n\r"):
+            raise ValueError("label must be a string without ',' or line breaks")
         for est in self.estimators:
             if (family, est) not in ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r} for {family}")
@@ -146,7 +149,7 @@ class SimResult:
 
 
 def _fmt(value) -> str:
-    return "" if value is None else f"{value:.17g}"
+    return "" if value is None else FLOAT_FMT % value
 
 
 def _run_block(config: SimConfig, reps: range) -> dict:
@@ -192,12 +195,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     size = max(1, BLOCK_BYTES // (8 * config.n * config.params.d))
     blocks = [range(lo, min(lo + size, config.reps))
               for lo in range(0, config.reps, size)]
-    workers = min(config.threads, len(blocks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda reps: _run_block(config, reps), blocks))
-    else:
-        outcomes = [_run_block(config, reps) for reps in blocks]
+    with ThreadPoolExecutor(max_workers=min(config.threads, len(blocks))) as pool:
+        outcomes = list(pool.map(lambda reps: _run_block(config, reps), blocks))
 
     warnings = []
     if config.reps < 30:

@@ -22,7 +22,7 @@ from typing import ClassVar, get_args
 import numpy as np
 
 from . import special
-from .linalg import _SYM_TOL, _UNIT_TOL, fix_sign
+from .linalg import _UNIT_TOL, _check_symmetric, fix_sign
 
 
 def _as_vector(mu, name: str = "mu") -> np.ndarray:
@@ -67,8 +67,7 @@ class FisherBinghamParams:
         d = self.mu.size
         if a.shape != (d, d) or not np.all(np.isfinite(a)):
             raise ValueError("A must be a finite d x d matrix")
-        if np.max(np.abs(a - a.T)) > _SYM_TOL:
-            raise ValueError("A must be symmetric")
+        _check_symmetric(a)
         if abs(a[d - 1, d - 1]) > 1e-12:
             raise ValueError("A[d, d] must be zero")
         a = 0.5 * (a + a.T)

@@ -23,10 +23,10 @@ the linear part of the Fisher-Bingham exponent is first dominated by a
 quadratic via mu'x <= (mu'x)^2/(2|mu|) + |mu|/2 (tight at the mode), and
 the resulting Bingham-type bound is in turn dominated by an ACG whose
 shape parameter solves sum_i 1/(b + 2 lambda_i) = 1.  Both bounds are
-analytic, so the rejection is exact by construction; a runtime assertion
-still guards the envelope inequality on every batch.  The envelope is
-built once per parameter set and cached, so the replications of a study
-pay only for proposals and the accept step.
+analytic, so the rejection is exact by construction; a runtime check
+guards the envelope inequality on every batch, and the accept step alone
+rejects a zero-length proposal.  The envelope is built once per parameter
+set and cached, so a study pays only for proposals and the accept step.
 """
 
 from __future__ import annotations
@@ -100,8 +100,7 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose) -> np.nd
     # the first n accepted draws of each stream, as a (b, n, ...) stack.
     # batch(proposed, accepted, have) sizes a stream's next batch from its
     # own counts, so it makes the draws it would make alone; propose(gs, m)
-    # returns m stacked draws per stream of gs, which of them are accepted,
-    # and how many each stream proposed
+    # returns m stacked draws per stream of gs and which of them are accepted
     b = len(gens)
     out = None
     have, proposed, accepted = [0] * b, [0] * b, [0] * b
@@ -110,12 +109,12 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose) -> np.nd
         sizes = [batch(proposed[j], accepted[j], have[j]) for j in short]
         for m in sorted(set(sizes)):
             group = [j for j, size in zip(short, sizes) if size == m]
-            draws, keep, count = propose([gens[j] for j in group], m)
+            draws, keep = propose([gens[j] for j in group], m)
             if out is None:
                 out = np.empty((b, n) + draws.shape[2:])
-            for j, drawsj, keepj, countj in zip(group, draws, keep, count):
+            for j, drawsj, keepj in zip(group, draws, keep):
                 taken = drawsj[keepj]
-                proposed[j] += int(countj)
+                proposed[j] += m
                 accepted[j] += taken.shape[0]
                 take = min(taken.shape[0], n - have[j])
                 out[j, have[j] : have[j] + take] = taken[:take]
@@ -147,7 +146,7 @@ def _vmf_radial(kappa: float, d: int, n: int,
         u = np.stack([g.random(m) for g in gs])
         w = (1.0 - (1.0 + b) * z) / (1.0 - (1.0 - b) * z)
         keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
-        return w, keep, [m] * len(gs)
+        return w, keep
 
     return _rejection(gens, n, batch, propose)
 
@@ -234,21 +233,19 @@ def _fb_acg_rejection(
         return min(max(m, _MIN_BATCH), _MAX_BATCH)
 
     def propose(gs: list[np.random.Generator], m: int):
-        # m proposals per stream: the unit rows y, which of them are
-        # accepted, and how many were proposed (rows of measure-zero
-        # length are dropped, which keeps the rejection exact)
+        # m proposals per stream: the unit rows y and which are accepted.
+        # A zero row of z (probability <= 2^-104 at d >= 2) makes log_acc
+        # NaN, which fails the accept test, so the rejection stays exact
         z = (np.stack([g.standard_normal((m, d)) for g in gs]) * inv_sqrt_omega) @ eigvecs.T
         u = np.stack([g.random(m) for g in gs])
-        norms = np.linalg.norm(z, axis=-1)
-        ok = norms > 1e-200
-        y = z / np.where(ok, norms, 1.0)[..., None]
+        y = z / np.linalg.norm(z, axis=-1)[..., None]
         proj = y @ eigvecs
         omega_quad = (proj * proj) @ omega  # y' Omega y
         log_target = y @ mu + ((y @ a_mat) * y).sum(axis=-1)
         log_acc = log_target - log_bound + 0.5 * d * np.log(omega_quad)
-        if float(np.where(ok, log_acc, -np.inf).max()) > 1e-9:
+        if np.any(log_acc > 1e-9):
             raise RuntimeError("rejection envelope bound violated")
-        return y, ok & (np.log(u) <= log_acc), ok.sum(axis=-1)
+        return y, np.log(u) <= log_acc
 
     return _rejection(gens, n, batch, propose)
 

@@ -518,6 +518,28 @@ def test_simulate_rejects_config_without_params(tmp_path, capsys):
     assert capsys.readouterr().err == "error: invalid config: a config needs 'params'\n"
 
 
+def test_simulate_rejects_config_without_n(tmp_path, capsys):
+    # used to print SimConfig's missing-argument TypeError
+    config = _write_params(tmp_path, {
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0}, "reps": 5})
+    assert cli.main(["simulate", "--config", config]) == 2
+    assert capsys.readouterr().err == "error: invalid config: a config needs 'n'\n"
+
+
+@pytest.mark.parametrize("label", [7, None, "a,b", "a\nb", "a\rb"])
+def test_simulate_rejects_label_that_breaks_the_csv(tmp_path, capsys, label):
+    # a number used to fail in to_csv after the study, leaving an empty
+    # --out file; a comma used to write rows with one field too many
+    config = _write_params(tmp_path, {
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 10, "reps": 5, "label": label})
+    out = tmp_path / "study.csv"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: label must be a string without ',' or line breaks\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "simulate"])
 def test_unknown_parameter_key_exits_2(tmp_path, capsys, command):
     params = {"family": "vmf", "mu": [0, 0, 1], "kappa": 2, "kapa": 5}

@@ -232,7 +232,7 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
     run_simulation(config)
     _set_block_size(monkeypatch, config, 10)
     run_simulation(config)
-    assert seen == [2]  # two blocks; one block runs without a pool
+    assert seen == [2, 1]  # never more workers than blocks
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -94,6 +94,24 @@ def test_cli_import_leaves_scipy_optimize_out():
     assert out.stdout.split() == ["False", "True"]
 
 
+def test_readme_python_example_runs():
+    # the README's first python block, as a reader would paste it
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["stack"].shape == (100, 1000, 3)
+    assert namespace["fit"].kappa_hat.shape == (100,)
+
+
+def test_module_entry_point_prints_help():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-m", "spherestein.cli", "--help"],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0
+    assert "simulate" in out.stdout
+
+
 def test_params_classes_hold_only_their_fields():
     # a family's params class is its name and its checked fields; scores,
     # densities and the Stein operator are reference code in the tests

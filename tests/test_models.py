@@ -273,9 +273,21 @@ def test_stein_operator_vmf_identity_function():
         )
 
 
+def _sin_stein_rows(params, w, x):
+    # the Stein operator of f(x) = sin(w'x) at every row of x: with t = w'x
+    # and s the score, (1 - d) t cos t + t^2 sin t - |w|^2 sin t
+    # + cos t w'(s - x x's)
+    t = x @ w
+    s = np.array([score(params, row) for row in x])
+    s_proj = s - x * np.sum(x * s, axis=1)[:, None]
+    return ((1.0 - x.shape[1]) * t * np.cos(t) + t * t * np.sin(t)
+            - (w @ w) * np.sin(t) + np.cos(t) * (s_proj @ w))
+
+
 def test_stein_identity_generic_function_all_families():
     # E[A f(X)] = 0 at the true parameters, f(x) = sin(x_1)
-    f = sin_projection(np.array([1.0, 0.0, 0.0]))
+    w = np.array([1.0, 0.0, 0.0])
+    f = sin_projection(w)
     n = 100_000
     cases = [
         (VmfParams(np.array([0.2, 0.0, 0.9797958971132712]), 4.0),
@@ -287,7 +299,9 @@ def test_stein_identity_generic_function_all_families():
     ]
     for idx, (params, draw) in enumerate(cases):
         x = draw(params, n, [sampler.RngState(100 + idx)])[0]
-        values = np.array([stein_operator_apply(params, f, row)[0] for row in x])
+        values = _sin_stein_rows(params, w, x)
+        direct = [stein_operator_apply(params, f, row)[0] for row in x[:20]]
+        np.testing.assert_allclose(values[:20], direct, rtol=0, atol=1e-13)
         se = values.std(ddof=1) / math.sqrt(n)
         assert abs(values.mean()) <= 4 * se
 

@@ -243,6 +243,47 @@ def test_acg_rejection_with_cached_envelope_matches_fresh_build(case):
     assert not any(arr.flags.writeable for arr in stored[:3])
 
 
+class _ZeroFirstRow:
+    # a generator whose first standard_normal batch starts with a zero row
+    def __init__(self, gen):
+        self.gen, self.first = gen, True
+
+    def standard_normal(self, size):
+        z = self.gen.standard_normal(size)
+        if self.first:
+            z[0], self.first = 0.0, False
+        return z
+
+    def random(self, size):
+        return self.gen.random(size)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_ACG_CASES))
+def test_acg_rejection_rejects_a_zero_proposal(case):
+    mu, a_mat = _ACG_CASES[case]
+    gens = [_ZeroFirstRow(np.random.default_rng(5)), np.random.default_rng(6)]
+    x = sampler._fb_acg_rejection(mu, a_mat, 300, gens)
+    assert x.shape == (2, 300, mu.size) and np.all(np.isfinite(x))
+    np.testing.assert_allclose(np.linalg.norm(x, axis=-1), 1.0, atol=1e-12)
+    alone = sampler._fb_acg_rejection(mu, a_mat, 300, [np.random.default_rng(6)])
+    np.testing.assert_array_equal(x[1], alone[0])  # the other stream is untouched
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_envelope_violation_is_not_hidden_by_a_zero_proposal(monkeypatch):
+    mu, a_mat = _ACG_CASES["fb"]
+    envelope = sampler._envelope
+
+    def lowered(*key):
+        eigvecs, omega, inv_sqrt_omega, log_bound = envelope(*key)
+        return eigvecs, omega, inv_sqrt_omega, log_bound - 50.0
+
+    monkeypatch.setattr(sampler, "_envelope", lowered)
+    with pytest.raises(RuntimeError, match="rejection envelope bound violated"):
+        sampler._fb_acg_rejection(mu, a_mat, 300, [_ZeroFirstRow(np.random.default_rng(5))])
+
+
 def _watson_acceptance(d: int, kappa: float) -> float:
     # the chance that one ACG proposal is accepted for Watson(e1, kappa):
     # sqrt(det Omega) 1F1(1/2; d/2; kappa) e^(-log_bound); OverflowError
@@ -275,9 +316,9 @@ def test_watson_acceptance_matches_sampler_count(monkeypatch, d, kappa):
 
     def counting(gens, n, batch, propose):
         def counted(gs, m):
-            draws, keep, count = propose(gs, m)
-            counts[:] += (int(np.sum(count)), int(keep.sum()))
-            return draws, keep, count
+            draws, keep = propose(gs, m)
+            counts[:] += (keep.size, int(keep.sum()))
+            return draws, keep
         return rejection(gens, n, batch, counted)
 
     monkeypatch.setattr(sampler, "_rejection", counting)
