@@ -19,14 +19,18 @@ more (d <= 500), so only a Fisher-Bingham envelope can come near it.
 
 vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
 Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
-the linear part of the Fisher-Bingham exponent is first dominated by a
-quadratic via mu'x <= (mu'x)^2/(2|mu|) + |mu|/2 (tight at the mode), and
-the resulting Bingham-type bound is in turn dominated by an ACG whose
-shape parameter solves sum_i 1/(b + 2 lambda_i) = 1.  Both bounds are
-analytic, so the rejection is exact by construction; a runtime check
-guards the envelope inequality on every batch, and the accept step alone
-rejects a zero-length proposal.  The envelope is built once per parameter
-set and cached, so a study pays only for proposals and the accept step.
+mu'y <= (mu'y)^2/(2|mu|) + |mu|/2 (tight at the mode) bounds the exponent
+by y'quad y, quad = A + mu mu'/(2|mu|) = E diag(lam) E', and in turn an
+ACG with weights omega = 1 + 2 (max lam - lam)/b, where b solves
+sum 1/(b + 2 (max lam - lam)) = 1, dominates that.  Both bounds are
+analytic, so the rejection is exact; a runtime check guards the envelope
+inequality on every batch.  The envelope is cached per parameter set.  A
+proposal z = E zs, zs the normals over sqrt(omega), is tested in the
+eigenbasis: one product of zs*zs with the columns (1, lam, omega) gives
+|z|^2, |z|^2 y'quad y and |z|^2 y'Omega y for y = z/|z|; Fisher-Bingham
+adds mu'y = (E'mu)'zs/|z|, and y'Ay = y'quad y - (mu'y)^2/(2|mu|).  A zero
+proposal fails the test (NaN); only kept rows are normalised.  The test's
+last bits differ from the direct form on y; the samples' do not.
 """
 
 from __future__ import annotations
@@ -175,23 +179,24 @@ def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite envelope raises
 def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
     """Everything the ACG rejection needs that depends only on (mu, A):
-    eigenvectors of the quadratic bound, ACG weights omega, 1/sqrt(omega)
-    and the log rejection bound.  Keyed on the raw float64 bytes, so only
-    bit-identical parameters share an entry; the arrays are read-only."""
+    the eigenvectors E of quad = E diag(lam) E', 1/sqrt(omega), the columns
+    (1, lam, omega), E'mu, the weight of (mu'y)^2 in y'quad y and the log
+    rejection bound.  Keyed on the raw float64 bytes, so only bit-identical
+    parameters share an entry; the arrays are read-only."""
     mu = np.frombuffer(mu_bytes)
     a_mat = np.frombuffer(a_bytes).reshape(d, d)
     mu_norm = float(np.linalg.norm(mu))
     if mu_norm > 1e-14:
         quad = a_mat + np.outer(mu, mu) / (2.0 * mu_norm)
-        log_linear_const = 0.5 * mu_norm
+        log_linear_const, mu_y2_weight = 0.5 * mu_norm, 0.5 / mu_norm
     else:
         quad = a_mat
-        log_linear_const = 0.0
+        log_linear_const, mu_y2_weight = 0.0, 0.0
     eigvals, eigvecs = np.linalg.eigh(quad)
     shift = float(eigvals[-1])
     bmat_eigs = shift - eigvals  # B = shift I - quad: PSD with min eigenvalue 0
-    # the ACG envelope (y'Omega y)^(-d/2) with Omega = I + 2B/b and
-    # sum 1/(b + 2 lambda) = 1 dominates exp(-y'By) up to
+    # the ACG envelope (y'Omega y)^(-d/2) with Omega = I + 2B/b and, over
+    # B's eigenvalues beta, sum 1/(b + 2 beta) = 1 dominates exp(-y'By) up to
     # M = exp(-(d-b)/2) (d/b)^{d/2}; B = 0 is the uniform law itself
     if np.all(bmat_eigs < 1e-14):
         omega, log_m = np.ones(d), 0.0
@@ -210,9 +215,11 @@ def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
     log_bound = log_linear_const + shift + log_m
     if not (np.all(np.isfinite(omega)) and math.isfinite(log_bound)):
         raise RuntimeError("rejection envelope is not finite: parameters out of range")
-    for arr in (eigvecs, omega, inv_sqrt_omega):
+    arrays = (eigvecs, inv_sqrt_omega, np.column_stack([np.ones(d), eigvals, omega]),
+              eigvecs.T @ mu)
+    for arr in arrays:
         arr.flags.writeable = False
-    return eigvecs, omega, inv_sqrt_omega, log_bound
+    return *arrays, mu_y2_weight, log_bound
 
 
 def _fb_acg_rejection(
@@ -223,7 +230,7 @@ def _fb_acg_rejection(
 ) -> np.ndarray:
     # n points per stream, as a (b, n, d) stack
     d = mu.size
-    eigvecs, omega, inv_sqrt_omega, log_bound = _envelope(
+    eigvecs, inv_sqrt_omega, weights, e_mu, mu_y2_weight, log_bound = _envelope(
         mu.tobytes(), a_mat.tobytes(), d
     )
 
@@ -233,21 +240,27 @@ def _fb_acg_rejection(
         return min(max(m, _MIN_BATCH), _MAX_BATCH)
 
     def propose(gs: list[np.random.Generator], m: int):
-        # m proposals per stream: the unit rows y and which are accepted.
-        # A zero row of z (probability <= 2^-104 at d >= 2) makes log_acc
-        # NaN, which fails the accept test, so the rejection stays exact
-        z = (np.stack([g.standard_normal((m, d)) for g in gs]) * inv_sqrt_omega) @ eigvecs.T
-        u = np.stack([g.random(m) for g in gs])
-        y = z / np.linalg.norm(z, axis=-1)[..., None]
-        proj = y @ eigvecs
-        omega_quad = (proj * proj) @ omega  # y' Omega y
-        log_target = y @ mu + ((y @ a_mat) * y).sum(axis=-1)
-        log_acc = log_target - log_bound + 0.5 * d * np.log(omega_quad)
+        # m proposals per stream: the rows z = E zs, not yet unit, and which
+        # are accepted, tested in the eigenbasis.  A zero row (probability
+        # <= 2^-104 at d >= 2) makes log_acc NaN, which fails the accept
+        # test, so the rejection stays exact
+        zs, u = np.empty((len(gs), m, d)), np.empty((len(gs), m))
+        for g, zsj, uj in zip(gs, zs, u):
+            g.standard_normal(out=zsj)
+            g.random(out=uj)
+        zs *= inv_sqrt_omega
+        norm2, z_quad_z, z_omega_z = np.moveaxis((zs * zs) @ weights, -1, 0)
+        log_target = z_quad_z / norm2
+        if e_mu.any():
+            mu_y = (zs @ e_mu) / np.sqrt(norm2)
+            log_target += mu_y - mu_y2_weight * mu_y * mu_y
+        log_acc = log_target - log_bound + 0.5 * d * np.log(z_omega_z / norm2)
         if np.any(log_acc > 1e-9):
             raise RuntimeError("rejection envelope bound violated")
-        return y, np.log(u) <= log_acc
+        return zs @ eigvecs.T, np.log(u) <= log_acc
 
-    return _rejection(gens, n, batch, propose)
+    z = _rejection(gens, n, batch, propose)
+    return z / np.linalg.norm(z, axis=-1)[..., None]
 
 
 def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:

@@ -8,6 +8,7 @@ arguments, from the large-kappa expansion, which also gives the
 derivative R1' of the vMF Fisher information.  1F1 has one rule: scipy
 evaluates it at -|x| only, and the Kummer transform carries a positive
 argument over, its e^x kept apart as a log or cancelled in a ratio.
+scipy.special, most of the package's import time, loads on first use.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy import special as _sp
 
 # below this, scipy's scaled Bessel value is too close to the subnormal
 # range to divide through safely; switch to the power series
@@ -89,6 +89,7 @@ def bessel_ratio(d: int, kappa):
     k = np.atleast_1d(np.asarray(kappa, dtype=float))
     if np.any(k <= 0):
         raise ValueError("kappa must be > 0")
+    from scipy import special as _sp
     nu = 0.5 * d - 1.0
     den = _sp.ive(nu, k)
     num = _sp.ive(nu + 1.0, k)
@@ -107,6 +108,7 @@ def bessel_ratio(d: int, kappa):
 def _scaled_1f1(a, b, x):
     # e^{-max(x, 0)} 1F1(a; b; x); for x > 0 by the Kummer transform
     # 1F1(a; b; x) = e^x 1F1(b-a; b; -x) (DLMF 13.2.39)
+    from scipy import special as _sp
     x = np.asarray(x, dtype=float)
     val = _sp.hyp1f1(np.where(x > 0, b - a, a), b, -np.abs(x))
     # a subnormal value has lost digits: hyp1f1(499.5, 500, -800) = 1.8e-319

@@ -17,8 +17,10 @@ so agreement is evidence, not tautology.  The exceptions:
   (a plain container; no package code computes its entries);
 * mle_newton_scalar takes the Bessel ratio as an argument: it pins the
   vectorised Newton iteration, not the ratio;
-* acg_sample_loop takes its envelope from sampler._envelope: it pins the
-  stacked rejection loop, not the envelope.
+* acg_direct_accept and acg_sample_loop take their envelope from
+  sampler._envelope: they pin the stacked rejection loop and its
+  eigenbasis accept step, which they write in the direct form on unit
+  rows, not the envelope.
 """
 
 import math
@@ -625,31 +627,44 @@ def vmf_sample_loop(params, n: int, rng,
     return unit_rows(y @ rot), batches
 
 
+def acg_direct_accept(mu: np.ndarray, a_mat: np.ndarray,
+                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ACG proposals z = (g / sqrt(omega)) E' made from an (m, d) array
+    of normals g, and the logs of their accept probabilities in the direct
+    form on the unit rows y = z / |z|:
+    mu'y + y'Ay - log_bound + d/2 log y'Omega y, with y'Omega y formed from
+    the projection E'y."""
+    d = mu.size
+    eigvecs, inv_sqrt_omega, weights, _, _, log_bound = _envelope(
+        mu.tobytes(), a_mat.tobytes(), d)
+    z = (g * inv_sqrt_omega) @ eigvecs.T
+    y = z / np.linalg.norm(z, axis=1)[:, None]
+    proj = y @ eigvecs
+    log_acc = (y @ mu + ((y @ a_mat) * y).sum(axis=1) - log_bound
+               + 0.5 * d * np.log((proj * proj) @ weights[:, 2]))
+    return z, log_acc
+
+
 def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
                     min_batch: int = 256) -> tuple[np.ndarray, int]:
     """n Fisher-Bingham(mu, A) draws from one stream the way the ACG
     rejection sampler makes them, written as a loop over the stream alone:
     batches of about 1.3 (n - have) / rate + 32 (at least min_batch)
     normal and uniform draws, projected through the envelope, normalised
-    and accepted one batch at a time until n are accepted.  Returns the
-    sample and the number of batches drawn."""
+    and accepted one batch at a time by the direct test of
+    acg_direct_accept until n are accepted.  Returns the sample and the
+    number of batches drawn."""
     d = mu.size
-    eigvecs, omega, inv_sqrt_omega, log_bound = _envelope(
-        mu.tobytes(), a_mat.tobytes(), d)
     g = rng.generator()
     out = np.empty((n, d))
     have = proposed = accepted = batches = 0
     while have < n:
         rate = accepted / proposed if proposed else 1.0
         m = max(int((n - have) / max(rate, 0.02) * 1.3) + 32, min_batch)
-        z = (g.standard_normal((m, d)) * inv_sqrt_omega) @ eigvecs.T
+        z, log_acc = acg_direct_accept(mu, a_mat, g.standard_normal((m, d)))
         u = g.random(m)
         batches += 1
-        norms = np.linalg.norm(z, axis=1)
-        y = z / norms[:, None]
-        proj = y @ eigvecs
-        log_acc = (y @ mu + ((y @ a_mat) * y).sum(axis=1) - log_bound
-                   + 0.5 * d * np.log((proj * proj) @ omega))
+        y = z / np.linalg.norm(z, axis=1)[:, None]
         taken = y[np.log(u) <= log_acc]
         proposed += m
         accepted += taken.shape[0]

@@ -85,13 +85,37 @@ def test_all_names_resolve():
 
 
 def test_cli_import_leaves_scipy_optimize_out():
-    # in a fresh interpreter: the test modules import scipy.optimize themselves
+    # in a fresh interpreter: the test modules import scipy themselves
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, "-c", "import sys, spherestein.cli; "
          "print('scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert out.stdout.split() == ["False", "True"]
+    assert out.stdout.split() == ["False", "False"]
+
+
+_FIT_IMPORTS = """
+import contextlib, io, sys
+import numpy as np
+from spherestein import cli
+x = np.random.default_rng(0).standard_normal((200, 3)) + [3.0, 0.0, 0.0]
+np.savetxt(sys.argv[1], x / np.linalg.norm(x, axis=1, keepdims=True), delimiter=",")
+for family, estimator in (("fb", "st"), ("vmf", "st"), ("vmf", "ml")):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["fit", "--family", family, "--estimator", estimator,
+                         "--in", sys.argv[1]])
+    print(code, "scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_special_loads_only_for_a_likelihood_fit(tmp_path):
+    # the Stein fits never call scipy.special, so a CLI fit with one of them
+    # does not pay for its import; the vMF ML fit needs the Bessel ratio
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", _FIT_IMPORTS, str(tmp_path / "x.csv")],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert out.stdout.splitlines() == ["0 False", "0 False", "0 True"]
 
 
 def test_readme_python_example_runs():

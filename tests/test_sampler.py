@@ -20,6 +20,7 @@ from oracles import (
     canonical_f2,
     fb_uniform_rejection,
     stein_operator_apply,
+    acg_direct_accept,
     acg_sample_loop,
     vmf_sample_loop,
 )
@@ -240,7 +241,7 @@ def test_acg_rejection_with_cached_envelope_matches_fresh_build(case):
     stored, rebuilt = sampler._envelope(*key), sampler._envelope.__wrapped__(*key)
     for got, want in zip(stored, rebuilt):
         np.testing.assert_array_equal(got, want)
-    assert not any(arr.flags.writeable for arr in stored[:3])
+    assert not any(arr.flags.writeable for arr in stored[:4])
 
 
 class _ZeroFirstRow:
@@ -248,14 +249,14 @@ class _ZeroFirstRow:
     def __init__(self, gen):
         self.gen, self.first = gen, True
 
-    def standard_normal(self, size):
-        z = self.gen.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        z = self.gen.standard_normal(size, out=out)
         if self.first:
             z[0], self.first = 0.0, False
         return z
 
-    def random(self, size):
-        return self.gen.random(size)
+    def random(self, size=None, out=None):
+        return self.gen.random(size, out=out)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -276,12 +277,59 @@ def test_envelope_violation_is_not_hidden_by_a_zero_proposal(monkeypatch):
     envelope = sampler._envelope
 
     def lowered(*key):
-        eigvecs, omega, inv_sqrt_omega, log_bound = envelope(*key)
-        return eigvecs, omega, inv_sqrt_omega, log_bound - 50.0
+        *rest, log_bound = envelope(*key)
+        return (*rest, log_bound - 50.0)
 
     monkeypatch.setattr(sampler, "_envelope", lowered)
     with pytest.raises(RuntimeError, match="rejection envelope bound violated"):
         sampler._fb_acg_rejection(mu, a_mat, 300, [_ZeroFirstRow(np.random.default_rng(5))])
+
+
+class _UniformsAt:
+    # a generator whose uniforms sit e^offset times the direct accept
+    # probability of the normals it has just drawn
+    def __init__(self, gen, mu, a_mat, offset):
+        self.gen, self.mu, self.a_mat, self.offset = gen, mu, a_mat, offset
+
+    def standard_normal(self, size=None, out=None):
+        self.z, self.log_acc = acg_direct_accept(
+            self.mu, self.a_mat, self.gen.standard_normal(size, out=out))
+        return out
+
+    def random(self, size=None, out=None):
+        out[:] = np.exp(self.log_acc + self.offset)
+        return out
+
+
+_LOG_ACC_CASES = {
+    **_ACG_CASES,
+    "fb_concentrated": (np.array([11.0, 3.0, 10.0]),
+                        np.array([[2.0, -2, 1], [-2, 12, -2], [1, -2, 0]])),
+    "fb_tiny_mu": (np.array([1e-15, 0.0, -5e-16]), _ACG_CASES["fb"][1]),
+    "uniform": (np.zeros(3), 2.0 * np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOG_ACC_CASES))
+def test_eigenbasis_accept_step_equals_the_direct_one(monkeypatch, case):
+    # uniforms 1e-12 below (above) each proposal's direct accept probability,
+    # in logs, are all accepted (rejected): the two log_acc agree to 1e-12.
+    # fb_tiny_mu takes the |mu| <= 1e-14 branch, uniform has B = 0
+    mu, a_mat = _LOG_ACC_CASES[case]
+    proposers = []
+
+    def capture(gens, n, batch, propose):
+        proposers.append(propose)
+        return np.ones((1, n, mu.size))
+
+    monkeypatch.setattr(sampler, "_rejection", capture)
+    sampler._fb_acg_rejection(mu, a_mat, 1, [])
+    for offset, accepted in ((-1e-12, True), (1e-12, False)):
+        gen = _UniformsAt(np.random.default_rng(7), mu, a_mat, offset)
+        z, keep = proposers[0]([gen], 2000)
+        assert np.all(np.isfinite(gen.log_acc)) and gen.log_acc.min() > -700
+        assert np.all(keep[0] == accepted), (offset, int(keep.sum()))
+        np.testing.assert_array_equal(z[0], gen.z)
 
 
 def _watson_acceptance(d: int, kappa: float) -> float:
@@ -290,9 +338,9 @@ def _watson_acceptance(d: int, kappa: float) -> float:
     # where 1F1 is out of range
     log_1f1 = log_kummer_1f1(0.5, 0.5 * d, kappa)
     a_mat = kappa * np.outer(np.eye(d)[0], np.eye(d)[0])
-    _, omega, _, log_bound = sampler._envelope.__wrapped__(
+    _, _, weights, _, _, log_bound = sampler._envelope.__wrapped__(
         np.zeros(d).tobytes(), a_mat.tobytes(), d)
-    return math.exp(0.5 * np.log(omega).sum() + log_1f1 - log_bound)
+    return math.exp(0.5 * np.log(weights[:, 2]).sum() + log_1f1 - log_bound)
 
 
 def test_watson_acceptance_stays_far_above_the_floor():
@@ -338,7 +386,7 @@ def test_envelope_cache_keeps_parameter_sets_apart():
         envelopes.append(sampler._envelope(np.zeros(3).tobytes(), a_mat.tobytes(), 3))
     info = sampler._envelope.cache_info()
     assert (info.misses, info.currsize) == (3, 3)
-    assert len({env[3] for env in envelopes}) == 3  # distinct log bounds
+    assert len({env[-1] for env in envelopes}) == 3  # distinct log bounds
 
 
 def test_envelope_cache_is_bounded():

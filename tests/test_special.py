@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from spherestein import special
 from spherestein.special import bessel_ratio, kummer_moment, log_kummer_1f1
@@ -218,13 +219,13 @@ def test_kummer_subnormal_is_out_of_range():
 
 def _spy_hyp1f1(monkeypatch):
     # the arguments scipy's hyp1f1 is called at
-    hyp1f1, args = special._sp.hyp1f1, []
+    hyp1f1, args = scipy.special.hyp1f1, []
 
     def spy(*call):
         args.append(np.max(call[-1]))
         return hyp1f1(*call)
 
-    monkeypatch.setattr(special._sp, "hyp1f1", spy)
+    monkeypatch.setattr(scipy.special, "hyp1f1", spy)
     return args
 
 
