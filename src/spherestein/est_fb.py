@@ -14,6 +14,8 @@ the test functions (the two agree to machine precision).
 
 The statistics, the fit and the residual take a (b, n, d) stack of b
 samples; slice k gets the bits of that sample fitted as a stack of one.
+So the pair products and moment tensors are built for groups of slices
+within models.WORK_BYTES of pair products, and the solves run once.
 
 The third-moment tensor mean[x_i x_j x_k] is contracted from the pair
 products w = x_i x_j that the fourth moment needs anyway, as the
@@ -31,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import models
 from .linalg import lower_index, solve_stack, unvech_prime, vech_prime
 from .models import FisherBinghamParams, sample_stack
 
@@ -88,6 +91,13 @@ def fb_statistics(x) -> FbSteinStatistics:
     for M, E, G; equal to the generic path to machine precision.
     """
     x = sample_stack(x)
+    step = max(1, models.WORK_BYTES // (8 * x[0].size * x.shape[2]))  # n d^2 products
+    groups = [_statistics_blocks(x[lo : lo + step]) for lo in range(0, len(x), step)]
+    return FbSteinStatistics(*(np.concatenate(blocks) for blocks in zip(*groups)))
+
+
+def _statistics_blocks(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    # fb_statistics' six blocks, in field order, for a C-ordered stack
     b, n, d = x.shape
     k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
     i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
@@ -128,7 +138,7 @@ def fb_statistics(x) -> FbSteinStatistics:
     # matmul rounds such a slice differently from a contiguous one
     blocks = (m_full[..., :-1], v_statistic(scatter), e_mat,
               g_full[..., :-1], (d - 1.0) * xbar, np.eye(d) - scatter)
-    return FbSteinStatistics(*(np.ascontiguousarray(a) for a in blocks))
+    return tuple(np.ascontiguousarray(a) for a in blocks)
 
 
 def fb_stein_fit(x) -> FbEstimate:

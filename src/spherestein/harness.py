@@ -33,10 +33,10 @@ from .models import Params
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
-# memory for the samples of one block: b = BLOCK_BYTES // (8 n d)
-# replications, at least one.  Larger blocks gain little and raise the
-# peak memory of a study.
-BLOCK_BYTES = 128 * 1024
+# memory for the samples of one block: b = BLOCK_BYTES // (8 n d) replications,
+# at least one.  Each block has a fixed cost, so larger blocks run faster; the
+# arrays that grow faster than the samples are kept within models.WORK_BYTES.
+BLOCK_BYTES = 512 * 1024
 FLOAT_FMT = "%.17g"  # bit-faithful round trip of 64-bit floats
 
 

@@ -24,6 +24,11 @@ import numpy as np
 from . import special
 from .linalg import _UNIT_TOL, _check_symmetric, fix_sign
 
+# working memory of the arrays that grow faster than a sample stack, an ACG
+# rejection round's proposals and the Fisher-Bingham pair products x_i x_j:
+# each is built for groups of at most this many bytes (one slice at least)
+WORK_BYTES = 128 * 1024
+
 
 def _as_vector(mu, name: str = "mu") -> np.ndarray:
     mu = np.asarray(mu, dtype=float)

@@ -11,8 +11,9 @@ sequence of one draws one sample).
 One driver runs every rejection sampler in rounds: each stream short of
 n draws its next batch (vMF 2 (n - have), ACG 1.3 (n - have) / rate + 32
 at its acceptance rate so far, clipped to [_MIN_BATCH, _MAX_BATCH]),
-batches of one size are accepted as one stack, and each stream keeps its
-first n accepted draws in draw order.  After _FLOOR_WINDOW proposals an
+batches of one size are accepted in stacks within models.WORK_BYTES
+(whole batches, at least one per stack), and each stream keeps its first
+n accepted draws in draw order.  After _FLOOR_WINDOW proposals an
 acceptance rate below _ACCEPT_FLOOR raises RuntimeError.  One floor
 serves every family: vMF accepts 0.65 or more and Watson about 0.05 or
 more (d <= 500), so only a Fisher-Bingham envelope can come near it.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import linalg, models
 from .models import FisherBinghamParams, VmfParams, WatsonParams
 
 _MAX_BATCH = 1_000_000
@@ -88,7 +89,7 @@ def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
                 xj[badj] = g.standard_normal((int(badj.sum()), x.shape[-1]))
         norms = np.linalg.norm(x, axis=-1)
         bad = norms < 1e-200
-    return x / norms[..., None]
+    return np.divide(x, norms[..., None], out=x)
 
 
 def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
@@ -100,11 +101,13 @@ def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
     return _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
 
 
-def _rejection(gens: list[np.random.Generator], n: int, batch, propose) -> np.ndarray:
+def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -> np.ndarray:
     # the first n accepted draws of each stream, as a (b, n, ...) stack.
     # batch(proposed, accepted, have) sizes a stream's next batch from its
     # own counts, so it makes the draws it would make alone; propose(gs, m)
-    # returns m stacked draws per stream of gs and which of them are accepted
+    # returns m stacked draws of width floats per stream of gs and which of
+    # them are accepted.  A stream's m rows are never split over two stacks:
+    # a gemm over another row count rounds differently
     b = len(gens)
     out = None
     have, proposed, accepted = [0] * b, [0] * b, [0] * b
@@ -112,22 +115,25 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose) -> np.nd
     while short:
         sizes = [batch(proposed[j], accepted[j], have[j]) for j in short]
         for m in sorted(set(sizes)):
-            group = [j for j, size in zip(short, sizes) if size == m]
-            draws, keep = propose([gens[j] for j in group], m)
-            if out is None:
-                out = np.empty((b, n) + draws.shape[2:])
-            for j, drawsj, keepj in zip(group, draws, keep):
-                taken = drawsj[keepj]
-                proposed[j] += m
-                accepted[j] += taken.shape[0]
-                take = min(taken.shape[0], n - have[j])
-                out[j, have[j] : have[j] + take] = taken[:take]
-                have[j] += take
-                if proposed[j] >= _FLOOR_WINDOW and accepted[j] / proposed[j] < _ACCEPT_FLOOR:
-                    raise RuntimeError(
-                        f"rejection acceptance {accepted[j] / proposed[j]:.2e} below "
-                        f"{_ACCEPT_FLOOR:.0e} after {proposed[j]} proposals"
-                    )
+            same = [j for j, size in zip(short, sizes) if size == m]
+            step = max(1, models.WORK_BYTES // (8 * m * width))
+            for group in (same[lo : lo + step] for lo in range(0, len(same), step)):
+                draws, keep = propose([gens[j] for j in group], m)
+                if out is None:
+                    out = np.empty((b, n) + draws.shape[2:])
+                for j, drawsj, keepj in zip(group, draws, keep):
+                    taken = drawsj[keepj]
+                    proposed[j] += m
+                    accepted[j] += taken.shape[0]
+                    take = min(taken.shape[0], n - have[j])
+                    out[j, have[j] : have[j] + take] = taken[:take]
+                    have[j] += take
+                    if (proposed[j] >= _FLOOR_WINDOW
+                            and accepted[j] / proposed[j] < _ACCEPT_FLOOR):
+                        raise RuntimeError(
+                            f"rejection acceptance {accepted[j] / proposed[j]:.2e} below "
+                            f"{_ACCEPT_FLOOR:.0e} after {proposed[j]} proposals"
+                        )
         short = [j for j in short if have[j] < n]
     return out
 
@@ -152,7 +158,7 @@ def _vmf_radial(kappa: float, d: int, n: int,
         keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
         return w, keep
 
-    return _rejection(gens, n, batch, propose)
+    return _rejection(gens, n, batch, propose, 1)
 
 
 def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
@@ -167,10 +173,13 @@ def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
     d = params.d
     gens = [r.generator() for r in rngs]
     w = _vmf_radial(params.kappa, d, n, gens)
-    v = _unit_rows(np.stack([g.standard_normal((n, d - 1)) for g in gens]), gens)
+    v = np.empty((len(gens), n, d - 1))  # out= needs a contiguous stack, not y
+    for g, vj in zip(gens, v):
+        g.standard_normal(out=vj)
     y = np.empty((len(gens), n, d))
     y[..., 0] = w
-    y[..., 1:] = np.sqrt(np.maximum(0.0, 1.0 - w * w))[..., None] * v
+    np.multiply(np.sqrt(np.maximum(0.0, 1.0 - w * w))[..., None], _unit_rows(v, gens),
+                out=y[..., 1:])
     # rows are rot.T @ y; a matmul per slice keeps each slice's bits
     return _unit_rows(np.matmul(y, linalg.rotation_to_e1(params.mu)), gens)
 
@@ -259,8 +268,8 @@ def _fb_acg_rejection(
             raise RuntimeError("rejection envelope bound violated")
         return zs @ eigvecs.T, np.log(u) <= log_acc
 
-    z = _rejection(gens, n, batch, propose)
-    return z / np.linalg.norm(z, axis=-1)[..., None]
+    z = _rejection(gens, n, batch, propose, d)
+    return np.divide(z, np.linalg.norm(z, axis=-1)[..., None], out=z)
 
 
 def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:

@@ -336,6 +336,26 @@ def stein_operator_apply(params, f: SmoothTestFunction, x) -> np.ndarray:
     )
 
 
+def canonical_stein_rows(params, x) -> tuple[np.ndarray, np.ndarray]:
+    """The Stein operator of canonical_f1 and of canonical_f2 on every row
+    of an (N, d) array of unit points, in closed form.  With the projected
+    score p = s - x (x's): A f1 = (1 - d) x + p, and the entry of the pair
+    (i, j) of A f2 is -2d x_i x_j + 2 [i = j] + x_j p_i + x_i p_j."""
+    x = np.asarray(x, dtype=float)
+    d = x.shape[1]
+    if params.family == "fb":
+        s = params.mu + 2.0 * (x @ params.A)  # A is symmetric
+    elif params.family == "vmf":
+        s = np.broadcast_to(params.kappa * params.mu, x.shape)
+    else:
+        s = 2.0 * params.kappa * (x @ params.mu)[:, None] * params.mu
+    p = s - x * np.sum(x * s, axis=1, keepdims=True)
+    i, j = np.array(lower_pairs(d)[:-1]).T
+    a_f2 = (-2.0 * d * x[:, i] * x[:, j] + 2.0 * (i == j)
+            + x[:, j] * p[:, i] + x[:, i] * p[:, j])
+    return (1.0 - d) * x + p, a_f2
+
+
 def stein_mean_reference(score_fn, f, x) -> np.ndarray:
     """Mean of the spherical Stein operator over sample rows, computed from
     first principles (per-point loop, explicit matrices)."""

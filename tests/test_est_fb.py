@@ -8,6 +8,7 @@ from spherestein.est_fb import (
     fb_stein_fit,
     fb_stein_residual,
 )
+from spherestein import models
 from spherestein.families import fit_one
 from spherestein.linalg import COND_LIMIT, SingularSystem
 from spherestein.models import FisherBinghamParams, VmfParams
@@ -261,6 +262,19 @@ def test_stacked_statistics_equal_single_statistics_bitwise(d):
             assert block.shape == (4, *one[name].shape)
             assert block[k].flags.c_contiguous, name
             np.testing.assert_array_equal(block[k], one[name])
+
+
+@pytest.mark.parametrize("work_bytes", [1, 2**30])
+def test_statistics_equal_for_any_working_size(monkeypatch, work_bytes):
+    # by default a (6, 80, 10) stack is built in groups of two slices; one
+    # slice per group, or one group, gives the same six blocks
+    stack = random_unit_rows(np.random.default_rng(310), 6 * 80, 10).reshape(6, 80, 10)
+    expected = fb_statistics(stack)
+    monkeypatch.setattr(models, "WORK_BYTES", work_bytes)
+    got = fb_statistics(stack)
+    for name, block in vars(expected).items():
+        assert getattr(got, name).flags.c_contiguous, name
+        np.testing.assert_array_equal(getattr(got, name), block)
 
 
 def test_stacked_fit_equals_single_fits_and_books_singular_slices():

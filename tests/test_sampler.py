@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spherestein import sampler
+from spherestein import models, sampler
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import (
     RngState,
@@ -18,6 +18,7 @@ from spherestein.special import bessel_ratio, kummer_moment, log_kummer_1f1
 from oracles import (
     canonical_f1,
     canonical_f2,
+    canonical_stein_rows,
     fb_uniform_rejection,
     stein_operator_apply,
     acg_direct_accept,
@@ -198,12 +199,13 @@ def test_stein_identity_canonical_functions_all_families():
          sample_fb, 22),
     ]
     for params, draw, seed in cases:
-        x = draw(params, n, [RngState(seed)])[0]
+        x = draw(params, n, [RngState(seed)])[0][:30_000]
         d = x.shape[1]
-        for f in (canonical_f1(d), canonical_f2(d)):
-            values = np.array(
-                [stein_operator_apply(params, f, row) for row in x[:30_000]]
-            )
+        # the closed form, checked against the per-row operator on 50 rows
+        for f, values in zip((canonical_f1(d), canonical_f2(d)),
+                             canonical_stein_rows(params, x)):
+            rows = np.array([stein_operator_apply(params, f, row) for row in x[:50]])
+            np.testing.assert_allclose(values[:50], rows, rtol=1e-12)
             mean = values.mean(axis=0)
             se = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
             assert np.all(np.abs(mean) <= 4 * se + 1e-12)
@@ -318,7 +320,7 @@ def test_eigenbasis_accept_step_equals_the_direct_one(monkeypatch, case):
     mu, a_mat = _LOG_ACC_CASES[case]
     proposers = []
 
-    def capture(gens, n, batch, propose):
+    def capture(gens, n, batch, propose, width):
         proposers.append(propose)
         return np.ones((1, n, mu.size))
 
@@ -362,12 +364,12 @@ def test_watson_acceptance_matches_sampler_count(monkeypatch, d, kappa):
     counts = np.zeros(2, dtype=np.int64)
     rejection = sampler._rejection
 
-    def counting(gens, n, batch, propose):
+    def counting(gens, n, batch, propose, width):
         def counted(gs, m):
             draws, keep = propose(gs, m)
             counts[:] += (keep.size, int(keep.sum()))
             return draws, keep
-        return rejection(gens, n, batch, counted)
+        return rejection(gens, n, batch, counted, width)
 
     monkeypatch.setattr(sampler, "_rejection", counting)
     sample_watson(WatsonParams(np.eye(d)[0], kappa), 50_000, [RngState(24)])
@@ -454,3 +456,47 @@ def test_watson_uniform_stack_equals_per_stream_samples():
     stack = sample_watson(params, 7, streams)
     for k, rng in enumerate(streams):
         np.testing.assert_array_equal(stack[k], sample_uniform(3, 7, [rng])[0])
+
+
+@pytest.mark.parametrize("work_bytes", [1, 2**30])
+def test_stacks_equal_for_any_working_size(monkeypatch, work_bytes):
+    # proposal rounds of one stream each, or of every stream with one batch
+    # size, give the bits of the default groups; with min_batch = 1 the
+    # streams' later batches differ in size
+    monkeypatch.setattr(sampler, "_MIN_BATCH", 1)
+    u20 = np.ones(20) / math.sqrt(20)
+    cases = [(sample_vmf, VmfParams(u20, 5.0), 100), (sample_vmf, VmfParams(_U4, 2.0), 60),
+             (sample_watson, WatsonParams(u20, 5.0), 100),
+             (sample_watson, WatsonParams(_U4, -6.0), 60),
+             (sample_fb, FisherBinghamParams(*_ACG_CASES["fb"][:2]), 60)]
+    streams = [RngState(25, stream=k) for k in range(30)]
+    for draw, params, n in cases:
+        expected = draw(params, n, streams)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "WORK_BYTES", work_bytes)
+            np.testing.assert_array_equal(draw(params, n, streams), expected)
+
+
+def test_proposal_rounds_stay_within_the_working_size(monkeypatch):
+    # every proposal stack fits in WORK_BYTES unless it holds one stream;
+    # a Watson d = 20 batch at n = 2000 alone is larger
+    rejection = sampler._rejection
+    stacks = []
+
+    def checking(gens, n, batch, propose, width):
+        def checked(gs, m):
+            draws, keep = propose(gs, m)
+            stacks.append((len(gs), draws.nbytes))
+            return draws, keep
+        return rejection(gens, n, batch, checked, width)
+
+    monkeypatch.setattr(sampler, "_rejection", checking)
+    u20 = np.ones(20) / math.sqrt(20)
+    streams = [RngState(26, stream=k) for k in range(40)]
+    sample_vmf(VmfParams(E3[0], 3.0), 2000, streams)
+    sample_watson(WatsonParams(u20, 5.0), 100, streams)
+    sample_watson(WatsonParams(u20, -2.0), 2000, streams[:3])
+    sample_fb(FisherBinghamParams(*_ACG_CASES["fb"][:2]), 1000, streams[:10])
+    assert all(k == 1 or size <= models.WORK_BYTES for k, size in stacks)
+    assert any(k > 1 for k, _ in stacks)
+    assert any(k == 1 and size > models.WORK_BYTES for k, size in stacks)
