@@ -14,8 +14,11 @@ the test functions (the two agree to machine precision).
 
 The statistics, the fit and the residual take a (b, n, d) stack of b
 samples; slice k gets the bits of that sample fitted as a stack of one.
-So the pair products and moment tensors are built for groups of slices
-within models.WORK_BYTES of pair products, and the solves run once.
+So the moment tensors are built for groups of slices within
+models.WORK_BYTES of pair products, the six blocks are assembled from
+them for groups within models.WORK_BYTES of (q-1) q temporaries (the
+whole block at d = 3, one slice at a time at d = 50), and the solves run
+once.
 
 The third-moment tensor mean[x_i x_j x_k] is contracted from the pair
 products w = x_i x_j that the fourth moment needs anyway, as the
@@ -91,17 +94,27 @@ def fb_statistics(x) -> FbSteinStatistics:
     for M, E, G; equal to the generic path to machine precision.
     """
     x = sample_stack(x)
-    step = max(1, models.WORK_BYTES // (8 * x[0].size * x.shape[2]))  # n d^2 products
-    groups = [_statistics_blocks(x[lo : lo + step]) for lo in range(0, len(x), step)]
-    return FbSteinStatistics(*(np.concatenate(blocks) for blocks in zip(*groups)))
-
-
-def _statistics_blocks(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    # fb_statistics' six blocks, in field order, for a C-ordered stack
     b, n, d = x.shape
-    k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
-    i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
+    q = d * (d + 1) // 2
+    pairs = max(1, models.WORK_BYTES // (8 * n * d * d))  # slices of n d^2 products
+    step = max(1, models.WORK_BYTES // (8 * (q - 1) * q))  # slices of (q-1) q temporaries
+    groups = []
+    for lo in range(0, b, step):
+        part = x[lo : lo + step]
+        moments = [_moments(part[k : k + pairs]) for k in range(0, len(part), pairs)]
+        groups.append(_assemble(*map(_joined, zip(*moments))))
+    return FbSteinStatistics(*map(_joined, zip(*groups)))
 
+
+def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    # the stacks of parts along their slice axis; one part is not copied
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _moments(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Xbar, the scatter and the third and fourth moment tensors per slice
+    # of a C-ordered stack
+    b, n, d = x.shape
     xbar = x.mean(axis=1)
     scatter = np.matmul(x.swapaxes(1, 2), x) / n
     w = (x[:, :, :, None] * x[:, :, None, :]).reshape(b, n, d * d)
@@ -109,8 +122,15 @@ def _statistics_blocks(x: np.ndarray) -> tuple[np.ndarray, ...]:
     # so the bits of a plain loop (see the module docstring); matmul,
     # optimize=True and "bpn,bkn" operands round differently
     third = (np.einsum("bnk,bnp->bkp", x, w) / n).reshape(b, d, d, d)
-    third = third.transpose(0, 2, 3, 1)
     fourth = (np.matmul(w.swapaxes(1, 2), w) / n).reshape(b, d, d, d, d)
+    return xbar, scatter, third.transpose(0, 2, 3, 1), fourth
+
+
+def _assemble(xbar, scatter, third, fourth) -> tuple[np.ndarray, ...]:
+    # fb_statistics' six blocks, in field order, from the moments
+    d = xbar.shape[-1]
+    k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
+    i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
 
     # row blocks of B(x) = grad_f2(x) (I - xx'); row (i,j) is
     # x_j e_i' + x_i e_j' - 2 x_i x_j x', so means reduce to moment tensors

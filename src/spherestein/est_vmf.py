@@ -6,9 +6,10 @@ with f(x) = x (ST), the variant that solves for mu' = kappa mu first
 (ST2), the maximum likelihood estimator (ML), and the score-matching
 estimator (SM).  All four are invariant under rotations of the sample.
 
-Each estimator takes a (b, n, d) stack of b samples, which a simulation
-study fits in one call; slice k of a stack gets the same bits as that
-sample fitted as a stack of one (``families.fit_one`` fits one sample).
+Each estimator takes a (b, n, d) stack of b samples or its VmfSample,
+which a simulation study prepares and fits in one call each; slice k of
+a stack gets the same bits as that sample fitted as a stack of one
+(``families.fit_one`` fits one sample).
 
 The Fisher information for kappa and the closed-form asymptotic variance
 of the ST estimator live here too; both depend on kappa only through the
@@ -45,16 +46,42 @@ class VmfEstimate:
     ne: np.ndarray
 
 
-def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # the checked stack, the means Xbar, their lengths |Xbar| and the mean
-    # directions Xbar / |Xbar|
+@dataclass
+class VmfSample:
+    """A (b, n, d) stack of b samples prepared once for the vMF fits: the
+    means Xbar (b x d), their lengths |Xbar| and the mean directions
+    Xbar / |Xbar| (NaN rows where Xbar = 0, which every fit rejects).  A
+    simulation block prepares its stack once, so that all its fits share
+    one resultant: their mu_hat and resultant_length are these arrays,
+    not copies."""
+
+    x: np.ndarray
+    xbar: np.ndarray
+    norm: np.ndarray
+    mu_hat: np.ndarray
+
+
+def prepare_sample(x) -> VmfSample:
+    """The VmfSample of a stack x; a VmfSample is returned as it is.  A
+    zero resultant is left to each fit, which raises DegenerateMean."""
+    if isinstance(x, VmfSample):
+        return x
     x = sample_stack(x)
     xbar = x.mean(axis=1)
     # a dot product per slice, as np.linalg.norm takes for one vector
     norm = np.sqrt(np.vecdot(xbar, xbar))
-    if np.any(norm <= 1e-12):
+    with np.errstate(invalid="ignore"):  # 0/0 where Xbar = 0
+        mu_hat = xbar / norm[:, None]
+    return VmfSample(x, xbar, norm, mu_hat)
+
+
+def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    # the checked stack, Xbar, |Xbar| and the mean directions of a stack or
+    # a VmfSample
+    s = prepare_sample(x)
+    if np.any(s.norm <= 1e-12):
         raise DegenerateMean("resultant length is zero")
-    return x, xbar, norm, xbar / norm[:, None]
+    return s.x, s.xbar, s.norm, s.mu_hat
 
 
 def _resid_mat(x: np.ndarray) -> np.ndarray:
@@ -69,7 +96,8 @@ def _estimate(mu_hat, kappa, ne=None, **diagnostics) -> VmfEstimate:
 
 
 def mean_direction(x) -> np.ndarray:
-    """The directional sample mean Xbar / |Xbar|, one row per slice."""
+    """The directional sample mean Xbar / |Xbar|, one row per slice of a
+    stack or a VmfSample."""
     return _resultant(x)[3]
 
 

@@ -3,13 +3,15 @@ about each parameter family, in one place.
 
 * ``SAMPLERS[family]`` draws ``(params, n, rngs)``: a (b, n, d) stack of
   samples for a sequence of b RngStates.
-* ``ESTIMATORS[family, code]`` fits a (b, n, d) stack; the codes are the
-  names that configs and ``fit --estimator`` use.  The fit holds one
-  entry per sample in each field, and its ``ne`` flags the samples
-  without an estimate.
+* ``ESTIMATORS[family, code]`` fits a (b, n, d) stack, or what
+  ``PREPARE`` makes of it; the codes are the names that configs and
+  ``fit --estimator`` use.  The fit holds one entry per sample in each
+  field, and its ``ne`` flags the samples without an estimate.
 * ``PREPARE[family]``, where a family has it, is the step that turns a
   stack into the object its estimators share, so that work common to
-  them (the Watson scatter eigendecomposition) runs once per block.
+  them (the vMF resultant, the Watson scatter eigendecomposition) runs
+  once per block.  A sample that a fit rejects (a zero vMF resultant)
+  still fails in that fit, so a failure names its estimator.
 * ``FAMILIES[family]`` says which estimators a study runs by default, how
   a fit is scored against the true parameters, which typed outcome a
   sample without an estimate raises, and which fields a fit report
@@ -48,7 +50,10 @@ SAMPLERS: dict[str, Callable] = {
     "fb": sampler.sample_fb,
 }
 
-PREPARE: dict[str, Callable] = {"watson": est_watson.prepare_sample}
+PREPARE: dict[str, Callable] = {
+    "vmf": est_vmf.prepare_sample,
+    "watson": est_watson.prepare_sample,
+}
 
 ESTIMATORS: dict[tuple[str, str], Callable] = {
     ("vmf", "st"): est_vmf.kappa_stein,

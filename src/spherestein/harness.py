@@ -2,10 +2,13 @@
 bias, MSE and non-existence frequencies per estimator.
 
 Replications run in blocks of a fixed memory size.  Each block draws its
-samples from independent RNG streams keyed by (seed, replication index)
-as one (b, n, d) stack, prepares it once where the family has a
-``PREPARE`` step, and fits every estimator once over the whole stack
-(every fit, Fisher-Bingham's too, is one computation over it).  The CSV
+samples from independent RNG streams keyed by (seed, replication index),
+whose generators the sampler sets up in one pass, as one (b, n, d) stack,
+prepares it once where the family has a ``PREPARE`` step (the vMF
+resultant, the Watson scatter eigendecomposition), and fits every
+estimator once over the whole stack (every fit, Fisher-Bingham's too, is
+one computation over it).  A sample that a fit rejects fails in that fit,
+never in the preparation, so the failure names its estimator.  The CSV
 has identical bytes for any block size and thread count.  NE semantics:
 a replication that a fit flags in its ``ne`` (Watson: neither
 branch eligible; Fisher-Bingham: a singular system; vMF ST2: a singular

@@ -32,6 +32,14 @@ eigenbasis: one product of zs*zs with the columns (1, lam, omega) gives
 adds mu'y = (E'mu)'zs/|z|, and y'Ay = y'quad y - (mu'y)^2/(2|mu|).  A zero
 proposal fails the test (NaN); only kept rows are normalised.  The test's
 last bits differ from the direct form on y; the samples' do not.
+
+Streams: a (seed, stream) pair keys the Philox generator of numpy's
+SeedSequence(entropy=seed, spawn_key=(stream,)), bit for bit.  Philox is
+counter-based (Salmon et al., SC'11), so its key is a pure function of
+the pair, and _generators derives the keys of all a sampler's streams at
+once: SeedSequence's mixing of the seed's words runs once per seed
+(cached), and only each stream's spawn words and the four output words
+are hashed, over the streams in numpy.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import linalg, models
 from .models import FisherBinghamParams, VmfParams, WatsonParams
@@ -54,6 +63,15 @@ _ACCEPT_FLOOR = 1e-6
 # envelopes kept per process; a study reuses one parameter set throughout
 _ENVELOPE_CACHE_SIZE = 32
 
+# numpy's SeedSequence (M. E. O'Neill's seed_seq_fe): a pool of 4 32-bit
+# words, hash multipliers for mixing in (A) and reading out (B), and the
+# multipliers of the pairwise mix
+_POOL = 4
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
 
 @dataclass(frozen=True)
 class RngState:
@@ -62,7 +80,7 @@ class RngState:
     Identical state yields an identical sample sequence on every platform;
     distinct streams are statistically independent, which is what the
     Monte Carlo harness uses for parallel replications.  Both keys must
-    be >= 0.
+    be ints or numpy integers >= 0 (stored as ints; a bool is not one).
     """
 
     seed: int
@@ -70,12 +88,102 @@ class RngState:
 
     def __post_init__(self):
         for key in ("seed", "stream"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < 0:
+                raise ValueError(f"{key} must be >= 0, got {value}")
+            object.__setattr__(self, key, int(value))
 
     def generator(self) -> np.random.Generator:
-        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
-        return np.random.Generator(np.random.Philox(seq))
+        return _generators([self])[0]
+
+
+def _words(value: int) -> list[int]:
+    # the 32-bit words of value >= 0, least significant first (one for 0)
+    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
+
+
+def _hashmix(value, const: int, mult: int):
+    # SeedSequence's hashmix of a word, or of an array of uint32 words, with
+    # the running hash constant; returns the hashed word and the next constant
+    value = value ^ const
+    const = const * mult & _MASK32
+    value = value * const & _MASK32
+    return value ^ value >> 16, const
+
+
+def _mix_in(pool: list, dst: int, word, const: int) -> int:
+    # SeedSequence's mix of the hashed word into pool[dst]; returns the
+    # next hash constant
+    hashed, const = _hashmix(word, const, _MULT_A)
+    mixed = (_MIX_L * pool[dst] - _MIX_R * hashed) & _MASK32
+    pool[dst] = mixed ^ mixed >> 16
+    return const
+
+
+def _absorb(pool: list, const: int, words) -> int:
+    # mix each entropy word beyond the pool's into every pool word, in order
+    for word in words:
+        for dst in range(_POOL):
+            const = _mix_in(pool, dst, word, const)
+    return const
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    # the pool and hash constant of SeedSequence(seed, spawn_key=...) once
+    # the seed's words (padded to the pool size) are mixed in: the state
+    # its spawn words start from
+    words = _words(seed)
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL]:
+        hashed, const = _hashmix(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                const = _mix_in(pool, dst, pool[src], const)
+    const = _absorb(pool, const, words[_POOL:])
+    return tuple(pool), const
+
+
+class _Key(ISeedSequence):
+    # a Philox key derived ahead of time: what SeedSequence.generate_state
+    # (2, uint64) returns, which is all that Philox asks of its seed
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def _generators(rngs) -> list[np.random.Generator]:
+    """The Philox generator of each RngState of the sequence ``rngs``,
+    bit for bit that of SeedSequence(entropy=seed, spawn_key=(stream,)).
+
+    Streams of one seed with the same number of 32-bit spawn words (one
+    below 2**32, two from there to 2**64) are keyed together in numpy.
+    """
+    rngs = list(rngs)
+    keys = np.empty((len(rngs), _POOL), dtype=np.uint32)
+    groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
+    for j, r in enumerate(rngs):
+        words = _words(r.stream)
+        idx, spawn = groups.setdefault((r.seed, len(words)), ([], []))
+        idx.append(j)
+        spawn.append(words)
+    for (seed, _), (idx, spawn) in groups.items():
+        pool, const = _seed_pool(seed)
+        pool = [np.full(len(idx), word, dtype=np.uint32) for word in pool]
+        _absorb(pool, const, np.array(spawn, dtype=np.uint32).T)
+        const = _INIT_B
+        for i in range(_POOL):
+            keys[idx, i], const = _hashmix(pool[i], const, _MULT_B)
+    # SeedSequence reads its words out as little-endian 64-bit pairs
+    keys = keys.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
 
 
 def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
@@ -97,7 +205,7 @@ def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
     Gaussians, as a (b, n, d) stack for a sequence of b RngStates."""
     if d < 2 or n < 1:
         raise ValueError("need d >= 2 and n >= 1")
-    gens = [r.generator() for r in rngs]
+    gens = _generators(rngs)
     return _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
 
 
@@ -171,7 +279,7 @@ def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
     if n < 1:
         raise ValueError("n must be >= 1")
     d = params.d
-    gens = [r.generator() for r in rngs]
+    gens = _generators(rngs)
     w = _vmf_radial(params.kappa, d, n, gens)
     v = np.empty((len(gens), n, d - 1))  # out= needs a contiguous stack, not y
     for g, vj in zip(gens, v):
@@ -286,7 +394,7 @@ def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
     if params.kappa == 0.0:
         return sample_uniform(d, n, rngs)
     a_mat = params.kappa * np.outer(params.mu, params.mu)
-    return _fb_acg_rejection(np.zeros(d), a_mat, n, [r.generator() for r in rngs])
+    return _fb_acg_rejection(np.zeros(d), a_mat, n, _generators(rngs))
 
 
 def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
@@ -295,4 +403,4 @@ def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
     stack for a sequence of b RngStates, as for sample_vmf."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _fb_acg_rejection(params.mu, params.A, n, [r.generator() for r in rngs])
+    return _fb_acg_rejection(params.mu, params.A, n, _generators(rngs))

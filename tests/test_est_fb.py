@@ -266,7 +266,8 @@ def test_stacked_statistics_equal_single_statistics_bitwise(d):
 
 @pytest.mark.parametrize("work_bytes", [1, 2**30])
 def test_statistics_equal_for_any_working_size(monkeypatch, work_bytes):
-    # by default a (6, 80, 10) stack is built in groups of two slices; one
+    # by default a (6, 80, 10) stack's blocks are assembled for five slices
+    # and then one, from moments built in groups of two slices and one; one
     # slice per group, or one group, gives the same six blocks
     stack = random_unit_rows(np.random.default_rng(310), 6 * 80, 10).reshape(6, 80, 10)
     expected = fb_statistics(stack)

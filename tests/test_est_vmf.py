@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,25 @@ def test_stacked_fit_equals_single_fits_bitwise(code, fit_fn, d, kappa, n):
         assert value.shape == (16,)
 
 
+@pytest.mark.parametrize("d, kappa, n", [(3, 2.0, 100), (10, 10.0, 40)])
+def test_prepared_fits_equal_raw_fits_bitwise(d, kappa, n):
+    # every fit on one prepared sample, in turn, as a simulation block runs
+    # them; none alters what the next one reads
+    stack = _vmf_stack(d, kappa, n, 12, seed=60 + d)
+    prepared = est_vmf.prepare_sample(stack)
+    assert est_vmf.prepare_sample(prepared) is prepared
+    for fit_fn in FITTERS:
+        raw, fit = fit_fn(stack), fit_fn(prepared)
+        np.testing.assert_array_equal(fit.kappa_hat, raw.kappa_hat)
+        np.testing.assert_array_equal(fit.mu_hat, raw.mu_hat)
+        np.testing.assert_array_equal(fit.ne, raw.ne)
+        for name, value in raw.diagnostics.items():
+            np.testing.assert_array_equal(fit.diagnostics[name], value)
+    np.testing.assert_array_equal(mean_direction(prepared), mean_direction(stack))
+    for name, value in vars(est_vmf.prepare_sample(stack)).items():
+        np.testing.assert_array_equal(getattr(prepared, name), value)
+
+
 def test_stein2_flags_singular_slices_of_a_stack():
     # all rows on the line through e1: S = e1 e1', so I - S is singular
     line = np.array([E3[0], E3[0], -E3[0], E3[0]])
@@ -249,10 +269,16 @@ def test_stack_input_validation():
         kappa_stein(np.ones((2, 5, 1)))
     stack = _vmf_stack(3, 2.0, 4, 3, seed=42)
     stack[2] = np.array([E3[0], -E3[0], E3[1], -E3[1]])
-    # one degenerate slice fails the whole stack, as it fails on its own
+    # one degenerate slice fails the whole stack, as it fails on its own;
+    # preparing it neither raises nor warns, and each fit still rejects it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prepared = est_vmf.prepare_sample(stack)
+    assert np.isnan(prepared.mu_hat[2]).all()
     for fit_fn in FITTERS:
-        with pytest.raises(DegenerateMean):
-            fit_fn(stack)
+        for x in (stack, prepared):
+            with pytest.raises(DegenerateMean):
+                fit_fn(x)
 
 
 def _resultant_grid():

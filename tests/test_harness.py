@@ -295,10 +295,10 @@ def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):
                              [sampler.RngState(8, stream=14)])[0]
     original = families.ESTIMATORS["vmf", "ml"]
 
-    def fails_on_third_block(x):
-        if np.array_equal(x[0], bad):
+    def fails_on_third_block(prepared):
+        if np.array_equal(prepared.x[0], bad):
             raise ValueError("bad block")
-        return original(x)
+        return original(prepared)
 
     monkeypatch.setitem(families.ESTIMATORS, ("vmf", "ml"), fails_on_third_block)
     with pytest.raises(RuntimeError) as info:
@@ -306,6 +306,27 @@ def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):
     message = str(info.value)
     assert "'ml'" in message and "replications 14-19" in message
     assert "seed 8" in message and "bad block" in message
+
+
+def test_degenerate_vmf_slice_fails_naming_its_block(monkeypatch):
+    # the prepared block carries a zero resultant to the fits, and the
+    # first of them fails with the block's replications
+    config = _vmf_config(reps=20, seed=8)
+    _set_block_size(monkeypatch, config, 7)
+    original = families.SAMPLERS["vmf"]
+
+    def degenerate_third_block(params, n, rngs):
+        stack = original(params, n, rngs)
+        if rngs[0].stream == 14:
+            stack[1, ::2], stack[1, 1::2] = np.eye(3)[0], -np.eye(3)[0]
+        return stack
+
+    monkeypatch.setitem(families.SAMPLERS, "vmf", degenerate_third_block)
+    with pytest.raises(RuntimeError) as info:
+        run_simulation(config)
+    message = str(info.value)
+    assert "'st'" in message and "replications 14-19" in message
+    assert "seed 8" in message and "resultant length is zero" in message
 
 
 def test_fb_errors_per_slice_equal_single_fit_errors():

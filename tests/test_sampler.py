@@ -37,6 +37,51 @@ def test_rng_state_reproducible():
     assert not np.array_equal(a, c)
 
 
+def _seed_sequence_raw(seed, stream):
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    return np.random.Philox(seq).random_raw(8)
+
+
+# multi-word seeds and streams: 2**130 + 7 has five words, more than the pool
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
+KEY_STREAMS = (0, 1, 199, 2**32 - 1, 2**32, 2**45 + 9)
+
+
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_block_keys_equal_seed_sequence(seed):
+    gens = sampler._generators([RngState(seed, stream) for stream in KEY_STREAMS])
+    for stream, g in zip(KEY_STREAMS, gens):
+        np.testing.assert_array_equal(g.bit_generator.random_raw(8),
+                                      _seed_sequence_raw(seed, stream))
+        np.testing.assert_array_equal(
+            RngState(seed, stream).generator().bit_generator.random_raw(8),
+            _seed_sequence_raw(seed, stream))
+
+
+def test_block_keys_of_mixed_word_counts_and_seeds():
+    # one- and two-word streams interleaved, over two seeds, in one call
+    rngs = [RngState(seed, stream) for stream in (5, 2**40, 7, 2**32, 2**33 + 1, 0)
+            for seed in (3, 2**70)]
+    for r, g in zip(rngs, sampler._generators(rngs)):
+        np.testing.assert_array_equal(g.bit_generator.random_raw(8),
+                                      _seed_sequence_raw(r.seed, r.stream))
+
+
+@pytest.mark.parametrize("key", ["seed", "stream"])
+@pytest.mark.parametrize("value", [1.5, True, np.float64(2.0), "3", None, -1])
+def test_rng_state_rejects_non_integer_or_negative_keys(key, value):
+    with pytest.raises(ValueError, match=key):
+        RngState(**{"seed": 0, key: value})
+
+
+def test_rng_state_stores_numpy_integers_as_int():
+    r = RngState(np.int64(7), stream=np.uint32(3))
+    assert type(r.seed) is int and type(r.stream) is int
+    assert r == RngState(7, 3) and hash(r) == hash(RngState(7, 3))
+    np.testing.assert_array_equal(r.generator().standard_normal(5),
+                                  RngState(7, 3).generator().standard_normal(5))
+
+
 def test_all_samplers_deterministic_and_unit():
     rng = [RngState(1)]
     draws = {
