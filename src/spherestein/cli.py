@@ -106,7 +106,7 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
 
 def cmd_fit(args) -> int:
     family = args.family
-    estimator = args.estimator or "st"
+    estimator = (args.estimator or "st").lower()  # case-blind, as in a config
     if (family, estimator) not in ESTIMATORS:
         return _fail(f"no estimator {estimator!r} for family {family!r}", 2)
     try:

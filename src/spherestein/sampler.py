@@ -37,9 +37,10 @@ Streams: a (seed, stream) pair keys the Philox generator of numpy's
 SeedSequence(entropy=seed, spawn_key=(stream,)), bit for bit.  Philox is
 counter-based (Salmon et al., SC'11), so its key is a pure function of
 the pair, and _generators derives the keys of all a sampler's streams at
-once: SeedSequence's mixing of the seed's words runs once per seed
-(cached), and only each stream's spawn words and the four output words
-are hashed, over the streams in numpy.
+once: the pool after the seed's words is numpy's own
+SeedSequence(seed).pool (built once per seed and call, not cached), and
+only each stream's spawn words and the four output words are hashed, in
+numpy over the streams and all four pool words at once.
 """
 
 from __future__ import annotations
@@ -104,49 +105,14 @@ def _words(value: int) -> list[int]:
     return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
 
 
-def _hashmix(value, const: int, mult: int):
-    # SeedSequence's hashmix of a word, or of an array of uint32 words, with
-    # the running hash constant; returns the hashed word and the next constant
-    value = value ^ const
-    const = const * mult & _MASK32
-    value = value * const & _MASK32
-    return value ^ value >> 16, const
-
-
-def _mix_in(pool: list, dst: int, word, const: int) -> int:
-    # SeedSequence's mix of the hashed word into pool[dst]; returns the
-    # next hash constant
-    hashed, const = _hashmix(word, const, _MULT_A)
-    mixed = (_MIX_L * pool[dst] - _MIX_R * hashed) & _MASK32
-    pool[dst] = mixed ^ mixed >> 16
-    return const
-
-
-def _absorb(pool: list, const: int, words) -> int:
-    # mix each entropy word beyond the pool's into every pool word, in order
-    for word in words:
-        for dst in range(_POOL):
-            const = _mix_in(pool, dst, word, const)
-    return const
-
-
-@functools.lru_cache(maxsize=64)
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
-    # the pool and hash constant of SeedSequence(seed, spawn_key=...) once
-    # the seed's words (padded to the pool size) are mixed in: the state
-    # its spawn words start from
-    words = _words(seed)
-    words += [0] * (_POOL - len(words))
-    pool, const = [], _INIT_A
-    for word in words[:_POOL]:
-        hashed, const = _hashmix(word, const, _MULT_A)
-        pool.append(hashed)
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                const = _mix_in(pool, dst, pool[src], const)
-    const = _absorb(pool, const, words[_POOL:])
-    return tuple(pool), const
+def _hash4(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
+    # SeedSequence's hashes first .. first+3 of the uint32 words values,
+    # broadcast to 4 rows, hash first+i on row i: hash k xors a word with
+    # init mult^k, multiplies it by init mult^(k+1) and xors in its shift by 16
+    const = np.array([init * pow(mult, first + i, 1 << 32) & _MASK32
+                      for i in range(_POOL + 1)], dtype=np.uint32)[:, None]
+    values = (values ^ const[:-1]) * const[1:]
+    return values ^ values >> 16
 
 
 class _Key(ISeedSequence):
@@ -160,13 +126,18 @@ class _Key(ISeedSequence):
 
 
 def _generators(rngs) -> list[np.random.Generator]:
-    """The Philox generator of each RngState of the sequence ``rngs``,
-    bit for bit that of SeedSequence(entropy=seed, spawn_key=(stream,)).
+    """The Philox generator of each RngState of the non-empty sequence
+    ``rngs``, bit for bit that of SeedSequence(entropy=seed, spawn_key=(stream,)).
 
-    Streams of one seed with the same number of 32-bit spawn words (one
-    below 2**32, two from there to 2**64) are keyed together in numpy.
+    The pool after the seed's words is SeedSequence(seed).pool, and the
+    seed's 4 max(words, 4) hashes set the hash constant there.  Streams of
+    one seed with the same number of 32-bit spawn words (one below 2**32,
+    two from there to 2**64) are keyed together: each spawn word is hashed
+    into all four pool words at once, as is the read-out.
     """
     rngs = list(rngs)
+    if not rngs:
+        raise ValueError("need at least one RngState")
     keys = np.empty((len(rngs), _POOL), dtype=np.uint32)
     groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
     for j, r in enumerate(rngs):
@@ -175,12 +146,13 @@ def _generators(rngs) -> list[np.random.Generator]:
         idx.append(j)
         spawn.append(words)
     for (seed, _), (idx, spawn) in groups.items():
-        pool, const = _seed_pool(seed)
-        pool = [np.full(len(idx), word, dtype=np.uint32) for word in pool]
-        _absorb(pool, const, np.array(spawn, dtype=np.uint32).T)
-        const = _INIT_B
-        for i in range(_POOL):
-            keys[idx, i], const = _hashmix(pool[i], const, _MULT_B)
+        pool = np.random.SeedSequence(seed).pool[:, None]
+        first = _POOL * max(len(_words(seed)), _POOL)
+        for word in np.array(spawn, dtype=np.uint32).T:
+            mixed = _MIX_L * pool - _MIX_R * _hash4(word, _INIT_A, _MULT_A, first)
+            pool = mixed ^ mixed >> 16
+            first += _POOL
+        keys[idx] = _hash4(pool, _INIT_B, _MULT_B, 0).T
     # SeedSequence reads its words out as little-endian 64-bit pairs
     keys = keys.astype("<u4").view("<u8").astype(np.uint64)
     return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
@@ -288,8 +260,10 @@ def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
     y[..., 0] = w
     np.multiply(np.sqrt(np.maximum(0.0, 1.0 - w * w))[..., None], _unit_rows(v, gens),
                 out=y[..., 1:])
-    # rows are rot.T @ y; a matmul per slice keeps each slice's bits
-    return _unit_rows(np.matmul(y, linalg.rotation_to_e1(params.mu)), gens)
+    # rows are rot.T @ y; a matmul per slice keeps each slice's bits.  They
+    # have norm 1 up to rounding, so none needs a redraw
+    x = np.matmul(y, linalg.rotation_to_e1(params.mu))
+    return np.divide(x, np.linalg.norm(x, axis=-1)[..., None], out=x)
 
 
 @functools.lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)

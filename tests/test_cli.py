@@ -309,6 +309,19 @@ def test_fit_unknown_estimator(tmp_path):
                      "--in", str(path)]) == 2
 
 
+def test_fit_estimator_code_is_case_blind(tmp_path, capsys):
+    # as a simulate config's "ST" is read as "st"
+    path = tmp_path / "x.csv"
+    path.write_text("1,0,0\n0.8,0.6,0\n0.8,0,0.6\n")
+    reports = []
+    for code in ("st", "ST", "St"):
+        assert cli.main(["fit", "--family", "vmf", "--estimator", code,
+                         "--in", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["estimator"] == "st"
+
+
 def test_fit_ne_reports_status(tmp_path, capsys):
     # the ST fit flags this sample NE; fit reports the per-branch kappas
     path = _write_rows(tmp_path / "x.csv", watson_st_ne_points())

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 import spherestein
-from spherestein import families
+from spherestein import families, sampler
 from spherestein.models import FisherBinghamParams, Params, VmfParams, WatsonParams
 from spherestein.sampler import RngState
 
@@ -173,3 +173,11 @@ def test_samplers_reject_a_bare_rng_state(family):
     assert sample(LAYOUT_PARAMS[family], 5, [RngState(0)]).shape == (1, 5, 3)
     with pytest.raises(TypeError):
         sample(LAYOUT_PARAMS[family], 5, RngState(0))
+    with pytest.raises(ValueError, match="at least one RngState"):
+        sample(LAYOUT_PARAMS[family], 5, [])
+
+
+def test_uniform_sampler_rejects_an_empty_stream_list():
+    assert sampler.sample_uniform(3, 5, [RngState(0)]).shape == (1, 5, 3)
+    with pytest.raises(ValueError, match="at least one RngState"):
+        sampler.sample_uniform(3, 5, [])

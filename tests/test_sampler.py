@@ -42,9 +42,10 @@ def _seed_sequence_raw(seed, stream):
     return np.random.Philox(seq).random_raw(8)
 
 
-# multi-word seeds and streams: 2**130 + 7 has five words, more than the pool
+# multi-word seeds and streams: 2**130 + 7 has five words, more than the
+# pool, and 2**64 + 5 three spawn words
 KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
-KEY_STREAMS = (0, 1, 199, 2**32 - 1, 2**32, 2**45 + 9)
+KEY_STREAMS = (0, 1, 199, 2**32 - 1, 2**32, 2**45 + 9, 2**64 + 5)
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
