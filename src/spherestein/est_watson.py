@@ -8,9 +8,10 @@ fits raise OverflowError where 1F1 is out of range (special).
 Branches: (+) takes the top eigenvector of the scatter matrix (bipolar
 data, kappa > 0), (-) the bottom eigenvector (girdle data, kappa < 0).
 A branch is eligible when the sign of its concentration estimate matches;
-if neither branch is eligible the estimate does not exist: the fit flags
-the sample in its ``ne``, the simulation harness books it as the NE event,
-and ``families.fit_one`` raises NotEligible for it.
+a NaN estimate, where the branch says nothing about kappa (ST: J vanishes;
+MLa: the axis has none or all of the mass), never is.  If neither branch
+is eligible the estimate does not exist: the fit flags the sample in its
+``ne``, the harness books it as NE, and ``fit_one`` raises NotEligible.
 
 Every fit takes a (b, n, d) stack of b samples or its WatsonSample.
 """
@@ -94,15 +95,13 @@ def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
                   mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # least-squares kappa = (J'J)^{-1} J'V on one axis per slice, and its
-    # residual norm.  A dot product per contiguous row rounds as 1-D @ and
-    # norm do; the fancy-indexed stacks of J and V are not contiguous
+    # least-squares kappa = (J'J)^{-1} J'V on one axis per slice (NaN where
+    # J vanishes), and its residual norm.  A dot product per contiguous row
+    # rounds as 1-D @ and norm do; the fancy-indexed stacks are not contiguous
     j_vec = np.ascontiguousarray(_j_statistic(x, mu))
     v_vec = np.ascontiguousarray(v_vec)
     gram = np.vecdot(j_vec, j_vec)
-    if np.any(gram <= 1e-14):
-        raise ValueError("zero Gram: J vanishes, kappa not estimable")
-    kappa = np.vecdot(j_vec, v_vec) / gram
+    kappa = np.vecdot(j_vec, v_vec) / np.where(gram > 1e-14, gram, np.nan)
     resid = j_vec * kappa[..., None] - v_vec
     return kappa, np.sqrt(np.vecdot(resid, resid))
 
@@ -164,7 +163,7 @@ def watson_mla_bounds(r, a: float = 0.5, c: float = 1.5) -> tuple:
 
 
 def _neg_log_likelihood(x: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
-    # per slice of a stack; inf where kappa is infinite
+    # per slice of a stack; inf where kappa is not finite
     n, d = x.shape[-2:]
     t = np.matmul(x, mu[..., None])[..., 0]
     finite = np.isfinite(kappa)
@@ -183,13 +182,11 @@ def _axis_mass(s: WatsonSample, branch: str):
 
 
 def _mla_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
-    # midpoint of the ML bounds at r = mu'S mu per slice, and its NLL; a
-    # wrong-signed infinite kappa makes a branch without mass on its axis
-    # ineligible
+    # midpoint of the ML bounds at r = mu'S mu per slice, and its NLL; NaN
+    # (NLL inf) where the axis has none or all of the mass
     mu, r, mass = _axis_mass(s, branch)
-    kappa = np.full(r.shape, math.inf if branch == "-" else -math.inf)
-    if np.any(mass):
-        kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], 0.5, 0.5 * s.x.shape[-1]))
+    kappa = np.full(r.shape, np.nan)
+    kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], 0.5, 0.5 * s.x.shape[-1]))
     return kappa, _neg_log_likelihood(s.x, mu, kappa)
 
 

@@ -107,8 +107,10 @@ def _vmf_outcome(fit) -> Exception:
 
 
 def _watson_outcome(fit) -> Exception:
-    return NotEligible(f"kappa^- = {fit.kappas['-'][0]:.4g} > 0 and "
-                       f"kappa^+ = {fit.kappas['+'][0]:.4g} < 0")
+    # each branch has a wrong-signed kappa, or none (NaN) at all
+    why = [f"kappa^{b} has no estimate" if np.isnan(k) else f"kappa^{b} = {k:.4g} {rel} 0"
+           for b, rel, k in (("-", ">", fit.kappas["-"][0]), ("+", "<", fit.kappas["+"][0]))]
+    return NotEligible(" and ".join(why))
 
 
 def _fb_outcome(fit) -> Exception:

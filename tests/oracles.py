@@ -4,7 +4,8 @@ Everything here is deliberately primitive: plain power series, explicit
 loops over matrix entries, textbook closed forms.  This is also where the
 reference code lives that the package itself never runs: the generic
 spherical Stein operator with its test-function objects, the exact
-densities, the vec/duplication/commutation machinery, and the closed-form
+densities, the closed-form score-matching fits of the exponential families
+on the sphere, the vec/duplication/commutation machinery, and the closed-form
 vMF moment blocks with their delta-method assembly of the asymptotic
 variance.  These paths never call the package's own evaluation routines,
 so agreement is evidence, not tautology.  The exceptions:
@@ -851,3 +852,43 @@ def delta_method_variance_vmf(params) -> float:
         + 2.0 * (p2 @ moments.cross_cov @ p1)
         + p2 @ moments.var_x @ p2
     )
+
+
+def score_matching_fit(x, jac, lap_s) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form score matching (Hyvarinen 2005; Mardia, Kent & Laha
+    2016) for a log density theta'T(x) on the sphere, from the rows x
+    (n x d), the Jacobians jac (n x p x d) of T at them and the
+    Laplace-Beltrami values lap_s (n x p) of its components.
+
+    The sphere gradient of theta'T is P J'theta with P = I - xx', so the
+    score-matching objective mean[|P J'theta|^2 / 2 + theta' Lap_S T] is
+    minimised by theta = -W^-1 mean[Lap_S T] with W = mean[(J P)(J P)'].
+    Returns (theta, W)."""
+    x = np.asarray(x, dtype=float)
+    jp = jac - np.einsum("npi,ni->np", jac, x)[:, :, None] * x[:, None, :]
+    w = np.einsum("npi,nqi->pq", jp, jp) / x.shape[0]
+    return -np.linalg.solve(w, lap_s.mean(axis=0)), w
+
+
+def fb_score_statistic(x) -> tuple[np.ndarray, np.ndarray]:
+    """The Jacobians (n x p x d) and Laplace-Beltrami values (n x p) of the
+    Fisher-Bingham statistic T(x) = (x'E_ij x per pair (i, j) of vech'(A),
+    then x), for which theta'T(x) = x'Ax + mu'x at theta = (vech'(A), mu).
+
+    E_ii = e_i e_i' and E_ij = e_i e_j' + e_j e_i' for i != j, so x'E_ij x
+    is x_i^2 or 2 x_i x_j.  On the unit sphere Lap_S f = Lap f - x'(Hess f)x
+    - (d-1) x'grad f, which is 2 tr E - 2d x'Ex for x'Ex and -(d-1) x_k
+    for x_k."""
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    pairs = lower_pairs(d)[:-1]
+    jac = np.zeros((n, len(pairs) + d, d))
+    lap_s = np.zeros((n, len(pairs) + d))
+    for k, (i, j) in enumerate(pairs):
+        e = np.zeros((d, d))
+        e[i, j] = e[j, i] = 1.0
+        jac[:, k] = 2.0 * x @ e
+        lap_s[:, k] = 2.0 * np.trace(e) - 2.0 * d * np.sum((x @ e) * x, axis=1)
+    jac[:, len(pairs):] = np.eye(d)
+    lap_s[:, len(pairs):] = -(d - 1.0) * x
+    return jac, lap_s

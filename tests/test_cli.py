@@ -246,6 +246,20 @@ def test_fit_rejects_off_sphere_rows(tmp_path):
     assert cli.main(["fit", "--family", "vmf", "--in", str(bad)]) == 2
 
 
+def test_fit_rejects_a_row_whose_norm_overflows(tmp_path, capsys):
+    # finite entries above about 1.3e154 square to inf: one error line,
+    # and no numpy overflow warning before it
+    bad = tmp_path / "huge.csv"
+    bad.write_text("1e200,1e200,0\n0,1,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["fit", "--family", "vmf", "--in", str(bad)]) == 2
+    assert not caught
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot read sample: row 0 has norm inf")
+
+
 def test_fit_renormalizes_slightly_off_rows(tmp_path, capsys):
     rows = np.array([[1.0 + 5e-4, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1e-4, 0.0]])
@@ -330,6 +344,27 @@ def test_fit_ne_reports_status(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "NE"
     assert report["detail"] == "kappa^- = 0.1005 > 0 and kappa^+ = -6.188 < 0"
+
+
+def test_fit_watson_st_on_two_rows_exits_0(tmp_path, capsys):
+    # the bottom axis is orthogonal to both rows and has no ST estimate;
+    # the top axis gives one
+    path = _write_rows(tmp_path / "x.csv", np.array([[1.0, 0.2, 0.0], [0.9, -0.3, 0.1]]))
+    assert cli.main(["fit", "--family", "watson", "--estimator", "st",
+                     "--in", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "ok" and report["branch"] == "+"
+    assert report["eligible_branches"] == ["+"] and math.isfinite(report["kappa"])
+
+
+def test_fit_watson_st_on_one_row_is_ne(tmp_path, capsys):
+    # one row: the top axis carries all of the mass and the bottom none
+    path = _write_rows(tmp_path / "x.csv", np.array([[0.0, 0.6, 0.8]]))
+    assert cli.main(["fit", "--family", "watson", "--estimator", "st",
+                     "--in", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "NE"
+    assert report["detail"] == "kappa^- has no estimate and kappa^+ has no estimate"
 
 
 def _write_rows(path, rows):

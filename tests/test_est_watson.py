@@ -410,11 +410,43 @@ def test_asymptotic_normality():
     assert abs(estimates.mean() - kappa0) <= 4 * se_mean
 
 
-def test_zero_gram_raises():
-    # all mass exactly on the axis makes J vanish
+def test_vanishing_j_gives_nan_branches_and_ne():
+    # all mass exactly on the (+) axis and none on the (-) axis makes J
+    # vanish on both: neither branch says anything about kappa, so ST has
+    # NaN on both and books the sample NE; so does MLa, whose axes carry all
+    # or none of the mass
     x = np.array([E3[0], E3[0], -E3[0]])
-    with pytest.raises(ValueError, match="zero Gram"):
-        _stein_kappa(x, "+")
+    for fit_fn in (watson_stein_fit, watson_mla_fit):
+        fit = fit_fn(x[None])
+        assert np.isnan(fit.kappas["+"][0]) and np.isnan(fit.kappas["-"][0])
+        assert fit.ne[0] and np.isnan(fit.kappa_hat[0]) and fit.branch[0] == ""
+        assert not (fit.eligible["+"][0] or fit.eligible["-"][0])
+        assert str(FAMILIES["watson"].outcome(fit)) == (
+            "kappa^- has no estimate and kappa^+ has no estimate")
+        with pytest.raises(NotEligible):
+            fit_one("watson", "st" if fit_fn is watson_stein_fit else "mla", x)
+
+
+@pytest.mark.parametrize("n", [20, 50])
+@pytest.mark.parametrize("kappa", [1e4, -1e4, 5.0])
+def test_fits_at_d50_are_finite_or_ne(n, kappa):
+    # n <= d: the bottom axis carries (almost) none of the mass, which used
+    # to make ST raise for the whole stack; every slice now has a finite
+    # kappa or is NE, and at n < d the (-) branch has no estimate
+    x = sample_watson(WatsonParams(np.eye(50)[0], kappa), n,
+                      [RngState(63, stream=k) for k in range(20)])
+    prepared = prepare_sample(x)
+    for fit_fn in (watson_stein_fit, watson_mla_fit):
+        fit = fit_fn(prepared)
+        assert np.isfinite(fit.kappa_hat[~fit.ne]).all()
+        assert np.isnan(fit.kappa_hat[fit.ne]).all()
+        if n < 50:
+            assert np.isnan(fit.kappas["-"]).all()
+        if kappa == 1e4:
+            assert (fit.branch == "+").all()
+    if kappa == 1e4:  # ST's (+) branch is on target
+        kappa_st = watson_stein_fit(prepared).kappa_hat
+        assert np.all((0.8e4 < kappa_st) & (kappa_st < 1.2e4))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 10])

@@ -108,6 +108,18 @@ def test_ne_bookkeeping(monkeypatch):
     assert np.isfinite(result.cells["st"]["kappa"].bias)
 
 
+def test_watson_study_with_fewer_rows_than_dimensions_runs():
+    # at n < d the bottom axis carries none of the mass: that branch has no
+    # estimate, and the study books the top branch instead of aborting
+    config = SimConfig(params=WatsonParams(np.eye(50)[0], 1e4), n=20, reps=40,
+                       estimators=("st", "mla"), seed=3)
+    result = run_simulation(config)
+    for est in ("st", "mla"):
+        cell = result.cells[est]["kappa"]
+        assert cell.ne == 0.0 and np.isfinite(cell.bias) and np.isfinite(cell.mse)
+    assert abs(result.cells["st"]["kappa"].bias) < 1e3
+
+
 def test_other_errors_abort(monkeypatch):
     def broken(x):
         raise RuntimeError("boom")

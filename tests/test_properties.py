@@ -51,8 +51,7 @@ samples = st.builds(
 
 def _outcome(fit_fn, x):
     # the fit of stack x, or the typed outcome it raises: ValueError for
-    # an axis without mass (ML) or a vanishing J (ST), and NotEligible for
-    # a flagged sample
+    # an axis without mass (ML only), and NotEligible for a flagged sample
     try:
         fit = fit_fn(x)
     except ValueError as exc:
@@ -73,7 +72,7 @@ def test_watson_fits_are_finite_or_typed_and_sign_invariant(case):
         plain, flipped = _outcome(fit_fn, x), _outcome(fit_fn, -x)
         if isinstance(plain, tuple):
             assert plain == flipped, code
-            assert code in ("ml", "st"), plain
+            assert code == "ml", plain
         else:
             np.testing.assert_equal(vars(plain), vars(flipped))
 
@@ -118,8 +117,9 @@ def test_watson_fits_are_rotation_equivariant(case, seed):
             assert type(plain) is tuple and plain[0] is turned[0], (code, plain, turned)
             continue
         for branch in ("+", "-"):
+            # NaN on a branch without an estimate, on both samples
             assert turned.kappas[branch][0] == pytest.approx(
-                plain.kappas[branch][0], rel=1e-9), (code, branch)
+                plain.kappas[branch][0], rel=1e-9, nan_ok=True), (code, branch)
         assert plain.ne[0] == turned.ne[0], code
         if plain.ne[0]:
             continue
