@@ -20,14 +20,16 @@ them for groups within models.WORK_BYTES of (q-1) q temporaries (the
 whole block at d = 3, one slice at a time at d = 50), and the solves run
 once.
 
-The third-moment tensor mean[x_i x_j x_k] is contracted from the pair
-products w = x_i x_j that the fourth moment needs anyway, as the
-two-operand einsum "bnk,bnp->bkp".  Numpy runs it as an axpy over the
-contiguous p = (i, j) axis, adding the n products (x_i x_j) x_k one at a
-time in order: the same bits as the three-operand einsum it replaced and
-as a plain loop over the points, at about an eighth of its time.  matmul,
-einsum with optimize=True, or the transposed operands "bpn,bkn->bpk" sum
-blockwise or in SIMD partial sums and change the last bits.
+The pair products w = x_i x_j are the einsum "bni,bnj->bnij" (the bits
+of a broadcast product, in half its time).  The third-moment tensor
+mean[x_i x_j x_k] is contracted from the w that the fourth moment needs
+anyway, as the two-operand einsum "bnk,bnp->bkp".  Numpy runs it as an
+axpy over the contiguous p = (i, j) axis, adding the n products
+(x_i x_j) x_k one at a time in order: the same bits as the three-operand
+einsum it replaced and as a plain loop over the points, at about an
+eighth of its time.  matmul, einsum with optimize=True, or the transposed
+operands "bpn,bkn->bpk" sum blockwise or in SIMD partial sums and change
+the last bits.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, ...]:
     b, n, d = x.shape
     xbar = x.mean(axis=1)
     scatter = np.matmul(x.swapaxes(1, 2), x) / n
-    w = (x[:, :, :, None] * x[:, :, None, :]).reshape(b, n, d * d)
+    w = np.einsum("bni,bnj->bnij", x, x).reshape(b, n, d * d)
     # an in-order axpy over the points along w's contiguous (i, j) axis,
     # so the bits of a plain loop (see the module docstring); matmul,
     # optimize=True and "bpn,bkn" operands round differently

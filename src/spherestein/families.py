@@ -131,7 +131,9 @@ def _watson_report(fit) -> dict:
     return {"mu": fit.mu_hat[0].tolist(), "kappa": float(fit.kappa_hat[0]),
             "branch": str(fit.branch[0]),
             "eligible_branches": [b for b, ok in fit.eligible.items() if ok[0]],
-            "residual_norms": {b: float(s[0]) for b, s in fit.residual_norms.items()},
+            # null for a branch without an estimate (ST's NaN, MLa's inf)
+            "residual_norms": {b: float(s[0]) if np.isfinite(s[0]) else None
+                               for b, s in fit.residual_norms.items()},
             "warnings": warnings}
 
 

@@ -30,7 +30,8 @@ proposal z = E zs, zs the normals over sqrt(omega), is tested in the
 eigenbasis: one product of zs*zs with the columns (1, lam, omega) gives
 |z|^2, |z|^2 y'quad y and |z|^2 y'Omega y for y = z/|z|; Fisher-Bingham
 adds mu'y = (E'mu)'zs/|z|, and y'Ay = y'quad y - (mu'y)^2/(2|mu|).  A zero
-proposal fails the test (NaN); only kept rows are normalised.  The test's
+proposal fails the test (NaN).  Only kept rows are rotated (one product
+per slice, zero-padded to _MIN_ROTATED rows) and normalised.  The test's
 last bits differ from the direct form on y; the samples' do not.
 
 Streams: a (seed, stream) pair keys the Philox generator of numpy's
@@ -63,6 +64,10 @@ _FLOOR_WINDOW = 250_000
 _ACCEPT_FLOOR = 1e-6
 # envelopes kept per process; a study reuses one parameter set throughout
 _ENVELOPE_CACHE_SIZE = 32
+# rows per slice (zero-padded) of a kept-row ACG rotation, so each row rounds
+# as in its batch's product: OpenBLAS uses other kernels for one row, or n rows
+# with d n <= 1200 from d = 32; 64 rows suffice to d = 96 (OpenBLAS 0.3.31)
+_MIN_ROTATED = 64
 
 # numpy's SeedSequence (M. E. O'Neill's seed_seq_fe): a pool of 4 32-bit
 # words, hash multipliers for mixing in (A) and reading out (B), and the
@@ -331,8 +336,8 @@ def _fb_acg_rejection(
         return min(max(m, _MIN_BATCH), _MAX_BATCH)
 
     def propose(gs: list[np.random.Generator], m: int):
-        # m proposals per stream: the rows z = E zs, not yet unit, and which
-        # are accepted, tested in the eigenbasis.  A zero row (probability
+        # m proposals per stream: the eigenbasis rows zs of z = E zs and
+        # which are accepted, tested in place.  A zero row (probability
         # <= 2^-104 at d >= 2) makes log_acc NaN, which fails the accept
         # test, so the rejection stays exact
         zs, u = np.empty((len(gs), m, d)), np.empty((len(gs), m))
@@ -340,17 +345,24 @@ def _fb_acg_rejection(
             g.standard_normal(out=zsj)
             g.random(out=uj)
         zs *= inv_sqrt_omega
-        norm2, z_quad_z, z_omega_z = np.moveaxis((zs * zs) @ weights, -1, 0)
-        log_target = z_quad_z / norm2
+        cols = (zs * zs) @ weights  # |z|^2, |z|^2 y'quad y, |z|^2 y'Omega y
+        norm2 = cols[..., 0]
+        log_acc = np.divide(cols[..., 1], norm2, out=cols[..., 1])
         if e_mu.any():
-            mu_y = (zs @ e_mu) / np.sqrt(norm2)
-            log_target += mu_y - mu_y2_weight * mu_y * mu_y
-        log_acc = log_target - log_bound + 0.5 * d * np.log(z_omega_z / norm2)
+            mu_y = zs @ e_mu
+            mu_y /= np.sqrt(norm2)
+            log_acc += mu_y - mu_y2_weight * mu_y * mu_y
+        log_acc -= log_bound
+        ratio = cols[..., 2] / norm2  # contiguous: log may round a view apart
+        log_acc += np.multiply(np.log(ratio, out=ratio), 0.5 * d, out=ratio)
         if np.any(log_acc > 1e-9):
             raise RuntimeError("rejection envelope bound violated")
-        return zs @ eigvecs.T, np.log(u) <= log_acc
+        return zs, np.log(u, out=u) <= log_acc
 
-    z = _rejection(gens, n, batch, propose, d)
+    zs = _rejection(gens, n, batch, propose, d)
+    if n < _MIN_ROTATED:
+        zs = np.concatenate([zs, np.zeros((len(zs), _MIN_ROTATED - n, d))], axis=1)
+    z = np.ascontiguousarray((zs @ eigvecs.T)[:, :n])
     return np.divide(z, np.linalg.norm(z, axis=-1)[..., None], out=z)
 
 

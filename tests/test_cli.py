@@ -367,6 +367,31 @@ def test_fit_watson_st_on_one_row_is_ne(tmp_path, capsys):
     assert report["detail"] == "kappa^- has no estimate and kappa^+ has no estimate"
 
 
+def _strict_json(text):
+    # json.loads accepts NaN and Infinity, which are not JSON tokens
+    def refuse(token):
+        raise ValueError(f"not a JSON token: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("estimator", ["st", "mla"])
+@pytest.mark.parametrize("rows", [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                                  [[1.0, 0.2, 0.0], [0.9, -0.3, 0.1]]])
+def test_fit_watson_two_row_reports_are_strict_json(tmp_path, capsys, estimator, rows):
+    # the bottom axis of a two-row sample has no estimate: its residual norm
+    # (ST's NaN, MLa's inf) is written as null
+    path = _write_rows(tmp_path / "x.csv", np.array(rows))
+    assert cli.main(["fit", "--family", "watson", "--estimator", estimator,
+                     "--in", path]) == 0
+    report = _strict_json(capsys.readouterr().out)
+    if report["status"] == "ok":
+        assert report["eligible_branches"] == ["+"]
+        assert report["residual_norms"]["-"] is None
+        assert math.isfinite(report["residual_norms"]["+"])
+    else:
+        assert estimator == "st" and report["status"] == "NE"
+
+
 def _write_rows(path, rows):
     np.savetxt(path, rows / np.linalg.norm(rows, axis=1, keepdims=True),
                delimiter=",", fmt="%.17g")

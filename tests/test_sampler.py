@@ -377,7 +377,9 @@ def test_eigenbasis_accept_step_equals_the_direct_one(monkeypatch, case):
         z, keep = proposers[0]([gen], 2000)
         assert np.all(np.isfinite(gen.log_acc)) and gen.log_acc.min() > -700
         assert np.all(keep[0] == accepted), (offset, int(keep.sum()))
-        np.testing.assert_array_equal(z[0], gen.z)
+        # propose returns the eigenbasis rows; the direct form rotated them
+        eigvecs = sampler._envelope(mu.tobytes(), a_mat.tobytes(), mu.size)[0]
+        np.testing.assert_array_equal(z[0] @ eigvecs.T, gen.z)
 
 
 def _watson_acceptance(d: int, kappa: float) -> float:
@@ -494,6 +496,29 @@ def test_acg_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
             np.testing.assert_array_equal(stack[k], expected)
             np.testing.assert_array_equal(fn(params, n, [rng])[0], expected)
     assert (short > 0) == (min_batch == 1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 20, 50])
+def test_kept_rows_rotate_as_in_the_whole_batch_product(monkeypatch, d):
+    # the ACG sampler rotates only each stream's n kept eigenbasis rows, one
+    # product per slice; every row must get the bits it had in the product
+    # over its whole batch of m proposals, at any n (a BLAS whose product
+    # rounds a row by the row count fails here, not only in the digests)
+    rng = np.random.default_rng(d)
+    mu, a_mat = rng.standard_normal(d), rng.standard_normal((d, d))
+    a_mat += a_mat.T
+    a_mat[-1, -1] = 0.0
+    eigvecs = sampler._envelope(mu.tobytes(), a_mat.tobytes(), d)[0]
+    for m in (256, 1000, 2613, 6500):
+        zs = rng.standard_normal((4, m, d)) * rng.uniform(0.2, 1.0, d)
+        whole = zs @ eigvecs.T
+        for n in (1, 2, 5, 17, 37, 255, 256, 1000, m):
+            rows = np.sort([rng.choice(m, min(n, m), replace=False) for _ in zs])[..., None]
+            kept = np.take_along_axis(zs, rows, axis=1)
+            monkeypatch.setattr(sampler, "_rejection", lambda *args: kept)
+            y = sampler._fb_acg_rejection(mu, a_mat, kept.shape[1], [None] * 4)
+            z = np.take_along_axis(whole, rows, axis=1)
+            np.testing.assert_array_equal(y, z / np.linalg.norm(z, axis=-1)[..., None])
 
 
 def test_watson_uniform_stack_equals_per_stream_samples():
