@@ -112,9 +112,10 @@ def kappa_stein(x) -> VmfEstimate:
     d = x.shape[2]
     resid_mat = _resid_mat(x)
     mu_resid = np.matmul(mu_hat[:, None, :], resid_mat)
+    # 1 - mu'S mu, as SM tests it: the denominator is of order its square
+    if np.any(np.vecdot(mu_resid[:, 0], mu_hat) <= 1e-15):
+        raise ValueError("degenerate sample: mu'S mu is 1")
     denom = np.vecdot(np.matmul(mu_resid, resid_mat)[:, 0], mu_hat)
-    if np.any(denom <= 1e-14):
-        raise ValueError("degenerate sample: denominator of the estimator is zero")
     kappa = (d - 1.0) * np.vecdot(mu_resid[:, 0], xbar) / denom
     if not np.all(kappa > 0.0):
         # numerator equals |Xbar| mu'(I-S)mu >= 0, so this cannot trigger

@@ -31,8 +31,9 @@ eigenbasis: one product of zs*zs with the columns (1, lam, omega) gives
 |z|^2, |z|^2 y'quad y and |z|^2 y'Omega y for y = z/|z|; Fisher-Bingham
 adds mu'y = (E'mu)'zs/|z|, and y'Ay = y'quad y - (mu'y)^2/(2|mu|).  A zero
 proposal fails the test (NaN).  Only kept rows are rotated (one product
-per slice, zero-padded to _MIN_ROTATED rows) and normalised.  The test's
-last bits differ from the direct form on y; the samples' do not.
+per slice) and normalised.  The test's last bits differ from the direct
+form on y; the samples' do not.  B = 0 (Watson kappa = 0) gives omega = 1,
+E = I and a log bound 0 up to rounding: an accept-all uniform envelope.
 
 Streams: a (seed, stream) pair keys the Philox generator of numpy's
 SeedSequence(entropy=seed, spawn_key=(stream,)), bit for bit.  Philox is
@@ -64,10 +65,6 @@ _FLOOR_WINDOW = 250_000
 _ACCEPT_FLOOR = 1e-6
 # envelopes kept per process; a study reuses one parameter set throughout
 _ENVELOPE_CACHE_SIZE = 32
-# rows per slice (zero-padded) of a kept-row ACG rotation, so each row rounds
-# as in its batch's product: OpenBLAS uses other kernels for one row, or n rows
-# with d n <= 1200 from d = 32; 64 rows suffice to d = 96 (OpenBLAS 0.3.31)
-_MIN_ROTATED = 64
 
 # numpy's SeedSequence (M. E. O'Neill's seed_seq_fe): a pool of 4 32-bit
 # words, hash multipliers for mixing in (A) and reading out (B), and the
@@ -293,20 +290,18 @@ def _envelope(mu_bytes: bytes, a_bytes: bytes, d: int):
     bmat_eigs = shift - eigvals  # B = shift I - quad: PSD with min eigenvalue 0
     # the ACG envelope (y'Omega y)^(-d/2) with Omega = I + 2B/b and, over
     # B's eigenvalues beta, sum 1/(b + 2 beta) = 1 dominates exp(-y'By) up to
-    # M = exp(-(d-b)/2) (d/b)^{d/2}; B = 0 is the uniform law itself
-    if np.all(bmat_eigs < 1e-14):
-        omega, log_m = np.ones(d), 0.0
-    else:
-        lo, hi = 1e-12, float(d)
-        for _ in range(200):  # bisection; the sum decreases in b
-            mid = 0.5 * (lo + hi)
-            if np.sum(1.0 / (mid + 2.0 * bmat_eigs)) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        b = 0.5 * (lo + hi)
-        omega = 1.0 + 2.0 * bmat_eigs / b
-        log_m = -0.5 * (d - b) + 0.5 * d * (math.log(d) - math.log(b))
+    # M = exp(-(d-b)/2) (d/b)^{d/2}; B = 0 gives b = d, Omega = I and M = 1
+    # up to rounding, an envelope that accepts every proposal
+    lo, hi = 1e-12, float(d)
+    for _ in range(200):  # bisection; the sum decreases in b
+        mid = 0.5 * (lo + hi)
+        if np.sum(1.0 / (mid + 2.0 * bmat_eigs)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    b = 0.5 * (lo + hi)
+    omega = 1.0 + 2.0 * bmat_eigs / b
+    log_m = -0.5 * (d - b) + 0.5 * d * (math.log(d) - math.log(b))
     inv_sqrt_omega = 1.0 / np.sqrt(omega)
     log_bound = log_linear_const + shift + log_m
     if not (np.all(np.isfinite(omega)) and math.isfinite(log_bound)):
@@ -359,28 +354,21 @@ def _fb_acg_rejection(
             raise RuntimeError("rejection envelope bound violated")
         return zs, np.log(u, out=u) <= log_acc
 
-    zs = _rejection(gens, n, batch, propose, d)
-    if n < _MIN_ROTATED:
-        zs = np.concatenate([zs, np.zeros((len(zs), _MIN_ROTATED - n, d))], axis=1)
-    z = np.ascontiguousarray((zs @ eigvecs.T)[:, :n])
+    z = _rejection(gens, n, batch, propose, d) @ eigvecs.T
     return np.divide(z, np.linalg.norm(z, axis=-1)[..., None], out=z)
 
 
 def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
     """n i.i.d. Watson(mu, kappa) points per stream, as a (b, n, d) stack
-    for a sequence of b RngStates, as for sample_vmf; kappa = 0 falls
-    back to uniform.
+    for a sequence of b RngStates, as for sample_vmf.
 
-    Bipolar (kappa > 0) and girdle (kappa < 0) regimes both use the ACG
-    envelope on the Bingham form A = kappa mu mu'.
+    Bipolar (kappa > 0), girdle (kappa < 0) and uniform (kappa = 0)
+    regimes all use the ACG envelope on the Bingham form A = kappa mu mu'.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = params.d
-    if params.kappa == 0.0:
-        return sample_uniform(d, n, rngs)
     a_mat = params.kappa * np.outer(params.mu, params.mu)
-    return _fb_acg_rejection(np.zeros(d), a_mat, n, _generators(rngs))
+    return _fb_acg_rejection(np.zeros(params.d), a_mat, n, _generators(rngs))
 
 
 def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:

@@ -19,10 +19,9 @@ so agreement is evidence, not tautology.  The exceptions:
 * mle_newton_scalar takes the Bessel ratio as an argument: it pins the
   vectorised Newton iteration, not the ratio;
 * acg_direct_accept and acg_sample_loop take their envelope from
-  sampler._envelope, and acg_sample_loop pads its kept rows to
-  sampler._MIN_ROTATED as the sampler does: they pin the stacked
-  rejection loop and its eigenbasis accept step, which they write in the
-  direct form on unit rows, not the envelope.
+  sampler._envelope: they pin the stacked rejection loop and its
+  eigenbasis accept step, which they write in the direct form on unit
+  rows, not the envelope.
 """
 
 import math
@@ -35,7 +34,7 @@ from scipy import special as _sp
 from spherestein.est_fb import FbSteinStatistics
 from spherestein.linalg import rotation_to_e1
 from spherestein.models import watson_log_normalizer
-from spherestein.sampler import _MIN_ROTATED, _envelope
+from spherestein.sampler import _envelope
 
 _UNIT_TOL = 1e-8
 
@@ -673,14 +672,13 @@ def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
     rejection sampler makes them, written as a loop over the stream alone:
     batches of about 1.3 (n - have) / rate + 32 (at least min_batch)
     normal and uniform draws, accepted one batch at a time by the direct
-    test of acg_direct_accept until n are accepted; the n kept rows,
-    zero-padded to sampler._MIN_ROTATED, are then projected through the
-    envelope as one product and normalised.  Returns the sample and the
-    number of batches drawn."""
+    test of acg_direct_accept until n are accepted; the n kept rows are
+    then projected through the envelope as one product and normalised.
+    Returns the sample and the number of batches drawn."""
     d = mu.size
     eigvecs, inv_sqrt_omega = _envelope(mu.tobytes(), a_mat.tobytes(), d)[:2]
     g = rng.generator()
-    out = np.zeros((max(n, _MIN_ROTATED), d))
+    out = np.empty((n, d))
     have = proposed = accepted = batches = 0
     while have < n:
         rate = accepted / proposed if proposed else 1.0
@@ -695,7 +693,7 @@ def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
         take = min(taken.shape[0], n - have)
         out[have : have + take] = taken[:take]
         have += take
-    z = (out @ eigvecs.T)[:n]
+    z = out @ eigvecs.T
     return z / np.linalg.norm(z, axis=1)[:, None], batches
 
 

@@ -414,6 +414,15 @@ def test_fit_vmf_ml_at_extreme_concentration(tmp_path, capsys):
     assert report["kappa"] == pytest.approx(1.0 / (1.0 - r), rel=1e-6)
 
 
+@pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]])
+def test_fit_vmf_st_on_a_point_mass_exits_2(tmp_path, capsys, row):
+    # every row the same point: 1 - mu'S mu is 0 up to rounding
+    path = _write_rows(tmp_path / "point.csv", np.tile(row, (50, 1)))
+    assert cli.main(["fit", "--family", "vmf", "--estimator", "st",
+                     "--in", path]) == 2
+    assert "degenerate sample" in capsys.readouterr().err
+
+
 def _tight_bipolar_rows(d, noise):
     # 300 rows within about `noise` of +-e_d, each sign with probability 1/2
     rng = np.random.default_rng(6)

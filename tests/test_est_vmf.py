@@ -262,6 +262,15 @@ def test_stein2_flags_singular_slices_of_a_stack():
         fit_one("vmf", "st2", line)
 
 
+def test_kappa_stein_at_extreme_concentration():
+    # at kappa = 1e8 the ST denominator, of order (1 - mu'S mu)^2, is far
+    # below 1e-14; only 1 - mu'S mu <= 1e-15 marks a degenerate sample
+    x = sample_vmf(VmfParams(E3[2], 1e8), 200, [RngState(1)])
+    kappa = kappa_stein(x).kappa_hat[0]
+    assert np.isfinite(kappa)
+    assert kappa == pytest.approx(kappa_score_matching(x).kappa_hat[0], rel=1e-6)
+
+
 def test_stack_input_validation():
     with pytest.raises(ValueError):
         kappa_stein(np.zeros((0, 5, 3)))
