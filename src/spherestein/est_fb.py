@@ -104,13 +104,8 @@ def fb_statistics(x) -> FbSteinStatistics:
     for lo in range(0, b, step):
         part = x[lo : lo + step]
         moments = [_moments(part[k : k + pairs]) for k in range(0, len(part), pairs)]
-        groups.append(_assemble(*map(_joined, zip(*moments))))
-    return FbSteinStatistics(*map(_joined, zip(*groups)))
-
-
-def _joined(parts: tuple[np.ndarray, ...]) -> np.ndarray:
-    # the stacks of parts along their slice axis; one part is not copied
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        groups.append(_assemble(*map(np.concatenate, zip(*moments))))
+    return FbSteinStatistics(*map(np.concatenate, zip(*groups)))
 
 
 def _moments(x: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -154,8 +154,8 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
     x, _, r, mu_hat = _resultant(x)
-    if np.any(r >= 1.0):
-        raise ValueError("resultant length >= 1: all points identical")
+    if np.any(r >= 1.0 - 1e-15):
+        raise ValueError("resultant length rounds to 1: all points identical")
     kappa, iterations = _mle_from_resultant(x.shape[2], r)
     return _estimate(mu_hat, kappa, resultant_length=r, iterations=iterations)
 

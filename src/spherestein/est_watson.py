@@ -1,17 +1,17 @@
 """Watson-family estimation: eigenvector axis, the least-squares
-moment-type concentration estimate with its +/- branch selection rule,
-the midpoint-of-likelihood-bounds estimator (MLa), and a maximum
-likelihood baseline for one Watson component, solved for every slice at
-once by the Newton root finder it shares with vMF ML.  The likelihood
-fits raise OverflowError where 1F1 is out of range (special).
+moment-type concentration estimate, the midpoint-of-likelihood-bounds
+estimator (MLa) and a one-component maximum likelihood baseline, solved
+for every slice at once by the Newton root finder it shares with vMF ML.
+The likelihood fits raise OverflowError where 1F1 is out of range (special).
 
 Branches: (+) takes the top eigenvector of the scatter matrix (bipolar
 data, kappa > 0), (-) the bottom eigenvector (girdle data, kappa < 0).
-A branch is eligible when the sign of its concentration estimate matches;
-a NaN estimate, where the branch says nothing about kappa (ST: J vanishes;
-MLa: the axis has none or all of the mass), never is.  If neither branch
-is eligible the estimate does not exist: the fit flags the sample in its
-``ne``, the harness books it as NE, and ``fit_one`` raises NotEligible.
+All three fits call a branch eligible when the sign of its concentration
+estimate matches; a NaN estimate, where the branch says nothing about
+kappa (ST: J vanishes; MLa: its axis, ML: either axis has none or all of
+the mass), never is.  If neither branch is eligible the estimate does not
+exist: the fit flags the sample in its ``ne``, the harness books it as
+NE, and ``fit_one`` raises NotEligible.
 
 Every fit takes a (b, n, d) stack of b samples or its WatsonSample.
 """
@@ -41,7 +41,7 @@ class WatsonEstimate:
     array of ``kappas``, ``residual_norms`` (the scores that order the
     branches) and ``eligible``, holds one entry per sample.  ``ne`` flags
     the samples where neither branch is eligible (NaN estimates, branch
-    ""), ``near_uniform`` a sign-rule pick with both branches eligible and
+    ""), ``near_uniform`` a pick with both branches eligible and
     |kappa| < 1e-6, whose axis is weakly identified.
     """
 
@@ -106,25 +106,20 @@ def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
     return kappa, np.sqrt(np.vecdot(resid, resid))
 
 
-def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple],
-                 by_sign: bool = True) -> WatsonEstimate:
+def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple]) -> WatsonEstimate:
     """Select a branch from its (kappa, score) pairs and wrap the estimate.
 
     axes[branch] holds one axis per slice of a stack (b x d), and
-    fits[branch] holds (kappa, score) per slice.  by_sign (ST, MLa) makes
-    a branch eligible when its kappa has its sign (kappa^+ >= 0,
-    kappa^- <= 0) and flags a near-uniform pick; ML has both eligible.
-    The smaller score (residual norm for ST, negative log-likelihood
-    otherwise) wins; an exact tie goes to (+), a NaN loses.
+    fits[branch] holds (kappa, score) per slice.  A branch is eligible
+    when its kappa has its sign (kappa^+ >= 0, kappa^- <= 0; never NaN),
+    so its score (ST's residual norm, MLa's and ML's NLL) is finite.  The
+    smaller score wins, an exact tie goes to (+), and a pick with both
+    branches eligible and |kappa| < 1e-6 is flagged near-uniform.
     """
     (kappa_p, score_p), (kappa_m, score_m) = fits["+"], fits["-"]
-    if by_sign:
-        ok_p, ok_m = kappa_p >= 0, kappa_m <= 0
-    else:
-        ok_p = ok_m = np.ones(kappa_p.shape, dtype=bool)
+    ok_p, ok_m = kappa_p >= 0, kappa_m <= 0
     ne = ~(ok_p | ok_m)
-    minus_wins = (np.isnan(score_p) & ~np.isnan(score_m)) | (score_m < score_p)
-    minus = ok_m & (~ok_p | minus_wins)
+    minus = ok_m & (~ok_p | (score_m < score_p))
     kappa = np.where(ne, np.nan, np.where(minus, kappa_m, kappa_p))
     return WatsonEstimate(
         mu_hat=np.where(ne[:, None], np.nan,
@@ -133,7 +128,7 @@ def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple],
         kappas={"+": kappa_p, "-": kappa_m},
         residual_norms={"+": score_p, "-": score_m},
         eligible={"+": ok_p, "-": ok_m},
-        near_uniform=by_sign & ok_p & ok_m & (np.abs(kappa) < 1e-6), ne=ne)
+        near_uniform=ok_p & ok_m & (np.abs(kappa) < 1e-6), ne=ne)
 
 
 def watson_stein_fit(x) -> WatsonEstimate:
@@ -197,16 +192,14 @@ def watson_mla_fit(x) -> WatsonEstimate:
     return _pick_branch(s.axes, {b: _mla_branch(s, b) for b in s.axes})
 
 
-def _mle_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
-    # the ML concentration per slice, and its NLL: the root of E[t] = r, with
-    # E[t] = (1/d) 1F1(3/2; d/2+1; kappa) / 1F1(1/2; d/2; kappa) and
-    # derivative Var[t], from the midpoint of the padded MLa bounds
-    # (exactly 0 at r = 1/d), to |E[t] - r| <= 1e-14 min(r, 1 - r)
-    mu, r, mass = _axis_mass(s, branch)
-    if not np.all(mass):
-        raise ValueError(f"r = mu'S mu = {r[~mass][0]:.3g}: the axis carries "
-                         "none or all of the mass")
+def _mle_branch(s: WatsonSample, mu, r, ok) -> tuple[np.ndarray, np.ndarray]:
+    # the ML concentration on axes mu per slice, and its NLL: on the slices
+    # ok, the root of E[t] = r, with E[t] = (1/d) 1F1(3/2; d/2+1; kappa) /
+    # 1F1(1/2; d/2; kappa) and derivative Var[t], from the midpoint of the
+    # padded MLa bounds (exactly 0 at r = 1/d), to |E[t] - r| <= 1e-14
+    # min(r, 1 - r); NaN (NLL inf) on the others
     b = 0.5 * s.x.shape[-1]
+    kappa, r = np.full(r.shape, np.nan), r[ok]
 
     def link(kappa):
         mean = special.kummer_moment(1, 0.5, b, kappa)
@@ -220,14 +213,17 @@ def _mle_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
         while grow.any():
             end[grow] -= sign * (1.0 + 0.5 * np.abs(end[grow]))
             grow[grow] = sign * (link(end[grow])[0] - r[grow]) > 0
-    kappa = special.newton_root(link, r, 0.5 * (lo + hi), lo, hi,
-                                1e-14 * np.minimum(r, 1.0 - r))[0]
+    kappa[ok] = special.newton_root(link, r, 0.5 * (lo + hi), lo, hi,
+                                    1e-14 * np.minimum(r, 1.0 - r))[0]
     return kappa, _neg_log_likelihood(s.x, mu, kappa)
 
 
 def watson_mle_fit(x) -> WatsonEstimate:
-    """Joint one-component MLE: both branch MLEs, pick the higher
-    likelihood.  Never flags a sample NE (the likelihood always orders
-    the branches)."""
+    """Joint one-component MLE: both branch MLEs, with the eligibility
+    rule and likelihood tie-breaking of MLa.  A slice where either axis
+    has none or all of the mass has no MLE (the likelihood grows without
+    bound as kappa runs to -inf or +inf) and is flagged NE."""
     s = prepare_sample(x)
-    return _pick_branch(s.axes, {b: _mle_branch(s, b) for b in s.axes}, by_sign=False)
+    mass = {b: _axis_mass(s, b) for b in s.axes}
+    ok = mass["+"][2] & mass["-"][2]
+    return _pick_branch(s.axes, {b: _mle_branch(s, *mass[b][:2], ok) for b in s.axes})

@@ -167,7 +167,7 @@ def fit_one(family: str, code: str, x) -> dict:
     prints (its fields and its "warnings" list).
 
     A sample without an estimate raises the family's typed outcome:
-    NotEligible (Watson ST and MLa) or SingularSystem (vMF ST2, FB).
+    NotEligible (Watson) or SingularSystem (vMF ST2, FB).
     """
     fit = ESTIMATORS[family, code](np.asarray(x)[None])
     fam = FAMILIES[family]

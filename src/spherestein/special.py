@@ -142,6 +142,8 @@ def newton_root(link, target: np.ndarray, x0: np.ndarray, lo: np.ndarray,
     entry is within 100 tol after 200 steps."""
     x = np.array(x0, dtype=float)
     iterations = np.full(target.shape, 200)
+    if not target.size:
+        return x, iterations
     # per unfinished entry: its index, target, tolerance and bracket, and
     # whether an iterate has fallen below (under) or above (over) the target
     todo, tol = np.arange(target.size), np.broadcast_to(tol, target.shape)

@@ -10,7 +10,6 @@ from spherestein.est_fb import v_statistic
 from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
-    _mle_branch,
     _pick_branch,
     _stein_branch,
     prepare_sample,
@@ -59,7 +58,7 @@ def _stein_kappa(x, branch):
 
 def _mle_kappa(x, branch):
     # the ML concentration of one branch
-    return float(_mle_branch(prepare_sample(x[None]), branch)[0][0])
+    return float(watson_mle_fit(x[None]).kappas[branch][0])
 
 
 def test_axis_examples():
@@ -164,11 +163,11 @@ def test_stein_consistency_bipolar():
     assert abs(np.array(fit["mu"]) @ mu) > 0.999
 
 
-def _pick(kappa_minus, kappa_plus, score_minus, score_plus, by_sign=True):
+def _pick(kappa_minus, kappa_plus, score_minus, score_plus):
     # the rule on a stack of one sample with axes e1 (+) and e3 (-)
     fits = {"+": (np.array([kappa_plus]), np.array([score_plus])),
             "-": (np.array([kappa_minus]), np.array([score_minus]))}
-    return _pick_branch({"+": E3[[0]], "-": E3[[2]]}, fits, by_sign)
+    return _pick_branch({"+": E3[[0]], "-": E3[[2]]}, fits)
 
 
 def _branch(fit):
@@ -197,24 +196,37 @@ def test_selection_rule_cases():
     assert report["warnings"] == ["near-uniform: |kappa| < 1e-6, axis weakly identified"]
 
 
-def test_selection_rule_without_signs():
-    # ML: both branches eligible whatever the signs of their kappas
-    report = FAMILIES["watson"].report(_pick(3.0, -2.0, 0.5, 0.2, by_sign=False))
-    assert report["eligible_branches"] == ["+", "-"] and report["branch"] == "+"
-    assert _branch(_pick(3.0, -2.0, 0.2, 0.5, by_sign=False)) == "-"
-    assert _branch(_pick(3.0, -2.0, 0.4, 0.4, by_sign=False)) == "+"  # exact tie
-    assert _branch(_pick(3.0, -2.0, math.nan, 0.4, by_sign=False)) == "+"
-    assert _branch(_pick(3.0, -2.0, 0.4, math.nan, by_sign=False)) == "-"
-    assert not _pick(0.0, 1e-9, 1.0, 1.0, by_sign=False).near_uniform[0]
-
-
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_mle_fit_rejects_axis_without_mass(n):
+def test_mle_fit_books_axis_without_mass_as_ne(n):
     # n < d: the bottom eigenvector carries r ~ 1e-18 of the mass, where
-    # the likelihood root would lie near kappa = -1/r
+    # the likelihood grows without bound as kappa runs to -inf, so neither
+    # branch has an ML estimate
     x = sample_watson(WatsonParams(np.eye(10)[0], 5.0), n, [RngState(70 + n)])
-    with pytest.raises(ValueError, match="none or all of the mass"):
-        watson_mle_fit(x)
+    fit = watson_mle_fit(x)
+    assert fit.ne[0] and fit.branch[0] == ""
+    assert np.isnan(fit.kappas["+"][0]) and np.isnan(fit.kappas["-"][0])
+    assert str(FAMILIES["watson"].outcome(fit)) == (
+        "kappa^- has no estimate and kappa^+ has no estimate")
+
+
+def test_mle_fit_books_only_the_degenerate_slices():
+    # a point mass (every axis carries none or all of the mass) and an
+    # antipodal pair among real samples: those two slices are NE, and every
+    # other slice has the bits of its fit alone
+    x = sample_watson(WatsonParams(np.ones(3) / math.sqrt(3), 5.0), 30,
+                      [RngState(71, stream=k) for k in range(4)])
+    x[1] = E3[1]
+    x[3, ::2], x[3, 1::2] = E3[0], -E3[0]
+    fit = watson_mle_fit(x)
+    np.testing.assert_array_equal(fit.ne, [False, True, False, True])
+    for k in (0, 2):
+        alone = watson_mle_fit(x[[k]])
+        for field in ("kappa_hat", "mu_hat", "branch", "near_uniform"):
+            np.testing.assert_array_equal(getattr(fit, field)[k],
+                                          getattr(alone, field)[0])
+        for branch in ("+", "-"):
+            assert fit.kappas[branch][k] == alone.kappas[branch][0]
+            assert fit.residual_norms[branch][k] == alone.residual_norms[branch][0]
 
 
 def test_mla_bounds_examples():
@@ -345,7 +357,7 @@ def test_mle_root_against_mpmath(d):
                           [RngState(58, stream=k) for k in range(3)])
         s = prepare_sample(x)
         branch = "+" if kappa > 0 else "-"
-        fitted = _mle_branch(s, branch)[0]
+        fitted = watson_mle_fit(s).kappas[branch]
         axes = s.axes[branch]
         for k, mu in enumerate(axes):
             r = float(mu @ s.scatter[k] @ mu)
@@ -355,6 +367,8 @@ def test_mle_root_against_mpmath(d):
 def test_mle_zero_at_isotropic_r():
     x = np.vstack([E3])  # scatter = I/3 exactly, r = 1/d on every branch
     assert _mle_kappa(x, "+") == 0.0
+    # both branches eligible at kappa = 0: flagged as for ST and MLa
+    assert watson_mle_fit(x[None]).near_uniform[0]
 
 
 def test_mle_bracketing_random_samples():

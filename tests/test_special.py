@@ -319,6 +319,15 @@ def test_newton_root_closes_the_bracket_below_the_link_resolution():
     assert iterations[0] < 200
 
 
+def test_newton_root_returns_an_empty_target_at_once():
+    def link(x):
+        raise AssertionError("link called on an empty target")
+
+    root, iterations = special.newton_root(link, np.zeros(0), np.zeros(0),
+                                           np.zeros(0), np.zeros(0), 1e-12)
+    assert root.shape == iterations.shape == (0,)
+
+
 def test_newton_root_nan_link_does_not_converge():
     with pytest.raises(RuntimeError, match="did not converge"):
         special.newton_root(lambda x: (np.full_like(x, np.nan), np.ones_like(x)),
