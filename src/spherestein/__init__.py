@@ -21,7 +21,6 @@ from .est_vmf import (
     kappa_score_matching,
     kappa_stein,
     kappa_stein2,
-    mean_direction,
     stein_asymptotic_variance_vmf,
 )
 from .est_watson import (
@@ -35,7 +34,7 @@ from .families import fit_one
 from .harness import SimConfig, SimResult, run_simulation
 from .linalg import SingularSystem
 from .models import FisherBinghamParams, VmfParams, WatsonParams
-from .sampler import RngState, sample_fb, sample_uniform, sample_vmf, sample_watson
+from .sampler import RngState, sample_fb, sample_vmf, sample_watson
 
 __version__ = "0.1.0"
 
@@ -61,10 +60,8 @@ __all__ = [
     "kappa_score_matching",
     "kappa_stein",
     "kappa_stein2",
-    "mean_direction",
     "run_simulation",
     "sample_fb",
-    "sample_uniform",
     "sample_vmf",
     "sample_watson",
     "stein_asymptotic_variance_vmf",

@@ -1,10 +1,11 @@
 """Concentration estimators for the von Mises-Fisher family.
 
 Four estimators of kappa, each paired with the directional sample mean
-for mu: the moment-type estimator built from the spherical Stein identity
-with f(x) = x (ST), the variant that solves for mu' = kappa mu first
-(ST2), the maximum likelihood estimator (ML), and the score-matching
-estimator (SM).  All four are invariant under rotations of the sample.
+Xbar / |Xbar| for mu (every fit's ``mu_hat``, from ``prepare_sample``):
+the moment-type estimator built from the spherical Stein identity with
+f(x) = x (ST), the variant that solves for mu' = kappa mu first (ST2),
+the maximum likelihood estimator (ML), and the score-matching estimator
+(SM).  All four are invariant under rotations of the sample.
 
 Each estimator takes a (b, n, d) stack of b samples or its VmfSample,
 which a simulation study prepares and fits in one call each; slice k of
@@ -93,12 +94,6 @@ def _estimate(mu_hat, kappa, ne=None, **diagnostics) -> VmfEstimate:
     if ne is None:
         ne = np.zeros(kappa.shape, dtype=bool)
     return VmfEstimate(mu_hat, kappa, diagnostics, ne)
-
-
-def mean_direction(x) -> np.ndarray:
-    """The directional sample mean Xbar / |Xbar|, one row per slice of a
-    stack or a VmfSample."""
-    return _resultant(x)[3]
 
 
 def kappa_stein(x) -> VmfEstimate:

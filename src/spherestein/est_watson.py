@@ -2,7 +2,8 @@
 moment-type concentration estimate, the midpoint-of-likelihood-bounds
 estimator (MLa) and a one-component maximum likelihood baseline, solved
 for every slice at once by the Newton root finder it shares with vMF ML.
-The likelihood fits raise OverflowError where 1F1 is out of range (special).
+MLa and ML see a sample only through the mass r = mu'S mu on each axis;
+they raise OverflowError where 1F1 is out of range (special).
 
 Branches: (+) takes the top eigenvector of the scatter matrix (bipolar
 data, kappa > 0), (-) the bottom eigenvector (girdle data, kappa < 0).
@@ -53,6 +54,7 @@ class WatsonEstimate:
     eligible: dict[str, np.ndarray]
     near_uniform: np.ndarray
     ne: np.ndarray
+    no_estimate: str  # why this fit gives a branch a NaN kappa
 
 
 @dataclass
@@ -106,7 +108,8 @@ def _stein_branch(x: np.ndarray, v_vec: np.ndarray,
     return kappa, np.sqrt(np.vecdot(resid, resid))
 
 
-def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple]) -> WatsonEstimate:
+def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple],
+                 no_estimate: str) -> WatsonEstimate:
     """Select a branch from its (kappa, score) pairs and wrap the estimate.
 
     axes[branch] holds one axis per slice of a stack (b x d), and
@@ -128,7 +131,8 @@ def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple]) -> WatsonE
         kappas={"+": kappa_p, "-": kappa_m},
         residual_norms={"+": score_p, "-": score_m},
         eligible={"+": ok_p, "-": ok_m},
-        near_uniform=ok_p & ok_m & (np.abs(kappa) < 1e-6), ne=ne)
+        near_uniform=ok_p & ok_m & (np.abs(kappa) < 1e-6), ne=ne,
+        no_estimate=no_estimate)
 
 
 def watson_stein_fit(x) -> WatsonEstimate:
@@ -136,7 +140,7 @@ def watson_stein_fit(x) -> WatsonEstimate:
     s = prepare_sample(x)
     v_vec = v_statistic(s.scatter)
     fits = {b: _stein_branch(s.x, v_vec, mu) for b, mu in s.axes.items()}
-    return _pick_branch(s.axes, fits)
+    return _pick_branch(s.axes, fits, "J vanishes on the axis")
 
 
 def watson_mla_bounds(r, a: float = 0.5, c: float = 1.5) -> tuple:
@@ -157,65 +161,60 @@ def watson_mla_bounds(r, a: float = 0.5, c: float = 1.5) -> tuple:
     return (float(lower), float(upper)) if r_arr.ndim == 0 else (lower, upper)
 
 
-def _neg_log_likelihood(x: np.ndarray, mu: np.ndarray, kappa) -> np.ndarray:
-    # per slice of a stack; inf where kappa is not finite
-    n, d = x.shape[-2:]
-    t = np.matmul(x, mu[..., None])[..., 0]
+def _neg_log_likelihood(n: int, d: int, r: np.ndarray, kappa) -> np.ndarray:
+    # -n (log c_d(kappa) + kappa r) per slice; inf where kappa is not finite
     finite = np.isfinite(kappa)
     kappa = np.where(finite, kappa, 0.0)
-    nll = -(n * watson_log_normalizer(d, kappa) + kappa * (t * t).sum(axis=-1))
+    nll = -n * (watson_log_normalizer(d, kappa) + kappa * r)
     return np.where(finite, nll, math.inf)
 
 
 def _axis_mass(s: WatsonSample, branch: str):
-    # the axes (column views) of a branch, the share r = mu'S mu of the mass
-    # on them per slice, and whether an axis carries some but not all of
-    # it (else |kappa| ~ 1/r or 1/(1-r))
+    # the share r = mu'S mu of the mass on a branch's axis per slice, and
+    # whether it is some but not all of it (else |kappa| ~ 1/r or 1/(1-r))
     mu = s.axes[branch]
     r = np.matmul(np.matmul(mu[..., None, :], s.scatter), mu[..., None])[..., 0, 0]
-    return mu, r, (1e-14 < r) & (r < 1.0 - 1e-14)
-
-
-def _mla_branch(s: WatsonSample, branch: str) -> tuple[np.ndarray, np.ndarray]:
-    # midpoint of the ML bounds at r = mu'S mu per slice, and its NLL; NaN
-    # (NLL inf) where the axis has none or all of the mass
-    mu, r, mass = _axis_mass(s, branch)
-    kappa = np.full(r.shape, np.nan)
-    kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], 0.5, 0.5 * s.x.shape[-1]))
-    return kappa, _neg_log_likelihood(s.x, mu, kappa)
+    return r, (1e-14 < r) & (r < 1.0 - 1e-14)
 
 
 def watson_mla_fit(x) -> WatsonEstimate:
     """Midpoint of the ML bounds at r = mu'S mu, per branch, with the same
     eligibility rule as the moment-type fit and likelihood tie-breaking."""
     s = prepare_sample(x)
-    return _pick_branch(s.axes, {b: _mla_branch(s, b) for b in s.axes})
+    n, d = s.x.shape[1:]
+    fits = {}
+    for b in s.axes:
+        r, mass = _axis_mass(s, b)
+        kappa = np.full(r.shape, np.nan)
+        kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], 0.5, 0.5 * d))
+        fits[b] = kappa, _neg_log_likelihood(n, d, r, kappa)
+    return _pick_branch(s.axes, fits, "the axis carries none or all of the mass")
 
 
-def _mle_branch(s: WatsonSample, mu, r, ok) -> tuple[np.ndarray, np.ndarray]:
-    # the ML concentration on axes mu per slice, and its NLL: on the slices
-    # ok, the root of E[t] = r, with E[t] = (1/d) 1F1(3/2; d/2+1; kappa) /
+def _mle_branch(n: int, d: int, r, ok) -> tuple[np.ndarray, np.ndarray]:
+    # the ML concentration at r per slice, and its NLL: on the slices ok,
+    # the root of E[t] = r, with E[t] = (1/d) 1F1(3/2; d/2+1; kappa) /
     # 1F1(1/2; d/2; kappa) and derivative Var[t], from the midpoint of the
     # padded MLa bounds (exactly 0 at r = 1/d), to |E[t] - r| <= 1e-14
     # min(r, 1 - r); NaN (NLL inf) on the others
-    b = 0.5 * s.x.shape[-1]
-    kappa, r = np.full(r.shape, np.nan), r[ok]
+    b = 0.5 * d
+    kappa, r_ok = np.full(r.shape, np.nan), r[ok]
 
     def link(kappa):
         mean = special.kummer_moment(1, 0.5, b, kappa)
         return mean, special.kummer_moment(2, 0.5, b, kappa) - mean * mean
 
-    lower, upper = watson_mla_bounds(r, 0.5, b)
+    lower, upper = watson_mla_bounds(r_ok, 0.5, b)
     pad = 1e-6 + 1e-6 * (np.abs(lower) + np.abs(upper))
     lo, hi = lower - pad, upper + pad
     for end, sign in ((lo, 1.0), (hi, -1.0)):  # the bounds are strict in theory
-        grow = sign * (link(end)[0] - r) > 0
+        grow = sign * (link(end)[0] - r_ok) > 0
         while grow.any():
             end[grow] -= sign * (1.0 + 0.5 * np.abs(end[grow]))
-            grow[grow] = sign * (link(end[grow])[0] - r[grow]) > 0
-    kappa[ok] = special.newton_root(link, r, 0.5 * (lo + hi), lo, hi,
-                                    1e-14 * np.minimum(r, 1.0 - r))[0]
-    return kappa, _neg_log_likelihood(s.x, mu, kappa)
+            grow[grow] = sign * (link(end[grow])[0] - r_ok[grow]) > 0
+    kappa[ok] = special.newton_root(link, r_ok, 0.5 * (lo + hi), lo, hi,
+                                    1e-14 * np.minimum(r_ok, 1.0 - r_ok))[0]
+    return kappa, _neg_log_likelihood(n, d, r, kappa)
 
 
 def watson_mle_fit(x) -> WatsonEstimate:
@@ -225,5 +224,7 @@ def watson_mle_fit(x) -> WatsonEstimate:
     bound as kappa runs to -inf or +inf) and is flagged NE."""
     s = prepare_sample(x)
     mass = {b: _axis_mass(s, b) for b in s.axes}
-    ok = mass["+"][2] & mass["-"][2]
-    return _pick_branch(s.axes, {b: _mle_branch(s, *mass[b][:2], ok) for b in s.axes})
+    ok = mass["+"][1] & mass["-"][1]
+    fits = {b: _mle_branch(*s.x.shape[1:], r, ok) for b, (r, _) in mass.items()}
+    return _pick_branch(s.axes, fits, "an axis carries none or all of the mass, "
+                                      "so the likelihood is unbounded")

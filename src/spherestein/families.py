@@ -107,9 +107,14 @@ def _vmf_outcome(fit) -> Exception:
 
 
 def _watson_outcome(fit) -> Exception:
-    # each branch has a wrong-signed kappa, or none (NaN) at all
-    why = [f"kappa^{b} has no estimate" if np.isnan(k) else f"kappa^{b} = {k:.4g} {rel} 0"
-           for b, rel, k in (("-", ">", fit.kappas["-"][0]), ("+", "<", fit.kappas["+"][0]))]
+    # each branch has a wrong-signed kappa, or none (NaN) at all, for the
+    # cause that the fit names
+    kappas = [(b, fit.kappas[b][0]) for b in ("-", "+")]
+    why = [f"kappa^{b} = {k:.4g} {rel} 0" for (b, k), rel in zip(kappas, "><")
+           if not np.isnan(k)]
+    none = " or ".join(f"kappa^{b}" for b, k in kappas if np.isnan(k))
+    if none:
+        why.append(f"no estimate of {none} ({fit.no_estimate})")
     return NotEligible(" and ".join(why))
 
 

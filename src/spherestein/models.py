@@ -139,10 +139,17 @@ def watson_log_normalizer(d: int, kappa):
     )
 
 
+def _numbers_only(value) -> bool:
+    # whether every leaf of a nested list is a JSON number (a bool is not one)
+    if isinstance(value, list):
+        return all(map(_numbers_only, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def params_from_dict(obj: dict) -> Params:
     """Parse the JSON parameter schema {"family": ..., "mu": [...],
-    "A"/"kappa": ...}; raises ValueError, also on a key that is not the
-    family's."""
+    "A"/"kappa": ...} of JSON numbers (not strings or booleans); raises
+    ValueError, also on a key that is not the family's."""
     if not isinstance(obj, dict):
         raise ValueError("parameters must be a JSON object")
     family = obj.get("family")
@@ -158,6 +165,9 @@ def params_from_dict(obj: dict) -> Params:
     if any(name not in obj for name in names):
         raise ValueError(f"{family} parameters need "
                          + " and ".join(repr(name) for name in names))
+    for name in names:
+        if not _numbers_only(obj[name]):
+            raise ValueError(f"{family} parameter {name!r} must hold only numbers")
     try:
         return cls(**{name: obj[name] for name in names})
     except TypeError as exc:  # e.g. float() of a list

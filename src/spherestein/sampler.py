@@ -1,5 +1,5 @@
-"""Random generation on S^{d-1}: uniform, von Mises-Fisher, Watson and
-Fisher-Bingham samples.
+"""Random generation on S^{d-1}: von Mises-Fisher, Watson (uniform at
+kappa = 0) and Fisher-Bingham samples.
 
 All samplers are exact rejection schemes driven by an explicit
 counter-based RNG state, so a (seed, stream) pair fully determines the
@@ -162,7 +162,7 @@ def _generators(rngs) -> list[np.random.Generator]:
 
 def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
     # rows of the (b, n, d) stack x scaled to unit length; gens[j] redraws
-    # the zero rows of x[j]
+    # the zero rows of x[j] (the vMF tangent at d = 2 has one coordinate)
     norms = np.linalg.norm(x, axis=-1)
     bad = norms < 1e-200
     while np.any(bad):  # probability-zero guard
@@ -172,15 +172,6 @@ def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
         norms = np.linalg.norm(x, axis=-1)
         bad = norms < 1e-200
     return np.divide(x, norms[..., None], out=x)
-
-
-def sample_uniform(d: int, n: int, rngs) -> np.ndarray:
-    """n i.i.d. uniform points on S^{d-1} per stream, via normalized
-    Gaussians, as a (b, n, d) stack for a sequence of b RngStates."""
-    if d < 2 or n < 1:
-        raise ValueError("need d >= 2 and n >= 1")
-    gens = _generators(rngs)
-    return _unit_rows(np.stack([g.standard_normal((n, d)) for g in gens]), gens)
 
 
 def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -> np.ndarray:

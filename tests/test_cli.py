@@ -97,6 +97,26 @@ def test_huge_parameters_are_sampler_failures(tmp_path, capsys, deadline, params
         assert reason in err[0]
 
 
+@pytest.mark.parametrize("params, key", [
+    ({"family": "vmf", "mu": ["0", "0", "1"], "kappa": "10"}, "mu"),
+    ({"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": "10"}, "kappa"),
+    ({"family": "watson", "mu": [True, False, False], "kappa": True}, "mu"),
+    ({"family": "watson", "mu": [1.0, 0.0, 0.0], "kappa": "2"}, "kappa"),
+    ({"family": "fb", "mu": [1.0, 0.0, 0.0],
+      "A": [[0, 0, 0], [0, False, 0], [0, 0, 0]]}, "A"),
+], ids=["vmf-strings", "vmf-kappa-string", "watson-booleans", "watson-kappa-string",
+        "fb-boolean-entry"])
+def test_strings_and_booleans_are_not_numbers(tmp_path, capsys, params, key):
+    # float() would read "10" as 10.0 and True as 1.0; every leaf of mu, A
+    # and kappa must be a JSON number, in a parameter file and in a config
+    (sample, sample_err), (simulate, simulate_err) = _sample_and_simulate(
+        tmp_path, capsys, params)
+    reason = f"{params['family']} parameter {key!r} must hold only numbers"
+    assert (sample, simulate) == (2, 2)
+    assert sample_err == [f"error: invalid parameter file: {reason}"]
+    assert simulate_err == [f"error: invalid config: {reason}"]
+
+
 def test_sample_writes_unit_rows(tmp_path, capsys):
     out = str(tmp_path / "draws.csv")
     code = cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "5",
@@ -364,7 +384,24 @@ def test_fit_watson_st_on_one_row_is_ne(tmp_path, capsys):
                      "--in", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "NE"
-    assert report["detail"] == "kappa^- has no estimate and kappa^+ has no estimate"
+    assert report["detail"] == (
+        "no estimate of kappa^- or kappa^+ (J vanishes on the axis)")
+
+
+@pytest.mark.parametrize("estimator, rows, cause", [
+    ("st", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "J vanishes on the axis"),
+    ("mla", [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+     "the axis carries none or all of the mass"),
+], ids=["st", "mla"])
+def test_fit_watson_two_row_ne_names_its_cause(tmp_path, capsys, estimator, rows, cause):
+    # ST: two orthogonal rows leave J zero on both axes; MLa: an antipodal
+    # pair puts all of the mass on the top axis and none on the bottom one
+    path = _write_rows(tmp_path / "x.csv", np.array(rows))
+    assert cli.main(["fit", "--family", "watson", "--estimator", estimator,
+                     "--in", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "NE"
+    assert report["detail"] == f"no estimate of kappa^- or kappa^+ ({cause})"
 
 
 def _strict_json(text):
@@ -481,7 +518,17 @@ def test_fit_watson_ml_fewer_rows_than_dimensions(tmp_path, capsys, n):
     assert time.perf_counter() - start < 5.0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "NE"
-    assert report["detail"] == "kappa^- has no estimate and kappa^+ has no estimate"
+    assert report["detail"] == (
+        "no estimate of kappa^- or kappa^+ (an axis carries none or all of "
+        "the mass, so the likelihood is unbounded)")
+    # ST and MLa fit the same sample from the top axis, or name their cause
+    for estimator in ("st", "mla"):
+        assert cli.main(["fit", "--family", "watson", "--estimator", estimator,
+                         "--in", out]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "ok" or report["detail"].endswith(
+            "(J vanishes on the axis)" if estimator == "st" else
+            "(the axis carries none or all of the mass)")
 
 
 def test_fit_singular_system_exit_code(tmp_path):
@@ -521,6 +568,25 @@ def test_simulate_bundled_config(tmp_path, capsys):
     lines = Path(out).read_text().strip().splitlines()
     assert len(lines) == 1 + 3  # st, ml, sm
     assert '"seed": 3' in stdout
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_every_bundled_config_simulates(tmp_path, capsys, config):
+    # one CSV row per estimator and error block, every number in it finite
+    raw = json.loads((CONFIG_DIR / config).read_text())
+    out = tmp_path / "result.csv"
+    assert cli.main(["simulate", "--config", str(CONFIG_DIR / config),
+                     "--reps", "30", "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    family = raw["params"]["family"]
+    estimators = raw.get("estimators") or families.FAMILIES[family].defaults
+    assert sorted((row[5], row[6]) for row in rows) == sorted(
+        (est, block) for est in estimators for block in families.FAMILIES[family].blocks)
+    for row in rows:
+        assert row[:5] == [raw.get("label", ""), family, str(raw["n"]), "30",
+                           str(raw.get("seed", 0))]
+        assert all(math.isfinite(float(cell)) for cell in row[7:] if cell)
 
 
 def test_simulate_reps_one_warns(tmp_path, capsys):

@@ -21,7 +21,7 @@ from spherestein.est_watson import (
 from spherestein.families import FAMILIES, fit_one
 from spherestein.linalg import sym_eigen
 from spherestein.models import WatsonParams
-from spherestein.sampler import RngState, sample_uniform, sample_watson
+from spherestein.sampler import RngState, sample_watson
 from spherestein.special import kummer_moment
 
 from oracles import (
@@ -29,6 +29,7 @@ from oracles import (
     grad_f2_by_hand_d3,
     j_statistic_loop,
     random_unit_rows,
+    watson_log_density,
     watson_st_ne_points,
 )
 
@@ -70,7 +71,7 @@ def test_axis_examples():
 
 def test_axis_deterministic_under_isotropy():
     # no meaningful axis in uniform data, but the output is reproducible
-    x = sample_uniform(3, 100_000, [RngState(50)])[0]
+    x = sample_watson(WatsonParams(E3[0], 0.0), 100_000, [RngState(50)])[0]
     first = _axis(x, "+")
     np.testing.assert_array_equal(first, _axis(x, "+"))
     assert np.linalg.norm(first) == pytest.approx(1.0)
@@ -167,7 +168,7 @@ def _pick(kappa_minus, kappa_plus, score_minus, score_plus):
     # the rule on a stack of one sample with axes e1 (+) and e3 (-)
     fits = {"+": (np.array([kappa_plus]), np.array([score_plus])),
             "-": (np.array([kappa_minus]), np.array([score_minus]))}
-    return _pick_branch({"+": E3[[0]], "-": E3[[2]]}, fits)
+    return _pick_branch({"+": E3[[0]], "-": E3[[2]]}, fits, "J vanishes on the axis")
 
 
 def _branch(fit):
@@ -180,6 +181,9 @@ def test_selection_rule_cases():
     error = FAMILIES["watson"].outcome(fit)
     assert isinstance(error, NotEligible)
     assert str(error) == "kappa^- = 3 > 0 and kappa^+ = -2 < 0"
+    # a branch without an estimate is named with the fit's cause
+    assert str(FAMILIES["watson"].outcome(_pick(np.nan, -2.0, np.nan, 0.0))) == (
+        "kappa^+ = -2 < 0 and no estimate of kappa^- (J vanishes on the axis)")
     assert _branch(_pick(-3.0, -2.0, 1.0, 9.9)) == "-"
     assert _branch(_pick(3.0, 2.0, 9.9, 1.0)) == "+"
     assert _branch(_pick(-3.0, 2.0, 0.5, 0.2)) == "+"
@@ -206,7 +210,8 @@ def test_mle_fit_books_axis_without_mass_as_ne(n):
     assert fit.ne[0] and fit.branch[0] == ""
     assert np.isnan(fit.kappas["+"][0]) and np.isnan(fit.kappas["-"][0])
     assert str(FAMILIES["watson"].outcome(fit)) == (
-        "kappa^- has no estimate and kappa^+ has no estimate")
+        "no estimate of kappa^- or kappa^+ (an axis carries none or all of "
+        "the mass, so the likelihood is unbounded)")
 
 
 def test_mle_fit_books_only_the_degenerate_slices():
@@ -227,6 +232,26 @@ def test_mle_fit_books_only_the_degenerate_slices():
         for branch in ("+", "-"):
             assert fit.kappas[branch][k] == alone.kappas[branch][0]
             assert fit.residual_norms[branch][k] == alone.residual_norms[branch][0]
+
+
+@pytest.mark.parametrize("d", [3, 10, 20])
+@pytest.mark.parametrize("kappa", [5.0, -5.0])
+def test_likelihood_scores_equal_the_per_point_likelihood(d, kappa):
+    # the MLa and ML scores read only r = mu'S mu; each is the sum of -log
+    # density over the rows at that branch's axis and kappa (n > d: every
+    # axis carries some but not all of the mass, so every score is finite)
+    x = sample_watson(WatsonParams(np.ones(d) / math.sqrt(d), kappa), 100,
+                      [RngState(64, stream=k) for k in range(3)])
+    axes = prepare_sample(x).axes
+    for fit_fn in (watson_mla_fit, watson_mle_fit):
+        fit = fit_fn(x)
+        for branch, axis in axes.items():
+            for k, xk in enumerate(x):
+                score = fit.residual_norms[branch][k]
+                assert math.isfinite(score)
+                params = WatsonParams(axis[k], fit.kappas[branch][k])
+                assert score == pytest.approx(
+                    -sum(watson_log_density(params, row) for row in xk), rel=1e-12)
 
 
 def test_mla_bounds_examples():
@@ -430,13 +455,14 @@ def test_vanishing_j_gives_nan_branches_and_ne():
     # NaN on both and books the sample NE; so does MLa, whose axes carry all
     # or none of the mass
     x = np.array([E3[0], E3[0], -E3[0]])
-    for fit_fn in (watson_stein_fit, watson_mla_fit):
+    for fit_fn, cause in ((watson_stein_fit, "J vanishes on the axis"),
+                          (watson_mla_fit, "the axis carries none or all of the mass")):
         fit = fit_fn(x[None])
         assert np.isnan(fit.kappas["+"][0]) and np.isnan(fit.kappas["-"][0])
         assert fit.ne[0] and np.isnan(fit.kappa_hat[0]) and fit.branch[0] == ""
         assert not (fit.eligible["+"][0] or fit.eligible["-"][0])
         assert str(FAMILIES["watson"].outcome(fit)) == (
-            "kappa^- has no estimate and kappa^+ has no estimate")
+            f"no estimate of kappa^- or kappa^+ ({cause})")
         with pytest.raises(NotEligible):
             fit_one("watson", "st" if fit_fn is watson_stein_fit else "mla", x)
 

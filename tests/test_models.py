@@ -152,7 +152,7 @@ def test_densities_integrate_to_one():
     # uniform Monte Carlo integration over S^2; each density is evaluated
     # on all rows at once and checked against the per-row oracle on a few
     rng = sampler.RngState(21)
-    x = sampler.sample_uniform(3, 400_000, [rng])[0][:200_000]
+    x = sampler.sample_watson(WatsonParams(E3[0], 0.0), 400_000, [rng])[0][:200_000]
     area = math.exp(log_sphere_area(3))
     for params, logpdf, log_values in (
         (VmfParams(E3[0], 1.0), vmf_log_density,

@@ -9,7 +9,6 @@ from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import (
     RngState,
     sample_fb,
-    sample_uniform,
     sample_vmf,
     sample_watson,
 )
@@ -20,6 +19,7 @@ from oracles import (
     canonical_f2,
     canonical_stein_rows,
     fb_uniform_rejection,
+    random_unit_rows,
     stein_operator_apply,
     acg_direct_accept,
     acg_sample_loop,
@@ -27,6 +27,7 @@ from oracles import (
 )
 
 E3 = np.eye(3)
+UNIFORM = WatsonParams(E3[0], 0.0)  # the uniform distribution on S^2
 
 
 def test_rng_state_reproducible():
@@ -86,7 +87,7 @@ def test_rng_state_stores_numpy_integers_as_int():
 def test_all_samplers_deterministic_and_unit():
     rng = [RngState(1)]
     draws = {
-        "uniform": sample_uniform(3, 50, rng),
+        "uniform": sample_watson(UNIFORM, 50, rng),
         "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, rng),
         "watson": sample_watson(WatsonParams(E3[0], -5.0), 50, rng),
         "fb": sample_fb(
@@ -95,7 +96,7 @@ def test_all_samplers_deterministic_and_unit():
             50, rng),
     }
     again = {
-        "uniform": sample_uniform(3, 50, rng),
+        "uniform": sample_watson(UNIFORM, 50, rng),
         "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, rng),
         "watson": sample_watson(WatsonParams(E3[0], -5.0), 50, rng),
         "fb": sample_fb(
@@ -110,7 +111,7 @@ def test_all_samplers_deterministic_and_unit():
 
 
 def test_uniform_moments():
-    x = sample_uniform(3, 100_000, [RngState(2)])[0]
+    x = sample_watson(UNIFORM, 100_000, [RngState(2)])[0]
     n = x.shape[0]
     se_mean = 1.0 / math.sqrt(3 * n)  # component variance is 1/d
     assert np.all(np.abs(x.mean(axis=0)) <= 4 * se_mean)
@@ -149,9 +150,9 @@ def test_vmf_d2_works():
 
 
 def test_watson_zero_kappa_is_uniform():
-    params = WatsonParams(E3[0], 0.0)
-    x = sample_watson(params, 100_000, [RngState(6)])[0]
-    np.testing.assert_array_equal(x, sample_uniform(3, 100_000, [RngState(6)])[0])
+    # the uniform law's definition: the stream's normals with unit rows
+    x = sample_watson(UNIFORM, 100_000, [RngState(6)])[0]
+    np.testing.assert_array_equal(x, random_unit_rows(RngState(6).generator(), 100_000, 3))
     fb = FisherBinghamParams(np.zeros(3), np.zeros((3, 3)))
     np.testing.assert_array_equal(x, sample_fb(fb, 100_000, [RngState(6)])[0])
     scatter = x.T @ x / x.shape[0]
@@ -274,9 +275,9 @@ def test_stein_identity_canonical_functions_all_families():
 
 def test_sampler_input_validation():
     with pytest.raises(ValueError):
-        sample_uniform(1, 5, [RngState(0)])
+        sample_watson(WatsonParams([1.0], 0.0), 5, [RngState(0)])
     with pytest.raises(ValueError):
-        sample_uniform(3, 0, [RngState(0)])
+        sample_watson(UNIFORM, 0, [RngState(0)])
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         RngState(-1)
     with pytest.raises(ValueError, match="stream must be >= 0, got -2"):
@@ -543,11 +544,10 @@ def test_kept_rows_rotate_as_in_the_whole_batch_product(monkeypatch, d):
 
 
 def test_watson_uniform_stack_equals_per_stream_samples():
-    params = WatsonParams(E3[0], 0.0)
     streams = [RngState(23, stream=k) for k in range(5)]
-    stack = sample_watson(params, 7, streams)
+    stack = sample_watson(UNIFORM, 7, streams)
     for k, rng in enumerate(streams):
-        np.testing.assert_array_equal(stack[k], sample_uniform(3, 7, [rng])[0])
+        np.testing.assert_array_equal(stack[k], random_unit_rows(rng.generator(), 7, 3))
 
 
 @pytest.mark.parametrize("work_bytes", [1, 2**30])
