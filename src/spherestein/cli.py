@@ -247,7 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--reps", type=int, default=None,
                        help="override the config replication count")
     p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.add_argument("--threads", type=int, default=None, help="default 1")
+    p_sim.add_argument("--threads", type=int, default=None, help=(
+        "default 1; runs min(threads, blocks, CPUs) workers, one in the calling thread "
+        "(so cProfile sees it), each extra worker costing roughly 1-3 MB"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_av = sub.add_parser("asympvar", help="asymptotic variances for vMF kappa")

@@ -8,8 +8,11 @@ prepares it once where the family has a ``PREPARE`` step (the vMF
 resultant, the Watson scatter eigendecomposition), and fits every
 estimator once over the whole stack (every fit, Fisher-Bingham's too, is
 one computation over it).  A sample that a fit rejects fails in that fit,
-never in the preparation, so the failure names its estimator.  The CSV
-has identical bytes for any block size and thread count.  NE semantics:
+never in the preparation, so the failure names its estimator.  A study
+runs its blocks on min(threads, blocks, CPUs) workers; one worker runs
+them in the calling thread (so cProfile sees the whole study), more use a
+thread pool, each extra worker costing roughly 1-3 MB of memory.  The
+CSV has identical bytes for any block size and thread count.  NE semantics:
 a replication that a fit flags in its ``ne`` (Watson: neither
 branch eligible; Fisher-Bingham: a singular system; vMF ST2: a singular
 I - S) counts as a non-existence event and is excluded from bias and
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -198,8 +202,12 @@ def run_simulation(config: SimConfig) -> SimResult:
     size = max(1, BLOCK_BYTES // (8 * config.n * config.params.d))
     blocks = [range(lo, min(lo + size, config.reps))
               for lo in range(0, config.reps, size)]
-    with ThreadPoolExecutor(max_workers=min(config.threads, len(blocks))) as pool:
-        outcomes = list(pool.map(lambda reps: _run_block(config, reps), blocks))
+    workers = min(config.threads, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
+        outcomes = [_run_block(config, reps) for reps in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(lambda reps: _run_block(config, reps), blocks))
 
     warnings = []
     if config.reps < 30:

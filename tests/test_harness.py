@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -56,7 +57,8 @@ def test_vmf_run_sanity():
         assert cell.ne == 0.0
 
 
-def test_deterministic_across_threads():
+def test_deterministic_across_threads(monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # the pool path on 1 CPU too
     base = run_simulation(_vmf_config(reps=60, threads=1))
     threaded = run_simulation(_vmf_config(reps=60, threads=4))
     assert base.to_csv() == threaded.to_csv()
@@ -176,6 +178,7 @@ ENGINE_CONFIGS = {
 
 @pytest.mark.parametrize("family", sorted(ENGINE_CONFIGS))
 def test_csv_bytes_identical_for_any_block_size_and_thread_count(family, monkeypatch):
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # the pool path on 1 CPU too
     config = SimConfig(reps=17, seed=11, **ENGINE_CONFIGS[family])
     reference = run_simulation(config).to_csv()
     for size in (1, 7, 17, 40):
@@ -236,15 +239,48 @@ def test_pool_has_no_more_workers_than_blocks(monkeypatch):
     class Recording(harness.ThreadPoolExecutor):
         def __init__(self, max_workers):
             seen.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=min(max_workers, 2))  # start few threads
 
     monkeypatch.setattr(harness, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
     config = _vmf_config(reps=10, threads=4)
     _set_block_size(monkeypatch, config, 5)
-    run_simulation(config)
+    reference = run_simulation(config).to_csv()
     _set_block_size(monkeypatch, config, 10)
     run_simulation(config)
-    assert seen == [2, 1]  # never more workers than blocks
+    assert seen == [2]  # never more workers than blocks; one worker builds no pool
+    # (threads, CPUs, blocks) -> the pool's workers, None where none is built;
+    # a large thread count is checked through the recorded count alone
+    cases = [((4, 8, 5), 4), ((4, 3, 5), 3), ((4, 2, 10), 2), ((10**6, 16, 5), 5),
+             ((10**6, 16, 1), None), ((4, 1, 5), None), ((4, None, 5), None),
+             ((1, 8, 5), None)]
+    for (threads, cpus, blocks), workers in cases:
+        seen.clear()
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        config.threads = threads
+        _set_block_size(monkeypatch, config, config.reps // blocks)
+        assert run_simulation(config).to_csv() == reference
+        assert seen == ([] if workers is None else [workers]), (threads, cpus, blocks)
+
+
+def test_one_worker_runs_every_block_in_the_calling_thread(monkeypatch):
+    idents = []
+    real = families.SAMPLERS["vmf"]
+
+    def recording(params, n, streams):
+        idents.append(threading.get_ident())
+        return real(params, n, streams)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker study built an executor")
+
+    monkeypatch.setitem(families.SAMPLERS, "vmf", recording)
+    monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 8)
+    config = _vmf_config(reps=10, threads=1)
+    _set_block_size(monkeypatch, config, 3)
+    run_simulation(config)
+    assert idents == [threading.get_ident()] * 4
 
 
 @pytest.mark.parametrize("threads", [0, -1])
