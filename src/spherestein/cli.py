@@ -186,8 +186,7 @@ def cmd_simulate(args) -> int:
     print(result.table())
     for warning in result.warnings:
         print(f"warning: {warning}")
-    print(json.dumps({"seed": config.seed, "reps": config.reps,
-                      "threads": config.threads}))
+    print(json.dumps({"seed": config.seed, "reps": config.reps}))
     return 0
 
 

@@ -59,12 +59,14 @@ class SimConfig:
 
     def __post_init__(self):
         family = self.params.family
-        for name in ("n", "reps", "seed", "threads"):  # integers, not floats or bools
+        # integers, not floats or bools, each at least its lower bound
+        for name, low in (("n", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
             setattr(self, name, int(value))
-        sampler.RngState(self.seed)  # raises ValueError on a negative seed
         if not isinstance(self.estimators, (list, tuple)):  # a string is not a list
             raise ValueError("estimators must be a list of estimator names")
         if not all(isinstance(e, str) for e in self.estimators):
@@ -72,12 +74,6 @@ class SimConfig:
         self.estimators = tuple(e.lower() for e in self.estimators)
         if not self.estimators:
             self.estimators = DEFAULT_ESTIMATORS[family]
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         if not isinstance(self.label, str) or any(c in self.label for c in ",\n\r"):
             raise ValueError("label must be a string without ',' or line breaks")
         for est in self.estimators:

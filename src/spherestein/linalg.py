@@ -42,12 +42,12 @@ def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _check_symmetric(m, tol: float = _SYM_TOL) -> np.ndarray:
+def _check_symmetric(m) -> np.ndarray:
     # a square matrix or a (b, d, d) stack of them; every slice is checked
     m = np.asarray(m, dtype=float)
     if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
         raise ValueError("expected a square matrix")
-    if m.size and np.max(np.abs(m - m.swapaxes(-1, -2))) > tol:
+    if m.size and np.max(np.abs(m - m.swapaxes(-1, -2))) > _SYM_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
     return m
 

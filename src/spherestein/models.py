@@ -58,8 +58,15 @@ def sample_stack(x) -> np.ndarray:
     return x
 
 
+class _SphereParams:
+    # what every params class shares: the ambient dimension, mu's length
+    @property
+    def d(self) -> int:
+        return self.mu.size
+
+
 @dataclass
-class FisherBinghamParams:
+class FisherBinghamParams(_SphereParams):
     """Location vector mu and symmetric matrix A with A[d, d] pinned to 0."""
 
     family: ClassVar[str] = "fb"
@@ -79,13 +86,9 @@ class FisherBinghamParams:
         a[d - 1, d - 1] = 0.0
         self.A = a
 
-    @property
-    def d(self) -> int:
-        return self.mu.size
-
 
 @dataclass
-class VmfParams:
+class VmfParams(_SphereParams):
     """Unit mean direction mu and concentration kappa > 0."""
 
     family: ClassVar[str] = "vmf"
@@ -98,13 +101,9 @@ class VmfParams:
         if not 0 < self.kappa < math.inf:
             raise ValueError("kappa must be finite and > 0")
 
-    @property
-    def d(self) -> int:
-        return self.mu.size
-
 
 @dataclass
-class WatsonParams:
+class WatsonParams(_SphereParams):
     """Unit axis mu (sign-ambiguous, stored canonically) and real kappa.
 
     The axis is only identified up to sign; we store the representative
@@ -120,10 +119,6 @@ class WatsonParams:
         self.kappa = float(self.kappa)
         if not math.isfinite(self.kappa):
             raise ValueError("kappa must be finite")
-
-    @property
-    def d(self) -> int:
-        return self.mu.size
 
 
 Params = FisherBinghamParams | VmfParams | WatsonParams

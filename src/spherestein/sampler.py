@@ -98,9 +98,6 @@ class RngState:
                 raise ValueError(f"{key} must be >= 0, got {value}")
             object.__setattr__(self, key, int(value))
 
-    def generator(self) -> np.random.Generator:
-        return _generators([self])[0]
-
 
 def _words(value: int) -> list[int]:
     # the 32-bit words of value >= 0, least significant first (one for 0)
@@ -181,6 +178,8 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -
     # returns m stacked draws of width floats per stream of gs and which of
     # them are accepted.  A stream's m rows are never split over two stacks:
     # a gemm over another row count rounds differently
+    if n < 1:
+        raise ValueError("n must be >= 1")
     b = len(gens)
     out = None
     have, proposed, accepted = [0] * b, [0] * b, [0] * b
@@ -241,8 +240,6 @@ def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
     stream makes the same draws in the same order, and the arithmetic on
     them runs over the whole stack.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     d = params.d
     gens = _generators(rngs)
     w = _vmf_radial(params.kappa, d, n, gens)
@@ -356,8 +353,6 @@ def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
     Bipolar (kappa > 0), girdle (kappa < 0) and uniform (kappa = 0)
     regimes all use the ACG envelope on the Bingham form A = kappa mu mu'.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     a_mat = params.kappa * np.outer(params.mu, params.mu)
     return _fb_acg_rejection(np.zeros(params.d), a_mat, n, _generators(rngs))
 
@@ -366,6 +361,4 @@ def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
     """n i.i.d. Fisher-Bingham(mu, A) points per stream by exact rejection
     from the tilted angular-central-Gaussian envelope, as a (b, n, d)
     stack for a sequence of b RngStates, as for sample_vmf."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return _fb_acg_rejection(params.mu, params.A, n, _generators(rngs))

@@ -22,6 +22,9 @@ so agreement is evidence, not tautology.  The exceptions:
   sampler._envelope: they pin the stacked rejection loop and its
   eigenbasis accept step, which they write in the direct form on unit
   rows, not the envelope.
+* stream_generator is sampler._generators of one stream.  The sample
+  loops draw from it, so they pin the draws made from a stream, not its
+  keying (the sampler tests check that against numpy's SeedSequence).
 """
 
 import math
@@ -34,7 +37,7 @@ from scipy import special as _sp
 from spherestein.est_fb import FbSteinStatistics
 from spherestein.linalg import rotation_to_e1
 from spherestein.models import watson_log_normalizer
-from spherestein.sampler import _envelope
+from spherestein.sampler import _envelope, _generators
 
 _UNIT_TOL = 1e-8
 
@@ -598,6 +601,12 @@ def fb_log_normalizer_mc(params, n_mc: int, seed: int) -> tuple[float, float]:
     return log_sphere_area(d) + math.log(mean), se / mean
 
 
+def stream_generator(rng) -> np.random.Generator:
+    """The Philox generator of one RngState, from the samplers' own keying
+    (sampler._generators of a one-stream sequence)."""
+    return _generators([rng])[0]
+
+
 def vmf_sample_loop(params, n: int, rng,
                     min_batch: int = 256) -> tuple[np.ndarray, int]:
     """n vMF draws from one stream the way the sampler makes them, written
@@ -608,7 +617,7 @@ def vmf_sample_loop(params, n: int, rng,
     batches drawn."""
     d = params.d
     kappa = params.kappa
-    g = rng.generator()
+    g = stream_generator(rng)
 
     def unit_rows(x):
         norms = np.linalg.norm(x, axis=1)
@@ -677,7 +686,7 @@ def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
     Returns the sample and the number of batches drawn."""
     d = mu.size
     eigvecs, inv_sqrt_omega = _envelope(mu.tobytes(), a_mat.tobytes(), d)[:2]
-    g = rng.generator()
+    g = stream_generator(rng)
     out = np.empty((n, d))
     have = proposed = accepted = batches = 0
     while have < n:

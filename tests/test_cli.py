@@ -470,6 +470,16 @@ def test_fit_vmf_ml_on_a_point_mass_exits_2(tmp_path, capsys, row):
     assert "all points identical" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]])
+def test_fit_vmf_sm_on_a_point_mass_exits_2(tmp_path, capsys, row):
+    # every projection on mu-hat is 1 up to rounding, so the mean squared
+    # projection reaches SM's 1 - 1e-15 refusal
+    path = _write_rows(tmp_path / "point.csv", np.tile(row, (50, 1)))
+    assert cli.main(["fit", "--family", "vmf", "--estimator", "sm",
+                     "--in", path]) == 2
+    assert "mean squared projection is 1" in capsys.readouterr().err
+
+
 def _tight_bipolar_rows(d, noise):
     # 300 rows within about `noise` of +-e_d, each sign with probability 1/2
     rng = np.random.default_rng(6)
@@ -612,7 +622,7 @@ def test_simulate_rejects_empty_sample(tmp_path, capsys):
     }))
     assert cli.main(["simulate", "--config", str(config)]) == 2
     err = capsys.readouterr().err
-    assert err == "error: invalid config: n must be >= 1\n"
+    assert err == "error: invalid config: n must be >= 1, got 0\n"
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -621,7 +631,7 @@ def test_simulate_rejects_threads_below_one(capsys, threads):
     assert cli.main(["simulate", "--config", config, "--reps", "5",
                      "--threads", threads]) == 2
     assert capsys.readouterr().err == (
-        "error: invalid config: threads must be >= 1\n")
+        f"error: invalid config: threads must be >= 1, got {threads}\n")
 
 
 @pytest.mark.parametrize("key", ["rep", "threads"])
@@ -739,7 +749,7 @@ def test_simulate_rejects_non_integer_config_numbers(tmp_path, capsys, key, valu
     }))
     assert cli.main(["simulate", "--config", str(config)]) == 0
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-    assert summary == {"seed": 7, "reps": 5, "threads": 1}
+    assert summary == {"seed": 7, "reps": 5}
 
 
 @pytest.mark.parametrize("case", ["config", "simulate", "sample"])
@@ -789,6 +799,22 @@ def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: simulation failed:") and "boom" in err
     assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_simulate_estimator_that_never_existed_exits_3(tmp_path, capsys):
+    # at n = 1, I - xx' is singular in every replication, so vMF ST2 books
+    # each one NE and has no estimate to aggregate
+    config = tmp_path / "n1.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 1, "reps": 5, "estimators": ["st2"],
+    }))
+    out = tmp_path / "result.csv"
+    assert cli.main(["simulate", "--config", str(config), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: simulation failed: estimator 'st2' never "
+                            "existed in 5 reps\n")
     assert not out.exists()
 
 

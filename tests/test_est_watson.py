@@ -411,6 +411,30 @@ def test_mle_bracketing_random_samples():
         assert abs(kummer_moment(1, 0.5, 1.5, kappa_ml) - r) <= 1e-10
 
 
+@pytest.mark.parametrize("shift", [60.0, -60.0])
+def test_mle_bracket_growth_equals_unmoved_bracket(monkeypatch, shift):
+    # the MLa bounds moved by `shift` miss the root on every slice, so one
+    # end of each bracket has to grow before the Newton iteration starts
+    mu = np.ones(5) / math.sqrt(5)
+    streams = [RngState(31, stream=k) for k in range(2)]
+    x = np.concatenate([sample_watson(WatsonParams(mu, kappa), 200, streams)
+                        for kappa in (8.0, -6.0)])
+    expected = watson_mle_fit(x).kappas
+    roots = np.concatenate([expected["+"], expected["-"]])
+    bounds = watson_mla_bounds
+
+    def moved(r, a, c):
+        lower, upper = bounds(r, a, c)
+        lower, upper = lower + shift, upper + shift
+        assert np.all(lower > roots.max()) if shift > 0 else np.all(upper < roots.min())
+        return lower, upper
+
+    monkeypatch.setattr(est_watson, "watson_mla_bounds", moved)
+    fit = watson_mle_fit(x)
+    for branch in "+-":
+        np.testing.assert_allclose(fit.kappas[branch], expected[branch], rtol=5e-14)
+
+
 def test_mle_consistency_high_dimension():
     mu = np.ones(10) / math.sqrt(10)
     x = sample_watson(WatsonParams(mu, 20.0), 100_000, [RngState(58)])[0]

@@ -26,7 +26,7 @@ def _vmf_config(**kwargs):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^reps must be >= 1, got 0$"):
         _vmf_config(reps=0)
     with pytest.raises(ValueError):
         _vmf_config(estimators=("nope",))

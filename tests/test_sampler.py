@@ -21,6 +21,7 @@ from oracles import (
     fb_uniform_rejection,
     random_unit_rows,
     stein_operator_apply,
+    stream_generator,
     acg_direct_accept,
     acg_sample_loop,
     vmf_sample_loop,
@@ -31,10 +32,10 @@ UNIFORM = WatsonParams(E3[0], 0.0)  # the uniform distribution on S^2
 
 
 def test_rng_state_reproducible():
-    a = RngState(42).generator().standard_normal(5)
-    b = RngState(42).generator().standard_normal(5)
+    a = stream_generator(RngState(42)).standard_normal(5)
+    b = stream_generator(RngState(42)).standard_normal(5)
     np.testing.assert_array_equal(a, b)
-    c = RngState(42, stream=1).generator().standard_normal(5)
+    c = stream_generator(RngState(42, stream=1)).standard_normal(5)
     assert not np.array_equal(a, c)
 
 
@@ -56,7 +57,7 @@ def test_block_keys_equal_seed_sequence(seed):
         np.testing.assert_array_equal(g.bit_generator.random_raw(8),
                                       _seed_sequence_raw(seed, stream))
         np.testing.assert_array_equal(
-            RngState(seed, stream).generator().bit_generator.random_raw(8),
+            stream_generator(RngState(seed, stream)).bit_generator.random_raw(8),
             _seed_sequence_raw(seed, stream))
 
 
@@ -80,8 +81,8 @@ def test_rng_state_stores_numpy_integers_as_int():
     r = RngState(np.int64(7), stream=np.uint32(3))
     assert type(r.seed) is int and type(r.stream) is int
     assert r == RngState(7, 3) and hash(r) == hash(RngState(7, 3))
-    np.testing.assert_array_equal(r.generator().standard_normal(5),
-                                  RngState(7, 3).generator().standard_normal(5))
+    np.testing.assert_array_equal(stream_generator(r).standard_normal(5),
+                                  stream_generator(RngState(7, 3)).standard_normal(5))
 
 
 def test_all_samplers_deterministic_and_unit():
@@ -152,7 +153,8 @@ def test_vmf_d2_works():
 def test_watson_zero_kappa_is_uniform():
     # the uniform law's definition: the stream's normals with unit rows
     x = sample_watson(UNIFORM, 100_000, [RngState(6)])[0]
-    np.testing.assert_array_equal(x, random_unit_rows(RngState(6).generator(), 100_000, 3))
+    np.testing.assert_array_equal(
+        x, random_unit_rows(stream_generator(RngState(6)), 100_000, 3))
     fb = FisherBinghamParams(np.zeros(3), np.zeros((3, 3)))
     np.testing.assert_array_equal(x, sample_fb(fb, 100_000, [RngState(6)])[0])
     scatter = x.T @ x / x.shape[0]
@@ -276,8 +278,10 @@ def test_stein_identity_canonical_functions_all_families():
 def test_sampler_input_validation():
     with pytest.raises(ValueError):
         sample_watson(WatsonParams([1.0], 0.0), 5, [RngState(0)])
-    with pytest.raises(ValueError):
-        sample_watson(UNIFORM, 0, [RngState(0)])
+    for sample, params in ((sample_watson, UNIFORM), (sample_vmf, VmfParams(E3[0], 2.0)),
+                           (sample_fb, FisherBinghamParams(E3[0], np.zeros((3, 3))))):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sample(params, 0, [RngState(0)])
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         RngState(-1)
     with pytest.raises(ValueError, match="stream must be >= 0, got -2"):
@@ -547,7 +551,8 @@ def test_watson_uniform_stack_equals_per_stream_samples():
     streams = [RngState(23, stream=k) for k in range(5)]
     stack = sample_watson(UNIFORM, 7, streams)
     for k, rng in enumerate(streams):
-        np.testing.assert_array_equal(stack[k], random_unit_rows(rng.generator(), 7, 3))
+        np.testing.assert_array_equal(stack[k],
+                                      random_unit_rows(stream_generator(rng), 7, 3))
 
 
 @pytest.mark.parametrize("work_bytes", [1, 2**30])
