@@ -26,7 +26,6 @@ cell) are correspondingly sqrt(5) times larger.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import sampler
 from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
-from .models import Params
+from .models import Params, as_int
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
@@ -59,14 +58,8 @@ class SimConfig:
 
     def __post_init__(self):
         family = self.params.family
-        # integers, not floats or bools, each at least its lower bound
         for name, low in (("n", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < low:
-                raise ValueError(f"{name} must be >= {low}, got {value}")
-            setattr(self, name, int(value))
+            setattr(self, name, as_int(getattr(self, name), name, low))
         if not isinstance(self.estimators, (list, tuple)):  # a string is not a list
             raise ValueError("estimators must be a list of estimator names")
         if not all(isinstance(e, str) for e in self.estimators):

@@ -30,6 +30,17 @@ from .linalg import _UNIT_TOL, _check_symmetric, fix_sign
 WORK_BYTES = 128 * 1024
 
 
+def as_int(value, name: str, low: int) -> int:
+    """value as an int: an int or numpy integer (a bool is not one) >= low,
+    else ValueError naming ``name``.  RngState's keys and SimConfig's counts
+    share this rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
 def _as_vector(mu, name: str = "mu") -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size < 2:

@@ -91,12 +91,7 @@ class RngState:
 
     def __post_init__(self):
         for key in ("seed", "stream"):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{key} must be >= 0, got {value}")
-            object.__setattr__(self, key, int(value))
+            object.__setattr__(self, key, models.as_int(getattr(self, key), key, 0))
 
 
 def _words(value: int) -> list[int]:

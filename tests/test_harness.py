@@ -40,6 +40,22 @@ def test_config_rejects_non_integer_threads(threads):
         _vmf_config(threads=threads)
 
 
+@pytest.mark.parametrize("value", [True, 1.5, "3", np.float64(2.0), -1, np.int64(-1)])
+def test_config_and_rng_state_share_the_integer_rule(value):
+    # one rule, models.as_int, so the two raise the same words
+    with pytest.raises(ValueError) as from_rng:
+        sampler.RngState(seed=value)
+    with pytest.raises(ValueError) as from_config:
+        _vmf_config(seed=value)
+    assert str(from_rng.value) == str(from_config.value)
+
+
+def test_config_and_rng_state_store_numpy_integers_as_ints():
+    seeds = sampler.RngState(seed=np.int64(3)).seed, _vmf_config(seed=np.int64(3)).seed
+    assert seeds == (3, 3)
+    assert all(type(seed) is int for seed in seeds)
+
+
 def test_single_replication_degenerate():
     result = run_simulation(_vmf_config(reps=1))
     cell = result.cells["st"]["kappa"]

@@ -1,0 +1,41 @@
+"""Print the two source line counts that ROADMAP aim 2 tracks.
+
+The total line count of ``src/spherestein/*.py`` (as ``wc -l`` counts it)
+and its code lines: those not blank, comment-only or docstring, so a deleted
+comment does not read as a smaller program.  Run from the repository root:
+
+    python3 tools/src_lines.py
+"""
+
+import ast
+import pathlib
+import tokenize
+
+SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+        tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path: pathlib.Path) -> int:
+    docs = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    code = set()
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type not in SKIP:
+                code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def main() -> None:
+    paths = sorted(pathlib.Path("src/spherestein").glob("*.py"))
+    total = sum(path.read_bytes().count(b"\n") for path in paths)
+    print(f"src/spherestein/*.py: {total} lines")
+    print(f"src/spherestein/*.py: {sum(map(code_lines, paths))} code lines")
+
+
+if __name__ == "__main__":
+    main()
