@@ -7,7 +7,7 @@ the empirical version of an integration-by-parts (Stein) identity and
 never touch a normalising constant.
 
 Samplers and estimators work on stacks: a sampler draws a (b, n, d)
-stack for a sequence of b RngStates, and an estimator fits every slice
+stack for one seed and b streams, and an estimator fits every slice
 of a (b, n, d) stack at once.  ``fit_one(family, code, x)`` fits one
 n x d sample and returns its report.
 """
@@ -34,7 +34,7 @@ from .families import fit_one
 from .harness import SimConfig, SimResult, run_simulation
 from .linalg import SingularSystem
 from .models import FisherBinghamParams, VmfParams, WatsonParams
-from .sampler import RngState, sample_fb, sample_vmf, sample_watson
+from .sampler import sample_fb, sample_vmf, sample_watson
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "FbEstimate",
     "FisherBinghamParams",
     "NotEligible",
-    "RngState",
     "SimConfig",
     "SimResult",
     "SingularSystem",

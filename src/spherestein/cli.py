@@ -15,12 +15,15 @@ hard (1F1 out of range or a root finder that does not converge in fit,
 any failure beyond the booked outcomes in simulate), 4 singular
 estimating equations.  An --out path that cannot be opened for writing
 exits 2 with one "error: cannot write ..." line; simulate checks it
-before the study runs.
+before the study runs.  A reader that closes stdout before the output is
+written (``... | head -1``) ends the command silently with exit code 141,
+as a shell reports a writer that SIGPIPE ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -29,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from . import est_vmf, est_watson, harness, sampler
+from . import est_vmf, est_watson, harness
 from .families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
 from .linalg import SingularSystem
 from .models import params_from_dict
@@ -51,13 +54,9 @@ def cmd_sample(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail(f"invalid parameter file: {exc}", 2)
     try:
-        rng = sampler.RngState(args.seed)
+        x = SAMPLERS[params.family](params, args.n, args.seed)[0]
     except ValueError as exc:
-        return _fail(f"invalid --seed: {exc}", 2)
-    try:
-        x = SAMPLERS[params.family](params, args.n, [rng])[0]
-    except ValueError as exc:
-        return _fail(f"invalid --n: {exc}", 2)
+        return _fail(f"invalid argument: {exc}", 2)
     except RuntimeError as exc:
         return _fail(f"sampler failed: {exc}", 3)
     names = ",".join(f"x{i + 1}" for i in range(x.shape[1])) if args.header else ""
@@ -73,14 +72,17 @@ def cmd_sample(args) -> int:
 
 def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is allowed
-        names = fh.readline().strip().split(",")
-    header = names == [f"x{i + 1}" for i in range(len(names))]  # as sample --header
-    # the path, not an open handle: np.loadtxt parses a path in chunks in C but
-    # iterates a handle's lines in Python, which slows a large-n fit by about 3%
-    with warnings.catch_warnings():  # a file without rows is reported below
-        warnings.simplefilter("ignore", UserWarning)
-        x = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=int(header),
-                       encoding="utf-8-sig")
+        first = fh.readline()
+        names = first.strip().split(",")
+        header = names == [f"x{i + 1}" for i in range(len(names))]  # as sample --header
+        # a regular file by its path: np.loadtxt parses a path in chunks in C but
+        # iterates a handle's lines in Python, which slows a large-n fit by about
+        # 3%.  A pipe can be read once, so its rows come through this handle
+        rows = path if os.path.isfile(path) else itertools.chain([first], fh)
+        with warnings.catch_warnings():  # a file without rows is reported below
+            warnings.simplefilter("ignore", UserWarning)
+            x = np.loadtxt(rows, delimiter=",", ndmin=2, skiprows=int(header),
+                           encoding="utf-8-sig")
     if x.shape[0] < 1:
         raise ValueError("no data rows")
     if x.shape[1] < 2:
@@ -263,7 +265,15 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; as the Python docs advise, point
+        # stdout at devnull so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # what a shell reports for a writer that SIGPIPE ends
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
 """The family table: what the simulation harness and the CLI need to know
 about each parameter family, in one place.
 
-* ``SAMPLERS[family]`` draws ``(params, n, rngs)``: a (b, n, d) stack of
-  samples for a sequence of b RngStates.
+* ``SAMPLERS[family]`` draws ``(params, n, seed, streams)``: a (b, n, d)
+  stack of samples, one per stream of the b ``streams`` of ``seed``.
 * ``ESTIMATORS[family, code]`` fits a (b, n, d) stack, or what
   ``PREPARE`` makes of it; the codes are the names that configs and
   ``fit --estimator`` use.  The fit holds one entry per sample in each

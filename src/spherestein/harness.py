@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sampler
 from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
 from .models import Params, as_int
 
@@ -60,6 +59,8 @@ class SimConfig:
         family = self.params.family
         for name, low in (("n", 1), ("reps", 1), ("seed", 0), ("threads", 1)):
             setattr(self, name, as_int(getattr(self, name), name, low))
+        if self.reps > 2**32:  # a replication's stream is its index, below 2**32
+            raise ValueError(f"reps must be <= 2**32, got {self.reps}")
         if not isinstance(self.estimators, (list, tuple)):  # a string is not a list
             raise ValueError("estimators must be a list of estimator names")
         if not all(isinstance(e, str) for e in self.estimators):
@@ -157,8 +158,7 @@ def _run_block(config: SimConfig, reps: range) -> dict:
     """
     params = config.params
     family = params.family
-    streams = [sampler.RngState(config.seed, stream=rep) for rep in reps]
-    stack = SAMPLERS[family](params, config.n, streams)
+    stack = SAMPLERS[family](params, config.n, config.seed, reps)
     if family in PREPARE:
         stack = PREPARE[family](stack)
     out = {}

@@ -32,8 +32,8 @@ WORK_BYTES = 128 * 1024
 
 def as_int(value, name: str, low: int) -> int:
     """value as an int: an int or numpy integer (a bool is not one) >= low,
-    else ValueError naming ``name``.  RngState's keys and SimConfig's counts
-    share this rule."""
+    else ValueError naming ``name``.  The samplers' seed and SimConfig's
+    counts share this rule."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:

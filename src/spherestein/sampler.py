@@ -4,9 +4,9 @@ kappa = 0) and Fisher-Bingham samples.
 All samplers are exact rejection schemes driven by an explicit
 counter-based RNG state, so a (seed, stream) pair fully determines the
 output regardless of how calls are scheduled across threads.  Every
-sampler takes a sequence of b streams and returns the (b, n, d) stack of
-their samples, slice j bit for bit the sample of stream j alone (a
-sequence of one draws one sample).
+sampler takes one seed and a sequence of b streams (default range(1))
+and returns the (b, n, d) stack of their samples, slice j bit for bit
+the sample of stream j alone.
 
 One driver runs every rejection sampler in rounds: each stream short of
 n draws its next batch (vMF 2 (n - have), ACG 1.3 (n - have) / rate + 32
@@ -36,20 +36,20 @@ form on y; the samples' do not.  B = 0 (Watson kappa = 0) gives omega = 1,
 E = I and a log bound 0 up to rounding: an accept-all uniform envelope.
 
 Streams: a (seed, stream) pair keys the Philox generator of numpy's
-SeedSequence(entropy=seed, spawn_key=(stream,)), bit for bit.  Philox is
-counter-based (Salmon et al., SC'11), so its key is a pure function of
-the pair, and _generators derives the keys of all a sampler's streams at
-once: the pool after the seed's words is numpy's own
-SeedSequence(seed).pool (built once per seed and call, not cached), and
-only each stream's spawn words and the four output words are hashed, in
-numpy over the streams and all four pool words at once.
+SeedSequence(entropy=seed, spawn_key=(stream,)), bit for bit, for any
+seed >= 0 and a stream in [0, 2**32).  Philox is counter-based (Salmon
+et al., SC'11), so its key is a pure function of the pair, and
+_generators derives the keys of all a sampler's streams at once: the pool
+after the seed's words is numpy's own SeedSequence(seed).pool (built once
+per call, not cached), and each stream's one spawn word and the four
+output words are hashed in numpy over every stream and all four pool
+words at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -76,29 +76,6 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
-@dataclass(frozen=True)
-class RngState:
-    """Reproducible RNG state: (seed, stream) key a Philox counter-based stream.
-
-    Identical state yields an identical sample sequence on every platform;
-    distinct streams are statistically independent, which is what the
-    Monte Carlo harness uses for parallel replications.  Both keys must
-    be ints or numpy integers >= 0 (stored as ints; a bool is not one).
-    """
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        for key in ("seed", "stream"):
-            object.__setattr__(self, key, models.as_int(getattr(self, key), key, 0))
-
-
-def _words(value: int) -> list[int]:
-    # the 32-bit words of value >= 0, least significant first (one for 0)
-    return [value >> s & _MASK32 for s in range(0, max(value.bit_length(), 1), 32)]
-
-
 def _hash4(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
     # SeedSequence's hashes first .. first+3 of the uint32 words values,
     # broadcast to 4 rows, hash first+i on row i: hash k xors a word with
@@ -110,46 +87,43 @@ def _hash4(values: np.ndarray, init: int, mult: int, first: int) -> np.ndarray:
 
 
 class _Key(ISeedSequence):
-    # a Philox key derived ahead of time: what SeedSequence.generate_state
-    # (2, uint64) returns, which is all that Philox asks of its seed
-    def __init__(self, key: np.ndarray):
+    # a Philox key derived ahead of time: the two words SeedSequence.
+    # generate_state(2, uint64) returns, which is all that Philox asks of its seed
+    def __init__(self, key: list[int]):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
         return self.key
 
 
-def _generators(rngs) -> list[np.random.Generator]:
-    """The Philox generator of each RngState of the non-empty sequence
-    ``rngs``, bit for bit that of SeedSequence(entropy=seed, spawn_key=(stream,)).
+def _generators(seed, streams) -> list[np.random.Generator]:
+    """The Philox generator of each stream of the non-empty 1-D integer
+    sequence ``streams`` in [0, 2**32), bit for bit that of
+    SeedSequence(entropy=seed, spawn_key=(stream,)); ``seed`` is an int or
+    numpy integer >= 0 of any size.
 
     The pool after the seed's words is SeedSequence(seed).pool, and the
-    seed's 4 max(words, 4) hashes set the hash constant there.  Streams of
-    one seed with the same number of 32-bit spawn words (one below 2**32,
-    two from there to 2**64) are keyed together: each spawn word is hashed
-    into all four pool words at once, as is the read-out.
+    seed's 4 max(words, 4) hashes set the hash constant there.  Each stream
+    is one spawn word, so the mixing and the read-out each run once over
+    every stream and all four pool words.
     """
-    rngs = list(rngs)
-    if not rngs:
-        raise ValueError("need at least one RngState")
-    keys = np.empty((len(rngs), _POOL), dtype=np.uint32)
-    groups: dict[tuple[int, int], tuple[list[int], list[list[int]]]] = {}
-    for j, r in enumerate(rngs):
-        words = _words(r.stream)
-        idx, spawn = groups.setdefault((r.seed, len(words)), ([], []))
-        idx.append(j)
-        spawn.append(words)
-    for (seed, _), (idx, spawn) in groups.items():
-        pool = np.random.SeedSequence(seed).pool[:, None]
-        first = _POOL * max(len(_words(seed)), _POOL)
-        for word in np.array(spawn, dtype=np.uint32).T:
-            mixed = _MIX_L * pool - _MIX_R * _hash4(word, _INIT_A, _MULT_A, first)
-            pool = mixed ^ mixed >> 16
-            first += _POOL
-        keys[idx] = _hash4(pool, _INIT_B, _MULT_B, 0).T
-    # SeedSequence reads its words out as little-endian 64-bit pairs
-    keys = keys.astype("<u4").view("<u8").astype(np.uint64)
-    return [np.random.Generator(np.random.Philox(_Key(key))) for key in keys]
+    seed = models.as_int(seed, "seed", 0)
+    spawn = np.asarray(streams)
+    if (spawn.ndim != 1 or not spawn.size or spawn.dtype.kind not in "iu"
+            or spawn.min() < 0 or spawn.max() > _MASK32):
+        raise ValueError("streams must be a non-empty sequence of integers in "
+                         f"[0, 2**32), got {streams!r}")
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    first = _POOL * max((seed.bit_length() + 31) // 32, _POOL)
+    mixed = _MIX_L * pool - _MIX_R * _hash4(spawn.astype(np.uint32), _INIT_A, _MULT_A, first)
+    keys = _hash4(mixed ^ mixed >> 16, _INIT_B, _MULT_B, 0).T
+    # SeedSequence reads its words out as little-endian 64-bit pairs.  Ints
+    # index faster than numpy scalars, and a zero counter array spares Philox
+    # splitting its default counter, the int 0, into words for every stream
+    keys = keys.astype("<u4", order="C").view("<u8").tolist()
+    counter = np.zeros(4, dtype=np.uint64)
+    return [np.random.Generator(np.random.Philox(_Key(key), counter=counter))
+            for key in keys]
 
 
 def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
@@ -228,15 +202,15 @@ def _vmf_radial(kappa: float, d: int, n: int,
     return _rejection(gens, n, batch, propose, 1)
 
 
-def sample_vmf(params: VmfParams, n: int, rngs) -> np.ndarray:
+def sample_vmf(params: VmfParams, n: int, seed, streams=range(1)) -> np.ndarray:
     """n i.i.d. vMF(mu, kappa) points (Ulrich-Wood, then rotate e1 -> mu)
-    per stream of the sequence ``rngs`` of b RngStates, as a (b, n, d)
-    stack whose slice j is bit for bit the sample of stream j alone: each
-    stream makes the same draws in the same order, and the arithmetic on
-    them runs over the whole stack.
+    per stream of the b ``streams`` of ``seed``, as a (b, n, d) stack
+    whose slice j is bit for bit the sample of stream j alone: each stream
+    makes the same draws in the same order, and the arithmetic on them
+    runs over the whole stack.
     """
     d = params.d
-    gens = _generators(rngs)
+    gens = _generators(seed, streams)
     w = _vmf_radial(params.kappa, d, n, gens)
     v = np.empty((len(gens), n, d - 1))  # out= needs a contiguous stack, not y
     for g, vj in zip(gens, v):
@@ -341,19 +315,20 @@ def _fb_acg_rejection(
     return np.divide(z, np.linalg.norm(z, axis=-1)[..., None], out=z)
 
 
-def sample_watson(params: WatsonParams, n: int, rngs) -> np.ndarray:
+def sample_watson(params: WatsonParams, n: int, seed, streams=range(1)) -> np.ndarray:
     """n i.i.d. Watson(mu, kappa) points per stream, as a (b, n, d) stack
-    for a sequence of b RngStates, as for sample_vmf.
+    for the b ``streams`` of ``seed``, as for sample_vmf.
 
     Bipolar (kappa > 0), girdle (kappa < 0) and uniform (kappa = 0)
     regimes all use the ACG envelope on the Bingham form A = kappa mu mu'.
     """
     a_mat = params.kappa * np.outer(params.mu, params.mu)
-    return _fb_acg_rejection(np.zeros(params.d), a_mat, n, _generators(rngs))
+    return _fb_acg_rejection(np.zeros(params.d), a_mat, n, _generators(seed, streams))
 
 
-def sample_fb(params: FisherBinghamParams, n: int, rngs) -> np.ndarray:
+def sample_fb(params: FisherBinghamParams, n: int, seed,
+              streams=range(1)) -> np.ndarray:
     """n i.i.d. Fisher-Bingham(mu, A) points per stream by exact rejection
     from the tilted angular-central-Gaussian envelope, as a (b, n, d)
-    stack for a sequence of b RngStates, as for sample_vmf."""
-    return _fb_acg_rejection(params.mu, params.A, n, _generators(rngs))
+    stack for the b ``streams`` of ``seed``, as for sample_vmf."""
+    return _fb_acg_rejection(params.mu, params.A, n, _generators(seed, streams))

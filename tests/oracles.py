@@ -601,13 +601,13 @@ def fb_log_normalizer_mc(params, n_mc: int, seed: int) -> tuple[float, float]:
     return log_sphere_area(d) + math.log(mean), se / mean
 
 
-def stream_generator(rng) -> np.random.Generator:
-    """The Philox generator of one RngState, from the samplers' own keying
-    (sampler._generators of a one-stream sequence)."""
-    return _generators([rng])[0]
+def stream_generator(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox generator of one (seed, stream) pair, from the samplers'
+    own keying (sampler._generators of a one-stream sequence)."""
+    return _generators(seed, [stream])[0]
 
 
-def vmf_sample_loop(params, n: int, rng,
+def vmf_sample_loop(params, n: int, seed: int, stream: int,
                     min_batch: int = 256) -> tuple[np.ndarray, int]:
     """n vMF draws from one stream the way the sampler makes them, written
     as a loop over the stream alone: Ulrich-Wood radial batches of
@@ -617,7 +617,7 @@ def vmf_sample_loop(params, n: int, rng,
     batches drawn."""
     d = params.d
     kappa = params.kappa
-    g = stream_generator(rng)
+    g = stream_generator(seed, stream)
 
     def unit_rows(x):
         norms = np.linalg.norm(x, axis=1)
@@ -675,7 +675,7 @@ def acg_direct_accept(mu: np.ndarray, a_mat: np.ndarray,
     return z, log_acc
 
 
-def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
+def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, seed: int, stream: int,
                     min_batch: int = 256) -> tuple[np.ndarray, int]:
     """n Fisher-Bingham(mu, A) draws from one stream the way the ACG
     rejection sampler makes them, written as a loop over the stream alone:
@@ -686,7 +686,7 @@ def acg_sample_loop(mu: np.ndarray, a_mat: np.ndarray, n: int, rng,
     Returns the sample and the number of batches drawn."""
     d = mu.size
     eigvecs, inv_sqrt_omega = _envelope(mu.tobytes(), a_mat.tobytes(), d)[:2]
-    g = stream_generator(rng)
+    g = stream_generator(seed, stream)
     out = np.empty((n, d))
     have = proposed = accepted = batches = 0
     while have < n:

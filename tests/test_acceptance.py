@@ -26,7 +26,7 @@ from spherestein.families import fit_one
 from spherestein.harness import SimConfig, run_simulation
 from spherestein.linalg import vech
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
-from spherestein.sampler import RngState, sample_fb, sample_vmf, sample_watson
+from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 from spherestein.special import bessel_ratio, log_kummer_1f1
 
 from oracles import (
@@ -180,7 +180,7 @@ def test_criterion_4_variance():
     params = VmfParams(_mu_ones(d), kappa)
     estimates = np.empty(reps)
     for rep in range(reps):
-        x = sample_vmf(params, n, [RngState(17, stream=rep)])
+        x = sample_vmf(params, n, 17, [rep])
         estimates[rep] = kappa_stein(x).kappa_hat[0]
     empirical = n * estimates.var(ddof=1)
     expected = stein_asymptotic_variance_vmf(d, kappa)
@@ -250,7 +250,7 @@ def test_criterion_5_stein_identity_suite():
     ]
     failures = []
     for params, draw, seed in cases:
-        x = draw(params, n, [RngState(seed)])[0]
+        x = draw(params, n, seed)[0]
         d = x.shape[1]
         functions = [("f1", canonical_f1(d)), ("f2", canonical_f2(d)),
                      ("sin", sin_projection(w))]

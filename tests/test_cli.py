@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -153,6 +156,51 @@ def test_fit_reads_sample_header(tmp_path, capsys, family):
     assert reports[0] == reports[1]
 
 
+def _run_cli(argv, **kwargs):
+    # the CLI in a fresh interpreter, as the installed command runs it
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "spherestein.cli", *argv], env=env,
+                          timeout=120, **kwargs)
+
+
+@pytest.mark.parametrize("header", [[], ["--header"]])
+def test_fit_reads_a_piped_csv_as_its_path(tmp_path, capsys, header):
+    # a pipe can be read once: its header line and rows come through one
+    # handle.  400 rows are about 24 KiB, more than one buffered read
+    out = tmp_path / "draws.csv"
+    cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "400",
+              "--seed", "5", "--out", str(out), *header])
+    assert out.stat().st_size > 8192
+    capsys.readouterr()
+    assert cli.main(["fit", "--family", "vmf", "--in", str(out)]) == 0
+    by_path = capsys.readouterr().out
+    piped = _run_cli(["fit", "--family", "vmf", "--in", "/dev/stdin"],
+                     input=out.read_bytes(), capture_output=True)
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout.decode() == by_path
+
+
+@pytest.mark.parametrize("argv", [["asympvar", "--d", "3", "--kappa", "2"],
+                                  ["fit", "--family", "vmf", "--in"]])
+def test_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys, argv):
+    # a reader that closes the pipe early (... | head -1) ends the command
+    # silently with the code a shell gives a writer that SIGPIPE ends
+    if argv[0] == "fit":
+        out = tmp_path / "draws.csv"
+        cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "50",
+                  "--out", str(out)])
+        capsys.readouterr()
+        argv = [*argv, str(out)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = _run_cli(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert run.returncode == 141
+    assert run.stderr == ""  # no traceback and no message
+
+
 @pytest.mark.parametrize("header", [[], ["--header"]])
 def test_fit_reads_a_csv_with_a_byte_order_mark(tmp_path, capsys, header):
     # as Excel and PowerShell save a CSV: UTF-8 with a BOM in front
@@ -182,13 +230,13 @@ def test_sample_reads_params_with_a_byte_order_mark(tmp_path):
 
 
 def test_sample_n_below_one_is_refused_by_the_sampler(tmp_path, capsys):
-    # the samplers hold the one n >= 1 rule; sample reports it as --n's
+    # the samplers hold the one n >= 1 rule; sample prints their words
     out = tmp_path / "draws.csv"
     assert cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "0",
                      "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: invalid --n: n must be >= 1\n"
+    assert captured.err == "error: invalid argument: n must be >= 1\n"
     assert not out.exists()
 
 
@@ -657,6 +705,14 @@ def test_simulate_rejects_empty_sample(tmp_path, capsys):
     assert err == "error: invalid config: n must be >= 1, got 0\n"
 
 
+def test_simulate_rejects_more_replications_than_streams(capsys):
+    # a replication's stream is its index, below 2**32
+    config = str(CONFIG_DIR / "table2_d3_k1.json")
+    assert cli.main(["simulate", "--config", config, "--reps", "4294967297"]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: reps must be <= 2**32, got 4294967297\n")
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_simulate_rejects_threads_below_one(capsys, threads):
     config = str(CONFIG_DIR / "table2_d3_k1.json")
@@ -800,7 +856,7 @@ def test_negative_seed_exits_2(tmp_path, capsys, case):
     assert cli.main(argv + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     seed = {"config": -1, "simulate": -3, "sample": -2}[case]
-    prefix = "invalid --seed" if case == "sample" else "invalid config"
+    prefix = "invalid argument" if case == "sample" else "invalid config"
     assert captured.out == "" and not out.exists()
     assert captured.err == f"error: {prefix}: seed must be >= 0, got {seed}\n"
 

@@ -12,7 +12,7 @@ from spherestein import models
 from spherestein.families import fit_one
 from spherestein.linalg import COND_LIMIT, SingularSystem
 from spherestein.models import FisherBinghamParams, VmfParams
-from spherestein.sampler import RngState, sample_fb, sample_vmf
+from spherestein.sampler import sample_fb, sample_vmf
 
 from oracles import (
     canonical_f1,
@@ -71,7 +71,7 @@ def test_fast_path_equals_generic_path():
 def test_fit_consistency_on_vmf_data():
     # FB(5 e1, 0) is vMF(e1, 5); at n = 1e5 both blocks are near truth
     truth = FisherBinghamParams(5.0 * E3[0], np.zeros((3, 3)))
-    x = sample_vmf(VmfParams(E3[0], 5.0), 100_000, [RngState(40)])[0]
+    x = sample_vmf(VmfParams(E3[0], 5.0), 100_000, 40)[0]
     fit = fit_one("fb", "st", x)
     assert np.linalg.norm(fit["A"], 2) < 0.15
     assert np.linalg.norm(fit["mu"] - truth.mu) < 0.3
@@ -83,7 +83,7 @@ def test_fit_reference_config_weak_concentration():
     # mu = (0.5, 0, 0), A = 0 at n = 1000: over 200 replications the mean
     # parameter distances sit near 0.092 and 0.191 (checked to +-30%)
     truth = FisherBinghamParams(np.array([0.5, 0, 0]), np.zeros((3, 3)))
-    stack = sample_fb(truth, 1000, [RngState(41, stream=rep) for rep in range(200)])
+    stack = sample_fb(truth, 1000, 41, range(200))
     fit = fb_stein_fit(stack)
     mu_err = np.linalg.norm(fit.mu_hat - truth.mu, axis=1)
     a_err = np.linalg.norm(fit.A_hat - truth.A, 2, axis=(1, 2))
@@ -123,7 +123,7 @@ def _residual(params, x):
 
 
 def test_residual_zero_at_fit_and_small_at_truth():
-    x = sample_fb(FIG6, 100_000, [RngState(42)])[0]
+    x = sample_fb(FIG6, 100_000, 42)[0]
     fit = fit_one("fb", "st", x)
     fitted = FisherBinghamParams(fit["mu"], fit["A"])
     assert np.linalg.norm(_residual(fitted, x)) <= 1e-8
@@ -173,7 +173,7 @@ def test_consistency_ladder():
     errs = {n: [] for n in sizes}
     for seed in range(5):
         for n in sizes:
-            x = sample_fb(FIG6, n, [RngState(43 + seed)])[0]
+            x = sample_fb(FIG6, n, 43 + seed)[0]
             fit = fit_one("fb", "st", x[:n])
             errs[n].append(
                 np.linalg.norm(fit["mu"] - FIG6.mu)
@@ -189,7 +189,7 @@ def test_permutation_contract():
     # permutations fixing the last coordinate commute with the estimator;
     # permutations moving it generally do not (the A[d,d] = 0 constraint
     # pins the frame)
-    x = sample_fb(FIG6, 5000, [RngState(48)])
+    x = sample_fb(FIG6, 5000, 48)
     swap01 = np.array([[0.0, 1, 0], [1, 0, 0], [0, 0, 1]])
     swap02 = np.array([[0.0, 0, 1], [0, 1, 0], [1, 0, 0]])
     fit, fit_perm, fit_moved = (fb_stein_fit(y) for y in (x, x @ swap01.T, x @ swap02.T))
@@ -216,7 +216,7 @@ def test_statistics_affine_in_sample():
 
 def test_identification_warning_for_extreme_concentration():
     # data this concentrated sits on the near-nonidentifiable plateau
-    x = sample_vmf(VmfParams(E3[0], 40.0), 1000, [RngState(49)])[0]
+    x = sample_vmf(VmfParams(E3[0], 40.0), 1000, 49)[0]
     warnings = fit_one("fb", "st", x)["warnings"]
     assert len(warnings) == 1 and warnings[0].startswith(
         "identification: parameter norms are large (|mu| = ")
@@ -281,7 +281,7 @@ def test_statistics_equal_for_any_working_size(monkeypatch, work_bytes):
 def test_stacked_fit_equals_single_fits_and_books_singular_slices():
     d10 = FisherBinghamParams(np.full(10, 1.0), np.zeros((10, 10)))
     for d, n, truth in ((3, 60, FIG6), (10, 300, d10)):
-        stack = sample_fb(truth, n, [RngState(43, stream=k) for k in range(5)])
+        stack = sample_fb(truth, n, 43, range(5))
         stack[2] = np.eye(d)[0]  # one point repeated: M' is singular
         fit = fb_stein_fit(stack)
         np.testing.assert_array_equal(fit.ne, [False, False, True, False, False])

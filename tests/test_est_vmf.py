@@ -18,7 +18,7 @@ from spherestein.est_vmf import (
 from spherestein.families import fit_one
 from spherestein.linalg import SingularSystem
 from spherestein.models import VmfParams
-from spherestein.sampler import RngState, sample_vmf
+from spherestein.sampler import sample_vmf
 from spherestein.special import bessel_ratio
 
 from oracles import (
@@ -132,7 +132,7 @@ def test_mc_consistency_all_estimators():
     ]
     for fit_fn, d, kappa, seed in cases:
         mu = np.ones(d) / math.sqrt(d)
-        x = sample_vmf(VmfParams(mu, kappa), n, [RngState(seed)])
+        x = sample_vmf(VmfParams(mu, kappa), n, seed)
         fit = fit_fn(x)
         # ST obeys the closed-form asymptotic variance; use it with margin
         # as a common yardstick (the four estimators are near-efficient)
@@ -197,7 +197,7 @@ def test_empirical_variance_matches_theorem():
     mu = np.ones(d) / math.sqrt(d)
     estimates = np.empty(reps)
     for rep in range(reps):
-        x = sample_vmf(VmfParams(mu, kappa), n, [RngState(39, stream=rep)])
+        x = sample_vmf(VmfParams(mu, kappa), n, 39, [rep])
         estimates[rep] = kappa_stein(x).kappa_hat[0]
     empirical = n * estimates.var(ddof=1)
     expected = stein_asymptotic_variance_vmf(d, kappa)
@@ -211,8 +211,7 @@ FITTERS = (kappa_stein, kappa_stein2, kappa_mle, kappa_score_matching)
 
 def _vmf_stack(d, kappa, n, b, seed):
     mu = np.ones(d) / math.sqrt(d)
-    streams = [RngState(seed, stream=k) for k in range(b)]
-    return sample_vmf(VmfParams(mu, kappa), n, streams)
+    return sample_vmf(VmfParams(mu, kappa), n, seed, range(b))
 
 
 @pytest.mark.parametrize("code, fit_fn", zip(("st", "st2", "ml", "sm"), FITTERS))
@@ -268,7 +267,7 @@ def test_stein2_flags_singular_slices_of_a_stack():
 def test_kappa_stein_at_extreme_concentration():
     # at kappa = 1e8 the ST denominator, of order (1 - mu'S mu)^2, is far
     # below 1e-14; only 1 - mu'S mu <= 1e-15 marks a degenerate sample
-    x = sample_vmf(VmfParams(E3[2], 1e8), 200, [RngState(1)])
+    x = sample_vmf(VmfParams(E3[2], 1e8), 200, 1)
     kappa = kappa_stein(x).kappa_hat[0]
     assert np.isfinite(kappa)
     assert kappa == pytest.approx(kappa_score_matching(x).kappa_hat[0], rel=1e-6)

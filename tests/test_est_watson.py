@@ -21,7 +21,7 @@ from spherestein.est_watson import (
 from spherestein.families import FAMILIES, fit_one
 from spherestein.linalg import sym_eigen
 from spherestein.models import WatsonParams
-from spherestein.sampler import RngState, sample_watson
+from spherestein.sampler import sample_watson
 from spherestein.special import kummer_moment
 
 from oracles import (
@@ -71,7 +71,7 @@ def test_axis_examples():
 
 def test_axis_deterministic_under_isotropy():
     # no meaningful axis in uniform data, but the output is reproducible
-    x = sample_watson(WatsonParams(E3[0], 0.0), 100_000, [RngState(50)])[0]
+    x = sample_watson(WatsonParams(E3[0], 0.0), 100_000, 50)[0]
     first = _axis(x, "+")
     np.testing.assert_array_equal(first, _axis(x, "+"))
     assert np.linalg.norm(first) == pytest.approx(1.0)
@@ -79,7 +79,7 @@ def test_axis_deterministic_under_isotropy():
 
 def test_axis_alignment_bipolar():
     mu = np.array([0.0, 0.6, 0.8])
-    x = sample_watson(WatsonParams(mu, 10.0), 100_000, [RngState(51)])[0]
+    x = sample_watson(WatsonParams(mu, 10.0), 100_000, 51)[0]
     assert abs(_axis(x, "+") @ mu) > 0.99
 
 
@@ -157,7 +157,7 @@ def test_axis_flip_symmetry_is_exact():
 
 def test_stein_consistency_bipolar():
     mu = np.ones(3) / math.sqrt(3)
-    x = sample_watson(WatsonParams(mu, 10.0), 100_000, [RngState(54)])[0]
+    x = sample_watson(WatsonParams(mu, 10.0), 100_000, 54)[0]
     fit = fit_one("watson", "st", x)
     assert fit["branch"] == "+"
     assert abs(fit["kappa"] - 10.0) < 0.2
@@ -205,7 +205,7 @@ def test_mle_fit_books_axis_without_mass_as_ne(n):
     # n < d: the bottom eigenvector carries r ~ 1e-18 of the mass, where
     # the likelihood grows without bound as kappa runs to -inf, so neither
     # branch has an ML estimate
-    x = sample_watson(WatsonParams(np.eye(10)[0], 5.0), n, [RngState(70 + n)])
+    x = sample_watson(WatsonParams(np.eye(10)[0], 5.0), n, 70 + n)
     fit = watson_mle_fit(x)
     assert fit.ne[0] and fit.branch[0] == ""
     assert np.isnan(fit.kappas["+"][0]) and np.isnan(fit.kappas["-"][0])
@@ -219,7 +219,7 @@ def test_mle_fit_books_only_the_degenerate_slices():
     # antipodal pair among real samples: those two slices are NE, and every
     # other slice has the bits of its fit alone
     x = sample_watson(WatsonParams(np.ones(3) / math.sqrt(3), 5.0), 30,
-                      [RngState(71, stream=k) for k in range(4)])
+                      71, range(4))
     x[1] = E3[1]
     x[3, ::2], x[3, 1::2] = E3[0], -E3[0]
     fit = watson_mle_fit(x)
@@ -241,7 +241,7 @@ def test_likelihood_scores_equal_the_per_point_likelihood(d, kappa):
     # density over the rows at that branch's axis and kappa (n > d: every
     # axis carries some but not all of the mass, so every score is finite)
     x = sample_watson(WatsonParams(np.ones(d) / math.sqrt(d), kappa), 100,
-                      [RngState(64, stream=k) for k in range(3)])
+                      64, range(3))
     axes = prepare_sample(x).axes
     for fit_fn in (watson_mla_fit, watson_mle_fit):
         fit = fit_fn(x)
@@ -293,7 +293,7 @@ def test_mla_near_uniform_reports_zero():
 
 def test_mla_bracket_contains_mle():
     mu = np.ones(3) / math.sqrt(3)
-    x = sample_watson(WatsonParams(mu, 10.0), 100_000, [RngState(55)])[0]
+    x = sample_watson(WatsonParams(mu, 10.0), 100_000, 55)[0]
     axis = _axis(x, "+")
     r = float(axis @ (x.T @ x / x.shape[0]) @ axis)
     lower, upper = watson_mla_bounds(r, 0.5, 1.5)
@@ -336,7 +336,7 @@ def test_mle_near_great_circle_is_finite_and_sums_no_underflowed_1f1(monkeypatch
 def test_likelihood_fits_finite_for_strong_girdles(d, kappa):
     # the likelihood needs 1F1(1/2; d/2; kappa) where e^kappa underflows
     mu = np.eye(d)[0]
-    x = sample_watson(WatsonParams(mu, kappa), 200, [RngState(58)])[0]
+    x = sample_watson(WatsonParams(mu, kappa), 200, 58)[0]
     for code in ("ml", "mla"):
         fit = fit_one("watson", code, x)
         assert fit["branch"] == "-" and math.isfinite(fit["kappa"])
@@ -349,7 +349,7 @@ def test_likelihood_fits_finite_for_strong_bipolar_samples(d, kappa):
     # 1F1(1/2; d/2; kappa) overflows from kappa near 710: the likelihood
     # carries e^kappa as a log, and the ML link cancels it exactly.  Far
     # out, the MLa bounds are about (kappa, 3 kappa), so MLa reads 2 kappa
-    x = sample_watson(WatsonParams(np.eye(d)[0], kappa), 200, [RngState(58)])[0]
+    x = sample_watson(WatsonParams(np.eye(d)[0], kappa), 200, 58)[0]
     for code, high in (("ml", 1.2), ("mla", 2.4)):
         fit = fit_one("watson", code, x)
         assert fit["branch"] == "+" and math.isfinite(fit["kappa"])
@@ -379,7 +379,7 @@ def test_mle_root_against_mpmath(d):
                          (-20.0, 1e-13), (-800.0, 1e-13), (-1e4, 1e-13),
                          (800.0, 1e-11), (1e4, 1e-11)):
         x = sample_watson(WatsonParams(np.eye(d)[0], kappa), 200,
-                          [RngState(58, stream=k) for k in range(3)])
+                          58, range(3))
         s = prepare_sample(x)
         branch = "+" if kappa > 0 else "-"
         fitted = watson_mle_fit(s).kappas[branch]
@@ -401,7 +401,7 @@ def test_mle_bracketing_random_samples():
     for seed in range(20):
         kappa0 = float(rng.uniform(-15.0, 15.0))
         mu = random_unit_rows(rng, 1, 3)[0]
-        x = sample_watson(WatsonParams(mu, kappa0), 500, [RngState(57, stream=seed)])[0]
+        x = sample_watson(WatsonParams(mu, kappa0), 500, 57, [seed])[0]
         branch = "+" if kappa0 >= 0 else "-"
         axis = _axis(x, branch)
         r = float(axis @ (x.T @ x / x.shape[0]) @ axis)
@@ -416,8 +416,7 @@ def test_mle_bracket_growth_equals_unmoved_bracket(monkeypatch, shift):
     # the MLa bounds moved by `shift` miss the root on every slice, so one
     # end of each bracket has to grow before the Newton iteration starts
     mu = np.ones(5) / math.sqrt(5)
-    streams = [RngState(31, stream=k) for k in range(2)]
-    x = np.concatenate([sample_watson(WatsonParams(mu, kappa), 200, streams)
+    x = np.concatenate([sample_watson(WatsonParams(mu, kappa), 200, 31, range(2))
                         for kappa in (8.0, -6.0)])
     expected = watson_mle_fit(x).kappas
     roots = np.concatenate([expected["+"], expected["-"]])
@@ -437,7 +436,7 @@ def test_mle_bracket_growth_equals_unmoved_bracket(monkeypatch, shift):
 
 def test_mle_consistency_high_dimension():
     mu = np.ones(10) / math.sqrt(10)
-    x = sample_watson(WatsonParams(mu, 20.0), 100_000, [RngState(58)])[0]
+    x = sample_watson(WatsonParams(mu, 20.0), 100_000, 58)[0]
     assert abs(_mle_kappa(x, "+") - 20.0) < 0.15
     fit = fit_one("watson", "ml", x)
     assert fit["branch"] == "+"
@@ -452,8 +451,8 @@ def test_branch_coherence():
         mu = np.ones(3) / math.sqrt(3)
         hits = 0
         for first in range(0, 200, 4):
-            streams = [RngState(59, stream=rep) for rep in range(first, first + 4)]
-            fit = watson_stein_fit(sample_watson(WatsonParams(mu, kappa0), 100_000, streams))
+            streams = range(first, first + 4)
+            fit = watson_stein_fit(sample_watson(WatsonParams(mu, kappa0), 100_000, 59, streams))
             hits += int(np.sum((fit.branch == "+") == (kappa0 > 0)))
         assert hits >= 198
 
@@ -465,7 +464,7 @@ def test_asymptotic_normality():
     kappa0, n, reps = 10.0, 2000, 2000
     estimates = np.empty(reps)
     for rep in range(reps):
-        x = sample_watson(WatsonParams(mu, kappa0), n, [RngState(60, stream=rep)])
+        x = sample_watson(WatsonParams(mu, kappa0), n, 60, [rep])
         estimates[rep] = watson_stein_fit(x).kappa_hat[0]
     standardized = (estimates - estimates.mean()) / estimates.std(ddof=1)
     assert stats.normaltest(standardized).pvalue > 0.01
@@ -498,7 +497,7 @@ def test_fits_at_d50_are_finite_or_ne(n, kappa):
     # to make ST raise for the whole stack; every slice now has a finite
     # kappa or is NE, and at n < d the (-) branch has no estimate
     x = sample_watson(WatsonParams(np.eye(50)[0], kappa), n,
-                      [RngState(63, stream=k) for k in range(20)])
+                      63, range(20))
     prepared = prepare_sample(x)
     for fit_fn in (watson_stein_fit, watson_mla_fit):
         fit = fit_fn(prepared)
@@ -532,7 +531,7 @@ def test_one_eigendecomposition_per_call(monkeypatch, fit):
         return sym_eigen(s)
 
     monkeypatch.setattr(est_watson, "sym_eigen", counting)
-    x = sample_watson(WatsonParams(np.ones(4) / 2.0, 5.0), 200, [RngState(61)])
+    x = sample_watson(WatsonParams(np.ones(4) / 2.0, 5.0), 200, 61)
     fit(x)
     assert len(calls) == 1
 
@@ -541,7 +540,7 @@ def test_one_eigendecomposition_per_call(monkeypatch, fit):
                                          (20, 5.0, 100), (20, -2.0, 100)])
 def test_stacked_fits_equal_single_fits_bitwise(d, kappa, n):
     params = WatsonParams(np.ones(d) / math.sqrt(d), kappa)
-    stack = sample_watson(params, n, [RngState(62, stream=k) for k in range(12)])
+    stack = sample_watson(params, n, 62, range(12))
     if d == 3:  # slice 4 has no ST estimate
         stack[4] = np.tile(watson_st_ne_points(), (2, 1))
     prepared = est_watson.prepare_sample(stack)

@@ -9,7 +9,6 @@ import pytest
 
 from spherestein import families
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
-from spherestein.sampler import RngState
 
 from oracles import watson_st_ne_points
 
@@ -52,7 +51,7 @@ def _slice(fit, k):
 def test_fit_one_equals_slice_of_stack_fit(family, code, d):
     n = 60 if d == 3 else 400  # FB at d = 20 has 229 unknowns
     stack = np.concatenate([
-        families.SAMPLERS[family](p, n, [RngState(80 + d, stream=3 * i + k) for k in range(3)])
+        families.SAMPLERS[family](p, n, 80 + d, range(3 * i, 3 * i + 3))
         for i, p in enumerate(_params(family, d))])
     flagged = _flagged(family, code, d, n)
     if flagged is not None:

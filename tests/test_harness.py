@@ -42,18 +42,28 @@ def test_config_rejects_non_integer_threads(threads):
 
 @pytest.mark.parametrize("value", [True, 1.5, "3", np.float64(2.0), -1, np.int64(-1)])
 def test_config_and_rng_state_share_the_integer_rule(value):
-    # one rule, models.as_int, so the two raise the same words
+    # one rule, models.as_int, so a config and a sampler's seed raise the same words
     with pytest.raises(ValueError) as from_rng:
-        sampler.RngState(seed=value)
+        sampler.sample_vmf(_vmf_config().params, 5, value)
     with pytest.raises(ValueError) as from_config:
         _vmf_config(seed=value)
     assert str(from_rng.value) == str(from_config.value)
 
 
 def test_config_and_rng_state_store_numpy_integers_as_ints():
-    seeds = sampler.RngState(seed=np.int64(3)).seed, _vmf_config(seed=np.int64(3)).seed
-    assert seeds == (3, 3)
-    assert all(type(seed) is int for seed in seeds)
+    # a numpy integer seed draws what its int does, and a config stores the int
+    params = _vmf_config().params
+    np.testing.assert_array_equal(sampler.sample_vmf(params, 5, np.int64(3), np.arange(2)),
+                                  sampler.sample_vmf(params, 5, 3, range(2)))
+    seed = _vmf_config(seed=np.int64(3)).seed
+    assert seed == 3 and type(seed) is int
+
+
+def test_config_refuses_more_replications_than_streams():
+    # a replication's stream is its index, and streams stop below 2**32
+    assert _vmf_config(reps=2**32).reps == 2**32
+    with pytest.raises(ValueError, match=r"^reps must be <= 2\*\*32, got 4294967297$"):
+        _vmf_config(reps=2**32 + 1)
 
 
 def test_single_replication_degenerate():
@@ -98,10 +108,10 @@ def _planting(monkeypatch, family, sample, rep_gets_it):
     # satisfies rep_gets_it
     real = families.SAMPLERS[family]
 
-    def planted(params, n, streams):
-        stack = real(params, n, streams)
-        for k, rng in enumerate(streams):
-            if rep_gets_it(rng.stream):
+    def planted(params, n, seed, streams):
+        stack = real(params, n, seed, streams)
+        for k, stream in enumerate(streams):
+            if rep_gets_it(stream):
                 stack[k] = sample
         return stack
 
@@ -225,7 +235,7 @@ def test_block_results_equal_per_replication_fits(monkeypatch):
             errors = np.array([_single_errors(family, families.fit_one(
                 family, est, families.SAMPLERS[family](
                     config.params, config.n,
-                    [sampler.RngState(config.seed, stream=rep)])[0]),
+                    config.seed, [rep])[0]),
                 config.params) for rep in range(config.reps)])
             for i, block in enumerate(fam.blocks):
                 cell = result.cells[est][block]
@@ -283,9 +293,9 @@ def test_one_worker_runs_every_block_in_the_calling_thread(monkeypatch):
     idents = []
     real = families.SAMPLERS["vmf"]
 
-    def recording(params, n, streams):
+    def recording(params, n, seed, streams):
         idents.append(threading.get_ident())
-        return real(params, n, streams)
+        return real(params, n, seed, streams)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-worker study built an executor")
@@ -312,10 +322,10 @@ def test_stein2_books_ne_per_replication(monkeypatch):
     line[:, 0] = [1.0, 1.0, -1.0] * 10
     real = families.SAMPLERS["vmf"]
 
-    def with_singular(params, n, streams):
-        stack = real(params, n, streams)
-        for k, rng in enumerate(streams):
-            if rng.stream % 3 == 0:
+    def with_singular(params, n, seed, streams):
+        stack = real(params, n, seed, streams)
+        for k, stream in enumerate(streams):
+            if stream % 3 == 0:
                 stack[k] = line
         return stack
 
@@ -327,7 +337,7 @@ def test_stein2_books_ne_per_replication(monkeypatch):
     assert result.cells["st2"]["kappa"].ne == 7 / 20
     assert result.cells["ml"]["kappa"].ne == 0.0
     errors = [families.fit_one("vmf", "st2", real(
-        config.params, config.n, [sampler.RngState(13, stream=rep)])[0])["kappa"] - 2.0
+        config.params, config.n, 13, [rep])[0])["kappa"] - 2.0
         for rep in range(20) if rep % 3]
     assert result.cells["st2"]["kappa"].bias == float(np.mean(errors))
 
@@ -355,8 +365,7 @@ def test_hard_failure_names_estimator_seed_and_replication(monkeypatch):
 def test_hard_failure_of_a_stacked_fit_names_the_block(monkeypatch):
     config = _vmf_config(reps=20, seed=8)
     _set_block_size(monkeypatch, config, 7)
-    bad = sampler.sample_vmf(config.params, config.n,
-                             [sampler.RngState(8, stream=14)])[0]
+    bad = sampler.sample_vmf(config.params, config.n, 8, [14])[0]
     original = families.ESTIMATORS["vmf", "ml"]
 
     def fails_on_third_block(prepared):
@@ -379,9 +388,9 @@ def test_degenerate_vmf_slice_fails_naming_its_block(monkeypatch):
     _set_block_size(monkeypatch, config, 7)
     original = families.SAMPLERS["vmf"]
 
-    def degenerate_third_block(params, n, rngs):
-        stack = original(params, n, rngs)
-        if rngs[0].stream == 14:
+    def degenerate_third_block(params, n, seed, streams):
+        stack = original(params, n, seed, streams)
+        if streams[0] == 14:
             stack[1, ::2], stack[1, 1::2] = np.eye(3)[0], -np.eye(3)[0]
         return stack
 
@@ -395,7 +404,7 @@ def test_degenerate_vmf_slice_fails_naming_its_block(monkeypatch):
 
 def test_fb_errors_per_slice_equal_single_fit_errors():
     params = ENGINE_CONFIGS["fb"]["params"]
-    stack = sampler.sample_fb(params, 60, [sampler.RngState(5, stream=k) for k in range(6)])
+    stack = sampler.sample_fb(params, 60, 5, range(6))
     stack[3] = np.eye(3)[0]  # singular: no estimate
     fit = families.ESTIMATORS["fb", "st"](stack)
     errors = np.column_stack(families.FAMILIES["fb"].errors(fit, params))

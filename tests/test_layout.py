@@ -24,7 +24,6 @@ import pytest
 import spherestein
 from spherestein import families
 from spherestein.models import FisherBinghamParams, Params, VmfParams, WatsonParams
-from spherestein.sampler import RngState
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "spherestein"
@@ -165,7 +164,7 @@ LAYOUT_PARAMS = {
 @pytest.mark.parametrize("family,code", sorted(families.ESTIMATORS))
 def test_estimators_reject_a_single_sample(family, code):
     # the n x d sample of which the (1, n, d) stack is fitted
-    stack = families.SAMPLERS[family](LAYOUT_PARAMS[family], 50, [RngState(0)])
+    stack = families.SAMPLERS[family](LAYOUT_PARAMS[family], 50, 0)
     assert not families.ESTIMATORS[family, code](stack).ne[0]
     with pytest.raises(ValueError, match="b x n x d"):
         families.ESTIMATORS[family, code](stack[0])
@@ -176,9 +175,11 @@ def test_estimators_reject_a_single_sample(family, code):
 
 @pytest.mark.parametrize("family", sorted(families.SAMPLERS))
 def test_samplers_reject_a_bare_rng_state(family):
+    # one seed and a sequence of streams (one by default), never a bare stream
     sample = families.SAMPLERS[family]
-    assert sample(LAYOUT_PARAMS[family], 5, [RngState(0)]).shape == (1, 5, 3)
-    with pytest.raises(TypeError):
-        sample(LAYOUT_PARAMS[family], 5, RngState(0))
-    with pytest.raises(ValueError, match="at least one RngState"):
-        sample(LAYOUT_PARAMS[family], 5, [])
+    assert sample(LAYOUT_PARAMS[family], 5, 0).shape == (1, 5, 3)
+    assert sample(LAYOUT_PARAMS[family], 5, 0, range(2, 4)).shape == (2, 5, 3)
+    with pytest.raises(ValueError, match="streams must be a non-empty sequence"):
+        sample(LAYOUT_PARAMS[family], 5, 0, 2)
+    with pytest.raises(ValueError, match="streams must be a non-empty sequence"):
+        sample(LAYOUT_PARAMS[family], 5, 0, [])

@@ -100,7 +100,7 @@ def test_estimates_do_not_depend_on_sample_layout(family, estimator):
     # F-ordered) gets the bits of the C-ordered stack, of three or of one
     fit = families.ESTIMATORS[family, estimator]
     stack = families.SAMPLERS[family](
-        LAYOUT_PARAMS[family], 300, [sampler.RngState(70, stream=k) for k in range(3)])
+        LAYOUT_PARAMS[family], 300, 70, range(3))
     for x in (stack, stack[1:2]):
         strided = np.zeros(x.shape[:-1] + (2 * x.shape[-1],))[..., ::2]
         strided[...] = x
@@ -151,8 +151,7 @@ def test_vmf_density_closed_form_d3():
 def test_densities_integrate_to_one():
     # uniform Monte Carlo integration over S^2; each density is evaluated
     # on all rows at once and checked against the per-row oracle on a few
-    rng = sampler.RngState(21)
-    x = sampler.sample_watson(WatsonParams(E3[0], 0.0), 400_000, [rng])[0][:200_000]
+    x = sampler.sample_watson(WatsonParams(E3[0], 0.0), 400_000, 21)[0][:200_000]
     area = math.exp(log_sphere_area(3))
     for params, logpdf, log_values in (
         (VmfParams(E3[0], 1.0), vmf_log_density,
@@ -306,7 +305,7 @@ def test_stein_identity_generic_function_all_families():
          sampler.sample_fb),
     ]
     for idx, (params, draw) in enumerate(cases):
-        x = draw(params, n, [sampler.RngState(100 + idx)])[0]
+        x = draw(params, n, 100 + idx)[0]
         values = _sin_stein_rows(params, w, x)
         direct = [stein_operator_apply(params, f, row)[0] for row in x[:20]]
         np.testing.assert_allclose(values[:20], direct, rtol=0, atol=1e-13)

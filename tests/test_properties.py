@@ -32,7 +32,7 @@ from spherestein.est_watson import (
 )
 from spherestein.families import FAMILIES
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
-from spherestein.sampler import RngState, sample_fb, sample_vmf, sample_watson
+from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 
 from oracles import acg_sample_loop, vmf_sample_loop
 
@@ -41,7 +41,7 @@ FITS = {"st": watson_stein_fit, "mla": watson_mla_fit, "ml": watson_mle_fit}
 samples = st.builds(
     lambda d, kappa, n, seed, axis: (d, sample_watson(
         WatsonParams(axis[:d] / np.linalg.norm(axis[:d]), kappa), n,
-        [RngState(seed)])),
+        seed)),
     d=st.integers(2, 50),
     kappa=st.one_of(st.floats(-1e4, 1e4),
                     st.sampled_from([0.0, 1e4, -1e4, 800.0, -800.0])),
@@ -169,20 +169,21 @@ def test_stacked_samplers_equal_the_per_stream_loops(params, n, b, seed, min_bat
     # every stream of a stack makes the draws it would make alone, so each
     # slice is bit for bit the one-stream loop; at min_batch = 1 streams
     # fall short after different numbers of batches
-    streams = [RngState(seed, stream=k) for k in range(b)]
+    streams = range(b)
     with mock.patch.object(sampler, "_MIN_BATCH", min_batch):
         if params.family == "vmf":
-            stack = sample_vmf(params, n, streams)
-            expected = [vmf_sample_loop(params, n, r, min_batch)[0] for r in streams]
+            stack = sample_vmf(params, n, seed, streams)
+            expected = [vmf_sample_loop(params, n, seed, k, min_batch)[0] for k in streams]
         else:
             if params.family == "watson":
-                stack = sample_watson(params, n, streams)
+                stack = sample_watson(params, n, seed, streams)
                 mu = np.zeros(params.d)
                 a_mat = params.kappa * np.outer(params.mu, params.mu)
             else:
-                stack = sample_fb(params, n, streams)
+                stack = sample_fb(params, n, seed, streams)
                 mu, a_mat = params.mu, params.A
-            expected = [acg_sample_loop(mu, a_mat, n, r, min_batch)[0] for r in streams]
+            expected = [acg_sample_loop(mu, a_mat, n, seed, k, min_batch)[0]
+                        for k in streams]
     assert stack.shape == (b, n, params.d)
     for k, sample in enumerate(expected):
         np.testing.assert_array_equal(stack[k], sample)

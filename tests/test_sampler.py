@@ -6,12 +6,7 @@ from scipy import stats
 
 from spherestein import models, sampler
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
-from spherestein.sampler import (
-    RngState,
-    sample_fb,
-    sample_vmf,
-    sample_watson,
-)
+from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 from spherestein.special import bessel_ratio, kummer_moment, log_kummer_1f1
 
 from oracles import (
@@ -32,10 +27,10 @@ UNIFORM = WatsonParams(E3[0], 0.0)  # the uniform distribution on S^2
 
 
 def test_rng_state_reproducible():
-    a = stream_generator(RngState(42)).standard_normal(5)
-    b = stream_generator(RngState(42)).standard_normal(5)
+    a = stream_generator(42).standard_normal(5)
+    b = stream_generator(42).standard_normal(5)
     np.testing.assert_array_equal(a, b)
-    c = stream_generator(RngState(42, stream=1)).standard_normal(5)
+    c = stream_generator(42, 1).standard_normal(5)
     assert not np.array_equal(a, c)
 
 
@@ -44,66 +39,63 @@ def _seed_sequence_raw(seed, stream):
     return np.random.Philox(seq).random_raw(8)
 
 
-# multi-word seeds and streams: 2**130 + 7 has five words, more than the
-# pool, and 2**64 + 5 three spawn words
-KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7)
-KEY_STREAMS = (0, 1, 199, 2**32 - 1, 2**32, 2**45 + 9, 2**64 + 5)
+# multi-word seeds: 2**130 + 7 has five words, more than the pool; a
+# stream is one spawn word, up to 2**32 - 1
+KEY_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7, np.int64(7))
+KEY_STREAMS = (0, 1, 199, 2**32 - 1)
 
 
 @pytest.mark.parametrize("seed", KEY_SEEDS)
 def test_block_keys_equal_seed_sequence(seed):
-    gens = sampler._generators([RngState(seed, stream) for stream in KEY_STREAMS])
-    for stream, g in zip(KEY_STREAMS, gens):
-        np.testing.assert_array_equal(g.bit_generator.random_raw(8),
-                                      _seed_sequence_raw(seed, stream))
+    # a list and a numpy array of streams key alike, and so does each alone
+    for streams in (KEY_STREAMS, np.array(KEY_STREAMS, dtype=np.uint32)):
+        gens = sampler._generators(seed, streams)
+        for stream, g in zip(KEY_STREAMS, gens):
+            np.testing.assert_array_equal(g.bit_generator.random_raw(8),
+                                          _seed_sequence_raw(int(seed), stream))
+    for stream in KEY_STREAMS:
         np.testing.assert_array_equal(
-            stream_generator(RngState(seed, stream)).bit_generator.random_raw(8),
-            _seed_sequence_raw(seed, stream))
-
-
-def test_block_keys_of_mixed_word_counts_and_seeds():
-    # one- and two-word streams interleaved, over two seeds, in one call
-    rngs = [RngState(seed, stream) for stream in (5, 2**40, 7, 2**32, 2**33 + 1, 0)
-            for seed in (3, 2**70)]
-    for r, g in zip(rngs, sampler._generators(rngs)):
-        np.testing.assert_array_equal(g.bit_generator.random_raw(8),
-                                      _seed_sequence_raw(r.seed, r.stream))
+            stream_generator(seed, stream).bit_generator.random_raw(8),
+            _seed_sequence_raw(int(seed), stream))
 
 
 @pytest.mark.parametrize("key", ["seed", "stream"])
 @pytest.mark.parametrize("value", [1.5, True, np.float64(2.0), "3", None, -1])
 def test_rng_state_rejects_non_integer_or_negative_keys(key, value):
+    # a (seed, stream) key: the seed alone, or a stream in a sequence of one
+    args = (value, [0]) if key == "seed" else (0, [value])
     with pytest.raises(ValueError, match=key):
-        RngState(**{"seed": 0, key: value})
+        sampler._generators(*args)
 
 
-def test_rng_state_stores_numpy_integers_as_int():
-    r = RngState(np.int64(7), stream=np.uint32(3))
-    assert type(r.seed) is int and type(r.stream) is int
-    assert r == RngState(7, 3) and hash(r) == hash(RngState(7, 3))
-    np.testing.assert_array_equal(stream_generator(r).standard_normal(5),
-                                  stream_generator(RngState(7, 3)).standard_normal(5))
+@pytest.mark.parametrize("streams", [[], range(0), [-1], [2**32], [0, 2**32], [1.5], [True],
+                                     np.array([0, 1], dtype=object), [[0, 1]], 3])
+def test_generators_refuse_streams_outside_the_rule(streams):
+    # a non-empty 1-D sequence of integers in [0, 2**32), checked at once
+    with pytest.raises(ValueError, match=r"streams must be a non-empty sequence of "
+                                         r"integers in \[0, 2\*\*32\)"):
+        sampler._generators(0, streams)
 
 
 def test_all_samplers_deterministic_and_unit():
-    rng = [RngState(1)]
+    seed = 1
     draws = {
-        "uniform": sample_watson(UNIFORM, 50, rng),
-        "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, rng),
-        "watson": sample_watson(WatsonParams(E3[0], -5.0), 50, rng),
+        "uniform": sample_watson(UNIFORM, 50, seed),
+        "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, seed),
+        "watson": sample_watson(WatsonParams(E3[0], -5.0), 50, seed),
         "fb": sample_fb(
             FisherBinghamParams(np.array([1.0, 0, 0]),
                                 np.array([[0.0, 1, 0], [1, 2, 0], [0, 0, 0]])),
-            50, rng),
+            50, seed),
     }
     again = {
-        "uniform": sample_watson(UNIFORM, 50, rng),
-        "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, rng),
-        "watson": sample_watson(WatsonParams(E3[0], -5.0), 50, rng),
+        "uniform": sample_watson(UNIFORM, 50, seed),
+        "vmf": sample_vmf(VmfParams(E3[0], 5.0), 50, seed),
+        "watson": sample_watson(WatsonParams(E3[0], -5.0), 50, seed),
         "fb": sample_fb(
             FisherBinghamParams(np.array([1.0, 0, 0]),
                                 np.array([[0.0, 1, 0], [1, 2, 0], [0, 0, 0]])),
-            50, rng),
+            50, seed),
     }
     for name, x in draws.items():
         np.testing.assert_array_equal(x, again[name])
@@ -112,7 +104,7 @@ def test_all_samplers_deterministic_and_unit():
 
 
 def test_uniform_moments():
-    x = sample_watson(UNIFORM, 100_000, [RngState(2)])[0]
+    x = sample_watson(UNIFORM, 100_000, 2)[0]
     n = x.shape[0]
     se_mean = 1.0 / math.sqrt(3 * n)  # component variance is 1/d
     assert np.all(np.abs(x.mean(axis=0)) <= 4 * se_mean)
@@ -125,7 +117,7 @@ def test_uniform_moments():
 def test_vmf_mean_direction_and_resultant():
     params = VmfParams(np.array([0.0, 0.6, 0.8]), 10.0)
     n = 100_000
-    x = sample_vmf(params, n, [RngState(3)])[0]
+    x = sample_vmf(params, n, 3)[0]
     xbar = x.mean(axis=0)
     rho = bessel_ratio(3, 10.0)
     # per-component variance of X is bounded by 1/n-scale terms
@@ -137,7 +129,7 @@ def test_vmf_mean_direction_and_resultant():
 def test_vmf_high_concentration():
     # P(angle > 0.2) ~ 5e-5 per draw at kappa = 500, so keep n modest
     params = VmfParams(np.array([1.0, 0.0, 0.0]), 500.0)
-    x = sample_vmf(params, 2_000, [RngState(4)])[0]
+    x = sample_vmf(params, 2_000, 4)[0]
     angles = np.arccos(np.clip(x @ params.mu, -1.0, 1.0))
     assert np.max(angles) < 0.2
     assert np.mean(angles) < 0.1  # typical scale is sqrt(2/kappa)
@@ -145,18 +137,18 @@ def test_vmf_high_concentration():
 
 def test_vmf_d2_works():
     params = VmfParams(np.array([0.0, 1.0]), 3.0)
-    x = sample_vmf(params, 50_000, [RngState(5)])[0]
+    x = sample_vmf(params, 50_000, 5)[0]
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
     assert abs(np.linalg.norm(x.mean(axis=0)) - bessel_ratio(2, 3.0)) < 0.01
 
 
 def test_watson_zero_kappa_is_uniform():
     # the uniform law's definition: the stream's normals with unit rows
-    x = sample_watson(UNIFORM, 100_000, [RngState(6)])[0]
+    x = sample_watson(UNIFORM, 100_000, 6)[0]
     np.testing.assert_array_equal(
-        x, random_unit_rows(stream_generator(RngState(6)), 100_000, 3))
+        x, random_unit_rows(stream_generator(6), 100_000, 3))
     fb = FisherBinghamParams(np.zeros(3), np.zeros((3, 3)))
-    np.testing.assert_array_equal(x, sample_fb(fb, 100_000, [RngState(6)])[0])
+    np.testing.assert_array_equal(x, sample_fb(fb, 100_000, 6)[0])
     scatter = x.T @ x / x.shape[0]
     assert np.max(np.abs(scatter - np.eye(3) / 3)) <= 4 * math.sqrt(2 / 15 / 1e5)
 
@@ -176,14 +168,14 @@ def test_uniform_envelope_accepts_all(d):
 
 def test_watson_bipolar_alignment():
     mu = np.array([0.0, 0.6, 0.8])
-    x = sample_watson(WatsonParams(mu, 10.0), 100_000, [RngState(7)])[0]
+    x = sample_watson(WatsonParams(mu, 10.0), 100_000, 7)[0]
     top = np.linalg.eigh(x.T @ x / x.shape[0])[1][:, -1]
     assert abs(top @ mu) > 0.99
 
 
 def test_watson_girdle_alignment():
     mu = np.array([0.0, 0.6, 0.8])
-    x = sample_watson(WatsonParams(mu, -10.0), 100_000, [RngState(8)])[0]
+    x = sample_watson(WatsonParams(mu, -10.0), 100_000, 8)[0]
     bottom = np.linalg.eigh(x.T @ x / x.shape[0])[1][:, 0]
     assert abs(bottom @ mu) > 0.99
 
@@ -192,7 +184,7 @@ def test_watson_girdle_alignment():
 def test_watson_squared_projection_moment(kappa):
     mu = np.ones(3) / math.sqrt(3)
     n = 100_000
-    x = sample_watson(WatsonParams(mu, kappa), n, [RngState(9)])[0]
+    x = sample_watson(WatsonParams(mu, kappa), n, 9)[0]
     t2 = (x @ mu) ** 2
     expected = kummer_moment(1, 0.5, 1.5, kappa)
     se = t2.std(ddof=1) / math.sqrt(n)
@@ -201,7 +193,7 @@ def test_watson_squared_projection_moment(kappa):
 
 def test_fb_zero_params_uniform():
     params = FisherBinghamParams(np.zeros(3), np.zeros((3, 3)))
-    x = sample_fb(params, 100_000, [RngState(10)])[0]
+    x = sample_fb(params, 100_000, 10)[0]
     scatter = x.T @ x / x.shape[0]
     assert np.max(np.abs(scatter - np.eye(3) / 3)) <= 4 * math.sqrt(2 / 15 / 1e5)
     assert np.all(np.abs(x.mean(axis=0)) <= 4 / math.sqrt(3 * 1e5))
@@ -212,8 +204,8 @@ def test_fb_reduces_to_vmf():
     kappa, mu0 = 5.0, np.array([0.0, 0.0, 1.0])
     n = 10_000
     x_fb = sample_fb(FisherBinghamParams(kappa * mu0, np.zeros((3, 3))),
-                     n, [RngState(11)])[0]
-    x_vmf = sample_vmf(VmfParams(mu0, kappa), n, [RngState(12)])[0]
+                     n, 11)[0]
+    x_vmf = sample_vmf(VmfParams(mu0, kappa), n, 12)[0]
     ks = stats.ks_2samp(x_fb @ mu0, x_vmf @ mu0)
     assert ks.pvalue > 0.01
 
@@ -223,8 +215,8 @@ def test_fb_reduces_to_watson():
     kappa, mu0 = 6.0, np.array([1.0, 0.0, 0.0])
     a_mat = kappa * np.outer(mu0, mu0)  # A[d,d] = 0 holds for this axis
     n = 10_000
-    x_fb = sample_fb(FisherBinghamParams(np.zeros(3), a_mat), n, [RngState(13)])[0]
-    x_w = sample_watson(WatsonParams(mu0, kappa), n, [RngState(14)])[0]
+    x_fb = sample_fb(FisherBinghamParams(np.zeros(3), a_mat), n, 13)[0]
+    x_w = sample_watson(WatsonParams(mu0, kappa), n, 14)[0]
     ks = stats.ks_2samp((x_fb @ mu0) ** 2, (x_w @ mu0) ** 2)
     assert ks.pvalue > 0.01
 
@@ -233,7 +225,7 @@ def test_fb_uniform_envelope_agrees_with_acg():
     params = FisherBinghamParams(np.array([0.0, 1.0, 1.0]),
                                  np.array([[0.0, 0, 0], [0, 0, -1], [0, -1, 0]]))
     n = 10_000
-    x_acg = sample_fb(params, n, [RngState(15)])[0]
+    x_acg = sample_fb(params, n, 15)[0]
     x_uni = fb_uniform_rejection(params.mu, params.A, n,
                                  np.random.default_rng(16))
     direction = params.mu / np.linalg.norm(params.mu)
@@ -247,7 +239,7 @@ def test_fb_strong_concentration_runs():
         np.array([11.0, 3.0, 10.0]),
         np.array([[2.0, -2, 1], [-2, 12, -2], [1, -2, 0]]),
     )
-    x = sample_fb(params, 5_000, [RngState(17)])[0]
+    x = sample_fb(params, 5_000, 17)[0]
     np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
 
 
@@ -263,7 +255,7 @@ def test_stein_identity_canonical_functions_all_families():
          sample_fb, 22),
     ]
     for params, draw, seed in cases:
-        x = draw(params, n, [RngState(seed)])[0][:30_000]
+        x = draw(params, n, seed)[0][:30_000]
         d = x.shape[1]
         # the closed form, checked against the per-row operator on 50 rows
         for f, values in zip((canonical_f1(d), canonical_f2(d)),
@@ -277,15 +269,15 @@ def test_stein_identity_canonical_functions_all_families():
 
 def test_sampler_input_validation():
     with pytest.raises(ValueError):
-        sample_watson(WatsonParams([1.0], 0.0), 5, [RngState(0)])
+        sample_watson(WatsonParams([1.0], 0.0), 5, 0)
     for sample, params in ((sample_watson, UNIFORM), (sample_vmf, VmfParams(E3[0], 2.0)),
                            (sample_fb, FisherBinghamParams(E3[0], np.zeros((3, 3))))):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            sample(params, 0, [RngState(0)])
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        RngState(-1)
-    with pytest.raises(ValueError, match="stream must be >= 0, got -2"):
-        RngState(0, stream=-2)
+            sample(params, 0, 0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample(params, 5, -1)
+        with pytest.raises(ValueError, match=r"streams must .*, got \[-2\]"):
+            sample(params, 5, 0, [-2])
 
 
 _U4 = np.array([0.5, -0.5, 0.5, 0.5])
@@ -440,7 +432,7 @@ def test_watson_acceptance_matches_sampler_count(monkeypatch, d, kappa):
         return rejection(gens, n, batch, counted, width)
 
     monkeypatch.setattr(sampler, "_rejection", counting)
-    sample_watson(WatsonParams(np.eye(d)[0], kappa), 50_000, [RngState(24)])
+    sample_watson(WatsonParams(np.eye(d)[0], kappa), 50_000, 24)
     rate = _watson_acceptance(d, kappa)
     se = math.sqrt(rate * (1.0 - rate) / counts[0])
     assert abs(counts[1] / counts[0] - rate) <= 4.0 * se
@@ -451,7 +443,7 @@ def test_envelope_cache_keeps_parameter_sets_apart():
     kappas = (5.0, np.nextafter(5.0, 6.0), -5.0)
     envelopes = []
     for kappa in kappas:
-        sample_watson(WatsonParams(E3[0], kappa), 10, [RngState(0)])
+        sample_watson(WatsonParams(E3[0], kappa), 10, 0)
         a_mat = kappa * np.outer(E3[0], E3[0])
         envelopes.append(sampler._envelope(np.zeros(3).tobytes(), a_mat.tobytes(), 3))
     info = sampler._envelope.cache_info()
@@ -463,7 +455,7 @@ def test_envelope_cache_is_bounded():
     sampler._envelope.cache_clear()
     size = sampler._ENVELOPE_CACHE_SIZE
     for k in range(size + 5):
-        sample_watson(WatsonParams(E3[0], 1.0 + k), 1, [RngState(k)])
+        sample_watson(WatsonParams(E3[0], 1.0 + k), 1, k)
     info = sampler._envelope.cache_info()
     assert info.maxsize == size
     assert info.currsize == size
@@ -480,14 +472,13 @@ def test_vmf_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
     for d, kappa, n in ((2, 50.0, 2), (3, 1.0, 5), (3, 10.0, 100), (10, 4.0, 7),
                         (5, 3.0, 1), (20, 5.0, 257)):
         params = VmfParams(np.ones(d) / math.sqrt(d), kappa)
-        streams = [RngState(21, stream=k) for k in range(40)]
-        stack = sample_vmf(params, n, streams)
+        stack = sample_vmf(params, n, 21, range(40))
         assert stack.shape == (40, n, d)
-        for k, rng in enumerate(streams):
-            expected, batches = vmf_sample_loop(params, n, rng, min_batch)
+        for k in range(40):
+            expected, batches = vmf_sample_loop(params, n, 21, k, min_batch)
             short += batches > 1
             np.testing.assert_array_equal(stack[k], expected)
-            np.testing.assert_array_equal(sample_vmf(params, n, [rng])[0], expected)
+            np.testing.assert_array_equal(sample_vmf(params, n, 21, [k])[0], expected)
     assert (short > 0) == (min_batch == 1)
 
 
@@ -511,14 +502,13 @@ def test_acg_stack_equals_per_stream_samples_bitwise(monkeypatch, min_batch):
         else:
             fn, mu = sample_watson, np.zeros(params.d)
             a_mat = params.kappa * np.outer(params.mu, params.mu)
-        streams = [RngState(22, stream=k) for k in range(30)]
-        stack = fn(params, n, streams)
+        stack = fn(params, n, 22, range(30))
         assert stack.shape == (30, n, params.d)
-        for k, rng in enumerate(streams):
-            expected, batches = acg_sample_loop(mu, a_mat, n, rng, min_batch)
+        for k in range(30):
+            expected, batches = acg_sample_loop(mu, a_mat, n, 22, k, min_batch)
             short += batches > 1
             np.testing.assert_array_equal(stack[k], expected)
-            np.testing.assert_array_equal(fn(params, n, [rng])[0], expected)
+            np.testing.assert_array_equal(fn(params, n, 22, [k])[0], expected)
     assert (short > 0) == (min_batch == 1)
 
 
@@ -548,11 +538,10 @@ def test_kept_rows_rotate_as_in_the_whole_batch_product(monkeypatch, d):
 
 
 def test_watson_uniform_stack_equals_per_stream_samples():
-    streams = [RngState(23, stream=k) for k in range(5)]
-    stack = sample_watson(UNIFORM, 7, streams)
-    for k, rng in enumerate(streams):
+    stack = sample_watson(UNIFORM, 7, 23, range(5))
+    for k in range(5):
         np.testing.assert_array_equal(stack[k],
-                                      random_unit_rows(stream_generator(rng), 7, 3))
+                                      random_unit_rows(stream_generator(23, k), 7, 3))
 
 
 @pytest.mark.parametrize("work_bytes", [1, 2**30])
@@ -566,12 +555,11 @@ def test_stacks_equal_for_any_working_size(monkeypatch, work_bytes):
              (sample_watson, WatsonParams(u20, 5.0), 100),
              (sample_watson, WatsonParams(_U4, -6.0), 60),
              (sample_fb, FisherBinghamParams(*_ACG_CASES["fb"][:2]), 60)]
-    streams = [RngState(25, stream=k) for k in range(30)]
     for draw, params, n in cases:
-        expected = draw(params, n, streams)
+        expected = draw(params, n, 25, range(30))
         with monkeypatch.context() as patch:
             patch.setattr(models, "WORK_BYTES", work_bytes)
-            np.testing.assert_array_equal(draw(params, n, streams), expected)
+            np.testing.assert_array_equal(draw(params, n, 25, range(30)), expected)
 
 
 def test_proposal_rounds_stay_within_the_working_size(monkeypatch):
@@ -589,11 +577,10 @@ def test_proposal_rounds_stay_within_the_working_size(monkeypatch):
 
     monkeypatch.setattr(sampler, "_rejection", checking)
     u20 = np.ones(20) / math.sqrt(20)
-    streams = [RngState(26, stream=k) for k in range(40)]
-    sample_vmf(VmfParams(E3[0], 3.0), 2000, streams)
-    sample_watson(WatsonParams(u20, 5.0), 100, streams)
-    sample_watson(WatsonParams(u20, -2.0), 2000, streams[:3])
-    sample_fb(FisherBinghamParams(*_ACG_CASES["fb"][:2]), 1000, streams[:10])
+    sample_vmf(VmfParams(E3[0], 3.0), 2000, 26, range(40))
+    sample_watson(WatsonParams(u20, 5.0), 100, 26, range(40))
+    sample_watson(WatsonParams(u20, -2.0), 2000, 26, range(3))
+    sample_fb(FisherBinghamParams(*_ACG_CASES["fb"][:2]), 1000, 26, range(10))
     assert all(k == 1 or size <= models.WORK_BYTES for k, size in stacks)
     assert any(k > 1 for k, _ in stacks)
     assert any(k == 1 and size > models.WORK_BYTES for k, size in stacks)

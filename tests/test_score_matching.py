@@ -25,7 +25,7 @@ from spherestein.est_fb import fb_statistics, fb_stein_fit
 from spherestein.est_vmf import kappa_score_matching, kappa_stein, kappa_stein2
 from spherestein.linalg import vech_prime
 from spherestein.models import FisherBinghamParams, VmfParams, params_from_dict
-from spherestein.sampler import RngState, sample_fb, sample_vmf
+from spherestein.sampler import sample_fb, sample_vmf
 
 from oracles import fb_score_statistic, lower_pairs, random_unit_rows, score_matching_fit
 
@@ -47,7 +47,7 @@ def _d_weights(d):
 
 @pytest.mark.parametrize("name", ["table1_fig2", "table1_fig3", "table1_fig6", "d10"])
 def test_fb_stein_fit_is_score_matching(name):
-    x = sample_fb(_fb_params(name), 200, [RngState(21)])
+    x = sample_fb(_fb_params(name), 200, 21)
     theta = score_matching_fit(x[0], *fb_score_statistic(x[0]))[0]
     fit = fb_stein_fit(x)
     stein = np.concatenate([vech_prime(fit.A_hat[0]), fit.mu_hat[0]])
@@ -70,7 +70,7 @@ def test_fb_stein_system_is_diag_d_times_score_matching_system(d):
 
 def _vmf_stack(d, kappa):
     mu = np.ones(d) / np.sqrt(d)
-    return sample_vmf(VmfParams(mu, kappa), 100, [RngState(23, stream=k) for k in range(8)])
+    return sample_vmf(VmfParams(mu, kappa), 100, 23, range(8))
 
 
 @pytest.mark.parametrize("d,kappa", [(3, 2.0), (3, 10.0), (10, 10.0)])

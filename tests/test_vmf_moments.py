@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spherestein.models import VmfParams
-from spherestein.sampler import RngState, sample_vmf
+from spherestein.sampler import sample_vmf
 from spherestein.est_vmf import (
     fisher_information_vmf,
     stein_asymptotic_variance_vmf,
@@ -45,7 +45,7 @@ def test_mean_resultant_closed_form_d3():
 def test_moment_blocks_match_monte_carlo():
     params = VmfParams(np.array([0.0, 0.6, 0.8]), 2.0)
     n = 1_000_000
-    x = sample_vmf(params, n, [RngState(30)])[0]
+    x = sample_vmf(params, n, 30)[0]
     moments = vmf_moments(params)
 
     xbar = x.mean(axis=0)
