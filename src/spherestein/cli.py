@@ -13,11 +13,11 @@ Exit codes: 0 success (including a Watson NE outcome, reported as
 key, a non-finite parameter), 3 sampler failure or an estimator failing
 hard (1F1 out of range or a root finder that does not converge in fit,
 any failure beyond the booked outcomes in simulate), 4 singular
-estimating equations.  An --out path that cannot be opened for writing
-exits 2 with one "error: cannot write ..." line; simulate checks it
-before the study runs.  A reader that closes stdout before the output is
-written (``... | head -1``) ends the command silently with exit code 141,
-as a shell reports a writer that SIGPIPE ends.
+estimating equations.  An --out path that cannot be opened or written
+exits 2 with one "error: cannot write ..." line; simulate checks it before
+the study.  A reader that closes stdout or --out /dev/stdout early
+(``... | head -1``) ends the command silently with exit 141, as a shell
+reports a writer that SIGPIPE ends.  Warnings go to the spherestein logger.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import logging
 import math
 import os
 import sys
@@ -43,6 +44,22 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _write(path: str, fill, mode: str = "w") -> int:
+    # 0, or exit 2 with one line; a closed reader's BrokenPipeError goes to entry
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fill(fh)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        return _fail(f"cannot write {path}: {exc.strerror}", 2)
+    return 0
+
+
+def _header(d: int) -> str:  # the x1,...,xd line of sample --header
+    return ",".join(f"x{i + 1}" for i in range(d))
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is allowed
         return json.load(fh)
@@ -59,22 +76,18 @@ def cmd_sample(args) -> int:
         return _fail(f"invalid argument: {exc}", 2)
     except RuntimeError as exc:
         return _fail(f"sampler failed: {exc}", 3)
-    names = ",".join(f"x{i + 1}" for i in range(x.shape[1])) if args.header else ""
-    try:
-        np.savetxt(args.out, x, fmt=harness.FLOAT_FMT, delimiter=",", header=names,
-                   comments="", encoding="utf-8")
-    except OSError as exc:
-        return _fail(f"cannot write {args.out}: {exc.strerror}", 2)
-    print(json.dumps({"seed": args.seed, "n": args.n, "d": x.shape[1],
-                      "out": args.out}))
+    header = _header(x.shape[1]) if args.header else ""
+    if code := _write(args.out, lambda fh: np.savetxt(
+            fh, x, fmt=harness.FLOAT_FMT, delimiter=",", header=header, comments="")):
+        return code
+    print(json.dumps({"seed": args.seed, "n": args.n, "d": x.shape[1], "out": args.out}))
     return 0
 
 
 def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is allowed
         first = fh.readline()
-        names = first.strip().split(",")
-        header = names == [f"x{i + 1}" for i in range(len(names))]  # as sample --header
+        header = first.strip() == _header(first.count(",") + 1)
         # a regular file by its path: np.loadtxt parses a path in chunks in C but
         # iterates a handle's lines in Python, which slows a large-n fit by about
         # 3%.  A pipe can be read once, so its rows come through this handle
@@ -93,18 +106,15 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
     with np.errstate(over="ignore"):  # entries from ~1.3e154: norm inf, rejected below
         norms = np.linalg.norm(x, axis=1)
     dev = np.abs(norms - 1.0)
-    notes = []
     if np.any(dev > 1e-3):
         first_bad = int(np.argmax(dev > 1e-3))
         raise ValueError(
             f"row {first_bad} has norm {norms[first_bad]:.6g}; rows must be "
             "unit vectors (within 1e-3 for auto-renormalization)"
         )
-    if np.any(dev > 1e-6):
-        notes.append(
-            f"{int((dev > 1e-6).sum())} rows renormalized (norm deviation > 1e-6)"
-        )
-    return x / norms[:, None], notes
+    renormalized = int((dev > 1e-6).sum())
+    notes = [f"{renormalized} rows renormalized (norm deviation > 1e-6)"]
+    return x / norms[:, None], notes if renormalized else []
 
 
 def cmd_fit(args) -> int:
@@ -123,9 +133,7 @@ def cmd_fit(args) -> int:
     try:
         fit = fit_one(family, estimator, x)
     except est_watson.NotEligible as exc:
-        report["status"] = "NE"
-        report["detail"] = str(exc)
-        return _emit_report(report, args.out)
+        fit = {"status": "NE", "detail": str(exc), "warnings": []}
     except SingularSystem as exc:
         return _fail(f"singular system: {exc}", 4)
     except (est_vmf.DegenerateMean, ValueError) as exc:
@@ -134,17 +142,9 @@ def cmd_fit(args) -> int:
         return _fail(f"estimator failed: {exc}", 3)
 
     report.update(fit, warnings=notes + fit["warnings"])
-    return _emit_report(report, args.out)
-
-
-def _emit_report(report: dict, out: str | None) -> int:
     text = json.dumps(report, indent=2)
-    if out:
-        try:
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            return _fail(f"cannot write {out}: {exc.strerror}", 2)
+    if args.out and (code := _write(args.out, lambda fh: fh.write(text + "\n"))):
+        return code
     print(text)
     return 0
 
@@ -171,23 +171,22 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
         return _fail(f"invalid config: {exc}", 2)
     fresh = bool(args.out) and not os.path.exists(args.out)
-    if args.out:
-        try:  # before the study; "a" leaves an existing file as it is
-            open(args.out, "a", encoding="utf-8").close()
-        except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc.strerror}", 2)
+    # before the study; "a" leaves an existing file as it is
+    if args.out and (code := _write(args.out, lambda fh: None, "a")):
+        return code
     try:
         result = harness.run_simulation(config)
     except RuntimeError as exc:
-        if fresh:  # made by the check above; a failed study writes no CSV
+        code = _fail(f"simulation failed: {exc}", 3)
+    else:
+        code = args.out and _write(args.out, lambda fh: fh.write(result.to_csv()))
+    if code:
+        if fresh:  # made by the check above; a failed study or write leaves no CSV
             os.remove(args.out)
-        return _fail(f"simulation failed: {exc}", 3)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(result.to_csv())
+        return code
     print(result.table())
     for warning in result.warnings:
-        print(f"warning: {warning}")
+        logging.getLogger("spherestein").warning("warning: %s", warning)
     print(json.dumps({"seed": config.seed, "reps": config.reps}))
     return 0
 

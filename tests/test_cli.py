@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -181,16 +182,25 @@ def test_fit_reads_a_piped_csv_as_its_path(tmp_path, capsys, header):
 
 
 @pytest.mark.parametrize("argv", [["asympvar", "--d", "3", "--kappa", "2"],
-                                  ["fit", "--family", "vmf", "--in"]])
+                                  ["fit", "--family", "vmf", "--in"],
+                                  ["sample", "--n", "50", "--out", "/dev/stdout",
+                                   "--params"],
+                                  ["fit", "--family", "vmf", "--out", "/dev/stdout",
+                                   "--in"]])
 def test_closed_stdout_exits_141_without_a_traceback(tmp_path, capsys, argv):
     # a reader that closes the pipe early (... | head -1) ends the command
-    # silently with the code a shell gives a writer that SIGPIPE ends
+    # silently with the code a shell gives a writer that SIGPIPE ends, also
+    # where it writes its --out file to stdout (--out /dev/stdout)
+    if "--out" in argv and not os.path.exists("/dev/stdout"):
+        pytest.skip("no /dev/stdout")
     if argv[0] == "fit":
         out = tmp_path / "draws.csv"
         cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "50",
                   "--out", str(out)])
         capsys.readouterr()
         argv = [*argv, str(out)]
+    if argv[0] == "sample":
+        argv = [*argv, _vmf_params(tmp_path)]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -647,6 +657,36 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     assert captured.err == f"error: cannot write {out}: No such file or directory\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_simulate_out_full_after_the_study_exits_2(capsys):
+    # the check before the study opens /dev/full; the CSV written after it
+    # fails, with one line and no traceback
+    code = cli.main(["simulate", "--config", str(CONFIG_DIR / "table3_d3_k10.json"),
+                     "--reps", "30", "--out", "/dev/full"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: cannot write /dev/full: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_simulate_csv_write_failure_removes_the_file(tmp_path, capsys, monkeypatch):
+    # a CSV the check before the study created goes, as after a failed
+    # study: the final write ("w") is sent to /dev/full, a full disk
+    def open_full(path, mode="r", **kwargs):
+        return open("/dev/full" if mode == "w" else path, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_full, raising=False)
+    out = tmp_path / "result.csv"
+    assert cli.main(["simulate", "--config", str(CONFIG_DIR / "table2_d3_k1.json"),
+                     "--reps", "5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    assert not out.exists()
+
+
 def test_simulate_bundled_config(tmp_path, capsys):
     out = str(tmp_path / "result.csv")
     code = cli.main(["simulate", "--config",
@@ -679,11 +719,27 @@ def test_every_bundled_config_simulates(tmp_path, capsys, config):
         assert all(math.isfinite(float(cell)) for cell in row[7:] if cell)
 
 
-def test_simulate_reps_one_warns(tmp_path, capsys):
+def test_simulate_reps_one_warns(tmp_path, capsys, caplog):
+    # through the spherestein logger, not on stdout
     code = cli.main(["simulate", "--config",
                      str(CONFIG_DIR / "table2_d3_k1.json"), "--reps", "1"])
     assert code == 0
-    assert "warning" in capsys.readouterr().out
+    assert "warning" not in capsys.readouterr().out
+    assert [(r.name, r.levelname) for r in caplog.records] == [("spherestein", "WARNING")]
+    assert "low replication count (1)" in caplog.text
+
+
+def test_simulate_warning_reaches_stderr():
+    # with no logging set up, the logger's warning reaches stderr in a fresh
+    # process (in-process, pytest's own log handlers take it)
+    run = _run_cli(["simulate", "--config", str(CONFIG_DIR / "table2_d3_k1.json"),
+                    "--reps", "10"], capture_output=True, text=True)
+    assert run.returncode == 0
+    *table, last = run.stdout.splitlines()
+    assert table[1].startswith("estimator") and len(table) == 2 + 3
+    assert json.loads(last) == {"seed": 3, "reps": 10}
+    assert run.stderr == ("warning: low replication count (10); "
+                          "standard errors are unreliable\n")
 
 
 def test_simulate_invalid_family(tmp_path):
