@@ -90,8 +90,10 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
         header = first.strip() == _header(first.count(",") + 1)
         # a regular file by its path: np.loadtxt parses a path in chunks in C but
         # iterates a handle's lines in Python, which slows a large-n fit by about
-        # 3%.  A pipe can be read once, so its rows come through this handle
-        rows = path if os.path.isfile(path) else itertools.chain([first], fh)
+        # 3%.  A pipe can be read once, and numpy opens these suffixes through a
+        # decompressor, so their rows come through this handle, as UTF-8 text
+        plain = os.path.isfile(path) and not path.endswith((".gz", ".bz2", ".xz", ".lzma"))
+        rows = path if plain else itertools.chain([first], fh)
         with warnings.catch_warnings():  # a file without rows is reported below
             warnings.simplefilter("ignore", UserWarning)
             x = np.loadtxt(rows, delimiter=",", ndmin=2, skiprows=int(header),

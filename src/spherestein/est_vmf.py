@@ -180,10 +180,8 @@ def fisher_information_vmf(d: int, kappa: float) -> float:
     cancellation as kappa grows, so beyond kappa = 30 + d it is the
     derivative R1' of the large-kappa expansion instead.
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
+    r1 = special.bessel_ratio(d, kappa)  # its domain check guards both branches
     if kappa < 30.0 + d:
-        r1 = special.bessel_ratio(d, kappa)
         return 1.0 - r1 * r1 - (d - 1.0) * r1 / kappa
     return special.large_kappa_expansion(d, kappa)[1]
 
@@ -194,10 +192,6 @@ def stein_asymptotic_variance_vmf(d: int, kappa: float) -> float:
     P = kappa I_{d/2-1} (2 kappa I_{d/2-1} - (d+1) I_{d/2})
         / ((d-1) I_{d/2}^2).
     """
-    if kappa <= 0:
-        raise ValueError("kappa must be > 0")
-    if d < 2:
-        raise ValueError("d must be >= 2")
     r1 = special.bessel_ratio(d, kappa)
     # divide the display through by I_{d/2-1}^2 to work in ratios
     return kappa * (2.0 * kappa - (d + 1.0) * r1) / ((d - 1.0) * r1 * r1)

@@ -143,22 +143,24 @@ def watson_stein_fit(x) -> WatsonEstimate:
     return _pick_branch(s.axes, fits, "J vanishes on the axis")
 
 
-def watson_mla_bounds(r, a: float = 0.5, c: float = 1.5) -> tuple:
-    """Sharp bounds (L, U) bracketing the ML concentration at resultant r.
+def watson_mla_bounds(r, d: int) -> tuple:
+    """Sharp bounds (L, U) bracketing the ML concentration at resultant r
+    on the sphere in R^d (Sra & Karp 2013, J. Multivariate Anal. 114).
 
-    L(r,a,c) = (rc-a)/(r(1-r)) (1 + (1-r)/(c-a)) and
-    U(r,a,c) = (rc-a)/(r(1-r)) (1 + r/a); returned ordered so L <= U
+    With Watson's a = 1/2 and c = d/2 of their Kummer ratio,
+    L = (rc-a)/(r(1-r)) (1 + (1-r)/(c-a)) and
+    U = (rc-a)/(r(1-r)) (1 + r/a); returned ordered so L <= U
     (the raw expressions swap order in the girdle regime).  An array of
     r gives arrays of bounds.
     """
+    a, c = 0.5, 0.5 * d
     r_arr = np.asarray(r, dtype=float)
     if not np.all((0.0 < r_arr) & (r_arr < 1.0)):
         raise ValueError("r must lie strictly between 0 and 1")
     prefactor = (r_arr * c - a) / (r_arr * (1.0 - r_arr))
     lower = prefactor * (1.0 + (1.0 - r_arr) / (c - a))
     upper = prefactor * (1.0 + r_arr / a)
-    lower, upper = np.minimum(lower, upper), np.maximum(lower, upper)
-    return (float(lower), float(upper)) if r_arr.ndim == 0 else (lower, upper)
+    return np.minimum(lower, upper), np.maximum(lower, upper)
 
 
 def _neg_log_likelihood(n: int, d: int, r: np.ndarray, kappa) -> np.ndarray:
@@ -186,7 +188,7 @@ def watson_mla_fit(x) -> WatsonEstimate:
     for b in s.axes:
         r, mass = _axis_mass(s, b)
         kappa = np.full(r.shape, np.nan)
-        kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], 0.5, 0.5 * d))
+        kappa[mass] = 0.5 * np.add(*watson_mla_bounds(r[mass], d))
         fits[b] = kappa, _neg_log_likelihood(n, d, r, kappa)
     return _pick_branch(s.axes, fits, "the axis carries none or all of the mass")
 
@@ -204,7 +206,7 @@ def _mle_branch(n: int, d: int, r, ok) -> tuple[np.ndarray, np.ndarray]:
         mean = special.kummer_moment(1, 0.5, b, kappa)
         return mean, special.kummer_moment(2, 0.5, b, kappa) - mean * mean
 
-    lower, upper = watson_mla_bounds(r_ok, 0.5, b)
+    lower, upper = watson_mla_bounds(r_ok, d)
     pad = 1e-6 + 1e-6 * (np.abs(lower) + np.abs(upper))
     lo, hi = lower - pad, upper + pad
     for end, sign in ((lo, 1.0), (hi, -1.0)):  # the bounds are strict in theory

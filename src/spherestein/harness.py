@@ -29,7 +29,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,14 +94,10 @@ class Cell:
 
 @dataclass
 class SimResult:
-    family: str
-    n: int
-    reps: int
-    seed: int
+    config: SimConfig
     cells: dict[str, dict[str, Cell]]  # estimator -> block -> Cell
-    warnings: list[str] = field(default_factory=list)
-    walltime: float = 0.0
-    label: str = ""
+    warnings: list[str]
+    walltime: float
 
     def to_csv(self) -> str:
         """Deterministic CSV, one row per estimator x parameter block.
@@ -113,13 +109,14 @@ class SimResult:
             "label", "family", "n", "reps", "seed", "estimator", "block",
             "bias", "bias_se", "mse", "mse_se", "mse_alt", "mse_alt_se", "ne",
         ]
+        c = self.config
         lines = [",".join(fields)]
         for est in sorted(self.cells):
             for block in sorted(self.cells[est]):
                 cell = self.cells[est][block]
                 row = [
-                    self.label, self.family, str(self.n), str(self.reps),
-                    str(self.seed), est, block,
+                    c.label, c.params.family, str(c.n), str(c.reps),
+                    str(c.seed), est, block,
                     _fmt(cell.bias), _fmt(cell.bias_se),
                     _fmt(cell.mse), _fmt(cell.mse_se),
                     _fmt(cell.mse_alt), _fmt(cell.mse_alt_se), _fmt(cell.ne),
@@ -128,9 +125,10 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
     def table(self) -> str:
+        c = self.config
         header = (
-            f"{self.label or self.family}: n={self.n} reps={self.reps} "
-            f"seed={self.seed} ({self.walltime:.1f}s)"
+            f"{c.label or c.params.family}: n={c.n} reps={c.reps} "
+            f"seed={c.seed} ({self.walltime:.1f}s)"
         )
         lines = [header, f"{'estimator':<10}{'block':<7}{'bias':>12}"
                  f"{'mse':>12}{'ne':>8}"]
@@ -225,13 +223,4 @@ def run_simulation(config: SimConfig) -> SimResult:
                             mse_alt=mean, mse_alt_se=mean_se)
             cells[est][block] = cell
 
-    return SimResult(
-        family=config.params.family,
-        n=config.n,
-        reps=config.reps,
-        seed=config.seed,
-        cells=cells,
-        warnings=warnings,
-        walltime=time.perf_counter() - start,
-        label=config.label,
-    )
+    return SimResult(config, cells, warnings, time.perf_counter() - start)

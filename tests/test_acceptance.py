@@ -286,12 +286,12 @@ def test_criterion_6_hand_oracles():
         ("kappa SM", fit_one("vmf", "sm", fixture)["kappa"],
          5.0 * math.sqrt(5) / 3.0),
         ("MLa midpoint", fit_one("watson", "mla", fixture)["kappa"], 4.125),
-        ("MLa L(2/3)", watson_mla_bounds(2 / 3, 0.5, 1.5)[0], 3.0),
-        ("MLa U(2/3)", watson_mla_bounds(2 / 3, 0.5, 1.5)[1], 5.25),
-        ("MLa L(0.8)", watson_mla_bounds(0.8, 0.5, 1.5)[0], 5.25),
-        ("MLa U(0.8)", watson_mla_bounds(0.8, 0.5, 1.5)[1], 11.375),
-        ("MLa L(0.2)", watson_mla_bounds(0.2, 0.5, 1.5)[0], -2.25),
-        ("MLa U(0.2)", watson_mla_bounds(0.2, 0.5, 1.5)[1], -1.75),
+        ("MLa L(2/3)", watson_mla_bounds(2 / 3, 3)[0], 3.0),
+        ("MLa U(2/3)", watson_mla_bounds(2 / 3, 3)[1], 5.25),
+        ("MLa L(0.8)", watson_mla_bounds(0.8, 3)[0], 5.25),
+        ("MLa U(0.8)", watson_mla_bounds(0.8, 3)[1], 11.375),
+        ("MLa L(0.2)", watson_mla_bounds(0.2, 3)[0], -2.25),
+        ("MLa U(0.2)", watson_mla_bounds(0.2, 3)[1], -1.75),
         ("I_1/2(1)", bessel_i(0.5, 1.0), bessel_i_half(1.0)),
         ("I_3/2(1)", bessel_i(1.5, 1.0), bessel_i_three_halves(1.0)),
         ("ratio d3 k2", bessel_ratio(3, 2.0), ratio_d3(2.0)),

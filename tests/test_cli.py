@@ -1,4 +1,5 @@
 import errno
+import gzip
 import json
 import math
 import os
@@ -179,6 +180,37 @@ def test_fit_reads_a_piped_csv_as_its_path(tmp_path, capsys, header):
                      input=out.read_bytes(), capture_output=True)
     assert piped.returncode == 0, piped.stderr
     assert piped.stdout.decode() == by_path
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_fit_reads_what_sample_writes_at_a_compressed_suffix(tmp_path, capsys, suffix):
+    # every --out file is plain UTF-8 text whatever its name; numpy opens a
+    # path with these suffixes through a decompressor, so fit must not hand
+    # it the path
+    plain, named = tmp_path / "draws.csv", tmp_path / f"draws.csv{suffix}"
+    for out in (plain, named):
+        cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "40",
+                  "--seed", "4", "--out", str(out)])
+    assert named.read_bytes() == plain.read_bytes()
+    capsys.readouterr()
+    reports = []
+    for path in (plain, named):
+        assert cli.main(["fit", "--family", "vmf", "--in", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+def test_fit_refuses_a_gzip_file_in_one_line(tmp_path, capsys):
+    plain, packed = tmp_path / "draws.csv", tmp_path / "draws.csv.gz"
+    cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "40",
+              "--seed", "4", "--out", str(plain)])
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    capsys.readouterr()
+    assert cli.main(["fit", "--family", "vmf", "--in", str(packed)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot read sample: 'utf-8' codec can't decode")
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [["asympvar", "--d", "3", "--kappa", "2"],

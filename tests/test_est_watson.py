@@ -255,26 +255,26 @@ def test_likelihood_scores_equal_the_per_point_likelihood(d, kappa):
 
 
 def test_mla_bounds_examples():
-    lower, upper = watson_mla_bounds(1.0 / 3.0, 0.5, 1.5)
+    lower, upper = watson_mla_bounds(1.0 / 3.0, 3)
     assert lower == pytest.approx(0.0, abs=1e-12)
     assert upper == pytest.approx(0.0, abs=1e-12)
 
-    lower, upper = watson_mla_bounds(0.8, 0.5, 1.5)
+    lower, upper = watson_mla_bounds(0.8, 3)
     assert lower == pytest.approx(5.25, rel=1e-12)
     assert upper == pytest.approx(11.375, rel=1e-12)
 
-    lower, upper = watson_mla_bounds(0.2, 0.5, 1.5)
+    lower, upper = watson_mla_bounds(0.2, 3)
     assert lower == pytest.approx(-2.25, rel=1e-12)
     assert upper == pytest.approx(-1.75, rel=1e-12)
     assert lower <= upper
 
     for bad in (0.0, 1.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            watson_mla_bounds(bad, 0.5, 1.5)
+            watson_mla_bounds(bad, 3)
 
 
 def test_mla_fixture():
-    lower, upper = watson_mla_bounds(2.0 / 3.0, 0.5, 1.5)
+    lower, upper = watson_mla_bounds(2.0 / 3.0, 3)
     assert lower == pytest.approx(3.0, rel=1e-12)
     assert upper == pytest.approx(5.25, rel=1e-12)
     fit = fit_one("watson", "mla", FIXTURE)
@@ -296,7 +296,7 @@ def test_mla_bracket_contains_mle():
     x = sample_watson(WatsonParams(mu, 10.0), 100_000, 55)[0]
     axis = _axis(x, "+")
     r = float(axis @ (x.T @ x / x.shape[0]) @ axis)
-    lower, upper = watson_mla_bounds(r, 0.5, 1.5)
+    lower, upper = watson_mla_bounds(r, 3)
     kappa_ml = _mle_kappa(x, "+")
     assert lower < kappa_ml < upper
     fit = fit_one("watson", "mla", x)
@@ -405,7 +405,7 @@ def test_mle_bracketing_random_samples():
         branch = "+" if kappa0 >= 0 else "-"
         axis = _axis(x, branch)
         r = float(axis @ (x.T @ x / x.shape[0]) @ axis)
-        lower, upper = watson_mla_bounds(r, 0.5, 1.5)
+        lower, upper = watson_mla_bounds(r, 3)
         kappa_ml = _mle_kappa(x, branch)
         assert lower - 1e-9 <= kappa_ml <= upper + 1e-9
         assert abs(kummer_moment(1, 0.5, 1.5, kappa_ml) - r) <= 1e-10
@@ -422,8 +422,8 @@ def test_mle_bracket_growth_equals_unmoved_bracket(monkeypatch, shift):
     roots = np.concatenate([expected["+"], expected["-"]])
     bounds = watson_mla_bounds
 
-    def moved(r, a, c):
-        lower, upper = bounds(r, a, c)
+    def moved(r, d):
+        lower, upper = bounds(r, d)
         lower, upper = lower + shift, upper + shift
         assert np.all(lower > roots.max()) if shift > 0 else np.all(upper < roots.min())
         return lower, upper

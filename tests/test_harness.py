@@ -158,9 +158,13 @@ def test_other_errors_abort(monkeypatch):
 
 
 def test_csv_shape_and_precision():
-    result = run_simulation(_vmf_config(reps=20))
+    config = _vmf_config(reps=20)
+    result = run_simulation(config)
+    assert result.config is config  # the study's identity has one owner
+    assert result.table().startswith("vmf: n=100 reps=20 seed=7 (")  # label ""
     lines = result.to_csv().strip().split("\n")
     assert lines[0].startswith("label,family,n,reps,seed,estimator,block")
+    assert lines[1].startswith(",vmf,100,20,7,")
     assert len(lines) == 1 + 2  # two estimators, one block each
     # 17 significant digits survive a round trip
     bias_field = lines[1].split(",")[7]

@@ -87,7 +87,7 @@ def test_watson_ml_within_mla_bounds(case):
     s = prepare_sample(x)
     for branch, mu in s.axes.items():
         r = float(mu[0] @ s.scatter[0] @ mu[0])
-        lower, upper = watson_mla_bounds(r, 0.5, 0.5 * d)
+        lower, upper = watson_mla_bounds(r, d)
         kappa_ml = fit.kappas[branch][0]
         slack = 1e-14 * abs(kappa_ml) / min(r, 1.0 - r)
         assert lower - slack <= kappa_ml <= upper + slack, (branch, r)

@@ -227,3 +227,9 @@ def test_moments_require_positive_kappa():
         fisher_information_vmf(3, 0.0)
     with pytest.raises(ValueError):
         stein_asymptotic_variance_vmf(3, -1.0)
+    # below d = 2 too, on both sides of the large-kappa switch at 30 + d
+    for fn in (fisher_information_vmf, stein_asymptotic_variance_vmf):
+        for d in (0, 1):
+            for kappa in (10.0, 100.0):
+                with pytest.raises(ValueError):
+                    fn(d, kappa)

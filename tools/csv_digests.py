@@ -6,9 +6,12 @@ two threads, which give the bytes of any thread count) one line:
     <config> seed=<seed> <sha256 of harness.run_simulation(config).to_csv()>
 
 A change that claims to keep the CSV bytes prints the same 24 lines as its
-parent.  Run from the repository root, with the package importable:
+parent, which ``tools/csv_digests.txt`` records; CI diffs the output against
+that file, and a change that moves a byte re-records it.  Run from the
+repository root, with the package importable:
 
-    PYTHONPATH=src python3 tools/csv_digests.py
+    PYTHONPATH=src python3 tools/csv_digests.py | diff tools/csv_digests.txt -
+    PYTHONPATH=src python3 tools/csv_digests.py > tools/csv_digests.txt  # re-record
 """
 
 import hashlib
