@@ -173,16 +173,27 @@ def kappa_score_matching(x) -> VmfEstimate:
     return _estimate(mu_hat, kappa, resultant_length=r)
 
 
+def _ratios(d: int, kappa: float) -> tuple[float, float]:
+    # R1 and rho = R1 / kappa, the one domain rule of both asymptotics:
+    # bessel_ratio refuses d < 2 and kappa <= 0, and a subnormal R1 (kappa
+    # near 0) has too few bits for either
+    r1 = special.bessel_ratio(d, kappa)
+    if not r1 >= np.finfo(float).tiny:
+        raise ValueError(f"R1 = {r1!r} is not a normal float")
+    return r1, r1 / kappa
+
+
 def fisher_information_vmf(d: int, kappa: float) -> float:
     """Fisher information for kappa: 1 - R1^2 - (d-1) R1 / kappa.
 
     The difference is about (d-1) / (2 kappa^2) and loses its digits to
     cancellation as kappa grows, so beyond kappa = 30 + d it is the
-    derivative R1' of the large-kappa expansion instead.
+    derivative R1' of the large-kappa expansion instead.  ValueError where
+    R1 is not a normal float.
     """
-    r1 = special.bessel_ratio(d, kappa)  # its domain check guards both branches
+    r1, rho = _ratios(d, kappa)
     if kappa < 30.0 + d:
-        return 1.0 - r1 * r1 - (d - 1.0) * r1 / kappa
+        return 1.0 - r1 * r1 - (d - 1.0) * rho
     return special.large_kappa_expansion(d, kappa)[1]
 
 
@@ -191,7 +202,13 @@ def stein_asymptotic_variance_vmf(d: int, kappa: float) -> float:
 
     P = kappa I_{d/2-1} (2 kappa I_{d/2-1} - (d+1) I_{d/2})
         / ((d-1) I_{d/2}^2).
+
+    ValueError where R1 is not a normal float or P overflows (kappa beyond
+    about 1e154).
     """
-    r1 = special.bessel_ratio(d, kappa)
-    # divide the display through by I_{d/2-1}^2 to work in ratios
-    return kappa * (2.0 * kappa - (d + 1.0) * r1) / ((d - 1.0) * r1 * r1)
+    _, rho = _ratios(d, kappa)
+    # the display divided through by (kappa I_{d/2-1})^2, in rho = R1 / kappa
+    p = (2.0 - (d + 1.0) * rho) / ((d - 1.0) * rho) / rho
+    if p < np.inf:
+        return p
+    raise ValueError("P overflows")

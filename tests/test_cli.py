@@ -1035,10 +1035,17 @@ def test_asympvar_rejects_non_finite_kappa(capsys, kappa):
     assert captured.err.startswith("error: --kappa must be finite")
 
 
-@pytest.mark.parametrize("kappa", ["1e-320", "1e-300", "1e300"])
+def test_asympvar_near_zero_kappa(capsys):
+    # R1 = kappa / 3 is still a normal float: P -> d and I -> 1/d
+    assert cli.main(["asympvar", "--d", "3", "--kappa", "1e-300"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["P"] == pytest.approx(3.0, abs=1e-12)
+    assert out["fisher_information"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kappa", ["1e-320", "1e300"])
 def test_asympvar_out_of_numerical_range(capsys, kappa):
-    # 1e-320: the Bessel ratios underflow; 1e-300: they divide by zero;
-    # 1e300: the variances overflow to inf/nan
+    # 1e-320: the Bessel ratio R1 is subnormal; 1e300: P overflows
     assert cli.main(["asympvar", "--d", "3", "--kappa", kappa]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

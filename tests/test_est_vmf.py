@@ -304,22 +304,22 @@ def _resultant_grid():
 @pytest.mark.parametrize("d", [2, 3, 10, 100])
 def test_vectorised_mle_equals_scalar_newton_bitwise(d, monkeypatch):
     # at d = 100 and small r, ive underflows and the ratio of small
-    # kappas comes from the power series
-    series_calls = []
-    log_series = special._log_series_i
+    # kappas comes from the continued fraction
+    fraction_calls = []
+    ratio_over_kappa = special._ratio_over_kappa
 
-    def counting(nu, x):
-        series_calls.append(x)
-        return log_series(nu, x)
+    def counting(d, k):
+        fraction_calls.append(k)
+        return ratio_over_kappa(d, k)
 
-    monkeypatch.setattr(special, "_log_series_i", counting)
+    monkeypatch.setattr(special, "_ratio_over_kappa", counting)
     r = _resultant_grid()
     kappa, iterations = est_vmf._mle_from_resultant(d, r.copy())
     for k, rk in enumerate(r):
         expected, its = mle_newton_scalar(d, float(rk), special.bessel_ratio)
         assert kappa[k] == expected
         assert iterations[k] == its
-    assert any(x < 1e-3 for x in series_calls) == (d == 100)
+    assert any(np.any(k < 1e-3) for k in fraction_calls) == (d == 100)
 
 
 @pytest.mark.parametrize("d", [2, 3, 10])

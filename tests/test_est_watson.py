@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -308,7 +309,6 @@ def test_mle_near_great_circle_is_finite_and_sums_no_underflowed_1f1(monkeypatch
     # bracket reaches kappa where e^kappa underflows; scipy's 1F1 is only
     # called at non-positive arguments (no transformed series is summed
     # where e^x underflows), and the girdle root matches mpmath's ratio at r
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     hyp1f1, args = scipy.special.hyp1f1, []
 
@@ -373,7 +373,6 @@ def _ml_root_error(kappa, r, d):
 def test_mle_root_against_mpmath(d):
     # within 1e-13 of the root of E[t] = r where the parent's 1F1 was
     # finite, and within 1e-11 at the bipolar kappa where it overflowed
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for kappa, bound in ((2.0, 1e-13), (-2.0, 1e-13), (20.0, 1e-13),
                          (-20.0, 1e-13), (-800.0, 1e-13), (-1e4, 1e-13),
@@ -444,15 +443,15 @@ def test_mle_consistency_high_dimension():
 
 
 def test_branch_coherence():
-    # the selected branch matches sign(kappa0) in >= 99% of replications;
-    # each call draws four streams, every slice bit for bit that stream's
-    # sample alone
+    # the selected branch matches sign(kappa0) in >= 99% of replications
+    # at the bundled studies' n = 100; each call draws four streams, every
+    # slice bit for bit that stream's sample alone
     for kappa0 in (10.0, -10.0):
         mu = np.ones(3) / math.sqrt(3)
         hits = 0
         for first in range(0, 200, 4):
             streams = range(first, first + 4)
-            fit = watson_stein_fit(sample_watson(WatsonParams(mu, kappa0), 100_000, 59, streams))
+            fit = watson_stein_fit(sample_watson(WatsonParams(mu, kappa0), 100, 59, streams))
             hits += int(np.sum((fit.branch == "+") == (kappa0 > 0)))
         assert hits >= 198
 

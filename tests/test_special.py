@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -108,7 +109,6 @@ def test_bessel_ratio_array_equals_scalar_calls_bitwise():
 def test_bessel_ratio_beyond_scaled_bessel_range():
     # scipy's ive is NaN from kappa near 2e9 on; the ratio there is summed
     # from its large-kappa expansion
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for d in (2, 3, 10, 50):
         nu = mpmath.mpf(d) / 2 - 1
@@ -120,6 +120,33 @@ def test_bessel_ratio_beyond_scaled_bessel_range():
         values = bessel_ratio(d, np.array([1e9, 2e9, 1e300]))
         assert values[0] == bessel_ratio(d, 1e9)
         assert np.all(np.isfinite(values)) and np.all(np.diff(values) > 0)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10, 50, 100, 500])
+def test_bessel_ratio_on_underflow_mask_matches_mpmath(d, monkeypatch):
+    # where scipy's scaled Bessel values lose digits near the subnormal
+    # range, R1 = kappa rho with rho = R1 / kappa from the continued
+    # fraction; the mask reaches kappa = 2e-290 at d = 2, 1e-193 at d = 3
+    # and 13 at d = 500, and R1 is a normal float on all this grid
+    calls = []
+    ratio_over_kappa = special._ratio_over_kappa
+
+    def counting(d, k):
+        calls.append(k)
+        return ratio_over_kappa(d, k)
+
+    monkeypatch.setattr(special, "_ratio_over_kappa", counting)
+    mpmath.mp.dps = 40
+    kappa = np.logspace(-300, 2, 152)
+    ratio = bessel_ratio(d, kappa)
+    (masked,) = calls
+    assert masked.size >= 6
+    nu = mpmath.mpf(d) / 2 - 1
+    for k, got in zip(kappa, ratio):
+        if k in masked:
+            km = mpmath.mpf(k)
+            expected = mpmath.besseli(nu + 1, km) / mpmath.besseli(nu, km)
+            assert abs(got - expected) <= 1e-15 * expected, (d, k)
 
 
 def test_bessel_ratio_domain():
@@ -205,7 +232,6 @@ def test_kummer_subnormal_is_out_of_range():
     # hyp1f1(499.5, 500, -x) leaves the normal range between x = 760 and
     # 770; the subnormal 1.8e-319 at x = 800 gave log 1F1(1/2; 500; 800) =
     # 66.071631 where 40-digit mpmath gives 66.071619
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     assert abs(log_kummer_1f1(0.5, 500.0, 760.0)
                - mpmath.log(mpmath.hyp1f1(0.5, 500, 760))) <= 1e-11
@@ -235,7 +261,6 @@ def test_kummer_where_transform_fails_matches_mpmath(monkeypatch, a):
     # transformed series of a negative argument overflows from about
     # x = -710, and below -745 e^x == 0 as well; scipy evaluates 1F1 at
     # -|x| only, so neither happens on either side of zero
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     args = _spy_hyp1f1(monkeypatch)
     for d in (2, 3, 10, 59, 100, 1000):
@@ -255,7 +280,6 @@ def test_kummer_against_mpmath_grid(monkeypatch):
     # log 1F1 to 1e-14 (relative to max(1, |log 1F1|)) and the Watson
     # moments E[t], E[t^2] to 1e-13 relative, for d = 2..59 on
     # x = 0, +-[1e-3, 1e8], from scipy calls at x <= 0 only
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     args = _spy_hyp1f1(monkeypatch)
     x = np.logspace(-3, 8, 12)

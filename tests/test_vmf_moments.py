@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherestein.models import VmfParams
 from spherestein.sampler import sample_vmf
@@ -107,7 +110,31 @@ def test_fisher_information_small_kappa_limit():
     assert fisher_information_vmf(10, 1e-3) == pytest.approx(0.1, abs=1e-5)
 
 
-def _mp_ratio(mpmath, d, kappa):
+def test_asymptotics_near_zero_kappa():
+    # I -> 1/d and P -> d as kappa -> 0, from rho = R1 / kappa -> 1/d, for
+    # as long as R1 = kappa rho is a normal float
+    for d in (2, 3):
+        assert fisher_information_vmf(d, 1e-300) == pytest.approx(1.0 / d, abs=1e-12)
+        assert stein_asymptotic_variance_vmf(d, 1e-300) == pytest.approx(d, abs=1e-12)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 50), st.floats(-323.0, 308.0))
+def test_asymptotics_finite_or_value_error(d, log_kappa):
+    # over the whole float range of kappa each asymptotic is a finite
+    # number or a ValueError of its own, never a ZeroDivisionError, an
+    # OverflowError or a math domain error
+    kappa = 10.0 ** log_kappa
+    for fn in (fisher_information_vmf, stein_asymptotic_variance_vmf):
+        try:
+            value = fn(d, kappa)
+        except ValueError as exc:
+            assert "domain" not in str(exc), (fn.__name__, d, kappa)
+        else:
+            assert math.isfinite(value) and value >= 0.0, (fn.__name__, d, kappa)
+
+
+def _mp_ratio(d, kappa):
     # kappa and I_{d/2}(kappa) / I_{d/2-1}(kappa) at the working precision
     nu = mpmath.mpf(d) / 2 - 1
     k = mpmath.mpf(float(kappa))
@@ -115,7 +142,7 @@ def _mp_ratio(mpmath, d, kappa):
 
 
 # at d = 200 and 500 the scaled Bessel value ive(d/2 - 1, kappa) underflows
-# for the small kappas, so the ratio must come from its series there
+# for the small kappas, so the ratio comes from the continued fraction there
 MPMATH_SPOT_KAPPA = (0.05, 5.0)
 
 
@@ -123,12 +150,11 @@ MPMATH_SPOT_KAPPA = (0.05, 5.0)
 def test_fisher_information_matches_mpmath(d):
     # 1 - R1^2 - (d-1) R1 / kappa at 40 digits; in double precision the
     # difference cancels as kappa grows (it is about (d-1) / (2 kappa^2))
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     grid = [(kappa, 1e-9) for kappa in np.logspace(-3, 8, 67)]
     grid += [(kappa, 1e-10) for kappa in MPMATH_SPOT_KAPPA]
     for kappa, tol in grid:
-        k, ratio = _mp_ratio(mpmath, d, kappa)
+        k, ratio = _mp_ratio(d, kappa)
         expected = 1 - ratio * ratio - (d - 1) * ratio / k
         got = fisher_information_vmf(d, float(kappa))
         assert abs(got - expected) <= tol * expected, (d, kappa)
@@ -137,10 +163,9 @@ def test_fisher_information_matches_mpmath(d):
 @pytest.mark.parametrize("d", [2, 3, 10, 50, 200, 500])
 def test_asymptotic_variance_matches_mpmath(d):
     # P = kappa (2 kappa - (d+1) R1) / ((d-1) R1^2) at 40 digits
-    mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     for kappa in MPMATH_SPOT_KAPPA:
-        k, ratio = _mp_ratio(mpmath, d, kappa)
+        k, ratio = _mp_ratio(d, kappa)
         expected = k * (2 * k - (d + 1) * ratio) / ((d - 1) * ratio * ratio)
         got = stein_asymptotic_variance_vmf(d, kappa)
         assert abs(got - expected) <= 1e-10 * expected, (d, kappa)
@@ -227,9 +252,13 @@ def test_moments_require_positive_kappa():
         fisher_information_vmf(3, 0.0)
     with pytest.raises(ValueError):
         stein_asymptotic_variance_vmf(3, -1.0)
-    # below d = 2 too, on both sides of the large-kappa switch at 30 + d
+    # below d = 2 too, on both sides of the large-kappa switch at 30 + d;
+    # and where R1 is no longer a normal float
     for fn in (fisher_information_vmf, stein_asymptotic_variance_vmf):
         for d in (0, 1):
             for kappa in (10.0, 100.0):
                 with pytest.raises(ValueError):
                     fn(d, kappa)
+        for kappa in (1e-320, 5e-324):
+            with pytest.raises(ValueError, match="not a normal float"):
+                fn(3, kappa)
