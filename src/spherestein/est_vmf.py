@@ -130,20 +130,18 @@ def kappa_stein2(x) -> VmfEstimate:
 
 def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Newton on the monotone link ratio(kappa) = r from the rational guess
-    # r(d - r^2)/(1 - r^2), every entry of r at once.  The link's
+    # r(d - r^2)/(1 - r^2), every entry of r at once, in the bracket
+    # [min(r, 1e-10), max(1e6, 4 kappa0)]: ratio(k) < k/d puts the root
+    # above d r, so the lower end holds for every r > 0.  The link's
     # derivative is the Fisher information 1 - ratio^2 - (d-1) ratio / kappa
     kappa = np.maximum(r * (d - r * r) / (1.0 - r * r), 1e-8)
-    hi = np.maximum(1e6, 4.0 * kappa)
-    grow = special.bessel_ratio(d, hi) < r
-    while grow.any():
-        hi[grow] *= 8.0
-        grow[grow] = special.bessel_ratio(d, hi[grow]) < r[grow]
 
     def link(k):
         ratio = special.bessel_ratio(d, k)
         return ratio, 1.0 - ratio * ratio - (d - 1.0) * ratio / k
 
-    return special.newton_root(link, r, kappa, np.full_like(r, 1e-10), hi, 1e-12)
+    return special.newton_root(link, r, kappa, np.minimum(r, 1e-10),
+                               np.maximum(1e6, 4.0 * kappa), 1e-12)
 
 
 def kappa_mle(x) -> VmfEstimate:

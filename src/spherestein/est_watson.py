@@ -197,7 +197,7 @@ def _mle_branch(n: int, d: int, r, ok) -> tuple[np.ndarray, np.ndarray]:
     # the ML concentration at r per slice, and its NLL: on the slices ok,
     # the root of E[t] = r, with E[t] = (1/d) 1F1(3/2; d/2+1; kappa) /
     # 1F1(1/2; d/2; kappa) and derivative Var[t], from the midpoint of the
-    # padded MLa bounds (exactly 0 at r = 1/d), to |E[t] - r| <= 1e-14
+    # MLa bounds (exactly 0 at r = 1/d), to |E[t] - r| <= 1e-14
     # min(r, 1 - r); NaN (NLL inf) on the others
     b = 0.5 * d
     kappa, r_ok = np.full(r.shape, np.nan), r[ok]
@@ -206,14 +206,7 @@ def _mle_branch(n: int, d: int, r, ok) -> tuple[np.ndarray, np.ndarray]:
         mean = special.kummer_moment(1, 0.5, b, kappa)
         return mean, special.kummer_moment(2, 0.5, b, kappa) - mean * mean
 
-    lower, upper = watson_mla_bounds(r_ok, d)
-    pad = 1e-6 + 1e-6 * (np.abs(lower) + np.abs(upper))
-    lo, hi = lower - pad, upper + pad
-    for end, sign in ((lo, 1.0), (hi, -1.0)):  # the bounds are strict in theory
-        grow = sign * (link(end)[0] - r_ok) > 0
-        while grow.any():
-            end[grow] -= sign * (1.0 + 0.5 * np.abs(end[grow]))
-            grow[grow] = sign * (link(end[grow])[0] - r_ok[grow]) > 0
+    lo, hi = watson_mla_bounds(r_ok, d)  # newton_root widens them past rounding
     kappa[ok] = special.newton_root(link, r_ok, 0.5 * (lo + hi), lo, hi,
                                     1e-14 * np.minimum(r_ok, 1.0 - r_ok))[0]
     return kappa, _neg_log_likelihood(n, d, r, kappa)

@@ -10,7 +10,7 @@ the sample of stream j alone.
 
 One driver runs every rejection sampler in rounds: each stream short of
 n draws its next batch (vMF 2 (n - have), ACG 1.3 (n - have) / rate + 32
-at its acceptance rate so far, clipped to [_MIN_BATCH, _MAX_BATCH]),
+at its acceptance rate so far, clipped once to [_MIN_BATCH, _MAX_BATCH]),
 batches of one size are accepted in stacks within models.WORK_BYTES
 (whole batches, at least one per stack), and each stream keeps its first
 n accepted draws in draw order.  After _FLOOR_WINDOW proposals an
@@ -154,7 +154,8 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -
     have, proposed, accepted = [0] * b, [0] * b, [0] * b
     short = list(range(b))
     while short:
-        sizes = [batch(proposed[j], accepted[j], have[j]) for j in short]
+        sizes = [min(max(batch(proposed[j], accepted[j], have[j]), _MIN_BATCH),
+                     _MAX_BATCH) for j in short]
         for m in sorted(set(sizes)):
             same = [j for j, size in zip(short, sizes) if size == m]
             step = max(1, models.WORK_BYTES // (8 * m * width))
@@ -190,7 +191,7 @@ def _vmf_radial(kappa: float, d: int, n: int,
         raise RuntimeError(f"kappa = {kappa:.3g} beyond the vMF sampler's range") from None
 
     def batch(proposed: int, accepted: int, have: int) -> int:
-        return min(max(2 * (n - have), _MIN_BATCH), _MAX_BATCH)
+        return 2 * (n - have)
 
     def propose(gs: list[np.random.Generator], m: int):
         z = np.stack([g.beta(0.5 * (d - 1.0), 0.5 * (d - 1.0), size=m) for g in gs])
@@ -284,8 +285,7 @@ def _fb_acg_rejection(
 
     def batch(proposed: int, accepted: int, have: int) -> int:
         rate = accepted / proposed if proposed else 1.0
-        m = int((n - have) / max(rate, 0.02) * 1.3) + 32
-        return min(max(m, _MIN_BATCH), _MAX_BATCH)
+        return int((n - have) / max(rate, 0.02) * 1.3) + 32
 
     def propose(gs: list[np.random.Generator], m: int):
         # m proposals per stream: the eigenbasis rows zs of z = E zs and

@@ -136,23 +136,32 @@ def kummer_moment(k: int, a, b, x):
 def newton_root(link, target: np.ndarray, x0: np.ndarray, lo: np.ndarray,
                 hi: np.ndarray, tol) -> tuple[np.ndarray, np.ndarray]:
     """Solve link(x) = target for each entry of a 1-D target by Newton's
-    method, bisecting lo < x < hi where a step leaves it; link(x) returns
-    the increasing link and its derivative.  An entry is done once
-    |link(x) - target| <= tol (a number or one per entry), or once iterates
-    on both sides of its target close its bracket to adjacent floats.
-    Returns the roots and their iteration counts; RuntimeError unless every
-    entry is within 100 tol after 200 steps."""
+    method from x0 in [lo, hi], bisecting lo < x < hi where a step leaves
+    it; link(x) returns the increasing link and its derivative.  The end
+    of [lo, hi] on the target's side of x0 first moves outward (on a copy)
+    by 1 + |end|/2 until it brackets the target or is infinite.  An entry
+    is done once |link(x) - target| <= tol (a number or one per entry), or
+    once iterates on both sides of its target close its bracket to adjacent
+    floats.  Returns the roots and their iteration counts; RuntimeError
+    unless every entry is within 100 tol after 200 steps."""
     x = np.array(x0, dtype=float)
     iterations = np.full(target.shape, 200)
     if not target.size:
         return x, iterations
+    k, (value, deriv) = x, link(x)  # the first iterate
+    side = np.sign(value - target)  # +1 where the target lies below x0
+    end = np.where(side > 0, lo, hi)
+    miss = side * (link(end)[0] - target) > 0
+    while miss.any():
+        end[miss] -= side[miss] * (1.0 + 0.5 * np.abs(end[miss]))
+        miss[miss] = ((side[miss] * (link(end[miss])[0] - target[miss]) > 0)
+                      & np.isfinite(end[miss]))
+    lo, hi = np.where(side > 0, end, lo), np.where(side < 0, end, hi)
     # per unfinished entry: its index, target, tolerance and bracket, and
     # whether an iterate has fallen below (under) or above (over) the target
     todo, tol = np.arange(target.size), np.broadcast_to(tol, target.shape)
     under = over = np.zeros(target.shape, dtype=bool)
     for it in range(1, 201):
-        k = x[todo]
-        value, deriv = link(k)
         err = value - target
         above = err > 0
         lo = np.where(above, lo, np.maximum(lo, k))
@@ -169,9 +178,9 @@ def newton_root(link, target: np.ndarray, x0: np.ndarray, lo: np.ndarray,
                 break
         with np.errstate(divide="ignore", invalid="ignore"):
             nxt = np.where(deriv > 0, k - err / deriv, lo)
-        x[todo] = np.where((lo < nxt) & (nxt < hi), nxt, mid)
-    if todo.size and not np.all(
-        np.abs(link(x[todo])[0] - target) <= 100.0 * tol
-    ):  # written so that a NaN link fails it
+        k = np.where((lo < nxt) & (nxt < hi), nxt, mid)
+        x[todo] = k
+        value, deriv = link(k)
+    if todo.size and not np.all(np.abs(value - target) <= 100.0 * tol):  # NaN fails
         raise RuntimeError("root finder did not converge")
     return x, iterations

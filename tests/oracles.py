@@ -722,7 +722,7 @@ def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:
     time: rational initial guess, bracket grown by 8x until it holds the
     root, and a bisection step whenever Newton leaves the bracket."""
     kappa = max(r * (d - r * r) / (1.0 - r * r), 1e-8)
-    lo, hi = 1e-10, max(1e6, 4.0 * kappa)
+    lo, hi = min(r, 1e-10), max(1e6, 4.0 * kappa)
     while ratio(d, hi) < r:
         hi *= 8.0
     for it in range(1, 201):

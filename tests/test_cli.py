@@ -573,6 +573,19 @@ def test_fit_vmf_ml_at_extreme_concentration(tmp_path, capsys):
     assert report["kappa"] == pytest.approx(1.0 / (1.0 - r), rel=1e-6)
 
 
+def test_fit_vmf_ml_below_kappa_1e_10(tmp_path, capsys):
+    # two rows 2e-11 short of antipodal: |Xbar| = 1.0e-11, whose ML root
+    # 2.9999818785191259e-11 (40-digit mpmath) lies below kappa = 1e-10
+    angle = math.pi + 2e-11
+    path = tmp_path / "near_antipodal.csv"
+    path.write_text(f"1,0,0\n{math.cos(angle)!r},{math.sin(angle)!r},0\n")
+    assert cli.main(["fit", "--family", "vmf", "--estimator", "ml",
+                     "--in", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kappa"] == pytest.approx(2.9999818785191259e-11, rel=1e-10, abs=0.0)
+    assert report["diagnostics"]["iterations"] < 200
+
+
 @pytest.mark.parametrize("row", [[0.0, 0.0, 1.0], [1.0, 2.0, 3.0]])
 def test_fit_vmf_st_on_a_point_mass_exits_2(tmp_path, capsys, row):
     # every row the same point: 1 - mu'S mu is 0 up to rounding

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -105,6 +106,22 @@ def test_kappa_mle_converges_beyond_scaled_bessel_range():
     kappa, _ = est_vmf._mle_from_resultant(3, r.copy())
     assert abs(bessel_ratio(3, kappa[0]) - r[0]) <= 1e-12
     assert kappa[0] == pytest.approx(1.0 / (1.0 - r[0]), rel=1e-6)
+
+
+@pytest.mark.parametrize("d", [2, 3, 10])
+def test_kappa_mle_below_the_old_lower_end(d):
+    # for r between the DegenerateMean floor and ratio(1e-10) ~ 1e-10/d the
+    # root lies below kappa = 1e-10; the bracket's lower end min(r, 1e-10)
+    # holds it, so Newton lands on the 40-digit mpmath root
+    mpmath.mp.dps = 40
+    r = np.array([1e-12, 1e-11, 5e-11])
+    kappa, iterations = est_vmf._mle_from_resultant(d, r.copy())
+    nu = mpmath.mpf(d) / 2 - 1
+    for k, rk, its in zip(kappa, r, iterations):
+        root = mpmath.findroot(lambda t: mpmath.besseli(nu + 1, t)
+                               / mpmath.besseli(nu, t) - mpmath.mpf(rk), d * rk)
+        assert k == pytest.approx(float(root), rel=1e-10, abs=0.0)
+        assert its < 200
 
 
 def test_kappa_mle_nan_ratio_does_not_pass_as_converged(monkeypatch):

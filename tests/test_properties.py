@@ -1,16 +1,21 @@
-"""Property tests of the samplers and of the Watson fits.
+"""Property tests of the samplers and of the fits.
 
-Hypothesis draws the parameters, the sample size and the sampler streams;
-the examples are derandomised, so every run sees the same samples.  The
-stacked samplers give, stream for stream, the bits of the one-stream
-loops in ``oracles``.  Over d <= 50 and |kappa| <= 1e4, ST, MLa and ML
-return a finite estimate or NE on each Watson sample, give the same bits
-on the negated rows and the same estimate, up to rounding, on rotated
-rows (ST: on signed permutations fixing the last axis), and score every
-eligible branch finitely.  ML is NE exactly where an axis has none or
-all of the mass, and elsewhere the ML concentration of each branch lies
-within the MLa bounds at its r (up to the resolution of the likelihood
-equation).
+Over every family of the family table, with |kappa| (or the norms of the
+FB mu and A) up to 1e4 and d up to 50 (FB: 10), every estimator code
+returns a finite estimate or an ``ne`` flag whose single-sample fit
+raises the family's typed outcome, or refuses the stack with a
+``ValueError`` or ``DegenerateMean``; a sampler may refuse a parameter
+set with ``RuntimeError``.  Hypothesis draws the parameters, the sample
+size and the sampler streams; the examples are derandomised, so every
+run sees the same samples.  The stacked samplers give, stream for
+stream, the bits of the one-stream loops in ``oracles``.  Over d <= 50
+and |kappa| <= 1e4, ST, MLa and ML return a finite estimate or NE on
+each Watson sample, give the same bits on the negated rows and the same
+estimate, up to rounding, on rotated rows (ST: on signed permutations
+fixing the last axis), and score every eligible branch finitely.  ML is
+NE exactly where an axis has none or all of the mass, and elsewhere the
+ML concentration of each branch lies within the MLa bounds at its r (up
+to the resolution of the likelihood equation).
 """
 
 import math
@@ -22,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherestein import sampler
+from spherestein.est_vmf import DegenerateMean
 from spherestein.est_watson import (
     NotEligible,
     prepare_sample,
@@ -30,7 +36,8 @@ from spherestein.est_watson import (
     watson_mle_fit,
     watson_stein_fit,
 )
-from spherestein.families import FAMILIES
+from spherestein.families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
+from spherestein.linalg import SingularSystem
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 
@@ -187,3 +194,73 @@ def test_stacked_samplers_equal_the_per_stream_loops(params, n, b, seed, min_bat
     assert stack.shape == (b, n, params.d)
     for k, sample in enumerate(expected):
         np.testing.assert_array_equal(stack[k], sample)
+
+
+@st.composite
+def family_cases(draw):
+    # (params, n) over aim 3's box: |kappa| or the norms of the FB mu and A
+    # log-uniform in [1e-8, 1e4] or 0 (vMF: > 0), d <= 50 (FB: d <= 10,
+    # keeping its q = d(d+3)/2 - 1 unknowns small), n in {1, 2, d, 5d, 200}
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    d = draw(st.integers(2, 10 if family == "fb" else 50))
+    units = st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d)
+    axis = np.array(draw(units))
+    axis[0] += 2.0  # keeps the axis away from 0
+    axis /= np.linalg.norm(axis)
+    scales = st.floats(-8.0, 4.0).map(lambda e: 10.0 ** e)
+    scale = draw(scales if family == "vmf" else st.one_of(scales, st.just(0.0)))
+    if family == "vmf":
+        params = VmfParams(axis, scale)
+    elif family == "watson":
+        params = WatsonParams(axis, draw(st.sampled_from([-1.0, 1.0])) * scale)
+    else:
+        a = np.array([draw(units) for _ in range(d)])
+        a = a + a.T
+        a[-1, -1] = 0.0
+        a *= draw(scales) / max(np.linalg.norm(a, 2), 1e-300)
+        params = FisherBinghamParams(scale * axis, a)
+    return params, draw(st.sampled_from([1, 2, d, 5 * d, 200]))
+
+
+def _refuses(refusal, family, code, sample) -> bool:
+    # whether the fit of one sample raises the refusal, and not another
+    # typed outcome
+    try:
+        fit_one(family, code, sample)
+    except refusal:
+        return True
+    except (ValueError, DegenerateMean, NotEligible, SingularSystem):
+        pass
+    return False
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(family_cases(), st.integers(0, 2**32 - 1))
+def test_every_fit_is_finite_ne_or_a_typed_refusal(case, seed):
+    # on a stack of two samples, each code refuses with a ValueError or
+    # DegenerateMean, and then so does the fit of one of its slices alone;
+    # otherwise each slice is NE, and its single fit raises the family's
+    # typed outcome, or it has a finite estimate, as its single fit has
+    params, n = case
+    family = params.family
+    try:
+        x = SAMPLERS[family](params, n, seed, range(2))
+    except RuntimeError as err:
+        assert "rejection acceptance" in str(err) or "sampler's range" in str(err)
+        return
+    for code in (c for f, c in ESTIMATORS if f == family):
+        try:
+            fit = ESTIMATORS[family, code](x)
+        except (ValueError, DegenerateMean) as err:
+            assert any(_refuses(type(err), family, code, sample) for sample in x), code
+            continue
+        estimate = [fit.mu_hat, getattr(fit, "A_hat", getattr(fit, "kappa_hat", None))]
+        for j, sample in enumerate(x):
+            if fit.ne[j]:
+                with pytest.raises((NotEligible, SingularSystem)):
+                    fit_one(family, code, sample)
+                continue
+            assert all(np.all(np.isfinite(v[j])) for v in estimate), code
+            report = fit_one(family, code, sample)
+            assert np.all(np.isfinite(report["mu"])), code
+            assert np.all(np.isfinite(report.get("A", report.get("kappa")))), code

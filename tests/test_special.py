@@ -352,6 +352,33 @@ def test_newton_root_returns_an_empty_target_at_once():
     assert root.shape == iterations.shape == (0,)
 
 
+def _tanh_link(x):
+    return np.tanh(x), 1.0 - np.tanh(x) ** 2
+
+
+@pytest.mark.parametrize("target,lo,hi", [(-0.5, 2.0, 3.0), (0.5, -3.0, -2.0),
+                                          (0.2, 0.0, 0.0)])
+def test_newton_root_widens_an_end_that_misses(target, lo, hi):
+    # a lower end above the root, an upper end below it, and a zero-width
+    # bracket: the end beyond the target moves out until it holds the root,
+    # on copies of the caller's arrays
+    lo_arr, hi_arr = np.array([lo]), np.array([hi])
+    root, iterations = special.newton_root(
+        _tanh_link, np.array([target]), np.array([0.5 * (lo + hi)]), lo_arr,
+        hi_arr, 1e-15)
+    assert root[0] == pytest.approx(math.atanh(target), rel=1e-14)
+    assert iterations[0] < 200
+    assert lo_arr[0] == lo and hi_arr[0] == hi
+
+
+def test_newton_root_target_beyond_the_link_does_not_converge():
+    # tanh never reaches 2: the upper end widens until it is infinite, and
+    # the iteration then fails instead of widening forever
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="did not converge"):
+        special.newton_root(_tanh_link, np.array([2.0]), np.zeros(1),
+                            np.zeros(1), np.zeros(1), 1e-12)
+
+
 def test_newton_root_nan_link_does_not_converge():
     with pytest.raises(RuntimeError, match="did not converge"):
         special.newton_root(lambda x: (np.full_like(x, np.nan), np.ones_like(x)),

@@ -2,7 +2,8 @@
 
 The total line count of ``src/spherestein/*.py`` (as ``wc -l`` counts it)
 and its code lines: those not blank, comment-only or docstring, so a deleted
-comment does not read as a smaller program.  Run from the repository root:
+comment does not read as a smaller program; then both counts per module,
+to show where a change landed.  Run from the repository root:
 
     python3 tools/src_lines.py
 """
@@ -32,9 +33,12 @@ def code_lines(path: pathlib.Path) -> int:
 
 def main() -> None:
     paths = sorted(pathlib.Path("src/spherestein").glob("*.py"))
-    total = sum(path.read_bytes().count(b"\n") for path in paths)
-    print(f"src/spherestein/*.py: {total} lines")
-    print(f"src/spherestein/*.py: {sum(map(code_lines, paths))} code lines")
+    lines = {path.name: path.read_bytes().count(b"\n") for path in paths}
+    code = {path.name: code_lines(path) for path in paths}
+    print(f"src/spherestein/*.py: {sum(lines.values())} lines")
+    print(f"src/spherestein/*.py: {sum(code.values())} code lines")
+    for name in lines:
+        print(f"  {name}: {lines[name]} lines, {code[name]} code lines")
 
 
 if __name__ == "__main__":
