@@ -98,12 +98,10 @@ def fb_statistics(x) -> FbSteinStatistics:
     x = sample_stack(x)
     b, n, d = x.shape
     q = d * (d + 1) // 2
-    pairs = max(1, models.WORK_BYTES // (8 * n * d * d))  # slices of n d^2 products
-    step = max(1, models.WORK_BYTES // (8 * (q - 1) * q))  # slices of (q-1) q temporaries
     groups = []
-    for lo in range(0, b, step):
-        part = x[lo : lo + step]
-        moments = [_moments(part[k : k + pairs]) for k in range(0, len(part), pairs)]
+    for s in models.chunks(b, 8 * (q - 1) * q):  # groups of (q-1) q temporaries,
+        # each in groups of n d^2 pair products
+        moments = [_moments(x[s][t]) for t in models.chunks(len(x[s]), 8 * n * d * d)]
         groups.append(_assemble(*map(np.concatenate, zip(*moments))))
     return FbSteinStatistics(*map(np.concatenate, zip(*groups)))
 

@@ -130,7 +130,8 @@ def kappa_stein2(x) -> VmfEstimate:
 
 def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Newton on the monotone link ratio(kappa) = r from the rational guess
-    # r(d - r^2)/(1 - r^2), every entry of r at once, in the bracket
+    # r(d - r^2)/(1 - r^2), every entry of r at once, to within 1e-12 (below
+    # r = 0.01 to 1e-15 r, full precision) in the bracket
     # [min(r, 1e-10), max(1e6, 4 kappa0)]: ratio(k) < k/d puts the root
     # above d r, so the lower end holds for every r > 0.  The link's
     # derivative is the Fisher information 1 - ratio^2 - (d-1) ratio / kappa
@@ -141,7 +142,8 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return ratio, 1.0 - ratio * ratio - (d - 1.0) * ratio / k
 
     return special.newton_root(link, r, kappa, np.minimum(r, 1e-10),
-                               np.maximum(1e6, 4.0 * kappa), 1e-12)
+                               np.maximum(1e6, 4.0 * kappa),
+                               np.where(r < 0.01, 1e-15 * r, 1e-12))
 
 
 def kappa_mle(x) -> VmfEstimate:

@@ -34,13 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
-from .models import Params, as_int
+from .models import Params, as_int, chunks
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
-# memory for the samples of one block: b = BLOCK_BYTES // (8 n d) replications,
-# at least one.  Each block has a fixed cost, so larger blocks run faster; the
-# arrays that grow faster than the samples are kept within models.WORK_BYTES.
+# memory for the samples of one block, cut by models.chunks at 8 n d bytes per
+# replication.  Each block has a fixed cost, so larger blocks run faster
 BLOCK_BYTES = 512 * 1024
 FLOAT_FMT = "%.17g"  # bit-faithful round trip of 64-bit floats
 
@@ -186,9 +185,8 @@ def run_simulation(config: SimConfig) -> SimResult:
     replication range attached.
     """
     start = time.perf_counter()
-    size = max(1, BLOCK_BYTES // (8 * config.n * config.params.d))
-    blocks = [range(lo, min(lo + size, config.reps))
-              for lo in range(0, config.reps, size)]
+    blocks = [range(config.reps)[s] for s in
+              chunks(config.reps, 8 * config.n * config.params.d, BLOCK_BYTES)]
     workers = min(config.threads, len(blocks), os.cpu_count() or 1)
     if workers == 1:
         outcomes = [_run_block(config, reps) for reps in blocks]

@@ -24,10 +24,16 @@ import numpy as np
 from . import special
 from .linalg import _UNIT_TOL, _check_symmetric, fix_sign
 
-# working memory of the arrays that grow faster than a sample stack, an ACG
-# rejection round's proposals and the Fisher-Bingham pair products x_i x_j:
-# each is built for groups of at most this many bytes (one slice at least)
+# working memory of the arrays that grow faster than a sample stack (ACG proposal
+# stacks, Fisher-Bingham pair products x_i x_j): chunks cuts them into groups within it
 WORK_BYTES = 128 * 1024
+
+
+def chunks(count: int, item_bytes: int, budget: int | None = None) -> list[slice]:
+    """The consecutive slices of range(count) within ``budget`` bytes (by default
+    WORK_BYTES, read at call time) at ``item_bytes`` per item, one item at least."""
+    step = max(1, (WORK_BYTES if budget is None else budget) // item_bytes)
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
 
 
 def as_int(value, name: str, low: int) -> int:

@@ -158,8 +158,7 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -
                      _MAX_BATCH) for j in short]
         for m in sorted(set(sizes)):
             same = [j for j, size in zip(short, sizes) if size == m]
-            step = max(1, models.WORK_BYTES // (8 * m * width))
-            for group in (same[lo : lo + step] for lo in range(0, len(same), step)):
+            for group in (same[s] for s in models.chunks(len(same), 8 * m * width)):
                 draws, keep = propose([gens[j] for j in group], m)
                 if out is None:
                     out = np.empty((b, n) + draws.shape[2:])

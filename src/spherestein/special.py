@@ -2,10 +2,10 @@
 bracketed Newton root finder of the maximum likelihood fits.
 
 The ratio R1 = I_{d/2}/I_{d/2-1} is formed from scipy's exponentially
-scaled values, so no intermediate overflows; where those near the
-subnormal range it is kappa times R1 / kappa from Gauss's continued
-fraction, and where they fail at very large arguments, it comes from the
-large-kappa expansion, which also gives the derivative R1' of the vMF
+scaled values, so no intermediate overflows; below kappa = d/10, or where
+those near the subnormal range, it is kappa times R1 / kappa from Gauss's
+continued fraction, and where they fail at very large arguments, it comes
+from the large-kappa expansion, which also gives the derivative R1' of the vMF
 Fisher information.  1F1 has one rule: scipy evaluates it at -|x| only,
 and the Kummer transform carries a positive argument over, its e^x kept
 apart as a log or cancelled in a ratio.
@@ -19,9 +19,9 @@ import math
 
 import numpy as np
 
-# below this, scipy's scaled Bessel values lose digits near the subnormal
-# range (ive(1, 1e-302) is 4.5e-6 off); switch to the continued fraction.
-# I_{d/2} < I_{d/2-1}, so the numerator reaches it first
+# below this, or below kappa = d/10, scipy's scaled Bessel values lose digits
+# (ive(1, 1e-302) is 4.5e-6 off, ive(0.5, 1e-300) 2e-14) and R1 comes from the
+# continued fraction.  I_{d/2} < I_{d/2-1}, so the numerator reaches it first
 _IVE_FLOOR = 1e-290
 
 
@@ -99,7 +99,7 @@ def bessel_ratio(d: int, kappa):
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = num / den
     large = ~(np.isfinite(den) & np.isfinite(num))  # ive fails near 2e9
-    small = ~large & ~(num > _IVE_FLOOR)
+    small = ~large & (~(num > _IVE_FLOOR) | (k < d / 10))
     if small.any():
         ratio[small] = k[small] * _ratio_over_kappa(d, k[small])
     for i in np.flatnonzero(large):

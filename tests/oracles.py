@@ -720,15 +720,17 @@ def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:
     """The vMF maximum-likelihood root of ratio(d, kappa) = r for one
     resultant length, by the bracketed Newton iteration one entry at a
     time: rational initial guess, bracket grown by 8x until it holds the
-    root, and a bisection step whenever Newton leaves the bracket."""
+    root, and a bisection step whenever Newton leaves the bracket; the
+    tolerance is 1e-12, or 1e-15 r below r = 0.01."""
     kappa = max(r * (d - r * r) / (1.0 - r * r), 1e-8)
+    tol = 1e-15 * r if r < 0.01 else 1e-12
     lo, hi = min(r, 1e-10), max(1e6, 4.0 * kappa)
     while ratio(d, hi) < r:
         hi *= 8.0
     for it in range(1, 201):
         value = ratio(d, kappa)
         err = value - r
-        if abs(err) <= 1e-12:
+        if abs(err) <= tol:
             return kappa, it
         if err > 0:
             hi = min(hi, kappa)
@@ -737,7 +739,7 @@ def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:
         deriv = 1.0 - value * value - (d - 1.0) * value / kappa
         nxt = kappa - err / deriv if deriv > 0 else lo
         kappa = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    if not abs(ratio(d, kappa) - r) <= 1e-10:
+    if not abs(ratio(d, kappa) - r) <= 100.0 * tol:
         raise RuntimeError("MLE root finder did not converge")
     return kappa, 200
 

@@ -206,6 +206,26 @@ ENGINE_CONFIGS = {
 }
 
 
+@pytest.mark.parametrize("reps,n,d", [(2000, 100, 3), (2000, 1000, 3), (2000, 100, 10),
+                                      (30, 100, 20), (7, 100_000, 10), (1, 5, 2),
+                                      (217, 301, 2)])
+def test_blocks_hold_block_bytes_of_samples_one_replication_at_least(reps, n, d,
+                                                                     monkeypatch):
+    # b = BLOCK_BYTES // (8 n d) replications a block, at least one, in order
+    seen = []
+
+    def record(config, block):
+        seen.append(block)
+        blocks = len(families.FAMILIES["vmf"].blocks)
+        return {est: (np.zeros((len(block), blocks)), np.zeros(len(block), dtype=bool))
+                for est in config.estimators}
+
+    monkeypatch.setattr(harness, "_run_block", record)
+    run_simulation(SimConfig(params=VmfParams(np.eye(d)[0], 1.0), n=n, reps=reps))
+    size = max(1, harness.BLOCK_BYTES // (8 * n * d))
+    assert seen == [range(lo, min(lo + size, reps)) for lo in range(0, reps, size)]
+
+
 @pytest.mark.parametrize("family", sorted(ENGINE_CONFIGS))
 def test_csv_bytes_identical_for_any_block_size_and_thread_count(family, monkeypatch):
     monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # the pool path on 1 CPU too

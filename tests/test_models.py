@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spherestein import families, sampler
+from spherestein import families, models, sampler
 from spherestein.models import (
     FisherBinghamParams,
     VmfParams,
@@ -323,3 +323,15 @@ def test_stein_operator_matches_reference_loop():
     reference = stein_mean_reference(lambda p: score(params, p), f2, x)
     direct = np.mean([stein_operator_apply(params, f2, row) for row in x], axis=0)
     np.testing.assert_allclose(direct, reference, atol=1e-13)
+
+
+def test_chunks_cut_within_the_budget_one_item_at_least(monkeypatch):
+    # an exact multiple, a remainder, an item beyond the budget, one item
+    assert models.chunks(6, 8, 16) == [slice(0, 2), slice(2, 4), slice(4, 6)]
+    assert models.chunks(7, 8, 24) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+    assert models.chunks(3, 100, 16) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert models.chunks(1, 8, 1024) == [slice(0, 1)]
+    assert models.chunks(1, 100, 16) == [slice(0, 1)]
+    # the default budget is WORK_BYTES as it reads when called
+    monkeypatch.setattr(models, "WORK_BYTES", 40)
+    assert models.chunks(5, 16) == [slice(0, 2), slice(2, 4), slice(4, 5)]

@@ -149,6 +149,20 @@ def test_bessel_ratio_on_underflow_mask_matches_mpmath(d, monkeypatch):
             assert abs(got - expected) <= 1e-15 * expected, (d, k)
 
 
+@pytest.mark.parametrize("d", [2, 3, 10, 50])
+def test_bessel_ratio_below_a_tenth_of_d_matches_mpmath(d):
+    # below kappa = d/10 R1 comes from the continued fraction, within
+    # 2.5e-16 of 40-digit mpmath on a half-decade grid from 1e-300; scipy's
+    # scaled values were up to 1.5e-13 off there (d = 10, kappa = 1e-55)
+    mpmath.mp.dps = 40
+    kappa = 10.0 ** np.arange(-300.0, math.log10(d / 10), 0.5)
+    nu = mpmath.mpf(d) / 2 - 1
+    for k, got in zip(kappa, bessel_ratio(d, kappa)):
+        km = mpmath.mpf(k)
+        expected = mpmath.besseli(nu + 1, km) / mpmath.besseli(nu, km)
+        assert abs(got - expected) <= 2.5e-16 * expected, (d, k)
+
+
 def test_bessel_ratio_domain():
     with pytest.raises(ValueError):
         bessel_ratio(3, 0.0)

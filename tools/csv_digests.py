@@ -16,7 +16,9 @@ repository root, with the package importable:
 
 import hashlib
 import json
+import os
 import pathlib
+import sys
 
 from spherestein import harness
 from spherestein.models import params_from_dict
@@ -36,4 +38,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull
+        # so the flush at exit does not raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

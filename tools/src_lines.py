@@ -9,7 +9,9 @@ to show where a change landed.  Run from the repository root:
 """
 
 import ast
+import os
 import pathlib
+import sys
 import tokenize
 
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
@@ -42,4 +44,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point stdout at devnull
+        # so the flush at exit does not raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
