@@ -16,7 +16,7 @@ The statistics, the fit and the residual take a (b, n, d) stack of b
 samples; slice k gets the bits of that sample fitted as a stack of one.
 So the moment tensors are built for groups of slices within
 models.WORK_BYTES of pair products, the six blocks are assembled from
-them for groups within models.WORK_BYTES of (q-1) q temporaries (the
+them for groups within models.WORK_BYTES of (q-1)^2 temporaries (the
 whole block at d = 3, one slice at a time at d = 50), and the solves run
 once.
 
@@ -99,7 +99,7 @@ def fb_statistics(x) -> FbSteinStatistics:
     b, n, d = x.shape
     q = d * (d + 1) // 2
     groups = []
-    for s in models.chunks(b, 8 * (q - 1) * q):  # groups of (q-1) q temporaries,
+    for s in models.chunks(b, 8 * (q - 1) ** 2):  # groups of (q-1)^2 temporaries,
         # each in groups of n d^2 pair products
         moments = [_moments(x[s][t]) for t in models.chunks(len(x[s]), 8 * n * d * d)]
         groups.append(_assemble(*map(np.concatenate, zip(*moments))))
@@ -124,8 +124,8 @@ def _moments(x: np.ndarray) -> tuple[np.ndarray, ...]:
 def _assemble(xbar, scatter, third, fourth) -> tuple[np.ndarray, ...]:
     # fb_statistics' six blocks, in field order, from the moments
     d = xbar.shape[-1]
-    k, l = lower_index(d)  # the q columns of M and G, in lower_pairs order
-    i, j = k[:-1], l[:-1]  # the q - 1 rows of M and E (A[d, d] trimmed)
+    # the q - 1 rows of M' and E and columns of M' and G', in vech' order
+    i, j = k, l = lower_index(d)
 
     # row blocks of B(x) = grad_f2(x) (I - xx'); row (i,j) is
     # x_j e_i' + x_i e_j' - 2 x_i x_j x', so means reduce to moment tensors
@@ -141,18 +141,18 @@ def _assemble(xbar, scatter, third, fourth) -> tuple[np.ndarray, ...]:
         + np.where(j == k, scatter[:, i, l], 0.0) - 2.0 * fourth[:, i, j, k, l]
     t_lk = np.where(i == l, scatter[:, j, k], 0.0) \
         + np.where(j == l, scatter[:, i, k], 0.0) - 2.0 * fourth[:, i, j, l, k]
-    m_full = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
+    m_prime = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
 
     # mean[(I - xx')_{row,k} x_l], symmetrised over (k, l)
     row = np.arange(d)[:, None]
     t_kl = np.where(row == k, xbar[:, None, l], 0.0) - third[:, row, k, l]
     t_lk = np.where(row == l, xbar[:, None, k], 0.0) - third[:, row, l, k]
-    g_full = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
+    g_prime = np.where(k == l, 2.0 * t_kl, 2.0 * (t_kl + t_lk))
 
     # the fancy-indexed blocks come out with b as their innermost stride;
     # matmul rounds such a slice differently from a contiguous one
-    blocks = (m_full[..., :-1], v_statistic(scatter), e_mat,
-              g_full[..., :-1], (d - 1.0) * xbar, np.eye(d) - scatter)
+    blocks = (m_prime, v_statistic(scatter), e_mat, g_prime, (d - 1.0) * xbar,
+              np.eye(d) - scatter)
     return tuple(np.ascontiguousarray(a) for a in blocks)
 
 

@@ -90,7 +90,7 @@ def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
     t = np.matmul(x, mu[..., None])[..., 0]
     p = (x * t[..., None]).mean(axis=-2)
     q2 = np.matmul((x * (t * t)[..., None]).swapaxes(-1, -2), x) / n
-    i, j = (idx[:-1] for idx in lower_index(d))
+    i, j = lower_index(d)
     return 2.0 * (mu[..., i] * p[..., j] + mu[..., j] * p[..., i]
                   - 2.0 * q2[..., i, j])
 

@@ -1,10 +1,10 @@
 """Dense linear-algebra helpers shared by the estimators.
 
-Half-vectorization (vech) and its index arrays, small symmetric
-eigendecompositions with a deterministic sign convention, Householder
-rotations onto the first axis, and a condition-checked solve of a stack of
-linear systems.  Everything operates on small dense matrices; dimensions
-beyond a few hundred are out of scope.
+Half-vectorization without the pinned (d, d) entry (vech') and its index
+arrays, small symmetric eigendecompositions with a deterministic sign
+convention, Householder rotations onto the first axis, and a
+condition-checked solve of a stack of linear systems.  Everything operates
+on small dense matrices; dimensions beyond a few hundred are out of scope.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ class SingularSystem(Exception):
 
 @functools.lru_cache(maxsize=64)
 def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (rows, cols) index arrays of the pairs i >= j in
-    column-stacked lower-triangle order, the ordering behind vech:
-    (0,0), (1,0), ..., (d-1,0), (1,1), (2,1), ..., (d-1,d-1).
+    """Read-only (rows, cols) index arrays of the d(d+1)/2 - 1 pairs of
+    vech': i >= j in column-stacked lower-triangle order without the last,
+    (0,0), (1,0), ..., (d-1,0), (1,1), (2,1), ..., (d-1,d-2).  The (d-1,d-1)
+    entry is the one that the identifiability pin A[d, d] = 0 removes.
     """
-    cols, rows = np.triu_indices(d)
+    cols, rows = (idx[:-1] for idx in np.triu_indices(d))
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
@@ -52,24 +53,20 @@ def _check_symmetric(m) -> np.ndarray:
     return m
 
 
-def vech(s) -> np.ndarray:
+def vech_prime(s) -> np.ndarray:
     """Half-vectorization of a symmetric matrix, column-stacked lower
-    triangle (one row per slice of a stack)."""
+    triangle, without the final (d,d) entry (one row per slice of a
+    stack)."""
     s = _check_symmetric(s)
     rows, cols = lower_index(s.shape[-1])
     return s[..., rows, cols]
-
-
-def vech_prime(s) -> np.ndarray:
-    """vech with the final component (the (d,d) entry) removed."""
-    return vech(s)[..., :-1]
 
 
 def unvech_prime(v, d: int) -> np.ndarray:
     """Embed a length d(d+1)/2 - 1 vector as a symmetric matrix with
     S[d,d] = 0 (one matrix per row of a stack of such vectors)."""
     v = np.asarray(v, dtype=float)
-    rows, cols = (idx[:-1] for idx in lower_index(d))
+    rows, cols = lower_index(d)
     if v.shape[-1:] != rows.shape:
         raise ValueError(f"expected length {rows.size}, got shape {v.shape}")
     s = np.zeros((*v.shape[:-1], d, d))

@@ -17,7 +17,8 @@ so agreement is evidence, not tautology.  The exceptions:
 * fb_statistics_generic returns the package's FbSteinStatistics record
   (a plain container; no package code computes its entries);
 * mle_newton_scalar takes the Bessel ratio as an argument: it pins the
-  vectorised Newton iteration, not the ratio;
+  vectorised Newton iteration (special.newton_root, which
+  newton_root_scalar writes one entry at a time), not the ratio;
 * acg_direct_accept and acg_sample_loop take their envelope from
   sampler._envelope: they pin the stacked rejection loop and its
   eigenbasis accept step, which they write in the direct form on unit
@@ -394,6 +395,14 @@ def kron(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 
+def vech(s) -> np.ndarray:
+    """Half-vectorization of a symmetric matrix: the column-stacked lower
+    triangle, all d(d+1)/2 entries (one row per slice of a stack)."""
+    s = np.asarray(s, dtype=float)
+    rows, cols = np.array(lower_pairs(s.shape[-1])).T
+    return s[..., rows, cols]
+
+
 def duplication_matrix(d: int) -> np.ndarray:
     """The 0/1 matrix D with D @ vech(S) = vec(S) for every symmetric S."""
     if d < 1:
@@ -716,32 +725,50 @@ def watson_st_ne_points() -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def newton_root_scalar(link, target: float, x0: float, lo: float, hi: float,
+                       tol: float) -> tuple[float, int]:
+    """special.newton_root for one entry, as a scalar loop: the end of
+    [lo, hi] on the target's side of x0 (link(x0) decides the side once)
+    moves outward by 1 + |end|/2 until it brackets the target or is
+    infinite; then Newton steps from x0, with a bisection step whenever
+    Newton leaves the bracket, until |link(x) - target| <= tol.  Returns
+    the root and its iteration count."""
+    side = np.sign(link(x0)[0] - target)  # +1 where the target lies below x0
+    while side < 0 and link(hi)[0] < target and math.isfinite(hi):
+        hi += 1.0 + 0.5 * abs(hi)
+    while side > 0 and link(lo)[0] > target and math.isfinite(lo):
+        lo -= 1.0 + 0.5 * abs(lo)
+    x = x0
+    for it in range(1, 201):
+        value, deriv = link(x)
+        err = value - target
+        if abs(err) <= tol:
+            return x, it
+        if err > 0:
+            hi = min(hi, x)
+        else:
+            lo = max(lo, x)
+        nxt = x - err / deriv if deriv > 0 else lo
+        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+    if not abs(link(x)[0] - target) <= 100.0 * tol:
+        raise RuntimeError("root finder did not converge")
+    return x, 200
+
+
 def mle_newton_scalar(d: int, r: float, ratio) -> tuple[float, int]:
     """The vMF maximum-likelihood root of ratio(d, kappa) = r for one
-    resultant length, by the bracketed Newton iteration one entry at a
-    time: rational initial guess, bracket grown by 8x until it holds the
-    root, and a bisection step whenever Newton leaves the bracket; the
-    tolerance is 1e-12, or 1e-15 r below r = 0.01."""
+    resultant length by newton_root_scalar: rational initial guess, first
+    bracket [min(r, 1e-10), max(1e6, 4 kappa0)], link derivative
+    1 - R^2 - (d-1) R / kappa; the tolerance is 1e-12, or 1e-15 r below
+    r = 0.01."""
     kappa = max(r * (d - r * r) / (1.0 - r * r), 1e-8)
-    tol = 1e-15 * r if r < 0.01 else 1e-12
-    lo, hi = min(r, 1e-10), max(1e6, 4.0 * kappa)
-    while ratio(d, hi) < r:
-        hi *= 8.0
-    for it in range(1, 201):
-        value = ratio(d, kappa)
-        err = value - r
-        if abs(err) <= tol:
-            return kappa, it
-        if err > 0:
-            hi = min(hi, kappa)
-        else:
-            lo = max(lo, kappa)
-        deriv = 1.0 - value * value - (d - 1.0) * value / kappa
-        nxt = kappa - err / deriv if deriv > 0 else lo
-        kappa = nxt if lo < nxt < hi else 0.5 * (lo + hi)
-    if not abs(ratio(d, kappa) - r) <= 100.0 * tol:
-        raise RuntimeError("MLE root finder did not converge")
-    return kappa, 200
+
+    def link(k):
+        value = ratio(d, k)
+        return value, 1.0 - value * value - (d - 1.0) * value / k
+
+    return newton_root_scalar(link, r, kappa, min(r, 1e-10), max(1e6, 4.0 * kappa),
+                              1e-15 * r if r < 0.01 else 1e-12)
 
 
 def vmf_fit_loop(x, estimator: str, ratio) -> tuple[np.ndarray, float]:

@@ -24,7 +24,6 @@ from spherestein.est_vmf import (
 from spherestein.est_watson import _j_statistic, prepare_sample, watson_mla_bounds
 from spherestein.families import fit_one
 from spherestein.harness import SimConfig, run_simulation
-from spherestein.linalg import vech
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 from spherestein.special import bessel_ratio, log_kummer_1f1
@@ -47,6 +46,7 @@ from oracles import (
     sin_projection,
     stein_operator_apply,
     vec,
+    vech,
 )
 
 

@@ -9,7 +9,6 @@ from spherestein.linalg import (
     solve_stack,
     sym_eigen,
     unvech_prime,
-    vech,
     vech_prime,
 )
 
@@ -21,6 +20,7 @@ from oracles import (
     rank_by_row_reduction,
     random_unit_rows,
     vec,
+    vech,
 )
 
 
@@ -37,7 +37,7 @@ def test_vech_examples():
 
 def test_vech_rejects_asymmetry():
     with pytest.raises(ValueError):
-        vech([[1, 2], [2.1, 3]])
+        vech_prime([[1, 2], [2.1, 3]])
 
 
 def test_vech_prime_examples():
@@ -54,6 +54,15 @@ def test_vech_prime_inverse_embed():
     np.testing.assert_array_equal(unvech_prime(vech_prime(stack), 3), stack)
     with pytest.raises(ValueError):
         unvech_prime(np.zeros((2, 4)), 3)
+
+
+def test_vech_prime_round_trip_with_pinned_entry():
+    rng = np.random.default_rng(5)
+    for d in range(1, 7):
+        s = rng.standard_normal((4, d, d))
+        s = s + s.swapaxes(1, 2)
+        s[:, d - 1, d - 1] = 0.0
+        np.testing.assert_array_equal(unvech_prime(vech_prime(s), d), s)
 
 
 def test_duplication_d2_rows():
@@ -174,7 +183,7 @@ def test_stacked_symmetry_check_covers_every_slice():
         sym_eigen(stack)
     with pytest.raises(ValueError, match="square"):
         sym_eigen(np.zeros((2, 2, 3)))
-    np.testing.assert_array_equal(vech(stack[:2]), [vech(np.eye(3))] * 2)
+    np.testing.assert_array_equal(vech_prime(stack[:2]), [vech_prime(np.eye(3))] * 2)
 
 
 def test_sym_eigen_reconstruction_random():
@@ -259,9 +268,16 @@ def test_solve_stack_slices_equal_single_solves_bitwise():
 def test_lower_pairs_order():
     expected = [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)]
     rows, cols = lower_index(3)
-    assert list(zip(rows.tolist(), cols.tolist())) == expected
+    assert list(zip(rows.tolist(), cols.tolist())) == expected[:-1]
     assert lower_pairs(3) == expected
     for d in (1, 2, 5, 9):
         rows, cols = lower_index(d)
-        assert list(zip(rows.tolist(), cols.tolist())) == lower_pairs(d)
+        assert list(zip(rows.tolist(), cols.tolist())) == lower_pairs(d)[:-1]
         assert not rows.flags.writeable and not cols.flags.writeable
+
+
+def test_lower_index_holds_the_vech_prime_pairs():
+    for d in range(2, 7):
+        rows, cols = lower_index(d)
+        assert rows.shape == cols.shape == (d * (d + 1) // 2 - 1,)
+        assert (d - 1, d - 1) not in zip(rows.tolist(), cols.tolist())

@@ -13,6 +13,7 @@ from oracles import (
     bessel_i_half,
     bessel_i_three_halves,
     log_bessel_i,
+    newton_root_scalar,
     ratio_d3,
     series_1f1,
     series_bessel_i,
@@ -383,6 +384,21 @@ def test_newton_root_widens_an_end_that_misses(target, lo, hi):
     assert root[0] == pytest.approx(math.atanh(target), rel=1e-14)
     assert iterations[0] < 200
     assert lo_arr[0] == lo and hi_arr[0] == hi
+
+
+def test_newton_root_bisects_against_a_widened_end_as_the_scalar_loop():
+    # a link derivative a hundred times too small sends Newton out of the
+    # bracket, so the iterates bisect against the widened upper end (targets
+    # above 1e6) or lower end (below 0); each entry has the bits and the
+    # iteration count of the scalar loop
+    def link(x):
+        return np.arcsinh(x), 0.01 / np.sqrt(1.0 + x * x)
+
+    target = np.arcsinh([3e7, -5e6, 2e5, 0.5])
+    root, iterations = special.newton_root(link, target, np.ones(4), np.zeros(4),
+                                           np.full(4, 1e6), 1e-13)
+    for k, t in enumerate(target):
+        assert (root[k], iterations[k]) == newton_root_scalar(link, t, 1.0, 0.0, 1e6, 1e-13)
 
 
 def test_newton_root_target_beyond_the_link_does_not_converge():

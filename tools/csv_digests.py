@@ -7,7 +7,8 @@ two threads, which give the bytes of any thread count) one line:
 
 A change that claims to keep the CSV bytes prints the same 24 lines as its
 parent, which ``tools/csv_digests.txt`` records; CI diffs the output against
-that file, and a change that moves a byte re-records it.  Run from the
+that file, and a change that moves a byte re-records it.  The configs are
+found beside this script, so it runs from any directory; from the
 repository root, with the package importable:
 
     PYTHONPATH=src python3 tools/csv_digests.py | diff tools/csv_digests.txt -
@@ -23,12 +24,16 @@ import sys
 from spherestein import harness
 from spherestein.models import params_from_dict
 
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SEEDS = (0, 7)
 THREADS = 2
 
 
 def main() -> None:
-    for path in sorted(pathlib.Path("configs").glob("*.json")):
+    paths = sorted(CONFIGS.glob("*.json"))
+    if not paths:
+        sys.exit(f"error: no config files in {CONFIGS}")
+    for path in paths:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
         for seed in SEEDS:
             config = harness.SimConfig(**{**raw, "params": params_from_dict(raw["params"]),

@@ -3,7 +3,8 @@
 The total line count of ``src/spherestein/*.py`` (as ``wc -l`` counts it)
 and its code lines: those not blank, comment-only or docstring, so a deleted
 comment does not read as a smaller program; then both counts per module,
-to show where a change landed.  Run from the repository root:
+to show where a change landed.  The sources are found beside this script,
+so it runs from any directory:
 
     python3 tools/src_lines.py
 """
@@ -14,6 +15,7 @@ import pathlib
 import sys
 import tokenize
 
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "spherestein"
 SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
         tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
 
@@ -34,7 +36,9 @@ def code_lines(path: pathlib.Path) -> int:
 
 
 def main() -> None:
-    paths = sorted(pathlib.Path("src/spherestein").glob("*.py"))
+    paths = sorted(SRC.glob("*.py"))
+    if not paths:
+        sys.exit(f"error: no Python files in {SRC}")
     lines = {path.name: path.read_bytes().count(b"\n") for path in paths}
     code = {path.name: code_lines(path) for path in paths}
     print(f"src/spherestein/*.py: {sum(lines.values())} lines")
