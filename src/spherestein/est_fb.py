@@ -16,7 +16,7 @@ The statistics, the fit and the residual take a (b, n, d) stack of b
 samples; slice k gets the bits of that sample fitted as a stack of one.
 So the moment tensors are built for groups of slices within
 models.WORK_BYTES of pair products, the six blocks are assembled from
-them for groups within models.WORK_BYTES of (q-1)^2 temporaries (the
+them for groups within models.WORK_BYTES of (q-1) q temporaries (the
 whole block at d = 3, one slice at a time at d = 50), and the solves run
 once.
 
@@ -99,7 +99,7 @@ def fb_statistics(x) -> FbSteinStatistics:
     b, n, d = x.shape
     q = d * (d + 1) // 2
     groups = []
-    for s in models.chunks(b, 8 * (q - 1) ** 2):  # groups of (q-1)^2 temporaries,
+    for s in models.chunks(b, 8 * (q - 1) * q):  # groups of (q-1) q temporaries,
         # each in groups of n d^2 pair products
         moments = [_moments(x[s][t]) for t in models.chunks(len(x[s]), 8 * n * d * d)]
         groups.append(_assemble(*map(np.concatenate, zip(*moments))))

@@ -731,25 +731,28 @@ def newton_root_scalar(link, target: float, x0: float, lo: float, hi: float,
     [lo, hi] on the target's side of x0 (link(x0) decides the side once)
     moves outward by 1 + |end|/2 until it brackets the target or is
     infinite; then Newton steps from x0, with a bisection step whenever
-    Newton leaves the bracket, until |link(x) - target| <= tol.  Returns
-    the root and its iteration count."""
+    Newton leaves the bracket, until |link(x) - target| <= tol or iterates
+    on both sides of the target have closed the bracket to adjacent
+    floats.  Returns the root and its iteration count."""
     side = np.sign(link(x0)[0] - target)  # +1 where the target lies below x0
     while side < 0 and link(hi)[0] < target and math.isfinite(hi):
         hi += 1.0 + 0.5 * abs(hi)
     while side > 0 and link(lo)[0] > target and math.isfinite(lo):
         lo -= 1.0 + 0.5 * abs(lo)
-    x = x0
+    x, under, over = x0, False, False
     for it in range(1, 201):
         value, deriv = link(x)
         err = value - target
-        if abs(err) <= tol:
-            return x, it
         if err > 0:
             hi = min(hi, x)
         else:
             lo = max(lo, x)
+        under, over = under or err < 0, over or err > 0
+        mid = 0.5 * (lo + hi)
+        if abs(err) <= tol or (under and over and mid in (lo, hi)):
+            return x, it
         nxt = x - err / deriv if deriv > 0 else lo
-        x = nxt if lo < nxt < hi else 0.5 * (lo + hi)
+        x = nxt if lo < nxt < hi else mid
     if not abs(link(x)[0] - target) <= 100.0 * tol:
         raise RuntimeError("root finder did not converge")
     return x, 200

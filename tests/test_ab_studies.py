@@ -12,7 +12,7 @@ SPEC = f"{ROOT / 'configs' / 'table2_d3_k1.json'}:4"
 def _ab(base, change) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab_studies.py"), str(base),
-         str(change), SPEC, "--pairs", "2", "--studies", "1"],
+         str(change), SPEC, "--pairs", "2"],
         capture_output=True, text=True, timeout=120)
 
 

@@ -23,6 +23,7 @@ from spherestein.est_vmf import (
 )
 from spherestein.est_watson import _j_statistic, prepare_sample, watson_mla_bounds
 from spherestein.families import fit_one
+from spherestein.linalg import vech_prime
 from spherestein.harness import SimConfig, run_simulation
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import sample_fb, sample_vmf, sample_watson
@@ -334,6 +335,12 @@ def test_criterion_7_structural_invariants():
         s = s + s.T
         if np.max(np.abs(duplication_matrix(d) @ vech(s) - vec(s))) > 1e-12:
             failures.append(f"duplication identity (trial {trial})")
+            break
+        # the package's vech' order: D without its (d, d) column on s with
+        # the pinned entry zeroed
+        s[d - 1, d - 1] = 0.0
+        if np.max(np.abs(duplication_matrix(d)[:, :-1] @ vech_prime(s) - vec(s))) > 1e-12:
+            failures.append(f"duplication identity on vech' (trial {trial})")
             break
         kmat = commutation_matrix(d)
         m = rng.standard_normal((d, d))

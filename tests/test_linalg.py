@@ -89,6 +89,10 @@ def test_duplication_property_random():
         np.testing.assert_allclose(
             duplication_matrix(d) @ vech(s), vec(s), rtol=0, atol=1e-13
         )
+        # the package's vech' order: D without its (d, d) column, on s with
+        # the pinned entry zeroed
+        s[d - 1, d - 1] = 0.0
+        np.testing.assert_array_equal(duplication_matrix(d)[:, :-1] @ vech_prime(s), vec(s))
 
 
 def test_commutation_examples():

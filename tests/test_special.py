@@ -351,11 +351,14 @@ def test_newton_root_solves_each_entry():
 def test_newton_root_closes_the_bracket_below_the_link_resolution():
     # a tolerance no float iterate meets: the entry leaves once iterates on
     # both sides of the target have closed the bracket to adjacent floats
-    root, iterations = special.newton_root(
-        lambda x: (x ** 3, 3.0 * x ** 2), np.array([2.0]), np.array([1.0]),
-        np.array([0.0]), np.array([4.0]), 0.0)
-    assert abs(root[0] - 2.0 ** (1 / 3)) <= 2 * np.spacing(root[0])
+    def link(x):
+        return x ** 3, 3.0 * x ** 2
+
+    root, iterations = special.newton_root(link, np.array([3.0]), np.array([1.0]),
+                                           np.array([0.0]), np.array([4.0]), 0.0)
+    assert abs(root[0] - 3.0 ** (1 / 3)) <= 2 * np.spacing(root[0])
     assert iterations[0] < 200
+    assert (root[0], iterations[0]) == newton_root_scalar(link, 3.0, 1.0, 0.0, 4.0, 0.0)
 
 
 def test_newton_root_returns_an_empty_target_at_once():

@@ -1,14 +1,13 @@
 """Time the same simulation studies under two source trees, alternating.
 
-    python3 tools/ab_studies.py BASE_SRC CHANGE_SRC CONFIG:REPS [...] \\
-        [--pairs 10] [--studies 5]
+    python3 tools/ab_studies.py BASE_SRC CHANGE_SRC CONFIG:REPS [...] [--pairs 10]
 
 BASE_SRC and CHANGE_SRC are directories that hold a ``spherestein``
 package (a checkout's ``src``).  Each CONFIG is a study file such as
 ``configs/table1_fig6.json``, run with REPS replications at its own seed
 in one thread.  A pair runs each side once, in a fresh interpreter with
 BLAS pinned to one thread, and the side that runs first alternates from
-pair to pair.  Within an interpreter each config's study runs --studies
+pair to pair.  Within an interpreter each config's study runs STUDIES
 times after one untimed warm-up, and the side's time for that pair is the
 median of those runs.
 
@@ -23,6 +22,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+STUDIES = 5  # timed runs of each study per side and pair
 
 # run in each side's interpreter: argv is src, studies, then CONFIG:REPS
 # specs; prints one JSON object {spec: [median seconds, CSV sha256]}
@@ -56,9 +57,9 @@ ONE_THREAD = {name: "1" for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                                      "MKL_NUM_THREADS")}
 
 
-def run_side(src: str, studies: int, specs: list[str]) -> dict:
+def run_side(src: str, specs: list[str]) -> dict:
     env = {**os.environ, **ONE_THREAD}
-    done = subprocess.run([sys.executable, "-c", CHILD, src, str(studies), *specs],
+    done = subprocess.run([sys.executable, "-c", CHILD, src, str(STUDIES), *specs],
                           env=env, stdout=subprocess.PIPE, text=True)
     if done.returncode:
         sys.exit(f"error: the studies under {src} failed")
@@ -71,13 +72,12 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("specs", nargs="+", metavar="CONFIG:REPS")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--studies", type=int, default=5)
     args = parser.parse_args(argv)
     sides = {"base": args.base, "change": args.change}
     runs = {"base": [], "change": []}
     for pair in range(args.pairs):
         for side in sorted(sides, reverse=pair % 2 == 1):
-            runs[side].append(run_side(sides[side], args.studies, args.specs))
+            runs[side].append(run_side(sides[side], args.specs))
 
     differ = False
     for spec in args.specs:
