@@ -26,7 +26,6 @@ import argparse
 import itertools
 import json
 import logging
-import math
 import os
 import sys
 import warnings
@@ -194,15 +193,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_asympvar(args) -> int:
-    if args.d < 2:
-        return _fail("--d must be >= 2", 2)
-    if not 0 < args.kappa < math.inf:
-        return _fail("--kappa must be finite and > 0", 2)
     try:
         p_var = est_vmf.stein_asymptotic_variance_vmf(args.d, args.kappa)
         info = est_vmf.fisher_information_vmf(args.d, args.kappa)
-    except ValueError as exc:  # R1 subnormal, or P overflowing
-        return _fail(f"kappa = {args.kappa!r} out of numerical range: {exc}", 2)
+    except ValueError as exc:  # outside the domain, or out of numerical range
+        return _fail(f"--d {args.d} --kappa {args.kappa!r}: {exc}", 2)
     inverse = 1.0 / info
     if p_var < inverse - 1e-10 * abs(inverse):
         return _fail("efficiency bound violated: P < 1/I (numerical issue)", 4)

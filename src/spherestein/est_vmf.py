@@ -76,13 +76,12 @@ def prepare_sample(x) -> VmfSample:
     return VmfSample(x, xbar, norm, mu_hat)
 
 
-def _resultant(x) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    # the checked stack, Xbar, |Xbar| and the mean directions of a stack or
-    # a VmfSample
+def _resultant(x) -> VmfSample:
+    # the VmfSample of a stack or a VmfSample, checked for a zero resultant
     s = prepare_sample(x)
     if np.any(s.norm <= 1e-12):
         raise DegenerateMean("resultant length is zero")
-    return s.x, s.xbar, s.norm, s.mu_hat
+    return s
 
 
 def _resid_mat(x: np.ndarray) -> np.ndarray:
@@ -90,10 +89,11 @@ def _resid_mat(x: np.ndarray) -> np.ndarray:
     return np.eye(x.shape[2]) - np.matmul(x.transpose(0, 2, 1), x) / x.shape[1]
 
 
-def _estimate(mu_hat, kappa, ne=None, **diagnostics) -> VmfEstimate:
+def _estimate(s: VmfSample, kappa, ne=None, **diagnostics) -> VmfEstimate:
+    # the fit of s: its mean directions, and |Xbar| as the first diagnostic
     if ne is None:
         ne = np.zeros(kappa.shape, dtype=bool)
-    return VmfEstimate(mu_hat, kappa, diagnostics, ne)
+    return VmfEstimate(s.mu_hat, kappa, {"resultant_length": s.norm, **diagnostics}, ne)
 
 
 def kappa_stein(x) -> VmfEstimate:
@@ -103,29 +103,27 @@ def kappa_stein(x) -> VmfEstimate:
 
     Strictly positive on any non-degenerate sample.
     """
-    x, xbar, r, mu_hat = _resultant(x)
-    d = x.shape[2]
-    resid_mat = _resid_mat(x)
-    mu_resid = np.matmul(mu_hat[:, None, :], resid_mat)
+    s = _resultant(x)
+    resid_mat = _resid_mat(s.x)
+    mu_resid = np.matmul(s.mu_hat[:, None, :], resid_mat)
     # 1 - mu'S mu, as SM tests it: the denominator is of order its square
-    if np.any(np.vecdot(mu_resid[:, 0], mu_hat) <= 1e-15):
+    if np.any(np.vecdot(mu_resid[:, 0], s.mu_hat) <= 1e-15):
         raise ValueError("degenerate sample: mu'S mu is 1")
-    denom = np.vecdot(np.matmul(mu_resid, resid_mat)[:, 0], mu_hat)
-    kappa = (d - 1.0) * np.vecdot(mu_resid[:, 0], xbar) / denom
+    denom = np.vecdot(np.matmul(mu_resid, resid_mat)[:, 0], s.mu_hat)
+    kappa = (s.x.shape[2] - 1.0) * np.vecdot(mu_resid[:, 0], s.xbar) / denom
     if not np.all(kappa > 0.0):
         # numerator equals |Xbar| mu'(I-S)mu >= 0, so this cannot trigger
         # on finite input; checked because positivity is part of the contract
         raise ValueError(f"positivity postcondition failed: kappa = {kappa}")
-    return _estimate(mu_hat, kappa, resultant_length=r)
+    return _estimate(s, kappa)
 
 
 def kappa_stein2(x) -> VmfEstimate:
     """The mu' = kappa mu variant: kappa = (d-1) |(I - S)^{-1} Xbar|."""
-    x, xbar, r, mu_hat = _resultant(x)
-    d = x.shape[2]
-    mu_prime, cond, singular = solve_stack(_resid_mat(x), xbar)
-    kappa = (d - 1.0) * np.sqrt(np.vecdot(mu_prime, mu_prime))
-    return _estimate(mu_hat, kappa, ne=singular, resultant_length=r, cond=cond)
+    s = _resultant(x)
+    mu_prime, cond, singular = solve_stack(_resid_mat(s.x), s.xbar)
+    kappa = (s.x.shape[2] - 1.0) * np.sqrt(np.vecdot(mu_prime, mu_prime))
+    return _estimate(s, kappa, ne=singular, cond=cond)
 
 
 def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -148,11 +146,11 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
-    x, _, r, mu_hat = _resultant(x)
-    if np.any(r >= 1.0 - 1e-15):
+    s = _resultant(x)
+    if np.any(s.norm >= 1.0 - 1e-15):
         raise ValueError("resultant length rounds to 1: all points identical")
-    kappa, iterations = _mle_from_resultant(x.shape[2], r)
-    return _estimate(mu_hat, kappa, resultant_length=r, iterations=iterations)
+    kappa, iterations = _mle_from_resultant(s.x.shape[2], s.norm)
+    return _estimate(s, kappa, iterations=iterations)
 
 
 def kappa_score_matching(x) -> VmfEstimate:
@@ -162,21 +160,24 @@ def kappa_score_matching(x) -> VmfEstimate:
     R mu_hat = e1, which equals mu_hat'X_i exactly, so the rotation
     (the Householder reflector in linalg) never needs to be formed.
     """
-    x, _, r, mu_hat = _resultant(x)
-    d = x.shape[2]
-    y = np.matmul(x, mu_hat[:, :, None])[..., 0]
+    s = _resultant(x)
+    y = np.matmul(s.x, s.mu_hat[:, :, None])[..., 0]
     ybar = y.mean(axis=1)
     y2bar = (y * y).mean(axis=1)
     if np.any(y2bar >= 1.0 - 1e-15):
         raise ValueError("mean squared projection is 1: sample degenerate")
-    kappa = (d - 1.0) * ybar / (1.0 - y2bar)
-    return _estimate(mu_hat, kappa, resultant_length=r)
+    kappa = (s.x.shape[2] - 1.0) * ybar / (1.0 - y2bar)
+    return _estimate(s, kappa)
 
 
 def _ratios(d: int, kappa: float) -> tuple[float, float]:
     # R1 and rho = R1 / kappa, the one domain rule of both asymptotics:
-    # bessel_ratio refuses d < 2 and kappa <= 0, and a subnormal R1 (kappa
-    # near 0) has too few bits for either
+    # bessel_ratio refuses d < 2 and kappa <= 0, this a kappa that is not
+    # finite (not bessel_ratio, which newton_root may call at an infinite
+    # bracket end), and a subnormal R1 (kappa near 0) has too few bits for
+    # either
+    if not np.isfinite(kappa):
+        raise ValueError("kappa must be finite")
     r1 = special.bessel_ratio(d, kappa)
     if not r1 >= np.finfo(float).tiny:
         raise ValueError(f"R1 = {r1!r} is not a normal float")
@@ -189,12 +190,16 @@ def fisher_information_vmf(d: int, kappa: float) -> float:
     The difference is about (d-1) / (2 kappa^2) and loses its digits to
     cancellation as kappa grows, so beyond kappa = 30 + d it is the
     derivative R1' of the large-kappa expansion instead.  ValueError where
-    R1 is not a normal float.
+    kappa is not finite, R1 is not a normal float or that expansion does
+    not settle.
     """
     r1, rho = _ratios(d, kappa)
     if kappa < 30.0 + d:
         return 1.0 - r1 * r1 - (d - 1.0) * rho
-    return special.large_kappa_expansion(d, kappa)[1]
+    slope = special.large_kappa_expansion(d, kappa, order=1)
+    if np.isnan(slope):
+        raise ValueError("the large-kappa expansion of R1' did not settle")
+    return slope
 
 
 def stein_asymptotic_variance_vmf(d: int, kappa: float) -> float:
@@ -203,8 +208,8 @@ def stein_asymptotic_variance_vmf(d: int, kappa: float) -> float:
     P = kappa I_{d/2-1} (2 kappa I_{d/2-1} - (d+1) I_{d/2})
         / ((d-1) I_{d/2}^2).
 
-    ValueError where R1 is not a normal float or P overflows (kappa beyond
-    about 1e154).
+    ValueError where kappa is not finite, R1 is not a normal float or P
+    overflows (kappa beyond about 1e154).
     """
     _, rho = _ratios(d, kappa)
     # the display divided through by (kappa I_{d/2-1})^2, in rho = R1 / kappa

@@ -3,7 +3,8 @@ moment-type concentration estimate, the midpoint-of-likelihood-bounds
 estimator (MLa) and a one-component maximum likelihood baseline, solved
 for every slice at once by the Newton root finder it shares with vMF ML.
 MLa and ML see a sample only through the mass r = mu'S mu on each axis;
-they raise OverflowError where 1F1 is out of range (special).
+they raise OverflowError where 1F1 is out of range (special).  ML's
+likelihood takes its normaliser from ``watson_log_normalizer``.
 
 Branches: (+) takes the top eigenvector of the scatter matrix (bipolar
 data, kappa > 0), (-) the bottom eigenvector (girdle data, kappa < 0).
@@ -27,7 +28,7 @@ import numpy as np
 from . import special
 from .est_fb import v_statistic
 from .linalg import lower_index, sym_eigen
-from .models import sample_stack, watson_log_normalizer
+from .models import sample_stack
 
 
 class NotEligible(Exception):
@@ -161,6 +162,16 @@ def watson_mla_bounds(r, d: int) -> tuple:
     lower = prefactor * (1.0 + (1.0 - r_arr) / (c - a))
     upper = prefactor * (1.0 + r_arr / a)
     return np.minimum(lower, upper), np.maximum(lower, upper)
+
+
+def watson_log_normalizer(d: int, kappa):
+    """log of Gamma(d/2) / (2 pi^{d/2} 1F1(1/2; d/2; kappa)), elementwise."""
+    return (
+        math.lgamma(0.5 * d)
+        - math.log(2.0)
+        - 0.5 * d * math.log(math.pi)
+        - special.log_kummer_1f1(0.5, 0.5 * d, kappa)
+    )
 
 
 def _neg_log_likelihood(n: int, d: int, r: np.ndarray, kappa) -> np.ndarray:

@@ -9,8 +9,9 @@ S^{d-1}:
 * Watson:          exp(kappa * (mu'x)^2), mu a unit axis, kappa real.
 
 A params class holds its family's ``family`` name and its fields, and
-checks them on construction; every field must be finite.  The Watson log
-normaliser, which the Watson likelihood fits need, lives here too.
+checks them on construction; every field must be finite.  The checks and
+the working-size rule (``chunks``) that the other modules share live here
+too; of the package, this module imports only ``linalg``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from . import special
 from .linalg import _UNIT_TOL, _check_symmetric, fix_sign
 
 # working memory of the arrays that grow faster than a sample stack (ACG proposal
@@ -139,16 +139,6 @@ class WatsonParams(_SphereParams):
 
 
 Params = FisherBinghamParams | VmfParams | WatsonParams
-
-
-def watson_log_normalizer(d: int, kappa):
-    """log of Gamma(d/2) / (2 pi^{d/2} 1F1(1/2; d/2; kappa)), elementwise."""
-    return (
-        math.lgamma(0.5 * d)
-        - math.log(2.0)
-        - 0.5 * d * math.log(math.pi)
-        - special.log_kummer_1f1(0.5, 0.5 * d, kappa)
-    )
 
 
 def _numbers_only(value) -> bool:

@@ -5,10 +5,10 @@ The ratio R1 = I_{d/2}/I_{d/2-1} is formed from scipy's exponentially
 scaled values, so no intermediate overflows; below kappa = d/10, or where
 those near the subnormal range, it is kappa times R1 / kappa from Gauss's
 continued fraction, and where they fail at very large arguments, it comes
-from the large-kappa expansion, which also gives the derivative R1' of the vMF
-Fisher information.  1F1 has one rule: scipy evaluates it at -|x| only,
-and the Kummer transform carries a positive argument over, its e^x kept
-apart as a log or cancelled in a ratio.
+from the large-kappa expansion, which sums either R1 or, for the vMF Fisher
+information, its derivative R1'.  1F1 has one rule: scipy evaluates it at
+-|x| only, and the Kummer transform carries a positive argument over, its
+e^x kept apart as a log or cancelled in a ratio.
 scipy.special, most of the package's import time, loads on first use.
 """
 
@@ -55,30 +55,24 @@ def ratio_series_coefficients(d: int):
         yield coef[m]
 
 
-def large_kappa_expansion(d: int, kappa: float) -> tuple[float, float]:
-    """R1 = I_{d/2}(kappa) / I_{d/2-1}(kappa) and its derivative
-    R1' = -sum_{m>=1} m c_m kappa^-(m+1), summed from the large-kappa
-    expansion in one pass over its coefficients.
+def large_kappa_expansion(d: int, kappa: float, order: int = 0) -> float:
+    """R1 = I_{d/2}(kappa) / I_{d/2-1}(kappa) = 1 + sum_{m>=1} c_m kappa^-m
+    (order 0) or its derivative R1' = -sum_{m>=1} m c_m kappa^-(m+1)
+    (order 1), summed from the large-kappa expansion.
 
-    Each sum runs until two of its terms in a row are negligible (some
-    c_m vanish); R1 is NaN if it has not settled within 200 terms.
+    The sum runs until two of its terms in a row are negligible (some c_m
+    vanish); NaN if it has not settled within 200 terms.
     """
-    power = 1.0  # kappa^-m, underflowing to 0 rather than raising
-    tail = slope = 0.0
-    small_tail = small_slope = 0
+    lead, power = (1.0, 1.0) if order == 0 else (0.0, 1.0 / kappa)
+    total, small = 0.0, 0
     for m, c in enumerate(itertools.islice(ratio_series_coefficients(d), 200), 1):
-        power /= kappa
-        if small_tail < 2:
-            term = c * power
-            tail += term
-            small_tail = small_tail + 1 if abs(term) <= 1e-17 * (1.0 + abs(tail)) else 0
-        if small_slope < 2:
-            term = -m * c * (power / kappa)
-            slope += term
-            small_slope = small_slope + 1 if abs(term) <= 1e-17 * abs(slope) else 0
-        if small_tail == small_slope == 2:
-            break
-    return (1.0 + tail if small_tail == 2 else math.nan), slope
+        power /= kappa  # kappa^-(m + order), underflowing to 0 rather than raising
+        term = c * power if order == 0 else -m * c * power
+        total += term
+        small = small + 1 if abs(term) <= 1e-17 * (lead + abs(total)) else 0
+        if small == 2:
+            return lead + total
+    return math.nan
 
 
 def bessel_ratio(d: int, kappa):
@@ -103,7 +97,7 @@ def bessel_ratio(d: int, kappa):
     if small.any():
         ratio[small] = k[small] * _ratio_over_kappa(d, k[small])
     for i in np.flatnonzero(large):
-        ratio[i] = large_kappa_expansion(d, float(k[i]))[0]
+        ratio[i] = large_kappa_expansion(d, float(k[i]))
     return float(ratio[0]) if np.ndim(kappa) == 0 else ratio.reshape(np.shape(kappa))
 
 

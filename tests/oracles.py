@@ -13,7 +13,7 @@ so agreement is evidence, not tautology.  The exceptions:
 * vmf_moments and delta_method_variance_vmf rotate their e1-frame blocks
   with linalg.rotation_to_e1;
 * watson_log_density takes its normaliser from
-  models.watson_log_normalizer (and so from special.log_kummer_1f1);
+  est_watson.watson_log_normalizer (and so from special.log_kummer_1f1);
 * fb_statistics_generic returns the package's FbSteinStatistics record
   (a plain container; no package code computes its entries);
 * mle_newton_scalar takes the Bessel ratio as an argument: it pins the
@@ -37,7 +37,7 @@ from scipy import special as _sp
 
 from spherestein.est_fb import FbSteinStatistics
 from spherestein.linalg import rotation_to_e1
-from spherestein.models import watson_log_normalizer
+from spherestein.est_watson import watson_log_normalizer
 from spherestein.sampler import _envelope, _generators
 
 _UNIT_TOL = 1e-8

@@ -83,6 +83,22 @@ def test_every_public_definition_has_a_caller():
                         f"and no README mention: {unused}")
 
 
+def test_models_imports_only_linalg():
+    # the parameter types sit below every module but linalg, so that a new
+    # family's params class touches no estimator or special function
+    tree = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
+    names = []  # every imported name in full, a relative import resolved
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["spherestein" if node.level else "",
+                                            node.module]))
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    modules = {name.split(".")[1] for name in names if name.startswith("spherestein.")}
+    assert modules == {"linalg"}
+
+
 def test_all_names_resolve():
     missing = [name for name in spherestein.__all__
                if not hasattr(spherestein, name)]

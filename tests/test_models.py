@@ -10,8 +10,8 @@ from spherestein.models import (
     VmfParams,
     WatsonParams,
     params_from_dict,
-    watson_log_normalizer,
 )
+from spherestein.est_watson import watson_log_normalizer
 from spherestein.special import log_kummer_1f1
 
 from oracles import (

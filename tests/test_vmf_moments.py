@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spherestein import special
 from spherestein.models import VmfParams
 from spherestein.sampler import sample_vmf
 from spherestein.est_vmf import (
@@ -262,3 +264,21 @@ def test_moments_require_positive_kappa():
         for kappa in (1e-320, 5e-324):
             with pytest.raises(ValueError, match="not a normal float"):
                 fn(3, kappa)
+        # a kappa that is not finite: inf gave I = 0.0 and a ZeroDivisionError
+        for d in (2, 3, 50):
+            for kappa in (math.inf, math.nan):
+                with pytest.raises(ValueError, match="kappa must be finite"):
+                    fn(d, kappa)
+
+
+def test_unsettled_expansion_is_nan(monkeypatch):
+    # terms c_m kappa^-m that do not shrink leave both orders unsettled
+    # after 200 terms: each is NaN, and the Fisher information refuses it.
+    # kappa is above the switch at 30 + d, and kappa^200 is finite
+    kappa = 33.0
+    monkeypatch.setattr(special, "ratio_series_coefficients",
+                        lambda d: (kappa ** m for m in itertools.count(1)))
+    for order in (0, 1):
+        assert math.isnan(special.large_kappa_expansion(3, kappa, order))
+    with pytest.raises(ValueError, match="did not settle"):
+        fisher_information_vmf(3, kappa)
