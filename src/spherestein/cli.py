@@ -99,8 +99,6 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
                            encoding="utf-8-sig")
     if x.shape[0] < 1:
         raise ValueError("no data rows")
-    if x.shape[1] < 2:
-        raise ValueError("expected an n x d CSV with d >= 2")
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {int(np.argmin(finite))} has a non-finite entry")

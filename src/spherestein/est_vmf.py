@@ -190,8 +190,9 @@ def fisher_information_vmf(d: int, kappa: float) -> float:
     The difference is about (d-1) / (2 kappa^2) and loses its digits to
     cancellation as kappa grows, so beyond kappa = 30 + d it is the
     derivative R1' of the large-kappa expansion instead.  ValueError where
-    kappa is not finite, R1 is not a normal float or that expansion does
-    not settle.
+    kappa is not finite, R1 is not a normal float, that expansion does not
+    settle or I is not a normal float (R1' ~ (d-1) / (2 kappa^2) underflows
+    from about kappa = 4.8e153 sqrt(d - 1)).
     """
     r1, rho = _ratios(d, kappa)
     if kappa < 30.0 + d:
@@ -199,6 +200,8 @@ def fisher_information_vmf(d: int, kappa: float) -> float:
     slope = special.large_kappa_expansion(d, kappa, order=1)
     if np.isnan(slope):
         raise ValueError("the large-kappa expansion of R1' did not settle")
+    if not slope >= np.finfo(float).tiny:
+        raise ValueError(f"I = {slope!r} is not a normal float")
     return slope
 
 

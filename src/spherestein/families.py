@@ -7,11 +7,12 @@ about each parameter family, in one place.
   ``PREPARE`` makes of it; the codes are the names that configs and
   ``fit --estimator`` use.  The fit holds one entry per sample in each
   field, and its ``ne`` flags the samples without an estimate.
-* ``PREPARE[family]``, where a family has it, is the step that turns a
-  stack into the object its estimators share, so that work common to
-  them (the vMF resultant, the Watson scatter eigendecomposition) runs
-  once per block.  A sample that a fit rejects (a zero vMF resultant)
-  still fails in that fit, so a failure names its estimator.
+* ``PREPARE[family]`` turns a stack into the object its estimators
+  share, so that work common to them (the vMF resultant, the Watson
+  scatter eigendecomposition) runs once per block; Fisher-Bingham shares
+  only the checked stack itself.  Every family has one.  A sample that a
+  fit rejects (a zero vMF resultant) still fails in that fit, so a
+  failure names its estimator.
 * ``FAMILIES[family]`` says which estimators a study runs by default, how
   a fit is scored against the true parameters, which typed outcome a
   sample without an estimate raises, and which fields a fit report
@@ -24,7 +25,9 @@ Adding an estimator is one ``ESTIMATORS`` entry.  Adding a family is its
 params class in ``models``, listed in the ``Params`` union there, plus one
 entry in each table here.  The callables sit in flat module-level dicts
 and are looked up at call time, so a caller can swap or wrap one entry in
-place.
+place; an out-of-tree tracer that wraps module-level functions and the
+values of module-level dicts sees every one of them, which it would not
+if they moved into ``Family``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import est_fb, est_vmf, est_watson, sampler
+from . import est_fb, est_vmf, est_watson, models, sampler
 from .est_watson import NotEligible
 from .linalg import SingularSystem, is_singular
 from .models import Params
@@ -53,6 +56,7 @@ SAMPLERS: dict[str, Callable] = {
 PREPARE: dict[str, Callable] = {
     "vmf": est_vmf.prepare_sample,
     "watson": est_watson.prepare_sample,
+    "fb": models.sample_stack,
 }
 
 ESTIMATORS: dict[tuple[str, str], Callable] = {

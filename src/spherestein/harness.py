@@ -4,15 +4,18 @@ bias, MSE and non-existence frequencies per estimator.
 Replications run in blocks of a fixed memory size.  Each block draws its
 samples from independent RNG streams keyed by (seed, replication index),
 whose generators the sampler sets up in one pass, as one (b, n, d) stack,
-prepares it once where the family has a ``PREPARE`` step (the vMF
-resultant, the Watson scatter eigendecomposition), and fits every
-estimator once over the whole stack (every fit, Fisher-Bingham's too, is
-one computation over it).  A sample that a fit rejects fails in that fit,
-never in the preparation, so the failure names its estimator.  A study
-runs its blocks on min(threads, blocks, CPUs) workers; one worker runs
-them in the calling thread (so cProfile sees the whole study), more use a
-thread pool, each extra worker costing roughly 1-3 MB of memory.  The
-CSV has identical bytes for any block size and thread count.  NE semantics:
+prepares it once through its family's ``PREPARE`` step (every family has
+one: the vMF resultant, the Watson scatter eigendecomposition, the
+checked Fisher-Bingham stack), and fits every estimator once over the
+whole stack (every fit, Fisher-Bingham's too, is one computation over
+it).  The steps are looked up in the flat tables of ``families`` at call
+time, so a tracer that wraps those tables' entries sees each layer.  A
+sample that a fit rejects fails in that fit, never in the preparation,
+so the failure names its estimator.  A study runs its blocks on
+min(threads, blocks, CPUs) workers; one worker runs them in the calling
+thread (so cProfile sees the whole study), more use a thread pool, each
+extra worker costing roughly 1-3 MB of memory.  The CSV has identical
+bytes for any block size and thread count.  NE semantics:
 a replication that a fit flags in its ``ne`` (Watson: neither
 branch eligible; Fisher-Bingham: a singular system; vMF ST2: a singular
 I - S) counts as a non-existence event and is excluded from bias and
@@ -155,9 +158,7 @@ def _run_block(config: SimConfig, reps: range) -> dict:
     """
     params = config.params
     family = params.family
-    stack = SAMPLERS[family](params, config.n, config.seed, reps)
-    if family in PREPARE:
-        stack = PREPARE[family](stack)
+    stack = PREPARE[family](SAMPLERS[family](params, config.n, config.seed, reps))
     out = {}
     for est in config.estimators:
         try:

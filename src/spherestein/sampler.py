@@ -140,17 +140,18 @@ def _unit_rows(x: np.ndarray, gens: list[np.random.Generator]) -> np.ndarray:
     return np.divide(x, norms[..., None], out=x)
 
 
-def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -> np.ndarray:
-    # the first n accepted draws of each stream, as a (b, n, ...) stack.
+def _rejection(gens: list[np.random.Generator], n: int, batch, propose, shape) -> np.ndarray:
+    # the first n accepted draws of each stream, as a (b, n) + shape stack:
+    # shape is one draw's, () for a vMF cosine and (d,) for an ACG row.
     # batch(proposed, accepted, have) sizes a stream's next batch from its
     # own counts, so it makes the draws it would make alone; propose(gs, m)
-    # returns m stacked draws of width floats per stream of gs and which of
+    # returns the (len(gs), m) + shape draws of the streams gs and which of
     # them are accepted.  A stream's m rows are never split over two stacks:
     # a gemm over another row count rounds differently
     if n < 1:
         raise ValueError("n must be >= 1")
     b = len(gens)
-    out = None
+    out = np.empty((b, n) + shape)
     have, proposed, accepted = [0] * b, [0] * b, [0] * b
     short = list(range(b))
     while short:
@@ -158,10 +159,8 @@ def _rejection(gens: list[np.random.Generator], n: int, batch, propose, width) -
                      _MAX_BATCH) for j in short]
         for m in sorted(set(sizes)):
             same = [j for j, size in zip(short, sizes) if size == m]
-            for group in (same[s] for s in models.chunks(len(same), 8 * m * width)):
+            for group in (same[s] for s in models.chunks(len(same), 8 * m * math.prod(shape))):
                 draws, keep = propose([gens[j] for j in group], m)
-                if out is None:
-                    out = np.empty((b, n) + draws.shape[2:])
                 for j, drawsj, keepj in zip(group, draws, keep):
                     taken = drawsj[keepj]
                     proposed[j] += m
@@ -199,7 +198,7 @@ def _vmf_radial(kappa: float, d: int, n: int,
         keep = kappa * w + (d - 1.0) * np.log1p(-x0 * w) - c >= np.log(u)
         return w, keep
 
-    return _rejection(gens, n, batch, propose, 1)
+    return _rejection(gens, n, batch, propose, ())
 
 
 def sample_vmf(params: VmfParams, n: int, seed, streams=range(1)) -> np.ndarray:
@@ -310,7 +309,7 @@ def _fb_acg_rejection(
             raise RuntimeError("rejection envelope bound violated")
         return zs, np.log(u, out=u) <= log_acc
 
-    z = _rejection(gens, n, batch, propose, d) @ eigvecs.T
+    z = _rejection(gens, n, batch, propose, (d,)) @ eigvecs.T
     return np.divide(z, np.linalg.norm(z, axis=-1)[..., None], out=z)
 
 

@@ -61,17 +61,21 @@ def _sample_and_simulate(tmp_path, capsys, params):
     return runs
 
 
-@pytest.mark.parametrize("params", [
-    {"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": math.inf},
-    {"family": "watson", "mu": [0.0, 0.0, 1.0], "kappa": math.nan},
-    {"family": "watson", "mu": [0.0, 0.0, 1.0], "kappa": math.inf},
-    {"family": "fb", "mu": [0.0, 0.0, 1.0],
-     "A": [[math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]},
-], ids=["vmf-inf", "watson-nan", "watson-inf", "fb-nan"])
-def test_non_finite_parameters_exit_2(tmp_path, capsys, deadline, params):
+@pytest.mark.parametrize("params, field", [
+    ({"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": math.inf}, "kappa must be finite"),
+    ({"family": "watson", "mu": [0.0, 0.0, 1.0], "kappa": math.nan}, "kappa must be finite"),
+    ({"family": "watson", "mu": [0.0, 0.0, 1.0], "kappa": math.inf}, "kappa must be finite"),
+    ({"family": "fb", "mu": [0.0, 0.0, 1.0],
+      "A": [[math.nan, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}, "A must be a finite"),
+    ({"family": "vmf", "mu": [math.nan, 0.0, 1.0], "kappa": 2.0}, "mu must be finite"),
+    ({"family": "watson", "mu": [0.0, math.inf, 1.0], "kappa": 2.0}, "mu must be finite"),
+    ({"family": "fb", "mu": [0.0, 0.0, -math.inf], "A": np.zeros((3, 3)).tolist()},
+     "mu must be finite"),
+], ids=["vmf-inf", "watson-nan", "watson-inf", "fb-nan", "vmf-mu-nan", "watson-mu-inf",
+        "fb-mu-minus-inf"])
+def test_non_finite_parameters_exit_2(tmp_path, capsys, deadline, params, field):
     # JSON NaN and Infinity are rejected with the parameters, before any
     # sampler runs (the FB sampler never returned on a NaN entry of A)
-    field = "A must be a finite" if params["family"] == "fb" else "kappa must be finite"
     for code, err in _sample_and_simulate(tmp_path, capsys, params):
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: invalid ")
@@ -386,6 +390,16 @@ def test_fit_rejects_off_sphere_rows(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("0.9,0,0\n0,1,0\n")
     assert cli.main(["fit", "--family", "vmf", "--in", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("family", ["vmf", "watson", "fb"])
+def test_fit_refuses_a_one_column_csv(tmp_path, capsys, family):
+    # the d >= 2 rule is the sample stack's, which every fit runs
+    path = tmp_path / "one.csv"
+    path.write_text("x1\n1.0\n-1.0\n1.0\n")
+    assert cli.main(["fit", "--family", family, "--in", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: estimation failed: sample stack must "
+                                       "be a b x n x d array with d >= 2\n")
 
 
 def test_fit_rejects_a_row_whose_norm_overflows(tmp_path, capsys):

@@ -177,6 +177,12 @@ LAYOUT_PARAMS = {
 }
 
 
+def test_every_family_has_one_entry_in_each_table():
+    # a study runs PREPARE[family] on every stack, with no per-family branch
+    assert set(families.PREPARE) == set(families.SAMPLERS) == set(families.FAMILIES)
+    assert {family for family, _ in families.ESTIMATORS} == set(families.SAMPLERS)
+
+
 @pytest.mark.parametrize("family,code", sorted(families.ESTIMATORS))
 def test_estimators_reject_a_single_sample(family, code):
     # the n x d sample of which the (1, n, d) stack is fitted
@@ -184,9 +190,8 @@ def test_estimators_reject_a_single_sample(family, code):
     assert not families.ESTIMATORS[family, code](stack).ne[0]
     with pytest.raises(ValueError, match="b x n x d"):
         families.ESTIMATORS[family, code](stack[0])
-    if family in families.PREPARE:
-        with pytest.raises(ValueError, match="b x n x d"):
-            families.PREPARE[family](stack[0])
+    with pytest.raises(ValueError, match="b x n x d"):
+        families.PREPARE[family](stack[0])
 
 
 @pytest.mark.parametrize("family", sorted(families.SAMPLERS))

@@ -84,6 +84,26 @@ def test_params_from_dict_errors():
                           "A": [[0, 0, 0], [0, 0, 0], [0, 0, 1]]})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_refuse_a_non_finite_mu(bad):
+    mu = np.array([bad, 0.0, 1.0])
+    for make in (lambda: FisherBinghamParams(mu, np.zeros((3, 3))),
+                 lambda: VmfParams(mu, 2.0), lambda: WatsonParams(mu, 2.0)):
+        with pytest.raises(ValueError, match="^mu must be finite$"):
+            make()
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("family,field", [
+    ("vmf", '"kappa": 2'), ("watson", '"kappa": 2'),
+    ("fb", '"A": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]')])
+def test_params_from_dict_refuses_a_non_finite_mu(family, field, token):
+    # json.loads reads NaN and Infinity, which are not JSON tokens
+    obj = json.loads(f'{{"family": "{family}", "mu": [{token}, 0, 1], {field}}}')
+    with pytest.raises(ValueError, match="^mu must be finite$"):
+        params_from_dict(obj)
+
+
 # sample layout ------------------------------------------------------------
 
 LAYOUT_PARAMS = {

@@ -378,7 +378,7 @@ def test_eigenbasis_accept_step_equals_the_direct_one(monkeypatch, case):
     mu, a_mat = _LOG_ACC_CASES[case]
     proposers = []
 
-    def capture(gens, n, batch, propose, width):
+    def capture(gens, n, batch, propose, shape):
         proposers.append(propose)
         return np.ones((1, n, mu.size))
 
@@ -568,12 +568,12 @@ def test_proposal_rounds_stay_within_the_working_size(monkeypatch):
     rejection = sampler._rejection
     stacks = []
 
-    def checking(gens, n, batch, propose, width):
+    def checking(gens, n, batch, propose, shape):
         def checked(gs, m):
             draws, keep = propose(gs, m)
             stacks.append((len(gs), draws.nbytes))
             return draws, keep
-        return rejection(gens, n, batch, checked, width)
+        return rejection(gens, n, batch, checked, shape)
 
     monkeypatch.setattr(sampler, "_rejection", checking)
     u20 = np.ones(20) / math.sqrt(20)
@@ -584,3 +584,24 @@ def test_proposal_rounds_stay_within_the_working_size(monkeypatch):
     assert all(k == 1 or size <= models.WORK_BYTES for k, size in stacks)
     assert any(k > 1 for k, _ in stacks)
     assert any(k == 1 and size > models.WORK_BYTES for k, size in stacks)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_unit_rows_redraw_a_zero_row_from_its_own_stream(d):
+    # the probability-zero guard: each zero row is redrawn by its own
+    # slice's generator, in row order, and then normalised with the rest;
+    # every other row is only normalised, and a slice without zero rows
+    # draws nothing
+    x = np.random.default_rng(30).standard_normal((3, 6, d))
+    zeros = {0: [1, 4], 2: [2]}
+    for j, rows in zeros.items():
+        x[j, rows] = 0.0
+    expected = x.copy()
+    twins = [np.random.default_rng(40 + j) for j in range(3)]
+    for j, rows in zeros.items():
+        expected[j, rows] = twins[j].standard_normal((len(rows), d))
+    expected /= np.linalg.norm(expected, axis=-1)[..., None]
+    gens = [np.random.default_rng(40 + j) for j in range(3)]
+    np.testing.assert_array_equal(sampler._unit_rows(x, gens), expected)
+    for gen, twin in zip(gens, twins):
+        assert gen.random() == twin.random()

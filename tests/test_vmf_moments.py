@@ -271,6 +271,19 @@ def test_moments_require_positive_kappa():
                     fn(d, kappa)
 
 
+@pytest.mark.parametrize("d", [2, 3, 10, 50])
+def test_fisher_information_refuses_a_subnormal_value(d):
+    # far out, I ~ (d - 1) / (2 kappa^2) underflows: it was a subnormal
+    # (1e-320 at d = 3, kappa = 1e160) or 0.0, so 1/I was inf or raised
+    for kappa in (1e160, 1e170, 1e300):
+        with pytest.raises(ValueError, match=r"^I = .* is not a normal float$"):
+            fisher_information_vmf(d, kappa)
+        with pytest.raises(ValueError, match="P overflows"):
+            stein_asymptotic_variance_vmf(d, kappa)
+    # a normal value keeps its bits
+    assert fisher_information_vmf(3, 1e150) == 1e-300
+
+
 def test_unsettled_expansion_is_nan(monkeypatch):
     # terms c_m kappa^-m that do not shrink leave both orders unsettled
     # after 200 terms: each is NaN, and the Fisher information refuses it.
