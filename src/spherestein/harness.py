@@ -32,12 +32,12 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
-from .models import Params, as_int, chunks
+from .models import Params, as_int, chunks, params_from_dict
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
@@ -77,6 +77,28 @@ class SimConfig:
                 raise ValueError(f"unknown estimator {est!r} for {family}")
             if self.estimators.count(est) > 1:
                 raise ValueError(f"estimator {est!r} listed more than once")
+
+
+# a config file's keys: SimConfig's fields but threads, a run setting; the
+# fields without a default are required
+_CONFIG_KEYS = tuple(f.name for f in fields(SimConfig) if f.name != "threads")
+_REQUIRED_KEYS = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
+
+
+def config_from_dict(raw, **overrides) -> SimConfig:
+    """The study of a config file's JSON object, with each override that is
+    not None (a command line's ``reps``, ``seed`` or ``threads``) applied.
+    Raises ValueError on a non-object, an unknown key (``threads`` too), a
+    missing required one, and whatever params_from_dict and SimConfig
+    refuse, naming the key or value at fault."""
+    if not isinstance(raw, dict):
+        raise ValueError("a config must be a JSON object")
+    if unknown := [key for key in raw if key not in _CONFIG_KEYS]:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    if missing := [key for key in _REQUIRED_KEYS if key not in raw]:
+        raise ValueError(f"a config needs {missing[0]!r}")
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    return SimConfig(**{**raw, "params": params_from_dict(raw["params"]), **overrides})
 
 
 @dataclass

@@ -47,31 +47,34 @@ def as_int(value, name: str, low: int) -> int:
     return int(value)
 
 
-def _as_vector(mu, name: str = "mu") -> np.ndarray:
+def _as_vector(mu) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.ndim != 1 or mu.size < 2:
-        raise ValueError(f"{name} must be a vector of dimension >= 2")
+        raise ValueError("mu must be a vector of dimension >= 2")
     if not np.all(np.isfinite(mu)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError("mu must be finite")
     return mu
 
 
-def _as_unit_vector(mu, name: str = "mu") -> np.ndarray:
-    mu = _as_vector(mu, name)
+def _as_unit_vector(mu) -> np.ndarray:
+    mu = _as_vector(mu)
     norm = float(np.linalg.norm(mu))
     if abs(norm - 1.0) > _UNIT_TOL:
-        raise ValueError(f"{name} must be a unit vector")
+        raise ValueError("mu must be a unit vector")
     return mu / norm
 
 
 def sample_stack(x) -> np.ndarray:
-    """A (b, n, d) stack of samples as a C-ordered float array; raises
-    ValueError on any other shape.  C order makes the estimates' bits
-    independent of the caller's layout (a Fortran-ordered or strided copy
-    of a stack)."""
+    """A (b, n, d) stack of b >= 1 samples, each of n >= 1 rows of d >= 2
+    coordinates, as a C-ordered float array; raises ValueError on any other
+    shape.  C order makes the estimates' bits independent of the caller's
+    layout (a Fortran-ordered or strided copy of a stack)."""
     x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim != 3 or 0 in x.shape[:2] or x.shape[2] < 2:
-        raise ValueError("sample stack must be a b x n x d array with d >= 2")
+    if x.ndim != 3 or x.shape[0] == 0:
+        raise ValueError("sample stack must be a b x n x d array with b >= 1")
+    if x.shape[1] == 0 or x.shape[2] < 2:
+        raise ValueError("each sample needs n >= 1 rows of d >= 2 coordinates, "
+                         f"got {x.shape[1]} x {x.shape[2]}")
     return x
 
 

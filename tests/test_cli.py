@@ -398,8 +398,8 @@ def test_fit_refuses_a_one_column_csv(tmp_path, capsys, family):
     path = tmp_path / "one.csv"
     path.write_text("x1\n1.0\n-1.0\n1.0\n")
     assert cli.main(["fit", "--family", family, "--in", str(path)]) == 2
-    assert capsys.readouterr().err == ("error: estimation failed: sample stack must "
-                                       "be a b x n x d array with d >= 2\n")
+    assert capsys.readouterr().err == ("error: estimation failed: each sample needs "
+                                       "n >= 1 rows of d >= 2 coordinates, got 3 x 1\n")
 
 
 def test_fit_rejects_a_row_whose_norm_overflows(tmp_path, capsys):

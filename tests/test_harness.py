@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import threading
 
 import numpy as np
@@ -64,6 +66,38 @@ def test_config_refuses_more_replications_than_streams():
     assert _vmf_config(reps=2**32).reps == 2**32
     with pytest.raises(ValueError, match=r"^reps must be <= 2\*\*32, got 4294967297$"):
         _vmf_config(reps=2**32 + 1)
+
+
+CONFIG_RAW = {"params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+              "n": 10, "reps": 5, "label": "x"}
+
+
+@pytest.mark.parametrize("raw,message", [
+    (["params", "n"], "a config must be a JSON object"),
+    ({**CONFIG_RAW, "rep": 5}, "unknown config key 'rep'"),
+    ({**CONFIG_RAW, "threads": 2}, "unknown config key 'threads'"),  # a run setting
+    ({"n": 10}, "a config needs 'params'"),
+    ({"params": CONFIG_RAW["params"]}, "a config needs 'n'"),
+    ({**CONFIG_RAW, "params": {"family": "vmf", "mu": [0, 0, 1]}},
+     "vmf parameters need 'mu' and 'kappa'"),
+])
+def test_config_from_dict_refuses(raw, message):
+    # the one reader of a config file, which simulate and tools/csv_digests.py share
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        harness.config_from_dict(raw, seed=3)
+
+
+def test_config_from_dict_applies_each_override_that_is_not_none():
+    raw = json.loads(json.dumps(CONFIG_RAW))
+    config = harness.config_from_dict(raw, reps=None, seed=3, threads=2)
+    assert raw == CONFIG_RAW  # the file's object is left as it was read
+    assert (config.n, config.reps, config.seed, config.threads, config.label) == (
+        10, 5, 3, 2, "x")
+    assert isinstance(config.params, VmfParams) and config.params.kappa == 2.0
+    np.testing.assert_array_equal(config.params.mu, [0.0, 0.0, 1.0])
+    assert config.estimators == harness.DEFAULT_ESTIMATORS["vmf"]
+    assert harness.config_from_dict(raw).reps == 5
+    assert harness.config_from_dict(raw, reps=7).reps == 7
 
 
 def test_single_replication_degenerate():

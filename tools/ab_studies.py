@@ -5,11 +5,15 @@
 BASE_SRC and CHANGE_SRC are directories that hold a ``spherestein``
 package (a checkout's ``src``).  Each CONFIG is a study file such as
 ``configs/table1_fig6.json``, run with REPS replications at its own seed
-in one thread.  A pair runs each side once, in a fresh interpreter with
-BLAS pinned to one thread, and the side that runs first alternates from
-pair to pair.  Within an interpreter each config's study runs STUDIES
-times after one untimed warm-up, and the side's time for that pair is the
-median of those runs.
+in one thread.  The child script builds each study with ``SimConfig`` and
+``params_from_dict`` directly, not with ``harness.config_from_dict`` as
+``simulate`` does, because it must also run on a base tree older than that
+reader; so it does not refuse a config key that ``simulate`` would.  A
+pair runs each side once, in a fresh interpreter with BLAS pinned to one
+thread, and the side that runs first alternates from pair to pair.
+Within an interpreter each config's study runs STUDIES times after one
+untimed warm-up, and the side's time for that pair is the median of those
+runs.
 
 Per config it prints the median over the pairs of each side's time, their
 ratio (change / base) and the number of pairs in which the change was the

@@ -1,6 +1,7 @@
 """Print the SHA-256 of every bundled config's simulation CSV at two seeds.
 
-For each ``configs/*.json`` at seeds 0 and 7 (full replication counts,
+For each ``configs/*.json``, read as ``simulate`` reads it
+(``harness.config_from_dict``), at seeds 0 and 7 (full replication counts,
 two threads, which give the bytes of any thread count) one line:
 
     <config> seed=<seed> <sha256 of harness.run_simulation(config).to_csv()>
@@ -22,7 +23,6 @@ import pathlib
 import sys
 
 from spherestein import harness
-from spherestein.models import params_from_dict
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 SEEDS = (0, 7)
@@ -36,8 +36,7 @@ def main() -> None:
     for path in paths:
         raw = json.loads(path.read_text(encoding="utf-8-sig"))
         for seed in SEEDS:
-            config = harness.SimConfig(**{**raw, "params": params_from_dict(raw["params"]),
-                                          "seed": seed, "threads": THREADS})
+            config = harness.config_from_dict(raw, seed=seed, threads=THREADS)
             csv = harness.run_simulation(config).to_csv()
             print(f"{path.name} seed={seed} {hashlib.sha256(csv.encode()).hexdigest()}")
 
