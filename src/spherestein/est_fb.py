@@ -13,12 +13,13 @@ against a per-point path built from the explicit derivative matrices of
 the test functions (the two agree to machine precision).
 
 The statistics, the fit and the residual take a (b, n, d) stack of b
-samples; slice k gets the bits of that sample fitted as a stack of one.
-So the moment tensors are built for groups of slices within
-models.WORK_BYTES of pair products, the six blocks are assembled from
-them for groups within models.WORK_BYTES of (q-1) q temporaries (the
-whole block at d = 3, one slice at a time at d = 50), and the solves run
-once.
+samples or its ``models.Sample``; slice k gets the bits of that sample
+fitted as a stack of one.  The first and second moments Xbar and S are
+the Sample's; the third and fourth moment tensors are built for groups
+of slices within models.WORK_BYTES of pair products, the six blocks are
+assembled from them for groups within models.WORK_BYTES of (q-1) q
+temporaries (the whole block at d = 3, one slice at a time at d = 50),
+and the solves run once.
 
 The pair products w = x_i x_j are the einsum "bni,bnj->bnij" (the bits
 of a broadcast product, in half its time).  The third-moment tensor
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .linalg import lower_index, solve_stack, unvech_prime, vech_prime
+from .linalg import lower_index, solve_stack, unvech_prime, v_statistic, vech_prime
 from .models import FisherBinghamParams, sample_stack
 
 
@@ -78,47 +79,38 @@ class FbEstimate:
     ne: np.ndarray
 
 
-def v_statistic(scatter: np.ndarray) -> np.ndarray:
-    """D = 2d vech'(S) - 2 vech'(I) = mean[(d-1) grad_f2 x + hess_f2 (x (x) x)
-    - lap_f2] for f2 = vech'(xx'), which the Watson fits call V (one row
-    per slice of a stack of scatter matrices)."""
-    d = scatter.shape[-1]
-    return 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
-
-
 def fb_statistics(x) -> FbSteinStatistics:
     """The six coefficient blocks for the canonical test-function pair,
-    per slice of a (b, n, d) stack (every block has a leading axis of b
-    slices).
+    per slice of a (b, n, d) stack or its Sample (every block has a
+    leading axis of b slices).
 
     Uses the closed forms the canonical pair admits: H = (d-1) Xbar,
     L = I - S, D = 2d vech'(S) - 2 vech'(I), and moment-tensor assemblies
     for M, E, G; equal to the generic path to machine precision.
     """
-    x = sample_stack(x)
-    b, n, d = x.shape
+    s = sample_stack(x)
+    b, n, d = s.x.shape
     q = d * (d + 1) // 2
     groups = []
-    for s in models.chunks(b, 8 * (q - 1) * q):  # groups of (q-1) q temporaries,
+    for g in models.chunks(b, 8 * (q - 1) * q):  # groups of (q-1) q temporaries,
         # each in groups of n d^2 pair products
-        moments = [_moments(x[s][t]) for t in models.chunks(len(x[s]), 8 * n * d * d)]
-        groups.append(_assemble(*map(np.concatenate, zip(*moments))))
+        x = s.x[g]
+        moments = [_moments(x[t]) for t in models.chunks(len(x), 8 * n * d * d)]
+        groups.append(_assemble(s.xbar[g], s.scatter[g],
+                                *map(np.concatenate, zip(*moments))))
     return FbSteinStatistics(*map(np.concatenate, zip(*groups)))
 
 
-def _moments(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Xbar, the scatter and the third and fourth moment tensors per slice
-    # of a C-ordered stack
+def _moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the third and fourth moment tensors per slice of a C-ordered stack
     b, n, d = x.shape
-    xbar = x.mean(axis=1)
-    scatter = np.matmul(x.swapaxes(1, 2), x) / n
     w = np.einsum("bni,bnj->bnij", x, x).reshape(b, n, d * d)
     # an in-order axpy over the points along w's contiguous (i, j) axis,
     # so the bits of a plain loop (see the module docstring); matmul,
     # optimize=True and "bpn,bkn" operands round differently
     third = (np.einsum("bnk,bnp->bkp", x, w) / n).reshape(b, d, d, d)
     fourth = (np.matmul(w.swapaxes(1, 2), w) / n).reshape(b, d, d, d, d)
-    return xbar, scatter, third.transpose(0, 2, 3, 1), fourth
+    return third.transpose(0, 2, 3, 1), fourth
 
 
 def _assemble(xbar, scatter, third, fourth) -> tuple[np.ndarray, ...]:

@@ -1,15 +1,17 @@
 """Concentration estimators for the von Mises-Fisher family.
 
 Four estimators of kappa, each paired with the directional sample mean
-Xbar / |Xbar| for mu (every fit's ``mu_hat``, from ``prepare_sample``):
+Xbar / |Xbar| for mu (every fit's ``mu_hat``):
 the moment-type estimator built from the spherical Stein identity with
 f(x) = x (ST), the variant that solves for mu' = kappa mu first (ST2),
 the maximum likelihood estimator (ML), and the score-matching estimator
 (SM).  All four are invariant under rotations of the sample.
 
-Each estimator takes a (b, n, d) stack of b samples or its VmfSample,
-which a simulation study prepares and fits in one call each; slice k of
-a stack gets the same bits as that sample fitted as a stack of one
+Each estimator takes a (b, n, d) stack of b samples or its
+``models.Sample``, whose means Xbar and scatters S a simulation block
+forms once for all its fits; each fit forms |Xbar| and Xbar / |Xbar|
+itself (O(b d)), and raises DegenerateMean on a zero resultant.  Slice k
+of a stack gets the same bits as that sample fitted as a stack of one
 (``families.fit_one`` fits one sample).
 
 The Fisher information for kappa and the closed-form asymptotic variance
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import special
 from .linalg import solve_stack
-from .models import sample_stack
+from .models import Sample, sample_stack
 
 
 class DegenerateMean(Exception):
@@ -47,53 +49,22 @@ class VmfEstimate:
     ne: np.ndarray
 
 
-@dataclass
-class VmfSample:
-    """A (b, n, d) stack of b samples prepared once for the vMF fits: the
-    means Xbar (b x d), their lengths |Xbar| and the mean directions
-    Xbar / |Xbar| (NaN rows where Xbar = 0, which every fit rejects).  A
-    simulation block prepares its stack once, so that all its fits share
-    one resultant: their mu_hat and resultant_length are these arrays,
-    not copies."""
-
-    x: np.ndarray
-    xbar: np.ndarray
-    norm: np.ndarray
-    mu_hat: np.ndarray
-
-
-def prepare_sample(x) -> VmfSample:
-    """The VmfSample of a stack x; a VmfSample is returned as it is.  A
-    zero resultant is left to each fit, which raises DegenerateMean."""
-    if isinstance(x, VmfSample):
-        return x
-    x = sample_stack(x)
-    xbar = x.mean(axis=1)
-    # a dot product per slice, as np.linalg.norm takes for one vector
-    norm = np.sqrt(np.vecdot(xbar, xbar))
-    with np.errstate(invalid="ignore"):  # 0/0 where Xbar = 0
-        mu_hat = xbar / norm[:, None]
-    return VmfSample(x, xbar, norm, mu_hat)
-
-
-def _resultant(x) -> VmfSample:
-    # the VmfSample of a stack or a VmfSample, checked for a zero resultant
-    s = prepare_sample(x)
-    if np.any(s.norm <= 1e-12):
+def _resultant(x) -> tuple[Sample, np.ndarray, np.ndarray]:
+    # the Sample of a stack, its |Xbar| (a dot product per slice, as
+    # np.linalg.norm takes for one vector) and mean directions Xbar / |Xbar|;
+    # DegenerateMean where a resultant is zero
+    s = sample_stack(x)
+    norm = np.sqrt(np.vecdot(s.xbar, s.xbar))
+    if np.any(norm <= 1e-12):
         raise DegenerateMean("resultant length is zero")
-    return s
+    return s, norm, s.xbar / norm[:, None]
 
 
-def _resid_mat(x: np.ndarray) -> np.ndarray:
-    # I - mean(xx') per slice; X'X is one syrk per slice
-    return np.eye(x.shape[2]) - np.matmul(x.transpose(0, 2, 1), x) / x.shape[1]
-
-
-def _estimate(s: VmfSample, kappa, ne=None, **diagnostics) -> VmfEstimate:
-    # the fit of s: its mean directions, and |Xbar| as the first diagnostic
+def _estimate(mu_hat, norm, kappa, ne=None, **diagnostics) -> VmfEstimate:
+    # a fit: the mean directions, and |Xbar| as the first diagnostic
     if ne is None:
         ne = np.zeros(kappa.shape, dtype=bool)
-    return VmfEstimate(s.mu_hat, kappa, {"resultant_length": s.norm, **diagnostics}, ne)
+    return VmfEstimate(mu_hat, kappa, {"resultant_length": norm, **diagnostics}, ne)
 
 
 def kappa_stein(x) -> VmfEstimate:
@@ -103,27 +74,27 @@ def kappa_stein(x) -> VmfEstimate:
 
     Strictly positive on any non-degenerate sample.
     """
-    s = _resultant(x)
-    resid_mat = _resid_mat(s.x)
-    mu_resid = np.matmul(s.mu_hat[:, None, :], resid_mat)
+    s, norm, mu_hat = _resultant(x)
+    resid_mat = np.eye(s.x.shape[2]) - s.scatter
+    mu_resid = np.matmul(mu_hat[:, None, :], resid_mat)
     # 1 - mu'S mu, as SM tests it: the denominator is of order its square
-    if np.any(np.vecdot(mu_resid[:, 0], s.mu_hat) <= 1e-15):
+    if np.any(np.vecdot(mu_resid[:, 0], mu_hat) <= 1e-15):
         raise ValueError("degenerate sample: mu'S mu is 1")
-    denom = np.vecdot(np.matmul(mu_resid, resid_mat)[:, 0], s.mu_hat)
+    denom = np.vecdot(np.matmul(mu_resid, resid_mat)[:, 0], mu_hat)
     kappa = (s.x.shape[2] - 1.0) * np.vecdot(mu_resid[:, 0], s.xbar) / denom
     if not np.all(kappa > 0.0):
         # numerator equals |Xbar| mu'(I-S)mu >= 0, so this cannot trigger
         # on finite input; checked because positivity is part of the contract
         raise ValueError(f"positivity postcondition failed: kappa = {kappa}")
-    return _estimate(s, kappa)
+    return _estimate(mu_hat, norm, kappa)
 
 
 def kappa_stein2(x) -> VmfEstimate:
     """The mu' = kappa mu variant: kappa = (d-1) |(I - S)^{-1} Xbar|."""
-    s = _resultant(x)
-    mu_prime, cond, singular = solve_stack(_resid_mat(s.x), s.xbar)
+    s, norm, mu_hat = _resultant(x)
+    mu_prime, cond, singular = solve_stack(np.eye(s.x.shape[2]) - s.scatter, s.xbar)
     kappa = (s.x.shape[2] - 1.0) * np.sqrt(np.vecdot(mu_prime, mu_prime))
-    return _estimate(s, kappa, ne=singular, cond=cond)
+    return _estimate(mu_hat, norm, kappa, ne=singular, cond=cond)
 
 
 def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -146,11 +117,11 @@ def _mle_from_resultant(d: int, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def kappa_mle(x) -> VmfEstimate:
     """Maximum likelihood: solve I_{d/2}(k)/I_{d/2-1}(k) = |Xbar|."""
-    s = _resultant(x)
-    if np.any(s.norm >= 1.0 - 1e-15):
+    s, norm, mu_hat = _resultant(x)
+    if np.any(norm >= 1.0 - 1e-15):
         raise ValueError("resultant length rounds to 1: all points identical")
-    kappa, iterations = _mle_from_resultant(s.x.shape[2], s.norm)
-    return _estimate(s, kappa, iterations=iterations)
+    kappa, iterations = _mle_from_resultant(s.x.shape[2], norm)
+    return _estimate(mu_hat, norm, kappa, iterations=iterations)
 
 
 def kappa_score_matching(x) -> VmfEstimate:
@@ -160,14 +131,14 @@ def kappa_score_matching(x) -> VmfEstimate:
     R mu_hat = e1, which equals mu_hat'X_i exactly, so the rotation
     (the Householder reflector in linalg) never needs to be formed.
     """
-    s = _resultant(x)
-    y = np.matmul(s.x, s.mu_hat[:, :, None])[..., 0]
+    s, norm, mu_hat = _resultant(x)
+    y = np.matmul(s.x, mu_hat[:, :, None])[..., 0]
     ybar = y.mean(axis=1)
     y2bar = (y * y).mean(axis=1)
     if np.any(y2bar >= 1.0 - 1e-15):
         raise ValueError("mean squared projection is 1: sample degenerate")
     kappa = (s.x.shape[2] - 1.0) * ybar / (1.0 - y2bar)
-    return _estimate(s, kappa)
+    return _estimate(mu_hat, norm, kappa)
 
 
 def _ratios(d: int, kappa: float) -> tuple[float, float]:

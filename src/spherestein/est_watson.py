@@ -15,7 +15,8 @@ the mass), never is.  If neither branch is eligible the estimate does not
 exist: the fit flags the sample in its ``ne``, the harness books it as
 NE, and ``fit_one`` raises NotEligible.
 
-Every fit takes a (b, n, d) stack of b samples or its WatsonSample.
+Every fit takes a (b, n, d) stack of b samples, its ``models.Sample`` or
+its WatsonSample.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .est_fb import v_statistic
-from .linalg import lower_index, sym_eigen
-from .models import sample_stack
+from .linalg import lower_index, sym_eigen, v_statistic
+from .models import Sample, sample_stack
 
 
 class NotEligible(Exception):
@@ -59,29 +59,26 @@ class WatsonEstimate:
 
 
 @dataclass
-class WatsonSample:
-    """A (b, n, d) stack of b samples prepared once for the Watson fits:
-    the scatters S = x'x/n (b x d x d) and their (+) top and (-) bottom
-    eigenvectors (column views, b x d), from one batched
+class WatsonSample(Sample):
+    """A Sample prepared once for the Watson fits: its scatters' (+) top
+    and (-) bottom eigenvectors (column views, b x d), from one batched
     eigendecomposition.  A simulation block prepares its stack once, so
     that all its fits share one decomposition.
 
     Near-isotropic samples have no meaningful axis; the eigenvectors are
     still deterministic (sign-fixed), just unstable under resampling."""
 
-    x: np.ndarray
-    scatter: np.ndarray
     axes: dict[str, np.ndarray]
 
 
 def prepare_sample(x) -> WatsonSample:
-    """The WatsonSample of a stack x; a WatsonSample is returned as it is."""
+    """The WatsonSample of a stack or a Sample; a WatsonSample is returned
+    as it is."""
     if isinstance(x, WatsonSample):
         return x
-    x = sample_stack(x)
-    scatter = np.matmul(x.swapaxes(-1, -2), x) / x.shape[-2]
-    vectors = sym_eigen(scatter)
-    return WatsonSample(x, scatter, {"+": vectors[..., 0], "-": vectors[..., -1]})
+    s = sample_stack(x)
+    vecs = sym_eigen(s.scatter)
+    return WatsonSample(s.x, s.xbar, s.scatter, {"+": vecs[..., 0], "-": vecs[..., -1]})
 
 
 def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:

@@ -7,11 +7,12 @@ about each parameter family, in one place.
   ``PREPARE`` makes of it; the codes are the names that configs and
   ``fit --estimator`` use.  The fit holds one entry per sample in each
   field, and its ``ne`` flags the samples without an estimate.
-* ``PREPARE[family]`` turns a stack into the object its estimators
-  share, so that work common to them (the vMF resultant, the Watson
-  scatter eigendecomposition) runs once per block; Fisher-Bingham shares
-  only the checked stack itself.  Every family has one.  A sample that a
-  fit rejects (a zero vMF resultant) still fails in that fit, so a
+* ``PREPARE[family]`` turns a stack into the ``models.Sample`` its
+  estimators share, so that work common to them runs once per block:
+  ``models.sample_stack`` (the checked stack, its means Xbar and its
+  scatters S) for vMF and Fisher-Bingham, and for Watson a subclass that
+  adds the scatter eigendecomposition.  Every family has one.  A sample
+  that a fit rejects (a zero vMF resultant) still fails in that fit, so a
   failure names its estimator.
 * ``FAMILIES[family]`` says which estimators a study runs by default, how
   a fit is scored against the true parameters, which typed outcome a
@@ -54,7 +55,7 @@ SAMPLERS: dict[str, Callable] = {
 }
 
 PREPARE: dict[str, Callable] = {
-    "vmf": est_vmf.prepare_sample,
+    "vmf": models.sample_stack,
     "watson": est_watson.prepare_sample,
     "fb": models.sample_stack,
 }

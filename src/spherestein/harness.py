@@ -5,8 +5,8 @@ Replications run in blocks of a fixed memory size.  Each block draws its
 samples from independent RNG streams keyed by (seed, replication index),
 whose generators the sampler sets up in one pass, as one (b, n, d) stack,
 prepares it once through its family's ``PREPARE`` step (every family has
-one: the vMF resultant, the Watson scatter eigendecomposition, the
-checked Fisher-Bingham stack), and fits every estimator once over the
+one: the stack's ``models.Sample`` of means and scatters, which Watson's
+extends by their eigenvectors), and fits every estimator once over the
 whole stack (every fit, Fisher-Bingham's too, is one computation over
 it).  The steps are looked up in the flat tables of ``families`` at call
 time, so a tracer that wraps those tables' entries sees each layer.  A

@@ -1,10 +1,11 @@
 """Dense linear-algebra helpers shared by the estimators.
 
-Half-vectorization without the pinned (d, d) entry (vech') and its index
-arrays, small symmetric eigendecompositions with a deterministic sign
-convention, Householder rotations onto the first axis, and a
-condition-checked solve of a stack of linear systems.  Everything operates
-on small dense matrices; dimensions beyond a few hundred are out of scope.
+Half-vectorization without the pinned (d, d) entry (vech'), its index
+arrays and the Stein statistic V = D of a scatter matrix in it, small
+symmetric eigendecompositions with a deterministic sign convention,
+Householder rotations onto the first axis, and a condition-checked solve
+of a stack of linear systems.  Everything operates on small dense
+matrices; dimensions beyond a few hundred are out of scope.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def vech_prime(s) -> np.ndarray:
     s = _check_symmetric(s)
     rows, cols = lower_index(s.shape[-1])
     return s[..., rows, cols]
+
+
+def v_statistic(scatter: np.ndarray) -> np.ndarray:
+    """D = 2d vech'(S) - 2 vech'(I) = mean[(d-1) grad_f2 x + hess_f2 (x (x) x)
+    - lap_f2] for the Stein test function f2 = vech'(xx') of the
+    Fisher-Bingham fit, which the Watson fits call V (one row per slice of
+    a stack of scatter matrices S)."""
+    d = scatter.shape[-1]
+    return 2.0 * d * vech_prime(scatter) - 2.0 * vech_prime(np.eye(d))
 
 
 def unvech_prime(v, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Parameter types for the three families on the unit sphere, and the
-JSON parameter schema the CLI reads.
+"""Parameter types for the three families on the unit sphere, the JSON
+parameter schema the CLI reads, and the prepared sample stack that every
+family's estimators read.
 
 The three families are exponential tilts of the uniform measure on
 S^{d-1}:
@@ -11,7 +12,9 @@ S^{d-1}:
 A params class holds its family's ``family`` name and its fields, and
 checks them on construction; every field must be finite.  The checks and
 the working-size rule (``chunks``) that the other modules share live here
-too; of the package, this module imports only ``linalg``.
+too, and so does ``sample_stack``, the one place that forms a stack's
+means Xbar and scatters S; of the package, this module imports only
+``linalg``.
 """
 
 from __future__ import annotations
@@ -64,18 +67,35 @@ def _as_unit_vector(mu) -> np.ndarray:
     return mu / norm
 
 
-def sample_stack(x) -> np.ndarray:
-    """A (b, n, d) stack of b >= 1 samples, each of n >= 1 rows of d >= 2
-    coordinates, as a C-ordered float array; raises ValueError on any other
-    shape.  C order makes the estimates' bits independent of the caller's
-    layout (a Fortran-ordered or strided copy of a stack)."""
+@dataclass
+class Sample:
+    """A checked (b, n, d) stack of b samples (``sample_stack``) with the
+    low-order moments that every family's estimators read: the means
+    Xbar = x.mean(axis=1) (b x d) and the scatters S = x'x/n (b x d x d).
+    A simulation block prepares its stack once, so that all its fits share
+    these arrays."""
+
+    x: np.ndarray
+    xbar: np.ndarray
+    scatter: np.ndarray
+
+
+def sample_stack(x) -> Sample:
+    """The Sample of a (b, n, d) stack of b >= 1 samples, each of n >= 1
+    rows of d >= 2 coordinates, held as a C-ordered float array; raises
+    ValueError on any other shape.  A Sample is returned as it is.  C order
+    makes the estimates' bits independent of the caller's layout (a
+    Fortran-ordered or strided copy of a stack)."""
+    if isinstance(x, Sample):
+        return x
     x = np.ascontiguousarray(x, dtype=float)
     if x.ndim != 3 or x.shape[0] == 0:
         raise ValueError("sample stack must be a b x n x d array with b >= 1")
     if x.shape[1] == 0 or x.shape[2] < 2:
         raise ValueError("each sample needs n >= 1 rows of d >= 2 coordinates, "
                          f"got {x.shape[1]} x {x.shape[2]}")
-    return x
+    # X'X is one syrk per slice
+    return Sample(x, x.mean(axis=1), np.matmul(x.swapaxes(1, 2), x) / x.shape[1])
 
 
 class _SphereParams:

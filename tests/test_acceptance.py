@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from spherestein.est_fb import fb_statistics, v_statistic
+from spherestein.est_fb import fb_statistics
 from spherestein.est_vmf import (
     fisher_information_vmf,
     kappa_mle,
@@ -23,7 +23,7 @@ from spherestein.est_vmf import (
 )
 from spherestein.est_watson import _j_statistic, prepare_sample, watson_mla_bounds
 from spherestein.families import fit_one
-from spherestein.linalg import vech_prime
+from spherestein.linalg import v_statistic, vech_prime
 from spherestein.harness import SimConfig, run_simulation
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 from spherestein.sampler import sample_fb, sample_vmf, sample_watson

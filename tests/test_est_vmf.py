@@ -18,7 +18,7 @@ from spherestein.est_vmf import (
 )
 from spherestein.families import fit_one
 from spherestein.linalg import SingularSystem
-from spherestein.models import VmfParams
+from spherestein.models import VmfParams, sample_stack
 from spherestein.sampler import sample_vmf
 from spherestein.special import bessel_ratio
 
@@ -41,7 +41,7 @@ def _random_orthogonal(rng, d):
 
 
 def _mean_direction(x):
-    return est_vmf.prepare_sample(x).mu_hat
+    return est_vmf._resultant(x)[2]
 
 
 def test_mean_direction_examples():
@@ -265,24 +265,6 @@ def test_stacked_fit_equals_single_fits_bitwise(code, fit_fn, d, kappa, n):
         assert value.shape == (16,)
 
 
-@pytest.mark.parametrize("d, kappa, n", [(3, 2.0, 100), (10, 10.0, 40)])
-def test_prepared_fits_equal_raw_fits_bitwise(d, kappa, n):
-    # every fit on one prepared sample, in turn, as a simulation block runs
-    # them; none alters what the next one reads
-    stack = _vmf_stack(d, kappa, n, 12, seed=60 + d)
-    prepared = est_vmf.prepare_sample(stack)
-    assert est_vmf.prepare_sample(prepared) is prepared
-    for fit_fn in FITTERS:
-        raw, fit = fit_fn(stack), fit_fn(prepared)
-        np.testing.assert_array_equal(fit.kappa_hat, raw.kappa_hat)
-        np.testing.assert_array_equal(fit.mu_hat, raw.mu_hat)
-        np.testing.assert_array_equal(fit.ne, raw.ne)
-        for name, value in raw.diagnostics.items():
-            np.testing.assert_array_equal(fit.diagnostics[name], value)
-    for name, value in vars(est_vmf.prepare_sample(stack)).items():
-        np.testing.assert_array_equal(getattr(prepared, name), value)
-
-
 def test_stein2_flags_singular_slices_of_a_stack():
     # all rows on the line through e1: S = e1 e1', so I - S is singular
     line = np.array([E3[0], E3[0], -E3[0], E3[0]])
@@ -317,8 +299,8 @@ def test_stack_input_validation():
     # preparing it neither raises nor warns, and each fit still rejects it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        prepared = est_vmf.prepare_sample(stack)
-    assert np.isnan(prepared.mu_hat[2]).all()
+        prepared = sample_stack(stack)
+    assert not prepared.xbar[2].any()
     for fit_fn in FITTERS:
         for x in (stack, prepared):
             with pytest.raises(DegenerateMean):

@@ -7,7 +7,6 @@ import scipy.special
 from scipy import stats
 
 from spherestein import est_watson
-from spherestein.est_fb import v_statistic
 from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
@@ -20,7 +19,7 @@ from spherestein.est_watson import (
     watson_stein_fit,
 )
 from spherestein.families import FAMILIES, fit_one
-from spherestein.linalg import sym_eigen
+from spherestein.linalg import sym_eigen, v_statistic
 from spherestein.models import WatsonParams
 from spherestein.sampler import sample_watson
 from spherestein.special import kummer_moment

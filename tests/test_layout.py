@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import spherestein
-from spherestein import families
+from spherestein import families, models
 from spherestein.models import FisherBinghamParams, Params, VmfParams, WatsonParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -192,6 +192,23 @@ def test_estimators_reject_a_single_sample(family, code):
         families.ESTIMATORS[family, code](stack[0])
     with pytest.raises(ValueError, match="b x n x d"):
         families.PREPARE[family](stack[0])
+
+
+@pytest.mark.parametrize("family,code", sorted(families.ESTIMATORS))
+def test_prepared_stack_shares_each_samples_moments(family, code):
+    # PREPARE forms every sample's Xbar and S once, with the bits of that
+    # sample prepared as a stack of one, and a fit reads the same from
+    # the prepared block as from the raw stack
+    stack = families.SAMPLERS[family](LAYOUT_PARAMS[family], 50, 0, range(6))
+    prepared = families.PREPARE[family](stack)
+    assert isinstance(prepared, models.Sample)
+    assert families.PREPARE[family](prepared) is prepared
+    for k in range(len(stack)):
+        one = families.PREPARE[family](stack[k:k + 1])
+        assert prepared.xbar[k].tobytes() == one.xbar[0].tobytes()
+        assert prepared.scatter[k].tobytes() == one.scatter[0].tobytes()
+    fit = families.ESTIMATORS[family, code]
+    np.testing.assert_equal(vars(fit(prepared)), vars(fit(stack)))
 
 
 @pytest.mark.parametrize("family", sorted(families.SAMPLERS))

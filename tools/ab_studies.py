@@ -5,12 +5,10 @@
 BASE_SRC and CHANGE_SRC are directories that hold a ``spherestein``
 package (a checkout's ``src``).  Each CONFIG is a study file such as
 ``configs/table1_fig6.json``, run with REPS replications at its own seed
-in one thread.  The child script builds each study with ``SimConfig`` and
-``params_from_dict`` directly, not with ``harness.config_from_dict`` as
-``simulate`` does, because it must also run on a base tree older than that
-reader; so it does not refuse a config key that ``simulate`` would.  A
-pair runs each side once, in a fresh interpreter with BLAS pinned to one
-thread, and the side that runs first alternates from pair to pair.
+in one thread; the child script reads each config with
+``harness.config_from_dict``, as ``simulate`` does.  A pair runs each side
+once, in a fresh interpreter with BLAS pinned to one thread, and the side
+that runs first alternates from pair to pair.
 Within an interpreter each config's study runs STUDIES times after one
 untimed warm-up, and the side's time for that pair is the median of those
 runs.
@@ -36,7 +34,6 @@ import hashlib, json, os, statistics, sys, time
 src = os.path.abspath(sys.argv[1])
 sys.path.insert(0, src)
 from spherestein import harness
-from spherestein.models import params_from_dict
 if not harness.__file__.startswith(src + os.sep):
     sys.exit(f"error: spherestein imported from {harness.__file__}, not {src}")
 
@@ -45,8 +42,7 @@ for spec in sys.argv[3:]:
     path, reps = spec.rsplit(":", 1)
     with open(path, encoding="utf-8-sig") as fh:
         raw = json.load(fh)
-    config = harness.SimConfig(**{**raw, "params": params_from_dict(raw["params"]),
-                                  "reps": int(reps), "threads": 1})
+    config = harness.config_from_dict(raw, reps=int(reps), threads=1)
     csv = harness.run_simulation(config).to_csv()
     times = []
     for _ in range(int(sys.argv[2])):
