@@ -23,6 +23,7 @@ reports a writer that SIGPIPE ends.  Warnings go to the spherestein logger.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -189,7 +190,10 @@ def cmd_asympvar(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="spherestein",
         description="Samplers and moment-type estimators for spherical "
@@ -203,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--out", required=True)
     p_sample.add_argument("--header", action="store_true")
-    p_sample.set_defaults(func=cmd_sample)
 
     p_fit = sub.add_parser("fit", help="fit an estimator to a CSV sample")
     p_fit.add_argument("--family", choices=tuple(FAMILIES), required=True)
@@ -212,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         for fam in FAMILIES))
     p_fit.add_argument("--in", dest="infile", required=True)
     p_fit.add_argument("--out", default=None)
-    p_fit.set_defaults(func=cmd_fit)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study")
     p_sim.add_argument("--config", required=True, help="config JSON file")
@@ -223,19 +225,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--threads", type=int, default=None, help=(
         "default 1; runs min(threads, blocks, CPUs) workers, one in the calling thread "
         "(so cProfile sees it), each extra worker costing roughly 1-3 MB"))
-    p_sim.set_defaults(func=cmd_simulate)
 
     p_av = sub.add_parser("asympvar", help="asymptotic variances for vMF kappa")
     p_av.add_argument("--d", type=int, required=True)
     p_av.add_argument("--kappa", type=float, required=True)
-    p_av.set_defaults(func=cmd_asympvar)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # looked up per call: the parser outlives any rebinding of a cmd_* name
+    command = {"sample": cmd_sample, "fit": cmd_fit, "simulate": cmd_simulate,
+               "asympvar": cmd_asympvar}[args.command]
+    return command(args)
 
 
 def entry() -> None:

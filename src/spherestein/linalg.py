@@ -27,7 +27,7 @@ class SingularSystem(Exception):
         self.name = name
         self.cond = cond
         super().__init__(
-            f"{name}: condition estimate {cond:.3e} exceeds limit {COND_LIMIT:.0e}"
+            f"{name}: 1-norm condition number {cond:.3e} exceeds limit {COND_LIMIT:.0e}"
         )
 
 

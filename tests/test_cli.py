@@ -3,6 +3,7 @@ import gzip
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -696,6 +697,19 @@ def test_fit_singular_system_exit_code(tmp_path):
     assert cli.main(["fit", "--family", "fb", "--in", str(path)]) == 4
 
 
+def test_fit_singular_system_names_the_condition_number(tmp_path, capsys):
+    # rows on one great circle; the cond in the message is np.linalg.cond(a, 1),
+    # an exact 1-norm condition number, not an estimate
+    path = tmp_path / "circle.csv"
+    path.write_text("0.6,0.8,0\n1,0,0\n0,1,0\n-0.6,0.8,0\n0.8,-0.6,0\n")
+    assert cli.main(["fit", "--family", "fb", "--in", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    match = re.fullmatch(r"error: singular system: M': 1-norm condition number (\S+) "
+                         r"exceeds limit 1e\+12\n", captured.err)
+    assert match and float(match[1]) > 1e12
+
+
 @pytest.mark.parametrize("command", ["sample", "fit", "simulate"])
 def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch, command):
     # one error line and exit 2, where each used to end in a traceback;
@@ -1079,3 +1093,131 @@ def test_asympvar_out_of_numerical_range(capsys, kappa):
     cause = {"1e-320": "R1 = 3.335e-321 is not a normal float",  # subnormal
              "1e300": "P overflows"}[kappa]
     assert _asympvar_refusal(capsys, "3", kappa) == cause
+
+
+# -- repeated in-process calls ---------------------------------------------
+
+# runs each argv of sys.argv[1] (a JSON list) through cli.main in this one
+# interpreter and prints a JSON list of [exit code, stdout, stderr, the
+# --out file's text or null]; the --out file is removed after each call
+REPEAT = """
+import contextlib, io, json, os, sys
+from spherestein import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    path = argv[argv.index("--out") + 1] if "--out" in argv else None
+    written = None
+    if path and os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            written = fh.read()
+        os.remove(path)
+    results.append([code, out.getvalue(), err.getvalue(), written])
+print(json.dumps(results))
+"""
+
+
+def _python(code, *args):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")}
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def _without_walltime(text):
+    # simulate's table names the study's wall time, "(0.2s)", on its first line
+    return re.sub(r" \(\d+\.\ds\)$", "", text, count=1, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("command", ["sample", "fit", "simulate", "asympvar"])
+def test_repeated_calls_match_a_fresh_process(tmp_path, capsys, command):
+    # the parser is built on a process's first call and reused by the later
+    # ones: both give what a fresh `python -m spherestein.cli` gives
+    out = str(tmp_path / "out")
+    params = _vmf_params(tmp_path)
+    draws = tmp_path / "draws.csv"
+    cli.main(["sample", "--params", params, "--n", "60", "--seed", "2",
+              "--out", str(draws)])
+    capsys.readouterr()
+    argv = {"sample": ["sample", "--params", params, "--n", "30", "--seed", "4",
+                       "--header", "--out", out],
+            "fit": ["fit", "--family", "vmf", "--estimator", "ml", "--in", str(draws),
+                    "--out", out],
+            "simulate": ["simulate", "--config", str(CONFIG_DIR / "table2_d3_k1.json"),
+                         "--reps", "3", "--out", out],
+            "asympvar": ["asympvar", "--d", "3", "--kappa", "2"]}[command]
+    fresh = _run_cli(argv, capture_output=True, text=True)
+    expected = [fresh.returncode, _without_walltime(fresh.stdout), fresh.stderr,
+                Path(out).read_text() if os.path.exists(out) else None]
+    assert expected[0] == 0 and (expected[3] is None) == (command == "asympvar")
+    for code, stdout, stderr, written in _python(REPEAT, json.dumps([argv, argv])):
+        assert [code, _without_walltime(stdout), stderr, written] == expected
+
+
+def _fit_report(capsys, path, *extra):
+    assert cli.main(["fit", "--family", "vmf", "--in", str(path), *extra]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["fit", "--family", "vmf"], ["--help"],
+                                  ["fit", "--help"]])
+def test_parser_exit_leaves_the_next_fit_unchanged(tmp_path, capsys, argv):
+    draws = tmp_path / "draws.csv"
+    cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "40",
+              "--out", str(draws)])
+    capsys.readouterr()
+    before = _fit_report(capsys, draws)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == (0 if "--help" in argv else 2)
+    capsys.readouterr()
+    assert _fit_report(capsys, draws) == before
+
+
+def test_fit_out_does_not_carry_over_to_the_next_fit(tmp_path, capsys):
+    draws, report = tmp_path / "draws.csv", tmp_path / "report.json"
+    cli.main(["sample", "--params", _vmf_params(tmp_path), "--n", "40",
+              "--out", str(draws)])
+    capsys.readouterr()
+    printed = _fit_report(capsys, draws, "--out", str(report))
+    assert report.read_text() == printed
+    report.unlink()
+    assert _fit_report(capsys, draws) == printed
+    assert not report.exists()
+
+
+def test_simulate_overrides_do_not_carry_over(tmp_path, capsys):
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps({
+        "params": {"family": "vmf", "mu": [0, 0, 1], "kappa": 2.0},
+        "n": 20, "reps": 4, "seed": 9, "estimators": ["st"]}))
+    for extra, stated in ((["--reps", "3", "--seed", "5"], {"seed": 5, "reps": 3}),
+                          ([], {"seed": 9, "reps": 4})):
+        assert cli.main(["simulate", "--config", str(config), *extra]) == 0
+        assert json.loads(capsys.readouterr().out.splitlines()[-1]) == stated
+
+
+# counts the top-level parsers built: after the import and after each of two
+# calls; prints them as a JSON list
+COUNT_PARSERS = """
+import argparse, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counting
+from spherestein import cli
+counts = [built.count("spherestein")]
+for _ in range(2):
+    cli.main(["asympvar", "--d", "3", "--kappa", "2"])
+    counts.append(built.count("spherestein"))
+print(json.dumps(counts))
+"""
+
+
+def test_parser_is_built_once_on_the_first_call():
+    assert _python(COUNT_PARSERS) == [0, 1, 1]

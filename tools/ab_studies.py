@@ -1,21 +1,24 @@
-"""Time the same simulation studies under two source trees, alternating.
+"""Time the same simulation studies or CLI fits under two source trees, alternating.
 
-    python3 tools/ab_studies.py BASE_SRC CHANGE_SRC CONFIG:REPS [...] [--pairs 10]
+    python3 tools/ab_studies.py BASE_SRC CHANGE_SRC SPEC [...] [--pairs 10]
 
 BASE_SRC and CHANGE_SRC are directories that hold a ``spherestein``
-package (a checkout's ``src``).  Each CONFIG is a study file such as
-``configs/table1_fig6.json``, run with REPS replications at its own seed
-in one thread; the child script reads each config with
-``harness.config_from_dict``, as ``simulate`` does.  A pair runs each side
-once, in a fresh interpreter with BLAS pinned to one thread, and the side
-that runs first alternates from pair to pair.
-Within an interpreter each config's study runs STUDIES times after one
-untimed warm-up, and the side's time for that pair is the median of those
-runs.
+package (a checkout's ``src``).  A SPEC is one of
+- ``CONFIG:REPS``: a study file such as ``configs/table1_fig6.json``, run
+  with REPS replications at its own seed in one thread; the child script
+  reads each config with ``harness.config_from_dict``, as ``simulate`` does;
+- ``fit:FAMILY:CODE:CSV``: the in-process call ``cli.main(["fit",
+  "--family", FAMILY, "--estimator", CODE, "--in", CSV])``, its stdout
+  captured.
+A pair runs each side once, in a fresh interpreter with BLAS pinned to one
+thread, and the side that runs first alternates from pair to pair.
+Within an interpreter each spec runs STUDIES times after one untimed
+warm-up, and the side's time for that pair is the median of those runs.
 
-Per config it prints the median over the pairs of each side's time, their
+Per spec it prints the median over the pairs of each side's time, their
 ratio (change / base) and the number of pairs in which the change was the
-faster.  It exits 1 if a study's CSV differs between the two sides.
+faster.  It exits 1 if a study's CSV or a fit's report differs between the
+two sides.
 """
 
 import argparse
@@ -25,31 +28,44 @@ import statistics
 import subprocess
 import sys
 
-STUDIES = 5  # timed runs of each study per side and pair
+STUDIES = 5  # timed runs of each spec per side and pair
 
-# run in each side's interpreter: argv is src, studies, then CONFIG:REPS
-# specs; prints one JSON object {spec: [median seconds, CSV sha256]}
+# run in each side's interpreter: argv is src, studies, then the specs;
+# prints one JSON object {spec: [median seconds, sha256 of the CSV or report]}
 CHILD = """
-import hashlib, json, os, statistics, sys, time
+import contextlib, hashlib, io, json, os, statistics, sys, time
 src = os.path.abspath(sys.argv[1])
 sys.path.insert(0, src)
-from spherestein import harness
+from spherestein import cli, harness
 if not harness.__file__.startswith(src + os.sep):
     sys.exit(f"error: spherestein imported from {harness.__file__}, not {src}")
 
-out = {}
-for spec in sys.argv[3:]:
-    path, reps = spec.rsplit(":", 1)
+def study(path, reps):
     with open(path, encoding="utf-8-sig") as fh:
         raw = json.load(fh)
     config = harness.config_from_dict(raw, reps=int(reps), threads=1)
-    csv = harness.run_simulation(config).to_csv()
+    return lambda: harness.run_simulation(config).to_csv()
+
+def fit(family, code, path):
+    argv = ["fit", "--family", family, "--estimator", code, "--in", path]
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()) as report:
+            if cli.main(argv):
+                sys.exit(f"error: {' '.join(argv)} failed")
+        return report.getvalue()
+    return run
+
+out = {}
+for spec in sys.argv[3:]:
+    run = fit(*spec.split(":", 3)[1:]) if spec.startswith("fit:") else study(
+        *spec.rsplit(":", 1))
+    text = run()
     times = []
     for _ in range(int(sys.argv[2])):
         start = time.perf_counter()
-        harness.run_simulation(config)
+        run()
         times.append(time.perf_counter() - start)
-    out[spec] = [statistics.median(times), hashlib.sha256(csv.encode()).hexdigest()]
+    out[spec] = [statistics.median(times), hashlib.sha256(text.encode()).hexdigest()]
 print(json.dumps(out))
 """
 
@@ -62,7 +78,7 @@ def run_side(src: str, specs: list[str]) -> dict:
     done = subprocess.run([sys.executable, "-c", CHILD, src, str(STUDIES), *specs],
                           env=env, stdout=subprocess.PIPE, text=True)
     if done.returncode:
-        sys.exit(f"error: the studies under {src} failed")
+        sys.exit(f"error: the runs under {src} failed")
     return json.loads(done.stdout)
 
 
@@ -70,7 +86,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base")
     parser.add_argument("change")
-    parser.add_argument("specs", nargs="+", metavar="CONFIG:REPS")
+    parser.add_argument("specs", nargs="+", metavar="SPEC")
     parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     sides = {"base": args.base, "change": args.change}
@@ -89,7 +105,8 @@ def main(argv=None) -> int:
               f"ratio {mid_c / mid_b:.3f}, change faster in {wins} of {args.pairs} pairs")
         digests = {run[spec][1] for run in runs["base"] + runs["change"]}
         if len(digests) > 1:
-            print(f"error: {spec}: the CSV differs between the sides")
+            output = "report" if spec.startswith("fit:") else "CSV"
+            print(f"error: {spec}: the {output} differs between the sides")
             differ = True
     return 1 if differ else 0
 
