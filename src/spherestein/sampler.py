@@ -18,8 +18,10 @@ acceptance rate below _ACCEPT_FLOOR raises RuntimeError.  One floor
 serves every family: vMF accepts 0.65 or more and Watson about 0.05 or
 more (d <= 500), so only a Fisher-Bingham envelope can come near it.
 
-vMF uses the Ulrich-Wood tangent-radial decomposition.  Watson and
-Fisher-Bingham use rejection from an angular-central-Gaussian envelope:
+vMF uses the Ulrich-Wood tangent-radial decomposition; its tangent,
+rotation and normalisation stage runs per models.chunks group of streams
+into one output stack.  Watson and Fisher-Bingham use rejection from an
+angular-central-Gaussian envelope:
 mu'y <= (mu'y)^2/(2|mu|) + |mu|/2 (tight at the mode) bounds the exponent
 by y'quad y, quad = A + mu mu'/(2|mu|) = E diag(lam) E', and in turn an
 ACG with weights omega = 1 + 2 (max lam - lam)/b, where b solves
@@ -205,23 +207,29 @@ def sample_vmf(params: VmfParams, n: int, seed, streams=range(1)) -> np.ndarray:
     """n i.i.d. vMF(mu, kappa) points (Ulrich-Wood, then rotate e1 -> mu)
     per stream of the b ``streams`` of ``seed``, as a (b, n, d) stack
     whose slice j is bit for bit the sample of stream j alone: each stream
-    makes the same draws in the same order, and the arithmetic on them
-    runs over the whole stack.
+    makes the same draws in the same order, and the tangent, rotation and
+    normalisation run per models.chunks group of streams, written into
+    the one output stack.
     """
     d = params.d
     gens = _generators(seed, streams)
     w = _vmf_radial(params.kappa, d, n, gens)
-    v = np.empty((len(gens), n, d - 1))  # out= needs a contiguous stack, not y
-    for g, vj in zip(gens, v):
-        g.standard_normal(out=vj)
-    y = np.empty((len(gens), n, d))
-    y[..., 0] = w
-    np.multiply(np.sqrt(np.maximum(0.0, 1.0 - w * w))[..., None], _unit_rows(v, gens),
-                out=y[..., 1:])
-    # rows are rot.T @ y; a matmul per slice keeps each slice's bits.  They
-    # have norm 1 up to rounding, so none needs a redraw
-    x = np.matmul(y, linalg.rotation_to_e1(params.mu))
-    return np.divide(x, np.linalg.norm(x, axis=-1)[..., None], out=x)
+    rot = linalg.rotation_to_e1(params.mu)
+    x = np.empty((len(gens), n, d))
+    for group in models.chunks(len(gens), 8 * n * d):
+        gs, wg = gens[group], w[group]
+        v = np.empty((len(gs), n, d - 1))  # out= needs a contiguous stack, not y
+        for g, vj in zip(gs, v):
+            g.standard_normal(out=vj)
+        y = np.empty((len(gs), n, d))
+        y[..., 0] = wg
+        np.multiply(np.sqrt(np.maximum(0.0, 1.0 - wg * wg))[..., None], _unit_rows(v, gs),
+                    out=y[..., 1:])
+        # rows are rot.T @ y; a matmul per slice and a norm per row keep each
+        # slice's bits.  They have norm 1 up to rounding, so none needs a redraw
+        xg = np.matmul(y, rot, out=x[group])
+        np.divide(xg, np.linalg.norm(xg, axis=-1)[..., None], out=xg)
+    return x
 
 
 @functools.lru_cache(maxsize=_ENVELOPE_CACHE_SIZE)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -584,6 +585,23 @@ def test_proposal_rounds_stay_within_the_working_size(monkeypatch):
     assert all(k == 1 or size <= models.WORK_BYTES for k, size in stacks)
     assert any(k > 1 for k, _ in stacks)
     assert any(k == 1 and size > models.WORK_BYTES for k, size in stacks)
+
+
+@pytest.mark.parametrize("b, n, d", [(65, 100, 10), (40, 257, 20)])
+def test_vmf_block_keeps_little_beyond_its_stack(b, n, d):
+    # the tangent normals, rotation and normalisation run per working-size
+    # group of streams, so a block's traced peak above the stack it returns
+    # stays within a few groups, whatever the block's size; the second case
+    # spans 14 groups
+    params = VmfParams(np.ones(d) / math.sqrt(d), 5.0)
+    sample_vmf(params, n, 27, range(b))  # warm-up, so one-time allocations are not traced
+    tracemalloc.start()
+    try:
+        x = sample_vmf(params, n, 27, range(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - x.nbytes < 8 * models.WORK_BYTES
 
 
 @pytest.mark.parametrize("d", [2, 3])
