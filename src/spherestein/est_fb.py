@@ -15,8 +15,9 @@ the test functions (the two agree to machine precision).
 The statistics, the fit and the residual take a (b, n, d) stack of b
 samples or its ``models.Sample``; slice k gets the bits of that sample
 fitted as a stack of one.  The first and second moments Xbar and S are
-the Sample's; the third and fourth moment tensors are built for groups
-of slices within models.WORK_BYTES of pair products, the six blocks are
+the Sample's, formed on first read and shared with the block's other
+fits; the third and fourth moment tensors are built for groups of
+slices within models.WORK_BYTES of pair products, the six blocks are
 assembled from them for groups within models.WORK_BYTES of (q-1) q
 temporaries (the whole block at d = 3, one slice at a time at d = 50),
 and the solves run once.

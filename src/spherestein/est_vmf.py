@@ -8,11 +8,12 @@ the maximum likelihood estimator (ML), and the score-matching estimator
 (SM).  All four are invariant under rotations of the sample.
 
 Each estimator takes a (b, n, d) stack of b samples or its
-``models.Sample``, whose means Xbar and scatters S a simulation block
-forms once for all its fits; each fit forms |Xbar| and Xbar / |Xbar|
-itself (O(b d)), and raises DegenerateMean on a zero resultant.  Slice k
-of a stack gets the same bits as that sample fitted as a stack of one
-(``families.fit_one`` fits one sample).
+``models.Sample``, which forms the means Xbar and scatters S on first
+read, so the fits of a simulation block share them (ML and SM read only
+Xbar); each fit forms |Xbar| and Xbar / |Xbar| itself (O(b d)), and
+raises DegenerateMean on a zero resultant.  Slice k of a stack gets the
+same bits as that sample fitted as a stack of one (``families.fit_one``
+fits one sample).
 
 The Fisher information for kappa and the closed-form asymptotic variance
 of the ST estimator live here too; both depend on kappa only through the

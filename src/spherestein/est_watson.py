@@ -15,8 +15,9 @@ the mass), never is.  If neither branch is eligible the estimate does not
 exist: the fit flags the sample in its ``ne``, the harness books it as
 NE, and ``fit_one`` raises NotEligible.
 
-Every fit takes a (b, n, d) stack of b samples, its ``models.Sample`` or
-its WatsonSample.
+Every fit takes a (b, n, d) stack of b samples or its ``models.Sample``,
+and reads its axes from the Sample's ``axes`` (the scatters' top and
+bottom eigenvectors), which all the fits of a simulation block share.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .linalg import lower_index, sym_eigen, v_statistic
+from .linalg import lower_index, v_statistic
 from .models import Sample, sample_stack
 
 
@@ -56,29 +57,6 @@ class WatsonEstimate:
     near_uniform: np.ndarray
     ne: np.ndarray
     no_estimate: str  # why this fit gives a branch a NaN kappa
-
-
-@dataclass
-class WatsonSample(Sample):
-    """A Sample prepared once for the Watson fits: its scatters' (+) top
-    and (-) bottom eigenvectors (column views, b x d), from one batched
-    eigendecomposition.  A simulation block prepares its stack once, so
-    that all its fits share one decomposition.
-
-    Near-isotropic samples have no meaningful axis; the eigenvectors are
-    still deterministic (sign-fixed), just unstable under resampling."""
-
-    axes: dict[str, np.ndarray]
-
-
-def prepare_sample(x) -> WatsonSample:
-    """The WatsonSample of a stack or a Sample; a WatsonSample is returned
-    as it is."""
-    if isinstance(x, WatsonSample):
-        return x
-    s = sample_stack(x)
-    vecs = sym_eigen(s.scatter)
-    return WatsonSample(s.x, s.xbar, s.scatter, {"+": vecs[..., 0], "-": vecs[..., -1]})
 
 
 def _j_statistic(x: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -135,7 +113,7 @@ def _pick_branch(axes: dict[str, np.ndarray], fits: dict[str, tuple],
 
 def watson_stein_fit(x) -> WatsonEstimate:
     """Both branches of the moment-type estimator plus the selection rule."""
-    s = prepare_sample(x)
+    s = sample_stack(x)
     v_vec = v_statistic(s.scatter)
     fits = {b: _stein_branch(s.x, v_vec, mu) for b, mu in s.axes.items()}
     return _pick_branch(s.axes, fits, "J vanishes on the axis")
@@ -179,7 +157,7 @@ def _neg_log_likelihood(n: int, d: int, r: np.ndarray, kappa) -> np.ndarray:
     return np.where(finite, nll, math.inf)
 
 
-def _axis_mass(s: WatsonSample, branch: str):
+def _axis_mass(s: Sample, branch: str):
     # the share r = mu'S mu of the mass on a branch's axis per slice, and
     # whether it is some but not all of it (else |kappa| ~ 1/r or 1/(1-r))
     mu = s.axes[branch]
@@ -190,7 +168,7 @@ def _axis_mass(s: WatsonSample, branch: str):
 def watson_mla_fit(x) -> WatsonEstimate:
     """Midpoint of the ML bounds at r = mu'S mu, per branch, with the same
     eligibility rule as the moment-type fit and likelihood tie-breaking."""
-    s = prepare_sample(x)
+    s = sample_stack(x)
     n, d = s.x.shape[1:]
     fits = {}
     for b in s.axes:
@@ -225,7 +203,7 @@ def watson_mle_fit(x) -> WatsonEstimate:
     rule and likelihood tie-breaking of MLa.  A slice where either axis
     has none or all of the mass has no MLE (the likelihood grows without
     bound as kappa runs to -inf or +inf) and is flagged NE."""
-    s = prepare_sample(x)
+    s = sample_stack(x)
     mass = {b: _axis_mass(s, b) for b in s.axes}
     ok = mass["+"][1] & mass["-"][1]
     fits = {b: _mle_branch(*s.x.shape[1:], r, ok) for b, (r, _) in mass.items()}

@@ -3,17 +3,11 @@ about each parameter family, in one place.
 
 * ``SAMPLERS[family]`` draws ``(params, n, seed, streams)``: a (b, n, d)
   stack of samples, one per stream of the b ``streams`` of ``seed``.
-* ``ESTIMATORS[family, code]`` fits a (b, n, d) stack, or what
-  ``PREPARE`` makes of it; the codes are the names that configs and
+* ``ESTIMATORS[family, code]`` fits a (b, n, d) stack or its
+  ``models.Sample``, whose moments (Xbar, S and S's axes) all the fits of
+  a simulation block share; the codes are the names that configs and
   ``fit --estimator`` use.  The fit holds one entry per sample in each
   field, and its ``ne`` flags the samples without an estimate.
-* ``PREPARE[family]`` turns a stack into the ``models.Sample`` its
-  estimators share, so that work common to them runs once per block:
-  ``models.sample_stack`` (the checked stack, its means Xbar and its
-  scatters S) for vMF and Fisher-Bingham, and for Watson a subclass that
-  adds the scatter eigendecomposition.  Every family has one.  A sample
-  that a fit rejects (a zero vMF resultant) still fails in that fit, so a
-  failure names its estimator.
 * ``FAMILIES[family]`` says which estimators a study runs by default, how
   a fit is scored against the true parameters, which typed outcome a
   sample without an estimate raises, and which fields a fit report
@@ -24,11 +18,11 @@ stack of one and returns its report, or raises its typed outcome.
 
 Adding an estimator is one ``ESTIMATORS`` entry.  Adding a family is its
 params class in ``models``, listed in the ``Params`` union there, plus one
-entry in each table here.  The callables sit in flat module-level dicts
-and are looked up at call time, so a caller can swap or wrap one entry in
-place; an out-of-tree tracer that wraps module-level functions and the
-values of module-level dicts sees every one of them, which it would not
-if they moved into ``Family``.
+entry in each of the three tables here.  The callables sit in flat
+module-level dicts and are looked up at call time, so a caller can swap
+or wrap one entry in place; an out-of-tree tracer that wraps
+module-level functions and the values of module-level dicts sees every
+one of them, which it would not if they moved into ``Family``.
 """
 
 from __future__ import annotations
@@ -38,7 +32,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import est_fb, est_vmf, est_watson, models, sampler
+from . import est_fb, est_vmf, est_watson, sampler
 from .est_watson import NotEligible
 from .linalg import SingularSystem, is_singular
 from .models import Params
@@ -52,12 +46,6 @@ SAMPLERS: dict[str, Callable] = {
     "vmf": sampler.sample_vmf,
     "watson": sampler.sample_watson,
     "fb": sampler.sample_fb,
-}
-
-PREPARE: dict[str, Callable] = {
-    "vmf": models.sample_stack,
-    "watson": est_watson.prepare_sample,
-    "fb": models.sample_stack,
 }
 
 ESTIMATORS: dict[tuple[str, str], Callable] = {

@@ -4,14 +4,14 @@ bias, MSE and non-existence frequencies per estimator.
 Replications run in blocks of a fixed memory size.  Each block draws its
 samples from independent RNG streams keyed by (seed, replication index),
 whose generators the sampler sets up in one pass, as one (b, n, d) stack,
-prepares it once through its family's ``PREPARE`` step (every family has
-one: the stack's ``models.Sample`` of means and scatters, which Watson's
-extends by their eigenvectors), and fits every estimator once over the
+wraps it in one ``models.Sample`` and fits every estimator once over the
 whole stack (every fit, Fisher-Bingham's too, is one computation over
-it).  The steps are looked up in the flat tables of ``families`` at call
-time, so a tracer that wraps those tables' entries sees each layer.  A
-sample that a fit rejects fails in that fit, never in the preparation,
-so the failure names its estimator.  A study runs its blocks on
+it).  The Sample forms each moment (Xbar, S, S's axes) on the first fit
+that reads it, so the block's fits share one of each and a Watson block
+never forms Xbar.  The samplers and estimators are looked up in the flat
+tables of ``families`` at call time, so a tracer that wraps those
+tables' entries sees each layer.  A sample that a fit rejects fails in
+that fit, so the failure names its estimator.  A study runs its blocks on
 min(threads, blocks, CPUs) workers; one worker runs them in the calling
 thread (so cProfile sees the whole study), more use a thread pool, each
 extra worker costing roughly 1-3 MB of memory.  The CSV has identical
@@ -36,8 +36,8 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .families import ESTIMATORS, FAMILIES, PREPARE, SAMPLERS
-from .models import Params, as_int, chunks, params_from_dict
+from .families import ESTIMATORS, FAMILIES, SAMPLERS
+from .models import Params, as_int, chunks, params_from_dict, sample_stack
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
 
@@ -180,7 +180,7 @@ def _run_block(config: SimConfig, reps: range) -> dict:
     """
     params = config.params
     family = params.family
-    stack = PREPARE[family](SAMPLERS[family](params, config.n, config.seed, reps))
+    stack = sample_stack(SAMPLERS[family](params, config.n, config.seed, reps))
     out = {}
     for est in config.estimators:
         try:

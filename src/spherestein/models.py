@@ -1,5 +1,5 @@
 """Parameter types for the three families on the unit sphere, the JSON
-parameter schema the CLI reads, and the prepared sample stack that every
+parameter schema the CLI reads, and the sample stack whose moments every
 family's estimators read.
 
 The three families are exponential tilts of the uniform measure on
@@ -12,9 +12,9 @@ S^{d-1}:
 A params class holds its family's ``family`` name and its fields, and
 checks them on construction; every field must be finite.  The checks and
 the working-size rule (``chunks``) that the other modules share live here
-too, and so does ``sample_stack``, the one place that forms a stack's
-means Xbar and scatters S; of the package, this module imports only
-``linalg``.
+too, and so does ``Sample``, the one place that forms a stack's means
+Xbar, scatters S and S's axes, each on its first read; of the package,
+this module imports only ``linalg``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import ClassVar, get_args
 
 import numpy as np
 
-from .linalg import _UNIT_TOL, _check_symmetric, fix_sign
+from .linalg import _UNIT_TOL, _check_symmetric, fix_sign, sym_eigen
 
 # working memory of the arrays that grow faster than a sample stack (ACG proposal
 # stacks, Fisher-Bingham pair products x_i x_j): chunks cuts them into groups within it
@@ -67,35 +67,64 @@ def _as_unit_vector(mu) -> np.ndarray:
     return mu / norm
 
 
-@dataclass
-class Sample:
-    """A checked (b, n, d) stack of b samples (``sample_stack``) with the
-    low-order moments that every family's estimators read: the means
-    Xbar = x.mean(axis=1) (b x d) and the scatters S = x'x/n (b x d x d).
-    A simulation block prepares its stack once, so that all its fits share
-    these arrays."""
+class _memo:
+    # a value formed on first read and kept per instance, in its __dict__,
+    # which later reads find first (this descriptor has no __set__); Python
+    # 3.11's cached_property would hold one lock, shared by all instances,
+    # while a getter runs
+    def __init__(self, getter):
+        self.getter, self.__doc__ = getter, getter.__doc__
 
-    x: np.ndarray
-    xbar: np.ndarray
-    scatter: np.ndarray
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.getter.__name__, self.getter(obj))
+
+
+class Sample:
+    """A checked (b, n, d) stack ``x`` of b >= 1 samples, each of n >= 1
+    rows of d >= 2 coordinates, held as a C-ordered float array (so the
+    estimates' bits do not depend on the caller's layout); raises
+    ValueError on any other shape.
+
+    The moments that the families' estimators read, ``xbar``, ``scatter``
+    and ``axes``, are formed on first read and kept in the instance
+    (``vars(sample)`` shows which), so all the fits of a simulation block
+    share one of each and a moment that no fit reads is never formed."""
+
+    def __init__(self, x):
+        x = np.ascontiguousarray(x, dtype=float)
+        if x.ndim != 3 or x.shape[0] == 0:
+            raise ValueError("sample stack must be a b x n x d array with b >= 1")
+        if x.shape[1] == 0 or x.shape[2] < 2:
+            raise ValueError("each sample needs n >= 1 rows of d >= 2 coordinates, "
+                             f"got {x.shape[1]} x {x.shape[2]}")
+        self.x = x
+
+    @_memo
+    def xbar(self) -> np.ndarray:
+        """The means Xbar = x.mean(axis=1), b x d."""
+        return self.x.mean(axis=1)
+
+    @_memo
+    def scatter(self) -> np.ndarray:
+        """The scatters S = x'x/n, b x d x d (X'X is one syrk per slice)."""
+        return np.matmul(self.x.swapaxes(1, 2), self.x) / self.x.shape[1]
+
+    @_memo
+    def axes(self) -> dict[str, np.ndarray]:
+        """The scatters' top ("+") and bottom ("-") eigenvectors, b x d
+        column views of one batched ``linalg.sym_eigen``: Watson's bipolar
+        and girdle branches.  A near-isotropic sample has no meaningful
+        axis; its eigenvectors are still deterministic (sign-fixed), just
+        unstable under resampling."""
+        vecs = sym_eigen(self.scatter)
+        return {"+": vecs[..., 0], "-": vecs[..., -1]}
 
 
 def sample_stack(x) -> Sample:
-    """The Sample of a (b, n, d) stack of b >= 1 samples, each of n >= 1
-    rows of d >= 2 coordinates, held as a C-ordered float array; raises
-    ValueError on any other shape.  A Sample is returned as it is.  C order
-    makes the estimates' bits independent of the caller's layout (a
-    Fortran-ordered or strided copy of a stack)."""
-    if isinstance(x, Sample):
-        return x
-    x = np.ascontiguousarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[0] == 0:
-        raise ValueError("sample stack must be a b x n x d array with b >= 1")
-    if x.shape[1] == 0 or x.shape[2] < 2:
-        raise ValueError("each sample needs n >= 1 rows of d >= 2 coordinates, "
-                         f"got {x.shape[1]} x {x.shape[2]}")
-    # X'X is one syrk per slice
-    return Sample(x, x.mean(axis=1), np.matmul(x.swapaxes(1, 2), x) / x.shape[1])
+    """The Sample of a (b, n, d) stack; a Sample is returned as it is."""
+    return x if isinstance(x, Sample) else Sample(x)
 
 
 class _SphereParams:

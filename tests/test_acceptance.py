@@ -21,11 +21,11 @@ from spherestein.est_vmf import (
     kappa_stein2,
     stein_asymptotic_variance_vmf,
 )
-from spherestein.est_watson import _j_statistic, prepare_sample, watson_mla_bounds
+from spherestein.est_watson import _j_statistic, watson_mla_bounds
 from spherestein.families import fit_one
 from spherestein.linalg import v_statistic, vech_prime
 from spherestein.harness import SimConfig, run_simulation
-from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
+from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams, sample_stack
 from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 from spherestein.special import bessel_ratio, log_kummer_1f1
 
@@ -384,7 +384,7 @@ def test_criterion_7_structural_invariants():
 
 def _watson_statistics(x):
     # V and the (+) and (-) J vectors of one sample, as a stack of one
-    s = prepare_sample(x[None])
+    s = sample_stack(x[None])
     return (v_statistic(s.scatter)[0],
             *(_j_statistic(s.x, s.axes[b])[0] for b in ("+", "-")))
 

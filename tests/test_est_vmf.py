@@ -296,11 +296,11 @@ def test_stack_input_validation():
     stack = _vmf_stack(3, 2.0, 4, 3, seed=42)
     stack[2] = np.array([E3[0], -E3[0], E3[1], -E3[1]])
     # one degenerate slice fails the whole stack, as it fails on its own;
-    # preparing it neither raises nor warns, and each fit still rejects it
+    # forming its moments neither raises nor warns, and each fit still rejects it
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prepared = sample_stack(stack)
-    assert not prepared.xbar[2].any()
+        assert not prepared.xbar[2].any() and prepared.scatter[2].any()
     for fit_fn in FITTERS:
         for x in (stack, prepared):
             with pytest.raises(DegenerateMean):

@@ -6,13 +6,12 @@ import pytest
 import scipy.special
 from scipy import stats
 
-from spherestein import est_watson
+from spherestein import est_watson, models
 from spherestein.est_watson import (
     NotEligible,
     _j_statistic,
     _pick_branch,
     _stein_branch,
-    prepare_sample,
     watson_mla_bounds,
     watson_mla_fit,
     watson_mle_fit,
@@ -20,7 +19,7 @@ from spherestein.est_watson import (
 )
 from spherestein.families import FAMILIES, fit_one
 from spherestein.linalg import sym_eigen, v_statistic
-from spherestein.models import WatsonParams
+from spherestein.models import WatsonParams, sample_stack
 from spherestein.sampler import sample_watson
 from spherestein.special import kummer_moment
 
@@ -41,19 +40,19 @@ FIXTURE = np.array([E3[0], E3[0], E3[1]])
 
 def _axis(x, branch):
     # the sign-fixed top (+) or bottom (-) scatter eigenvector, contiguous
-    return prepare_sample(x[None]).axes[branch][0].copy()
+    return sample_stack(x[None]).axes[branch][0].copy()
 
 
 def _statistics(x):
     # V and the (+) and (-) J vectors, sharing one eigendecomposition
-    s = prepare_sample(x[None])
+    s = sample_stack(x[None])
     return (v_statistic(s.scatter)[0],
             *(_j_statistic(s.x, s.axes[b])[0] for b in ("+", "-")))
 
 
 def _stein_kappa(x, branch):
     # the least-squares kappa = (J'J)^{-1} J'V of one branch
-    s = prepare_sample(x[None])
+    s = sample_stack(x[None])
     return float(_stein_branch(s.x, v_statistic(s.scatter), s.axes[branch])[0][0])
 
 
@@ -242,7 +241,7 @@ def test_likelihood_scores_equal_the_per_point_likelihood(d, kappa):
     # axis carries some but not all of the mass, so every score is finite)
     x = sample_watson(WatsonParams(np.ones(d) / math.sqrt(d), kappa), 100,
                       64, range(3))
-    axes = prepare_sample(x).axes
+    axes = sample_stack(x).axes
     for fit_fn in (watson_mla_fit, watson_mle_fit):
         fit = fit_fn(x)
         for branch, axis in axes.items():
@@ -325,7 +324,7 @@ def test_mle_near_great_circle_is_finite_and_sums_no_underflowed_1f1(monkeypatch
     assert fit["branch"] == "-" and math.isfinite(fit["kappa"])
     assert -1e12 < fit["kappa"] < -745.0
     axis = _axis(x, "-")
-    r = float(axis @ prepare_sample(x[None]).scatter[0] @ axis)
+    r = float(axis @ sample_stack(x[None]).scatter[0] @ axis)
     k = mpmath.mpf(fit["kappa"])
     ratio = mpmath.hyp1f1(1.5, 2.5, k) / mpmath.hyp1f1(0.5, 1.5, k) / 3
     assert float(ratio) == pytest.approx(r, rel=1e-12, abs=0.0)
@@ -378,7 +377,7 @@ def test_mle_root_against_mpmath(d):
                          (800.0, 1e-11), (1e4, 1e-11)):
         x = sample_watson(WatsonParams(np.eye(d)[0], kappa), 200,
                           58, range(3))
-        s = prepare_sample(x)
+        s = sample_stack(x)
         branch = "+" if kappa > 0 else "-"
         fitted = watson_mle_fit(s).kappas[branch]
         axes = s.axes[branch]
@@ -496,7 +495,7 @@ def test_fits_at_d50_are_finite_or_ne(n, kappa):
     # kappa or is NE, and at n < d the (-) branch has no estimate
     x = sample_watson(WatsonParams(np.eye(50)[0], kappa), n,
                       63, range(20))
-    prepared = prepare_sample(x)
+    prepared = sample_stack(x)
     for fit_fn in (watson_stein_fit, watson_mla_fit):
         fit = fit_fn(prepared)
         assert np.isfinite(fit.kappa_hat[~fit.ne]).all()
@@ -519,8 +518,15 @@ def test_j_statistic_equals_loop_oracle_bitwise(d):
             np.testing.assert_array_equal(_j_statistic(x, mu), j_statistic_loop(x, mu))
 
 
+def sample_axes(x):
+    # a Sample's axes, read twice: the second read finds the first's
+    s = sample_stack(x)
+    assert s.axes is s.axes
+    return s.axes
+
+
 @pytest.mark.parametrize("fit", [watson_stein_fit, watson_mla_fit, watson_mle_fit,
-                                 prepare_sample])
+                                 sample_axes])
 def test_one_eigendecomposition_per_call(monkeypatch, fit):
     calls = []
 
@@ -528,7 +534,7 @@ def test_one_eigendecomposition_per_call(monkeypatch, fit):
         calls.append(s)
         return sym_eigen(s)
 
-    monkeypatch.setattr(est_watson, "sym_eigen", counting)
+    monkeypatch.setattr(models, "sym_eigen", counting)
     x = sample_watson(WatsonParams(np.ones(4) / 2.0, 5.0), 200, 61)
     fit(x)
     assert len(calls) == 1
@@ -541,7 +547,7 @@ def test_stacked_fits_equal_single_fits_bitwise(d, kappa, n):
     stack = sample_watson(params, n, 62, range(12))
     if d == 3:  # slice 4 has no ST estimate
         stack[4] = np.tile(watson_st_ne_points(), (2, 1))
-    prepared = est_watson.prepare_sample(stack)
+    prepared = sample_stack(stack)
     for fit_fn in (watson_stein_fit, watson_mla_fit, watson_mle_fit):
         fit = fit_fn(prepared)
         np.testing.assert_equal(vars(fit_fn(stack)), vars(fit))

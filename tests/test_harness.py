@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from spherestein import est_watson, families, harness, sampler
+from spherestein import families, harness, models, sampler
 from spherestein.est_watson import NotEligible
 from spherestein.harness import SimConfig, run_simulation
 from spherestein.linalg import sym_eigen
@@ -309,12 +309,54 @@ def test_watson_study_decomposes_once_per_block(monkeypatch):
         shapes.append(np.shape(s))
         return sym_eigen(s)
 
-    monkeypatch.setattr(est_watson, "sym_eigen", counting)
+    monkeypatch.setattr(models, "sym_eigen", counting)
     config = SimConfig(reps=17, seed=11, **ENGINE_CONFIGS["watson"])
     assert set(config.estimators) >= {"st", "mla"}
     _set_block_size(monkeypatch, config, 5)
     run_simulation(config)
     assert shapes == [(5, 4, 4)] * 3 + [(2, 4, 4)]
+
+
+@pytest.mark.parametrize("family,estimators,moments", [
+    ("vmf", ("st", "st2", "ml", "sm"), {"x", "xbar", "scatter"}),
+    ("vmf", ("ml", "sm"), {"x", "xbar"}),
+    ("watson", ("st", "mla", "ml"), {"x", "scatter", "axes"}),
+    ("fb", ("st",), {"x", "xbar", "scatter"}),
+], ids=["vmf", "vmf-ml-sm", "watson", "fb"])
+def test_each_block_forms_the_moments_its_fits_read_once(monkeypatch, family,
+                                                         estimators, moments):
+    # every fit of a block reads one models.Sample, which forms a moment on
+    # the first fit that reads it and keeps that array for the other fits:
+    # a Watson block forms its axes in one decomposition and never Xbar, a
+    # vMF or Fisher-Bingham block never decomposes S
+    seen, decompositions = [], []
+
+    def recording(fit):
+        def recorded(x):
+            seen.append((x, dict(vars(x))))
+            return fit(x)
+        return recorded
+
+    for code in estimators:
+        monkeypatch.setitem(families.ESTIMATORS, (family, code),
+                            recording(families.ESTIMATORS[family, code]))
+    monkeypatch.setattr(models, "sym_eigen",
+                        lambda s: decompositions.append(s) or sym_eigen(s))
+    config = SimConfig(reps=17, seed=11, **{**ENGINE_CONFIGS[family],
+                                            "estimators": estimators})
+    _set_block_size(monkeypatch, config, 5)
+    run_simulation(config)
+    assert len(seen) == 4 * len(estimators)
+    for k in range(4):
+        block = seen[k * len(estimators):(k + 1) * len(estimators)]
+        sample = block[0][0]
+        assert isinstance(sample, models.Sample) and block[0][1].keys() == {"x"}
+        assert all(x is sample for x, _ in block)
+        assert vars(sample).keys() == moments
+        # a moment formed for one fit is the very array every later fit reads
+        for _, formed in block:
+            assert all(vars(sample)[name] is value for name, value in formed.items())
+    assert len(decompositions) == (4 if family == "watson" else 0)
 
 
 def test_pool_has_no_more_workers_than_blocks(monkeypatch):

@@ -5,7 +5,7 @@ be used somewhere in the package outside its own definition, be exported
 through ``spherestein.__all__`` and named in the README, or be the
 console-script entry point.  Reference code that only the tests call
 belongs in ``tests/oracles.py``.
-Samplers, preparation steps and estimators take stacks only, so that
+Samplers, ``models.sample_stack`` and estimators take stacks only, so that
 ``families.fit_one`` stays the one single-sample path.
 """
 
@@ -178,8 +178,8 @@ LAYOUT_PARAMS = {
 
 
 def test_every_family_has_one_entry_in_each_table():
-    # a study runs PREPARE[family] on every stack, with no per-family branch
-    assert set(families.PREPARE) == set(families.SAMPLERS) == set(families.FAMILIES)
+    # a study wraps every stack in one models.Sample, with no per-family branch
+    assert set(families.SAMPLERS) == set(families.FAMILIES)
     assert {family for family, _ in families.ESTIMATORS} == set(families.SAMPLERS)
 
 
@@ -191,22 +191,24 @@ def test_estimators_reject_a_single_sample(family, code):
     with pytest.raises(ValueError, match="b x n x d"):
         families.ESTIMATORS[family, code](stack[0])
     with pytest.raises(ValueError, match="b x n x d"):
-        families.PREPARE[family](stack[0])
+        models.sample_stack(stack[0])
 
 
 @pytest.mark.parametrize("family,code", sorted(families.ESTIMATORS))
 def test_prepared_stack_shares_each_samples_moments(family, code):
-    # PREPARE forms every sample's Xbar and S once, with the bits of that
-    # sample prepared as a stack of one, and a fit reads the same from
-    # the prepared block as from the raw stack
+    # sample_stack's Sample forms every sample's Xbar, S and axes with the
+    # bits of that sample as a stack of one, and a fit reads the same from
+    # the Sample as from the raw stack
     stack = families.SAMPLERS[family](LAYOUT_PARAMS[family], 50, 0, range(6))
-    prepared = families.PREPARE[family](stack)
+    prepared = models.sample_stack(stack)
     assert isinstance(prepared, models.Sample)
-    assert families.PREPARE[family](prepared) is prepared
+    assert models.sample_stack(prepared) is prepared
     for k in range(len(stack)):
-        one = families.PREPARE[family](stack[k:k + 1])
+        one = models.sample_stack(stack[k:k + 1])
         assert prepared.xbar[k].tobytes() == one.xbar[0].tobytes()
         assert prepared.scatter[k].tobytes() == one.scatter[0].tobytes()
+        for b in ("+", "-"):
+            assert prepared.axes[b][k].tobytes() == one.axes[b][0].tobytes()
     fit = families.ESTIMATORS[family, code]
     np.testing.assert_equal(vars(fit(prepared)), vars(fit(stack)))
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spherestein import families, models, sampler
+from spherestein import families, linalg, models, sampler
 from spherestein.models import (
     FisherBinghamParams,
     VmfParams,
@@ -128,6 +128,26 @@ def test_estimates_do_not_depend_on_sample_layout(family, estimator):
         for copy in (np.asfortranarray(x), strided):
             assert not copy.flags.c_contiguous
             np.testing.assert_equal(vars(fit(copy)), expected)
+
+
+def test_sample_forms_each_moment_on_first_read_and_keeps_it():
+    # a Sample holds only its checked stack until a moment is read; a read
+    # forms the moment with the bits of the eager expression, and a moment
+    # that the read needs (the axes' S) once, kept for every later read
+    stack = sampler.sample_watson(LAYOUT_PARAMS["watson"], 40, 71, range(3))
+    s = models.sample_stack(np.asfortranarray(stack))
+    assert set(vars(s)) == {"x"} and s.x.flags.c_contiguous
+    axes = s.axes
+    assert set(vars(s)) == {"x", "scatter", "axes"}
+    scatter = np.matmul(stack.swapaxes(1, 2), stack) / stack.shape[1]
+    assert s.scatter.tobytes() == scatter.tobytes()
+    vecs = linalg.sym_eigen(scatter)
+    assert axes["+"].tobytes() == vecs[..., 0].tobytes()
+    assert axes["-"].tobytes() == vecs[..., -1].tobytes()
+    assert s.xbar.tobytes() == stack.mean(axis=1).tobytes()
+    kept = dict(vars(s))
+    assert all(getattr(s, name) is value for name, value in kept.items())
+    assert vars(models.sample_stack(stack)).keys() == {"x"}
 
 
 # densities ----------------------------------------------------------------

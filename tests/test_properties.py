@@ -30,7 +30,6 @@ from spherestein import sampler
 from spherestein.est_vmf import DegenerateMean
 from spherestein.est_watson import (
     NotEligible,
-    prepare_sample,
     watson_mla_bounds,
     watson_mla_fit,
     watson_mle_fit,
@@ -38,7 +37,7 @@ from spherestein.est_watson import (
 )
 from spherestein.families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
 from spherestein.linalg import SingularSystem
-from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
+from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams, sample_stack
 from spherestein.sampler import sample_fb, sample_vmf, sample_watson
 
 from oracles import acg_sample_loop, vmf_sample_loop
@@ -91,7 +90,7 @@ def test_watson_ml_within_mla_bounds(case):
     # The bounds are sharp as kappa -> +-inf, where the root is known only
     # to the resolution of E[t] near r: an error of 1e-16 in E[t] moves
     # kappa by about 1e-16 |kappa| / min(r, 1 - r) there
-    s = prepare_sample(x)
+    s = sample_stack(x)
     for branch, mu in s.axes.items():
         r = float(mu[0] @ s.scatter[0] @ mu[0])
         lower, upper = watson_mla_bounds(r, d)
@@ -108,7 +107,7 @@ def test_watson_ml_is_ne_exactly_where_an_axis_has_no_mass(case):
     # each eligible branch has a finite score
     _, x = case
     fit = _outcome(watson_mle_fit, x)
-    s = prepare_sample(x)
+    s = sample_stack(x)
     r = [float(mu[0] @ s.scatter[0] @ mu[0]) for mu in s.axes.values()]
     assert fit.ne[0] == (not all(1e-14 < v < 1.0 - 1e-14 for v in r)), r
 
