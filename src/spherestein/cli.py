@@ -34,7 +34,7 @@ import warnings
 import numpy as np
 
 from . import est_vmf, est_watson, harness
-from .families import ESTIMATORS, FAMILIES, SAMPLERS, fit_one
+from .families import ESTIMATORS, FAMILIES, SAMPLERS, estimator_code, fit_one
 from .linalg import SingularSystem
 from .models import params_from_dict
 
@@ -74,7 +74,7 @@ def cmd_sample(args) -> int:
         x = SAMPLERS[params.family](params, args.n, args.seed)[0]
     except ValueError as exc:
         return _fail(f"invalid argument: {exc}", 2)
-    except RuntimeError as exc:
+    except (MemoryError, RuntimeError) as exc:
         return _fail(f"sampler failed: {exc}", 3)
     header = _header(x.shape[1]) if args.header else ""
     if code := _write(args.out, lambda fh: np.savetxt(
@@ -119,9 +119,10 @@ def _read_sample(path: str) -> tuple[np.ndarray, list[str]]:
 
 def cmd_fit(args) -> int:
     family = args.family
-    estimator = args.estimator.lower()  # case-blind, as in a config
-    if (family, estimator) not in ESTIMATORS:
-        return _fail(f"no estimator {estimator!r} for family {family!r}", 2)
+    try:  # before the CSV is read
+        estimator = estimator_code(family, args.estimator)
+    except ValueError as exc:
+        return _fail(str(exc), 2)
     try:
         x, notes = _read_sample(args.infile)
     except (OSError, ValueError) as exc:
@@ -136,7 +137,7 @@ def cmd_fit(args) -> int:
         fit = {"status": "NE", "detail": str(exc), "warnings": []}
     except SingularSystem as exc:
         return _fail(f"singular system: {exc}", 4)
-    except (est_vmf.DegenerateMean, ValueError) as exc:
+    except ValueError as exc:
         return _fail(f"estimation failed: {exc}", 2)
     except (OverflowError, RuntimeError) as exc:
         return _fail(f"estimator failed: {exc}", 3)
@@ -161,7 +162,8 @@ def cmd_simulate(args) -> int:
         return code
     try:
         result = harness.run_simulation(config)
-    except RuntimeError as exc:
+    # the config is checked: numpy's refusal of a stack's shape is a ValueError
+    except (MemoryError, RuntimeError, ValueError) as exc:
         code = _fail(f"simulation failed: {exc}", 3)
     else:
         code = args.out and _write(args.out, lambda fh: fh.write(result.to_csv()))

@@ -11,9 +11,9 @@ Each estimator takes a (b, n, d) stack of b samples or its
 ``models.Sample``, which forms the means Xbar and scatters S on first
 read, so the fits of a simulation block share them (ML and SM read only
 Xbar); each fit forms |Xbar| and Xbar / |Xbar| itself (O(b d)), and
-raises DegenerateMean on a zero resultant.  Slice k of a stack gets the
-same bits as that sample fitted as a stack of one (``families.fit_one``
-fits one sample).
+raises DegenerateMean, a ValueError, on a zero resultant.  Slice k of a
+stack gets the same bits as that sample fitted as a stack of one
+(``families.fit_one`` fits one sample).
 
 The Fisher information for kappa and the closed-form asymptotic variance
 of the ST estimator live here too; both depend on kappa only through the
@@ -31,7 +31,7 @@ from .linalg import solve_stack
 from .models import Sample, sample_stack
 
 
-class DegenerateMean(Exception):
+class DegenerateMean(ValueError):
     """The resultant vector is (numerically) zero; no mean direction exists."""
 
 

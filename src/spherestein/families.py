@@ -8,6 +8,8 @@ about each parameter family, in one place.
   a simulation block share; the codes are the names that configs and
   ``fit --estimator`` use.  The fit holds one entry per sample in each
   field, and its ``ne`` flags the samples without an estimate.
+  ``estimator_code`` reads a code for all of them: case-blind, and a
+  ValueError for one that names no estimator of the family.
 * ``FAMILIES[family]`` says which estimators a study runs by default, how
   a fit is scored against the true parameters, which typed outcome a
   sample without an estimate raises, and which fields a fit report
@@ -58,6 +60,18 @@ ESTIMATORS: dict[tuple[str, str], Callable] = {
     ("watson", "ml"): est_watson.watson_mle_fit,
     ("fb", "st"): est_fb.fb_stein_fit,
 }
+
+
+def estimator_code(family: str, code) -> str:
+    """The ``ESTIMATORS`` code that ``code`` names for ``family``, in lower
+    case; ValueError for a code that is not a string or names no estimator
+    of the family (an unknown family has none)."""
+    if not isinstance(code, str):
+        raise ValueError("estimator names must be strings")
+    code = code.lower()
+    if (family, code) not in list(ESTIMATORS):  # by ==, so a list family is none
+        raise ValueError(f"no estimator {code!r} for family {family!r}")
+    return code
 
 
 @dataclass(frozen=True)
@@ -160,14 +174,16 @@ FAMILIES: dict[str, Family] = {
 
 
 def fit_one(family: str, code: str, x) -> dict:
-    """Fit one n x d sample with estimator ``code`` of ``family``, as the
-    stack x[None] of one sample, and return the report that ``cli fit``
-    prints (its fields and its "warnings" list).
+    """Fit one n x d sample with estimator ``code`` of ``family`` (read by
+    ``estimator_code``), as the stack x[None] of one sample, and return the
+    family's report: its fields and its "warnings" list, to which ``cli
+    fit`` adds family, estimator, n, d and status.
 
-    A sample without an estimate raises the family's typed outcome:
-    NotEligible (Watson) or SingularSystem (vMF ST2, FB).
+    An unknown code or an invalid sample raises ValueError, and a sample
+    without an estimate the family's typed outcome: NotEligible (Watson)
+    or SingularSystem (vMF ST2, FB).
     """
-    fit = ESTIMATORS[family, code](np.asarray(x)[None])
+    fit = ESTIMATORS[family, estimator_code(family, code)](np.asarray(x)[None])
     fam = FAMILIES[family]
     if fit.ne[0]:
         raise fam.outcome(fit)

@@ -36,7 +36,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .families import ESTIMATORS, FAMILIES, SAMPLERS
+from .families import ESTIMATORS, FAMILIES, SAMPLERS, estimator_code
 from .models import Params, as_int, chunks, params_from_dict, sample_stack
 
 DEFAULT_ESTIMATORS = {name: fam.defaults for name, fam in FAMILIES.items()}
@@ -65,16 +65,11 @@ class SimConfig:
             raise ValueError(f"reps must be <= 2**32, got {self.reps}")
         if not isinstance(self.estimators, (list, tuple)):  # a string is not a list
             raise ValueError("estimators must be a list of estimator names")
-        if not all(isinstance(e, str) for e in self.estimators):
-            raise ValueError("estimator names must be strings")
-        self.estimators = tuple(e.lower() for e in self.estimators)
-        if not self.estimators:
-            self.estimators = DEFAULT_ESTIMATORS[family]
+        self.estimators = (tuple(estimator_code(family, e) for e in self.estimators)
+                           or DEFAULT_ESTIMATORS[family])
         if not isinstance(self.label, str) or any(c in self.label for c in ",\n\r"):
             raise ValueError("label must be a string without ',' or line breaks")
         for est in self.estimators:
-            if (family, est) not in ESTIMATORS:
-                raise ValueError(f"unknown estimator {est!r} for {family}")
             if self.estimators.count(est) > 1:
                 raise ValueError(f"estimator {est!r} listed more than once")
 
@@ -123,6 +118,12 @@ class SimResult:
     warnings: list[str]
     walltime: float
 
+    def _rows(self) -> list[tuple[str, str, Cell]]:
+        """(estimator, block, cell) in the row order of the CSV and the
+        table: by estimator, then by block."""
+        return [(est, block, self.cells[est][block])
+                for est in sorted(self.cells) for block in sorted(self.cells[est])]
+
     def to_csv(self) -> str:
         """Deterministic CSV, one row per estimator x parameter block.
 
@@ -135,17 +136,13 @@ class SimResult:
         ]
         c = self.config
         lines = [",".join(fields)]
-        for est in sorted(self.cells):
-            for block in sorted(self.cells[est]):
-                cell = self.cells[est][block]
-                row = [
-                    c.label, c.params.family, str(c.n), str(c.reps),
-                    str(c.seed), est, block,
-                    _fmt(cell.bias), _fmt(cell.bias_se),
-                    _fmt(cell.mse), _fmt(cell.mse_se),
-                    _fmt(cell.mse_alt), _fmt(cell.mse_alt_se), _fmt(cell.ne),
-                ]
-                lines.append(",".join(row))
+        for est, block, cell in self._rows():
+            row = [
+                c.label, c.params.family, str(c.n), str(c.reps), str(c.seed), est, block,
+                _fmt(cell.bias), _fmt(cell.bias_se), _fmt(cell.mse), _fmt(cell.mse_se),
+                _fmt(cell.mse_alt), _fmt(cell.mse_alt_se), _fmt(cell.ne),
+            ]
+            lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
     def table(self) -> str:
@@ -156,14 +153,9 @@ class SimResult:
         )
         lines = [header, f"{'estimator':<10}{'block':<7}{'bias':>12}"
                  f"{'mse':>12}{'ne':>8}"]
-        for est in sorted(self.cells):
-            for block in sorted(self.cells[est]):
-                cell = self.cells[est][block]
-                bias = f"{cell.bias:.4g}" if cell.bias is not None else "-"
-                lines.append(
-                    f"{est:<10}{block:<7}{bias:>12}{cell.mse:>12.4g}"
-                    f"{cell.ne:>8.4g}"
-                )
+        for est, block, cell in self._rows():
+            bias = f"{cell.bias:.4g}" if cell.bias is not None else "-"
+            lines.append(f"{est:<10}{block:<7}{bias:>12}{cell.mse:>12.4g}{cell.ne:>8.4g}")
         return "\n".join(lines)
 
 

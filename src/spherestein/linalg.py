@@ -44,6 +44,7 @@ def lower_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@np.errstate(over="ignore")  # a difference beyond the float range is inf, refused
 def _check_symmetric(m) -> np.ndarray:
     # a square matrix or a (b, d, d) stack of them; every slice is checked
     m = np.asarray(m, dtype=float)

@@ -151,7 +151,7 @@ class FisherBinghamParams(_SphereParams):
         _check_symmetric(a)
         if abs(a[d - 1, d - 1]) > 1e-12:
             raise ValueError("A[d, d] must be zero")
-        a = 0.5 * (a + a.T)
+        a = 0.5 * a + 0.5 * a.T  # a + a.T may overflow; halving a normal float is exact
         a[d - 1, d - 1] = 0.0
         self.A = a
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -83,6 +84,8 @@ def bessel_ratio(d: int, kappa):
     """
     if d < 2:
         raise ValueError("dimension d must be >= 2")
+    if d > sys.float_info.max:  # an exact comparison; 0.5 * d below would overflow
+        raise ValueError("dimension d is beyond the float range")
     k = np.atleast_1d(np.asarray(kappa, dtype=float))
     if np.any(k <= 0):
         raise ValueError("kappa must be > 0")

@@ -93,7 +93,10 @@ def test_non_finite_parameters_exit_2(tmp_path, capsys, deadline, params, field)
     ({"family": "fb", "mu": [100.0, 0.0, 0.0],
       "A": np.diag([-100.0, 0.0, 0.0]).tolist()},
      "rejection acceptance 0.00e+00 below 1e-06 after 250550 proposals"),
-], ids=["fb-mu-1e300", "vmf-kappa-1e200", "vmf-kappa-1e17", "fb-acceptance-floor"])
+    ({"family": "fb", "mu": [0.0, 0.0, 1.0], "A": np.diag([1e308, -1e308, 0.0]).tolist()},
+     "rejection envelope is not finite"),
+], ids=["fb-mu-1e300", "vmf-kappa-1e200", "vmf-kappa-1e17", "fb-acceptance-floor",
+        "fb-A-1e308"])
 def test_huge_parameters_are_sampler_failures(tmp_path, capsys, deadline, params,
                                               reason):
     # an envelope of |mu| = 1e300 is NaN (the FB sampler spun for ever on
@@ -478,6 +481,20 @@ def test_fit_unknown_estimator(tmp_path):
     path.write_text("1,0,0\n0,1,0\n")
     assert cli.main(["fit", "--family", "vmf", "--estimator", "nope",
                      "--in", str(path)]) == 2
+
+
+def test_config_and_fit_refuse_an_unknown_code_alike(tmp_path, capsys):
+    # one message, from families.estimator_code, before any CSV is read
+    config = _write_params(tmp_path, {
+        "params": {"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": 2.0},
+        "n": 10, "reps": 5, "estimators": ["st", "NOPE"]}, "config.json")
+    assert cli.main(["simulate", "--config", config]) == 2
+    assert cli.main(["fit", "--family", "vmf", "--estimator", "NOPE",
+                     "--in", str(tmp_path / "missing.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: invalid config: no estimator 'nope' for family 'vmf'\n"
+                            "error: no estimator 'nope' for family 'vmf'\n")
 
 
 def test_fit_estimator_code_is_case_blind(tmp_path, capsys):
@@ -1019,6 +1036,44 @@ def test_simulate_estimator_failing_hard_exits_3(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_simulate_beyond_numpy_shapes_is_a_simulation_failure(tmp_path, capsys):
+    # numpy refuses a (1, 10**20, 3) stack before allocating it, with a
+    # ValueError that ended in a traceback
+    config = _write_params(tmp_path, {
+        "params": {"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": 2.0},
+        "n": 10**20, "reps": 2}, "config.json")
+    out = tmp_path / "result.csv"
+    assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: simulation failed: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, prefix", [("sample", "sampler failed"),
+                                             ("simulate", "simulation failed")])
+def test_an_allocation_failure_is_a_sampler_failure(tmp_path, capsys, monkeypatch,
+                                                    command, prefix):
+    # numpy's MemoryError for a stack too large to allocate ended in a
+    # traceback; the sampler here raises it without allocating
+    def no_memory(params, n, seed, streams=range(1)):
+        raise MemoryError("Unable to allocate 728. TiB")
+
+    monkeypatch.setitem(families.SAMPLERS, "vmf", no_memory)
+    params = {"family": "vmf", "mu": [0.0, 0.0, 1.0], "kappa": 2.0}
+    out = tmp_path / "out.csv"
+    argv = (["sample", "--params", _write_params(tmp_path, params), "--n", "10"]
+            if command == "sample" else
+            ["simulate", "--config", _write_params(
+                tmp_path, {"params": params, "n": 10, "reps": 3}, "config.json")])
+    assert cli.main(argv + ["--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {prefix}: Unable to allocate 728. TiB\n"
+    assert not out.exists()
+
+
 def test_simulate_estimator_that_never_existed_exits_3(tmp_path, capsys):
     # at n = 1, I - xx' is singular in every replication, so vMF ST2 books
     # each one NE and has no estimate to aggregate
@@ -1073,6 +1128,9 @@ def _asympvar_refusal(capsys, d, kappa):
 def test_asympvar_domain(capsys):
     assert _asympvar_refusal(capsys, "3", "0.0") == "kappa must be > 0"
     assert _asympvar_refusal(capsys, "1", "1.0") == "dimension d must be >= 2"
+    # 0.5 * d raised OverflowError and exited 1
+    assert (_asympvar_refusal(capsys, str(10**400), "1")
+            == "dimension d is beyond the float range")
 
 
 @pytest.mark.parametrize("kappa", ["inf", "nan"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from spherestein import families
+from spherestein.est_vmf import DegenerateMean
 from spherestein.models import FisherBinghamParams, VmfParams, WatsonParams
 
 from oracles import watson_st_ne_points
@@ -72,3 +73,27 @@ def test_fit_one_equals_slice_of_stack_fit(family, code, d):
         assert report == fam.report(one)
         assert report["mu"] == fit.mu_hat[k].tolist()
         assert "warnings" in report
+
+
+def test_estimator_code_reads_every_code_and_fit_one_through_it():
+    # one reader for configs, fit --estimator and fit_one: case-blind, and
+    # a ValueError for a code that names no estimator (fit_one raised a
+    # bare KeyError) or is not a string
+    x = families.SAMPLERS["vmf"](VmfParams(np.eye(3)[2], 5.0), 50, 0)[0]
+    assert families.estimator_code("watson", "MLa") == "mla"
+    assert families.fit_one("vmf", "ST", x) == families.fit_one("vmf", "st", x)
+    for family, code, message in [
+            ("vmf", "nope", "no estimator 'nope' for family 'vmf'"),
+            ("fb", "ML", "no estimator 'ml' for family 'fb'"),
+            ("cauchy", "st", "no estimator 'st' for family 'cauchy'"),
+            (["vmf"], "st", "no estimator 'st' for family ['vmf']"),
+            ("vmf", 1, "estimator names must be strings"),
+            ("vmf", None, "estimator names must be strings")]:
+        for read in (families.estimator_code, lambda f, c: families.fit_one(f, c, x)):
+            with pytest.raises(ValueError) as err:
+                read(family, code)
+            assert str(err.value) == message
+    # a zero resultant is an invalid sample, refused as a ValueError too
+    assert issubclass(DegenerateMean, ValueError)
+    with pytest.raises(ValueError, match="resultant length is zero"):
+        families.fit_one("vmf", "st", np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]))

@@ -49,6 +49,18 @@ def test_fb_params_validation():
         FisherBinghamParams(np.zeros(3), bad)
 
 
+def test_fb_params_near_the_float_range():
+    # A = diag(1e308, -1e308, 0) is finite, but its symmetrised
+    # 0.5 (A + A') overflowed to inf; a +-1e308 antisymmetric pair, whose
+    # difference is beyond the float range, is no symmetric matrix
+    a = np.diag([1e308, -1e308, 0.0])
+    np.testing.assert_array_equal(FisherBinghamParams(np.zeros(3), a).A, a)
+    skew = np.zeros((3, 3))
+    skew[0, 1], skew[1, 0] = 1e308, -1e308
+    with pytest.raises(ValueError, match="not symmetric"):
+        FisherBinghamParams(np.zeros(3), skew)
+
+
 def test_vmf_params_validation():
     VmfParams(np.array([0.0, 0.0, 1.0]), 2.0)
     with pytest.raises(ValueError):

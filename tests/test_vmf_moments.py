@@ -264,6 +264,9 @@ def test_moments_require_positive_kappa():
         for kappa in (1e-320, 5e-324):
             with pytest.raises(ValueError, match="not a normal float"):
                 fn(3, kappa)
+        # a d beyond the float range: 0.5 * d raised OverflowError
+        with pytest.raises(ValueError, match="^dimension d is beyond the float range$"):
+            fn(10**400, 1.0)
         # a kappa that is not finite: inf gave I = 0.0 and a ZeroDivisionError
         for d in (2, 3, 50):
             for kappa in (math.inf, math.nan):
